@@ -3,12 +3,13 @@
 // Drives a ShardedBrokerDaemon over real TCP sockets: M client threads, each
 // with one persistent wire-protocol connection, issue requests back-to-back
 // for a fixed wall-clock window. The sweep is the cross product of shard
-// counts and backend-channel modes: pipeline=0 uses the stop-and-wait
-// HttpBackend (one outstanding request per connection), pipeline=1 the
-// PipelinedBackend (few persistent connections, many in-flight exchanges
-// each, coalesced writes). Comparing connections_opened and req/s between
-// the modes is the wire-level check of the paper's "a single connection ...
-// can be multiplexed to serve multiple applications" claim.
+// counts and backend-channel modes. Both modes use net::PipelinedBackend:
+// pipeline=0 is the stop-and-wait control (pipeline depth 1, one connection
+// per possible in-flight request), pipeline=1 the multiplexed channel (few
+// persistent connections, many in-flight exchanges each, coalesced writes).
+// Comparing connections_opened and req/s between the modes is the
+// wire-level check of the paper's "a single connection ... can be
+// multiplexed to serve multiple applications" claim.
 //
 //   $ daemon_loadgen shards=1,2,4 pipeline=0,1 clients=64 seconds=2 cache=0
 //
@@ -43,9 +44,11 @@
 //   negttl    negative-cache TTL for backend errors, seconds (default 0)
 //   coalesce  1 = single-flight miss coalescing on      (default 1)
 //   check     1 = verify conservation (issued == completed, issued ==
-//             forwarded + dropped + cached + errors) and zero client
-//             failures after every run; exit 1 on violation — this is the
-//             ctest smoke mode that keeps the bench binary honest
+//             forwarded + dropped + cached + errors), zero client failures
+//             and that every full or cached reply carries its own target's
+//             body ("body of <target>"; a mis-paired pipelined reply fails)
+//             after every run; exit 1 on violation — this is the ctest
+//             smoke mode that keeps the bench binary honest
 //   obs       1 = broker latency histograms + flight recorder on; 0 = the
 //             compiled-in-but-idle baseline the overhead experiment
 //             compares against                         (default 1)
@@ -63,8 +66,6 @@
 //               http  HTTP/1.1 keep-alive, sniffed on the same main port
 //             (default "wire", so existing smokes measure what they always
 //             measured)
-//   iouring   1 = opt shard reactors into the io_uring write backend (no-op
-//             without -DSBROKER_IOURING=ON or kernel support) (default 0)
 //   policy    comma list of balancer policies swept per combination, from
 //             random, round-robin (rr), least-outstanding (least), weighted,
 //             ewma, p2c (see core/balance.h)   (default "least-outstanding",
@@ -155,10 +156,14 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <deque>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/balance.h"
@@ -217,6 +222,7 @@ struct RunResult {
   double slow_share = 0.0;  // last replica's share of picks (replicas > 1)
   uint64_t requests = 0;   // replies received by clients
   uint64_t failures = 0;   // timeouts / io errors
+  uint64_t mispaired = 0;  // full/cached replies carrying another target's body
   double seconds = 0.0;
   double rps = 0.0;
   util::Histogram latency;  // seconds
@@ -318,17 +324,18 @@ double monotonic_seconds() {
 }
 
 /// Heterogeneous fake-backend pool: one HTTP server per replica, all on one
-/// reactor thread. Each replica is a serial (capacity-1) server — requests
-/// queue behind a busy-until cursor and the reply fires from a reactor timer
-/// — so a slow replica shows real queueing delay, and responses leave in
-/// arrival order, which HTTP/1.1 pipelining (PipelinedBackend's FIFO
-/// matching) requires. The LAST replica carries the skew multiplier.
-/// Targets under /stall- are swallowed: the response is parked forever,
-/// modelling a backend that accepts work and goes mute.
+/// reactor thread. Each replica is a serial (capacity-1) server: requests
+/// queue behind a busy-until cursor, so a slow replica shows real queueing
+/// delay. Replies wait in a per-replica FIFO drained by one timer, so they
+/// leave in arrival order however long the thread stalls between arming and
+/// firing — per-reply timers armed from an earlier clock read could swap
+/// neighbours. The LAST replica carries the skew multiplier. Targets under
+/// /stall- are swallowed: the response is parked forever, modelling a
+/// backend that accepts work and goes mute.
 class BackendPool {
  public:
-  explicit BackendPool(const ReplicaKnobs& rk) {
-    double start = monotonic_seconds();
+  explicit BackendPool(const ReplicaKnobs& rk) : queues_(rk.replicas) {
+    double start = reactor_.now();
     for (size_t i = 0; i < rk.replicas; ++i) {
       srv::ServiceProfile profile;
       profile.base = rk.svc_ms * 1e-3;
@@ -338,29 +345,28 @@ class BackendPool {
         profile.degrade_after = rk.degrade;
       }
       auto rng = std::make_shared<util::Rng>(util::derive_seed(0xb0c0, i));
-      auto busy_until = std::make_shared<double>(0.0);
-      auto parked = parked_;
       servers_.push_back(std::make_unique<net::HttpServer>(
           reactor_, 0,
-          [this, profile, rng, busy_until, parked, start](
-              const http::Request& req, net::HttpServer::Responder respond) {
+          [this, i, profile, rng, start](const http::Request& req,
+                                         net::HttpServer::Responder respond) {
             if (req.target.rfind("/stall-", 0) == 0) {
-              parked->push_back(std::move(respond));
+              parked_.push_back(std::move(respond));
               return;
             }
             http::Response resp =
                 http::make_response(200, "body of " + req.target);
-            double now = monotonic_seconds();
+            double now = reactor_.now();
             double svc = profile.sample(0.0, now - start, *rng);
-            if (svc <= 0.0) {
+            Queue& q = queues_[i];
+            if (svc <= 0.0 && q.due.empty()) {
               respond(std::move(resp));
               return;
             }
-            double begin = std::max(now, *busy_until);
-            *busy_until = begin + svc;  // strictly increasing: replies in order
-            reactor_.add_timer(*busy_until - now, [respond, resp]() {
-              respond(resp);
-            });
+            q.busy_until = std::max(now, q.busy_until) + std::max(0.0, svc);
+            q.due.emplace_back(q.busy_until,
+                               [respond = std::move(respond),
+                                resp = std::move(resp)]() { respond(resp); });
+            if (!q.timer_armed) arm(i);
           }));
     }
     thread_ = std::thread([this] { reactor_.run(); });
@@ -372,10 +378,35 @@ class BackendPool {
   uint16_t port(size_t replica) const { return servers_[replica]->port(); }
 
  private:
+  struct Queue {
+    double busy_until = 0.0;
+    std::deque<std::pair<double, std::function<void()>>> due;
+    bool timer_armed = false;
+  };
+
+  void arm(size_t replica) {
+    Queue& q = queues_[replica];
+    q.timer_armed = true;
+    reactor_.add_timer(q.due.front().first - reactor_.now(),
+                       [this, replica]() { drain(replica); });
+  }
+
+  void drain(size_t replica) {
+    Queue& q = queues_[replica];
+    q.timer_armed = false;
+    double now = reactor_.now();
+    while (!q.due.empty() && q.due.front().first <= now) {
+      std::function<void()> send = std::move(q.due.front().second);
+      q.due.pop_front();
+      send();
+    }
+    if (!q.due.empty()) arm(replica);
+  }
+
   net::Reactor reactor_;
+  std::vector<Queue> queues_;  // reactor thread only
   std::vector<std::unique_ptr<net::HttpServer>> servers_;
-  std::shared_ptr<std::vector<net::HttpServer::Responder>> parked_ =
-      std::make_shared<std::vector<net::HttpServer::Responder>>();
+  std::vector<net::HttpServer::Responder> parked_;  // reactor thread only
   std::thread thread_;
 };
 
@@ -405,7 +436,7 @@ RunResult run_one(size_t shards, bool pipelined, size_t clients, double seconds,
                   uint64_t keys, double threshold, bool cache, bool fallback,
                   uint32_t timeout_ms, uint64_t stallpct, int attempts,
                   bool obs_on, bool scrape, const CacheKnobs& knobs,
-                  const std::string& proto, size_t burst, bool iouring,
+                  const std::string& proto, size_t burst,
                   const ReplicaKnobs& rk, const OverloadKnobs& ok,
                   const ArrivalKnobs& ak, const LinkKnobs& lk) {
   BackendPool backends(rk);
@@ -439,29 +470,32 @@ RunResult run_one(size_t shards, bool pipelined, size_t clients, double seconds,
   cfg.shards = shards;
   cfg.enable_udp = false;
   cfg.force_acceptor_fallback = fallback;
-  cfg.io_uring = iouring;
+  size_t total_clients = clients * std::max<size_t>(1, ok.crowd);
+  if (!pipelined) {
+    // Stop-and-wait control: one exchange per connection, and a connection
+    // for every request that can be in flight at once, so the pool never
+    // sheds a batch the multiplexed mode would have carried.
+    cfg.broker.pool.multiplex_capacity = 1;
+    cfg.broker.pool.max_connections = total_clients * burst;
+  }
   net::ShardedBrokerDaemon daemon("loadgen-broker", cfg);
-  core::PoolConfig pool = cfg.broker.pool;
+  // Same caps as the broker's ConnectionPool, so the wire enforces the bounds
+  // the core accounting already promised.
+  auto channel = net::PipelinedBackend::Config::from_pool(cfg.broker.pool);
   for (size_t i = 0; i < rk.replicas; ++i) {
     uint16_t backend_port =
         proxies.empty() ? backends.port(i) : proxies[i]->port();
-    daemon.add_backend([backend_port, pipelined, pool](net::Reactor& reactor,
-                                                       size_t) -> std::shared_ptr<core::Backend> {
-      if (pipelined) {
-        // Same caps as the broker's ConnectionPool, so the wire enforces the
-        // bounds the core accounting already promised.
-        return std::make_shared<net::PipelinedBackend>(
-            reactor, backend_port, net::PipelinedBackend::Config::from_pool(pool));
-      }
-      return std::make_shared<net::HttpBackend>(reactor, backend_port);
+    daemon.add_backend([backend_port, channel](net::Reactor& reactor, size_t) {
+      return std::make_shared<net::PipelinedBackend>(reactor, backend_port,
+                                                     channel);
     });
   }
   daemon.start();
 
   std::atomic<bool> stop_flag{false};
-  size_t total_clients = clients * std::max<size_t>(1, ok.crowd);
   std::vector<uint64_t> counts(total_clients, 0);
   std::vector<uint64_t> failures(total_clients, 0);
+  std::vector<uint64_t> mispaired(total_clients, 0);
   std::vector<std::vector<double>> latencies(total_clients);
   // Open-loop accounting (arrivals != closed): per-thread schedule counters
   // and the biased from-actual-send latencies kept next to the corrected
@@ -537,10 +571,20 @@ RunResult run_one(size_t shards, bool pipelined, size_t clients, double seconds,
       // Useful = the reply carried a usable result (full/cached/degraded
       // fidelity, or HTTP 200) — busy notices and errors are completed but
       // not useful, the distinction goodput accounting rests on.
+      // Mispaired = a full or cached reply whose body is not the one the
+      // replica serves for this target: the backend channel matched a
+      // response to the wrong request.
       struct CallOutcome {
         bool got_reply = false;
         bool matched = false;
         bool useful = false;
+        bool mispaired = false;
+      };
+      auto wrong_body = [](http::Fidelity fidelity, const std::string& target,
+                           std::string_view body) {
+        bool served = fidelity == http::Fidelity::kFull ||
+                      fidelity == http::Fidelity::kCached;
+        return served && body != "body of " + target;
       };
       auto call_once = [&](uint64_t rid, const std::string& payload,
                            uint8_t qos) {
@@ -551,6 +595,8 @@ RunResult run_one(size_t shards, bool pipelined, size_t clients, double seconds,
           o.matched = reply && reply->request_id == rid;
           o.useful = o.matched && reply->fidelity != http::Fidelity::kBusy &&
                      reply->fidelity != http::Fidelity::kError;
+          o.mispaired =
+              o.matched && wrong_body(reply->fidelity, payload, reply->payload);
         } else if (http_client) {
           http::Request hreq;
           hreq.target = payload;
@@ -563,6 +609,11 @@ RunResult run_one(size_t shards, bool pipelined, size_t clients, double seconds,
           o.got_reply = resp.has_value();
           o.matched = o.got_reply;  // HTTP/1.1: responses arrive in order
           o.useful = o.got_reply && resp->status == 200;
+          if (o.useful) {
+            auto fidelity = resp->headers.get(http::kFidelityHeader);
+            o.mispaired = (fidelity == "full" || fidelity == "cached") &&
+                          resp->body != "body of " + payload;
+          }
         } else {
           http::BrokerRequest req;
           req.request_id = rid;
@@ -575,7 +626,10 @@ RunResult run_one(size_t shards, bool pipelined, size_t clients, double seconds,
           o.matched = reply && reply->request_id == rid;
           o.useful = o.matched && reply->fidelity != http::Fidelity::kBusy &&
                      reply->fidelity != http::Fidelity::kError;
+          o.mispaired =
+              o.matched && wrong_body(reply->fidelity, payload, reply->payload);
         }
+        if (o.mispaired) ++mispaired[c];
         return o;
       };
 
@@ -657,6 +711,9 @@ RunResult run_one(size_t shards, bool pipelined, size_t clients, double seconds,
           auto replies = bin_client->call_burst(first_id, batch, qos, timeout_ms);
           double elapsed = monotonic_seconds() - start;
           counts[c] += replies.size();
+          for (const net::FrameReply& reply : replies) {
+            if (wrong_body(reply.fidelity, payload, reply.payload)) ++mispaired[c];
+          }
           if (replies.size() == burst) {
             latencies[c].push_back(elapsed);
           } else {
@@ -752,6 +809,7 @@ RunResult run_one(size_t shards, bool pipelined, size_t clients, double seconds,
   for (size_t c = 0; c < total_clients; ++c) {
     r.requests += counts[c];
     r.failures += failures[c];
+    r.mispaired += mispaired[c];
     for (double s : latencies[c]) r.latency.add(s);
     r.scheduled += scheduled_counts[c];
     r.sent += sent_counts[c];
@@ -1013,6 +1071,13 @@ bool conservation_holds(const RunResult& r) {
                  static_cast<unsigned long long>(r.failures));
     ok = false;
   }
+  if (r.mispaired != 0) {
+    std::fprintf(stderr,
+                 "payload check: %llu full/cached replies carried another "
+                 "target's body\n",
+                 static_cast<unsigned long long>(r.mispaired));
+    ok = false;
+  }
   if (total.issued != r.requests) {
     std::fprintf(stderr, "conservation: issued %llu != client replies %llu\n",
                  static_cast<unsigned long long>(total.issued),
@@ -1067,7 +1132,6 @@ int main(int argc, char** argv) {
   knobs.coalesce = cfg.get_bool("coalesce", true);
   std::string proto_list = cfg.get_string("proto", "wire");
   size_t burst = static_cast<size_t>(cfg.get_int("burst", 1));
-  bool iouring = cfg.get_bool("iouring", false);
   std::string policy_list = cfg.get_string("policy", "least-outstanding");
   std::string skew_list = cfg.get_string("skew", "1");
   ReplicaKnobs rk;
@@ -1274,7 +1338,7 @@ int main(int argc, char** argv) {
       "daemon_loadgen: %zu clients, %.1fs per run, %llu keys, cache=%d, "
       "timeout=%ums, stallpct=%llu, attempts=%d, obs=%d, scrape=%d, "
       "dup=%s, ttl=%.3g, grace=%.3g, jitter=%.3g, negttl=%.3g, "
-      "coalesce=%d, proto=%s, burst=%zu, iouring=%d, policy=%s, "
+      "coalesce=%d, proto=%s, burst=%zu, policy=%s, "
       "replicas=%zu, svc=%.3gms, svcjitter=%.3g, skew=%s, degrade=%.3g, "
       "overload=%s, window=%zu, oeval=%.3g, crowd=%zu, ramp=%.3g, "
       "backoff=%.3g, arrivals=%s, rate=%.3g, seed=%llu, link=%s, %u cpus\n",
@@ -1282,7 +1346,7 @@ int main(int argc, char** argv) {
       timeout_ms, static_cast<unsigned long long>(stallpct), attempts,
       obs_on ? 1 : 0, scrape ? 1 : 0, dup_list.c_str(), knobs.ttl, knobs.grace,
       knobs.jitter, knobs.negttl, knobs.coalesce ? 1 : 0, proto_list.c_str(),
-      burst, iouring ? 1 : 0, policy_list.c_str(), rk.replicas, rk.svc_ms,
+      burst, policy_list.c_str(), rk.replicas, rk.svc_ms,
       rk.svc_jitter, skew_list.c_str(), rk.degrade, overload_list.c_str(),
       window, oeval, crowd_mult, ramp, backoff, arrivals_list.c_str(), rate,
       static_cast<unsigned long long>(run_seed), link_spec.c_str(), cpus);
@@ -1307,8 +1371,8 @@ int main(int argc, char** argv) {
     for (size_t mode : modes) {
       RunResult r = run_one(shards, mode != 0, clients, seconds, keys,
                             threshold, cache, fallback, timeout_ms, stallpct,
-                            attempts, obs_on, scrape, knobs, proto, burst,
-                            iouring, rk, ok, ak, lk_knobs);
+                            attempts, obs_on, scrape, knobs, proto, burst, rk,
+                            ok, ak, lk_knobs);
       core::BrokerMetrics::ClassCounters total = r.metrics.total();
       std::printf("%-5s %-5.2f %-9.9s %-11.11s %-4.3g %-7zu %-9s %-8s %10llu %10.0f %9.3f %9.3f %9.3f %8.1f%% "
                   "%10llu %8llu %8llu %9llu %9llu %9llu %6.1f%%\n",
@@ -1557,7 +1621,6 @@ int main(int argc, char** argv) {
       .field("negative_ttl", knobs.negttl)
       .field("coalesce", knobs.coalesce)
       .field("burst", burst)
-      .field("iouring", iouring)
       .field("replicas", static_cast<uint64_t>(rk.replicas))
       .field("svc_ms", rk.svc_ms)
       .field("svc_jitter", rk.svc_jitter)
@@ -1592,6 +1655,7 @@ int main(int argc, char** argv) {
         .field("kernel_accept_sharding", r.kernel_accept_sharding)
         .field("requests", r.requests)
         .field("failures", r.failures)
+        .field("mispaired", r.mispaired)
         .field("seconds", r.seconds)
         .field("rps", r.rps)
         .field("latency_mean_ms", r.latency.mean() * 1e3)

@@ -45,8 +45,6 @@
 #                  port). Comparing proto=bin against proto=http at dup=0 is
 #                  the wire-framing speedup headline (default "wire,http,bin")
 #   BENCH_BURST    frames pipelined per send, proto=bin only (default 1)
-#   BENCH_IOURING  opt shard reactors into io_uring submission (default 0;
-#                  needs -DSBROKER_IOURING=ON, silently falls back to epoll)
 #
 # Replica-selection sweep knobs (the second loadgen invocation below; its
 # runs land in BENCH_daemon.json under "policy_runs"):
@@ -146,7 +144,6 @@ echo "== daemon loadgen (channel/cache sweep)"
   "coalesce=${BENCH_COALESCE:-1}" \
   "proto=${BENCH_PROTO:-wire,http,bin}" \
   "burst=${BENCH_BURST:-1}" \
-  "iouring=${BENCH_IOURING:-0}" \
   "out=$tmp_main"
 
 if [ "${BENCH_POLICY_SWEEP:-1}" = "1" ]; then
@@ -169,7 +166,6 @@ if [ "${BENCH_POLICY_SWEEP:-1}" = "1" ]; then
     "svc=${BENCH_SVC:-2}" \
     "skew=${BENCH_SKEW:-1,6}" \
     "degrade=${BENCH_DEGRADE:-0}" \
-    "iouring=${BENCH_IOURING:-0}" \
     check=1 \
     "out=$tmp_policy"
 else
@@ -201,7 +197,6 @@ if [ "${BENCH_OVERLOAD_SWEEP:-1}" = "1" ]; then
     "backoff=${BENCH_BACKOFF:-20}" \
     "oeval=${BENCH_OEVAL:-0.1}" \
     "overload=${BENCH_OVERLOAD:-static,aimd,aimd+lifo}" \
-    "iouring=${BENCH_IOURING:-0}" \
     check=1 \
     "out=$tmp_overload"
 else
@@ -230,7 +225,6 @@ if [ "${BENCH_ARRIVALS_SWEEP:-1}" = "1" ]; then
     "period=${BENCH_PERIOD:-1}" \
     "floor=${BENCH_FLOOR:-0.2}" \
     "link=${BENCH_LINK:-none}" \
-    "iouring=${BENCH_IOURING:-0}" \
     check=1 \
     "out=$tmp_arrivals"
 else

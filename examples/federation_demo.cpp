@@ -58,6 +58,7 @@
 #include "fed/federation.h"
 #include "net/http_client.h"
 #include "net/http_server.h"
+#include "net/pipelined_backend.h"
 #include "net/reactor.h"
 #include "net/sharded_daemon.h"
 #include "net/tcp.h"
@@ -123,7 +124,7 @@ uint16_t reserve_port() {
 
   fed::FederatedDaemon daemon("fed" + std::to_string(node), cfg, fedc);
   daemon.add_backend([backend_port](net::Reactor& reactor, size_t) {
-    return std::make_shared<net::HttpBackend>(reactor, backend_port);
+    return std::make_shared<net::PipelinedBackend>(reactor, backend_port);
   });
   daemon.start();
   // Readiness byte: the parent must not scrape /statusz (the pre-start admin

@@ -1,19 +1,19 @@
 #!/bin/sh
-# Full local verification gate: plain build + full ctest, then TSan, ASan and
-# UBSan builds of the concurrency-heavy suites. core_test carries the
+# Full local verification gate: plain build (warnings are errors) + full
+# ctest, then TSan, ASan and UBSan builds of the concurrency-heavy suites, then
+# the benchmark's smoke run. core_test carries the
 # single-flight/SWR/FlightTable suites and net_test the daemon-level stampede
 # suites, so all three sanitizers cover the miss-coalescing paths. Run from
 # anywhere; trees live at the repo root (build/, build-tsan/, build-asan/,
 # build-ubsan/) and are reused across runs.
 #
-#   scripts/check.sh          # everything
-#   scripts/check.sh plain    # just the plain build + full ctest
-#   scripts/check.sh tsan     # just the TSan core/net suites
-#   scripts/check.sh asan     # just the ASan core/net/integration suites
-#   scripts/check.sh ubsan    # just the UBSan core/net/obs suites
-#   scripts/check.sh iouring  # net suites with -DSBROKER_IOURING=ON (falls
-#                             # back to epoll at runtime if the kernel or the
-#                             # missing liburing headers say no)
+#   scripts/check.sh           # everything
+#   scripts/check.sh plain     # just the plain -Werror build + full ctest
+#   scripts/check.sh tsan      # just the TSan core/net suites
+#   scripts/check.sh asan      # just the ASan core/net/integration suites
+#   scripts/check.sh ubsan     # just the UBSan core/net/obs suites
+#   scripts/check.sh perfbench # every benchmark workload, both modes, with
+#                              # its output checks (perfbench/run.py --smoke)
 set -eu
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -21,8 +21,8 @@ jobs=$(nproc 2>/dev/null || echo 2)
 what=${1:-all}
 
 run_plain() {
-  echo "== plain build + full ctest"
-  cmake -B "$repo_root/build" -S "$repo_root"
+  echo "== plain build (-Werror) + full ctest"
+  cmake -B "$repo_root/build" -S "$repo_root" -DCMAKE_CXX_FLAGS=-Werror
   cmake --build "$repo_root/build" -j "$jobs"
   ctest --test-dir "$repo_root/build" --output-on-failure -j "$jobs"
 }
@@ -87,16 +87,9 @@ run_ubsan() {
     "$repo_root/build-ubsan/tests/obs_test"
 }
 
-run_iouring() {
-  echo "== io_uring build (net_test + daemon_loadgen binary-ingress smokes)"
-  cmake -B "$repo_root/build-iouring" -S "$repo_root" -DSBROKER_IOURING=ON
-  cmake --build "$repo_root/build-iouring" -j "$jobs" \
-    --target net_test daemon_loadgen
-  "$repo_root/build-iouring/tests/net_test"
-  # iouring=1 opts every shard reactor into ring submission; on kernels that
-  # refuse a ring this still passes through the epoll/writev fallback.
-  "$repo_root/build-iouring/bench/daemon_loadgen" shards=1 pipeline=0 \
-    clients=8 seconds=0.4 keys=64 proto=bin burst=8 iouring=1 check=1 out=
+run_perfbench() {
+  echo "== perfbench smoke (every workload, end-to-end and traced)"
+  (cd "$repo_root" && python3 perfbench/run.py --smoke)
 }
 
 case "$what" in
@@ -104,9 +97,9 @@ case "$what" in
   tsan) run_tsan ;;
   asan) run_asan ;;
   ubsan) run_ubsan ;;
-  iouring) run_iouring ;;
-  all) run_plain; run_tsan; run_asan; run_ubsan; run_iouring ;;
-  *) echo "usage: scripts/check.sh [plain|tsan|asan|ubsan|iouring|all]" >&2; exit 2 ;;
+  perfbench) run_perfbench ;;
+  all) run_plain; run_tsan; run_asan; run_ubsan; run_perfbench ;;
+  *) echo "usage: scripts/check.sh [plain|tsan|asan|ubsan|perfbench|all]" >&2; exit 2 ;;
 esac
 
 echo "== check.sh: all requested suites passed"

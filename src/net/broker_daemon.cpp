@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstdlib>
 
-#include "core/cluster.h"
-#include "http/mget.h"
 #include "http/parser.h"
 #include "net/frame.h"
 #include "util/log.h"
@@ -12,8 +10,10 @@
 namespace sbroker::net {
 namespace {
 
-/// Shared request/response mapping for both HTTP ingress paths (the
-/// dedicated gateway port and HTTP sniffed on the main port).
+/// Request/response mapping for HTTP sniffed on the main port: clients GET
+/// targets directly (X-QoS-Level and X-Deadline-Ms honored) and fidelity
+/// maps onto status codes — 200 for full/cached/degraded, 503 for admission
+/// busy, 504 Gateway Timeout for deadline sheds, 502 for backend errors.
 http::BrokerRequest map_http_request(const http::Request& req, uint64_t id) {
   http::BrokerRequest breq;
   breq.request_id = id;
@@ -49,217 +49,6 @@ http::Response map_broker_reply(const http::BrokerReply& reply) {
 
 }  // namespace
 
-// ---------------------------------------------------------------------------
-// HttpBackend
-
-struct HttpBackend::Exchange {
-  http::ResponseParser parser;
-  Completion done;
-  size_t parts_expected = 1;
-  bool finished = false;
-  Reactor::TimerId timer = 0;  ///< response-deadline timer; 0 = none armed
-};
-
-HttpBackend::HttpBackend(Reactor& reactor, uint16_t port)
-    : HttpBackend(reactor, port, IdleConfig()) {}
-
-HttpBackend::HttpBackend(Reactor& reactor, uint16_t port, IdleConfig idle)
-    : reactor_(reactor), port_(port), idle_config_(idle) {
-  if (idle_config_.max_idle == 0) idle_config_.max_idle = 1;
-}
-
-core::ChannelStats HttpBackend::channel_stats() const {
-  core::ChannelStats s;
-  s.calls = calls_;
-  s.connections_opened = connections_opened_;
-  s.open_connections = idle_.size();
-  // Stop-and-wait: every request is its own un-coalesced write and no
-  // connection ever carries more than one exchange.
-  s.flushes = calls_;
-  s.requests_written = calls_;
-  s.peak_in_flight = calls_ > 0 ? 1 : 0;
-  s.timeouts = timeouts_;
-  s.cancels = cancels_;
-  return s;
-}
-
-void HttpBackend::invoke(const Call& call, Completion done) {
-  invoke(call, nullptr, std::move(done));
-}
-
-void HttpBackend::invoke(const Call& call, const core::CancelTokenPtr& token,
-                         Completion done) {
-  ++calls_;
-  auto records = core::ClusterEngine::split_records(call.payload);
-  http::Request request;
-  if (records.size() == 1) {
-    request.method = "GET";
-    request.target = records[0];
-  } else {
-    request = http::make_mget_request(records);
-  }
-  request.headers.set("Host", "127.0.0.1");
-  double timeout =
-      call.timeout > 0.0 ? call.timeout : idle_config_.response_timeout;
-  if (timeout > 0.0) {
-    request.headers.set(std::string(http::kDeadlineHeader),
-                        std::to_string(static_cast<long>(timeout * 1000.0)));
-  }
-
-  std::shared_ptr<TcpConn> conn;
-  bool reused = false;
-  if (!call.needs_connection_setup) {
-    while (!idle_.empty()) {
-      auto candidate = idle_.back().conn;  // most recent: most likely alive
-      idle_.pop_back();
-      if (!candidate->closed()) {
-        conn = candidate;
-        reused = true;
-        break;
-      }
-    }
-  }
-  if (!conn) {
-    int fd;
-    try {
-      fd = connect_tcp(port_);
-    } catch (const std::exception& e) {
-      double now = reactor_.now();
-      reactor_.add_timer(0.0, [done, now, what = std::string(e.what())]() {
-        done(now, false, "backend connect failed: " + what);
-      });
-      return;
-    }
-    conn = TcpConn::adopt(reactor_, fd);
-    ++connections_opened_;
-  }
-
-  start_exchange(conn, reused, request.serialize(), records.size(), timeout,
-                 token, std::move(done));
-}
-
-void HttpBackend::start_exchange(std::shared_ptr<TcpConn> conn, bool reused,
-                                 const std::string& wire_request,
-                                 size_t parts_expected, double timeout,
-                                 const core::CancelTokenPtr& token,
-                                 Completion done) {
-  auto exchange = std::make_shared<Exchange>();
-  exchange->done = std::move(done);
-  exchange->parts_expected = parts_expected;
-
-  auto self = shared_from_this();
-  auto finish = [self, exchange, conn](bool ok, std::string payload, bool reusable) {
-    if (exchange->finished) return;
-    exchange->finished = true;
-    if (exchange->timer != 0) self->reactor_.cancel_timer(exchange->timer);
-    if (reusable && !conn->closed()) {
-      self->park_idle(conn);
-    } else if (!conn->closed()) {
-      conn->abort();
-    }
-    exchange->done(self->reactor_.now(), ok, std::move(payload));
-  };
-
-  if (timeout > 0.0) {
-    // Half-stall bound: a connection that stays open but never produces a
-    // full response would otherwise pin this exchange forever.
-    std::weak_ptr<HttpBackend> weak_self = weak_from_this();
-    exchange->timer = reactor_.add_timer(timeout, [weak_self, finish]() {
-      auto backend = weak_self.lock();
-      if (!backend) return;
-      ++backend->timeouts_;
-      finish(false, "backend response timeout", false);
-    });
-  }
-  if (token) {
-    std::weak_ptr<HttpBackend> weak_self = weak_from_this();
-    token->set_callback([weak_self, finish]() {
-      auto backend = weak_self.lock();
-      if (!backend) return;
-      ++backend->cancels_;
-      finish(false, "exchange cancelled", false);
-    });
-    if (exchange->finished) return;  // token was already cancelled
-  }
-
-  conn->start(
-      [exchange, finish](std::string_view bytes) {
-        if (exchange->finished) return;
-        exchange->parser.feed(bytes);
-        http::Response resp;
-        auto result = exchange->parser.next(resp);
-        if (result == http::ParseResult::kNeedMore) return;
-        if (result == http::ParseResult::kError) {
-          finish(false, "backend sent malformed response", false);
-          return;
-        }
-        if (exchange->parts_expected > 1) {
-          auto parts = http::split_mget_response(resp);
-          if (!parts || parts->size() != exchange->parts_expected) {
-            finish(false, "bad MGET framing from backend", false);
-            return;
-          }
-          std::vector<std::string> bodies;
-          bodies.reserve(parts->size());
-          for (auto& part : *parts) bodies.push_back(std::move(part.body));
-          finish(true, core::ClusterEngine::join_payloads(bodies), true);
-          return;
-        }
-        finish(resp.status == 200, std::move(resp.body), true);
-      },
-      [finish]() { finish(false, "backend connection closed", false); });
-  conn->send(wire_request);
-  (void)reused;
-}
-
-void HttpBackend::park_idle(std::shared_ptr<TcpConn> conn) {
-  // Replace the finished exchange's callbacks (they capture the connection,
-  // a cycle that would outlive the pool) with idle-watch ones: a server
-  // that sends while we owe it nothing, or closes, retires the connection.
-  std::weak_ptr<TcpConn> weak = conn;
-  conn->start(
-      [weak](std::string_view) {
-        if (auto c = weak.lock()) c->abort();
-      },
-      []() {});
-  idle_.push_back(IdleConn{std::move(conn), reactor_.now()});
-  while (idle_.size() > idle_config_.max_idle) {
-    if (!idle_.front().conn->closed()) idle_.front().conn->abort();
-    idle_.pop_front();
-  }
-  schedule_prune();
-}
-
-void HttpBackend::schedule_prune() {
-  if (prune_scheduled_) return;
-  prune_scheduled_ = true;
-  // weak_ptr: the timer must not keep the backend alive past its broker.
-  std::weak_ptr<HttpBackend> weak = weak_from_this();
-  reactor_.add_timer(std::max(0.01, idle_config_.idle_ttl / 2.0),
-                     [weak]() {
-                       if (auto self = weak.lock()) self->prune_idle();
-                     });
-}
-
-void HttpBackend::prune_idle() {
-  prune_scheduled_ = false;
-  double now = reactor_.now();
-  std::deque<IdleConn> kept;
-  for (IdleConn& entry : idle_) {
-    if (entry.conn->closed()) continue;
-    if (now - entry.since >= idle_config_.idle_ttl) {
-      entry.conn->abort();
-      continue;
-    }
-    kept.push_back(std::move(entry));
-  }
-  idle_.swap(kept);
-  if (!idle_.empty()) schedule_prune();
-}
-
-// ---------------------------------------------------------------------------
-// BrokerDaemon
-
 struct BrokerDaemon::Conn {
   /// Wire protocol the first byte of the connection selected.
   enum class Mode { kSniff, kFrame, kLegacy, kHttp };
@@ -290,17 +79,9 @@ BrokerDaemon::BrokerDaemon(Reactor& reactor, std::string name,
         },
         config.reuse_port);
   }
-  if (config.enable_http) {
-    http_ = std::make_unique<HttpServer>(
-        reactor_, config.http_port,
-        [this](const http::Request& req, HttpServer::Responder respond) {
-          on_http(req, std::move(respond));
-        });
-  }
   // Retries scheduled from inside a backend completion can move the next
   // due time earlier than the armed tick; the broker tells us to re-arm.
   broker_.set_wakeup([this]() { rearm_tick(); });
-  if (config.io_uring) reactor_.enable_io_uring();
   rearm_tick();
 }
 
@@ -622,14 +403,6 @@ void BrokerDaemon::on_datagram(std::string_view payload, const sockaddr_in& from
   }
   broker_.submit(reactor_.now(), *request, [this, from](const http::BrokerReply& reply) {
     if (udp_) udp_->send_to(from, http::encode(reply));
-  });
-  rearm_tick();
-}
-
-void BrokerDaemon::on_http(const http::Request& req, HttpServer::Responder respond) {
-  auto breq = map_http_request(req, ++http_seq_);
-  broker_.submit(reactor_.now(), breq, [respond](const http::BrokerReply& reply) {
-    respond(map_broker_reply(reply));
   });
   rearm_tick();
 }

@@ -11,79 +11,15 @@
 // broker.tick() for cluster-deadline flushes and prefetch.
 #pragma once
 
-#include <deque>
 #include <memory>
-#include <vector>
 
 #include "core/backend.h"
 #include "core/broker.h"
 #include "net/fed_hook.h"
-#include "net/http_server.h"
 #include "net/tcp.h"
 #include "net/udp.h"
 
 namespace sbroker::net {
-
-/// core::Backend adapter that talks to a real HTTP server on localhost.
-///
-/// Payload convention: one or more request targets joined with
-/// core::kRecordSep. A multi-record payload is sent as a single MGET and the
-/// part bodies are re-joined with the separator, so the broker's batch
-/// splitting works unchanged over the real wire.
-class HttpBackend : public core::Backend,
-                    public std::enable_shared_from_this<HttpBackend> {
- public:
-  /// Bounds on the idle-connection pool: at most `max_idle` connections are
-  /// kept for reuse (oldest evicted beyond that) and any connection idle
-  /// longer than `idle_ttl` seconds is closed by a background prune, rather
-  /// than lingering until a later acquire discovers it dead. Also carries
-  /// the stop-and-wait exchange deadline: a connection that is readable but
-  /// has not produced a full response within `response_timeout` seconds
-  /// (Call::timeout overrides, when the broker set one) fails the exchange
-  /// instead of waiting indefinitely.
-  struct IdleConfig {
-    size_t max_idle = 64;
-    double idle_ttl = 30.0;          ///< seconds
-    double response_timeout = 30.0;  ///< seconds; 0 = wait forever
-  };
-
-  HttpBackend(Reactor& reactor, uint16_t port);  ///< default IdleConfig
-  HttpBackend(Reactor& reactor, uint16_t port, IdleConfig idle);
-
-  void invoke(const Call& call, Completion done) override;
-  void invoke(const Call& call, const core::CancelTokenPtr& token,
-              Completion done) override;
-  core::ChannelStats channel_stats() const override;
-
-  uint64_t connections_opened() const { return connections_opened_; }
-  uint64_t calls() const { return calls_; }
-  uint64_t timeouts() const { return timeouts_; }
-  size_t idle_connections() const { return idle_.size(); }
-
- private:
-  struct Exchange;
-  struct IdleConn {
-    std::shared_ptr<TcpConn> conn;
-    double since = 0.0;  ///< reactor time the connection went idle
-  };
-  void start_exchange(std::shared_ptr<TcpConn> conn, bool reused,
-                      const std::string& wire_request, size_t parts_expected,
-                      double timeout, const core::CancelTokenPtr& token,
-                      Completion done);
-  void park_idle(std::shared_ptr<TcpConn> conn);
-  void schedule_prune();
-  void prune_idle();
-
-  Reactor& reactor_;
-  uint16_t port_;
-  IdleConfig idle_config_;
-  std::deque<IdleConn> idle_;  ///< front = oldest idle
-  bool prune_scheduled_ = false;
-  uint64_t connections_opened_ = 0;
-  uint64_t calls_ = 0;
-  uint64_t timeouts_ = 0;
-  uint64_t cancels_ = 0;
-};
 
 struct BrokerDaemonConfig {
   core::BrokerConfig broker;
@@ -94,16 +30,6 @@ struct BrokerDaemonConfig {
   /// SO_REUSEPORT on both listeners, so several daemons (the shards of a
   /// ShardedBrokerDaemon) can accept on one shared port.
   bool reuse_port = false;
-  /// Plain-HTTP ingress: clients GET targets directly (X-QoS-Level and
-  /// X-Deadline-Ms honored) and fidelity maps onto status codes — 200 for
-  /// full/cached/degraded, 503 for admission busy, 504 Gateway Timeout for
-  /// deadline sheds, 502 for backend errors.
-  bool enable_http = false;
-  uint16_t http_port = 0;        ///< 0 = ephemeral
-  /// Opt the reactor into the io_uring write-submission backend. No-op (and
-  /// harmless) when the tree was built without -DSBROKER_IOURING=ON or the
-  /// kernel refuses a ring; epoll + writev remains the fallback either way.
-  bool io_uring = false;
 };
 
 /// Ingress/egress accounting for the daemon's main listen port. The three
@@ -151,8 +77,6 @@ class BrokerDaemon {
   uint16_t port() const { return listener_.port(); }
   /// UDP datagram port; 0 when UDP is disabled.
   uint16_t udp_port() const { return udp_ ? udp_->port() : 0; }
-  /// HTTP ingress port; 0 when the HTTP gateway is disabled.
-  uint16_t http_port() const { return http_ ? http_->port() : 0; }
   core::ServiceBroker& broker() { return broker_; }
   const core::ServiceBroker& broker() const { return broker_; }
   /// Main-port protocol mix and write-coalescing counters. Same threading
@@ -195,8 +119,8 @@ class BrokerDaemon {
   bool try_forward_miss(const std::shared_ptr<Conn>& conn,
                         const http::BrokerRequest& req);
   /// Queues one encoded reply on the connection and arms the per-cycle
-  /// coalesced flush (one writev/io_uring submission per reactor wakeup per
-  /// connection, however many replies landed in it).
+  /// coalesced flush (one writev per reactor wakeup per connection, however
+  /// many replies landed in it).
   void queue_frame_reply(const std::shared_ptr<Conn>& conn, uint64_t request_id,
                          http::Fidelity fidelity, std::string_view payload);
   /// queue_frame_reply with explicit flags (relaying an owner's reply keeps
@@ -209,7 +133,6 @@ class BrokerDaemon {
                         const http::BrokerReply& reply);
   void schedule_flush(const std::shared_ptr<Conn>& conn);
   void on_datagram(std::string_view payload, const sockaddr_in& from);
-  void on_http(const http::Request& req, HttpServer::Responder respond);
 
   Reactor& reactor_;
   core::ServiceBroker broker_;
@@ -220,7 +143,6 @@ class BrokerDaemon {
   bool stopping_ = false;
   TcpListener listener_;
   std::unique_ptr<UdpSocket> udp_;
-  std::unique_ptr<HttpServer> http_;
   uint64_t http_seq_ = 0;  ///< synthesizes request ids for HTTP clients
   /// shared_ptr so cycle-end flush hooks can keep counting without holding
   /// `this` (they may be pending when the daemon is torn down).

@@ -1,5 +1,6 @@
 #include "net/http_server.h"
 
+#include <map>
 #include <vector>
 
 #include "http/mget.h"
@@ -10,6 +11,27 @@ namespace sbroker::net {
 struct HttpServer::Conn {
   std::shared_ptr<TcpConn> tcp;
   http::RequestParser parser;
+  uint64_t next_seq = 0;  ///< sequence number of the next parsed request
+  uint64_t send_seq = 0;  ///< sequence number whose response goes out next
+  /// Responses answered ahead of an earlier request, held until it answers.
+  std::map<uint64_t, std::string> held;
+
+  /// HTTP/1.1 pipelining: responses leave in request order, whatever order
+  /// the handlers answer in.
+  void deliver(uint64_t seq, std::string bytes) {
+    if (tcp->closed()) return;
+    if (seq != send_seq) {
+      held.emplace(seq, std::move(bytes));
+      return;
+    }
+    tcp->send(bytes);
+    ++send_seq;
+    for (auto it = held.begin(); it != held.end() && it->first == send_seq;
+         it = held.erase(it)) {
+      tcp->send(it->second);
+      ++send_seq;
+    }
+  }
 };
 
 HttpServer::HttpServer(Reactor& reactor, uint16_t port, Handler fallback)
@@ -31,14 +53,14 @@ HttpServer::HttpServer(Reactor& reactor, uint16_t port, Handler fallback)
                   return;
                 }
                 ++*requests_served_;
-                auto tcp = conn->tcp;
-                handle(req, [tcp](http::Response resp) {
-                  if (!tcp->closed()) tcp->send(resp.serialize());
+                handle(req, [conn, seq = conn->next_seq++](http::Response resp) {
+                  conn->deliver(seq, resp.serialize());
                 });
               }
             },
             [conn]() {
-              // Connection closed; `conn` dies with this closure.
+              // Connection closed; `conn` dies with this closure and the
+              // last outstanding responder.
             });
       }) {}
 

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <string>
+#include <utility>
 
 namespace sbroker::net {
 
@@ -12,7 +14,12 @@ struct NetemProxy::Pipe {
   std::shared_ptr<TcpConn> client;
   std::shared_ptr<TcpConn> upstream;
   double last_delivery[2] = {0.0, 0.0};  ///< per-direction FIFO clamp
-  uint64_t in_flight[2] = {0, 0};        ///< delayed chunks not yet written
+  /// Delayed chunks not yet written, per direction, in arrival order with
+  /// their delivery times. One timer drains each queue from its head, so
+  /// chunks leave in order however long the thread stalled between arming
+  /// and firing.
+  std::deque<std::pair<double, std::string>> due[2];
+  bool timer_armed[2] = {false, false};
   bool source_closed[2] = {false, false};
 
   std::shared_ptr<TcpConn>& dest(int dir) { return dir == 0 ? upstream : client; }
@@ -20,7 +27,7 @@ struct NetemProxy::Pipe {
   /// After the source side closed, the destination shuts down only once the
   /// last delayed chunk has been written — a close must not beat the bytes.
   void maybe_finish(int dir) {
-    if (source_closed[dir] && in_flight[dir] == 0 && dest(dir) &&
+    if (source_closed[dir] && due[dir].empty() && dest(dir) &&
         !dest(dir)->closed()) {
       dest(dir)->shutdown();
     }
@@ -112,16 +119,34 @@ void NetemProxy::relay(const std::shared_ptr<Pipe>& pipe, bool downstream,
                                               std::memory_order_relaxed)) {
   }
   std::shared_ptr<TcpConn> dst = pipe->dest(dir);
-  if (delay <= 0.0) {
+  if (delay <= 0.0 && pipe->due[dir].empty()) {
     if (!dst->closed()) dst->send(bytes);
     return;
   }
-  ++pipe->in_flight[dir];
-  reactor_.add_timer(delay, [pipe, dir, dst, bytes = std::move(bytes)]() {
-    if (!dst->closed()) dst->send(bytes);
-    --pipe->in_flight[dir];
-    pipe->maybe_finish(dir);
-  });
+  pipe->due[dir].emplace_back(deliver_at, std::move(bytes));
+  if (!pipe->timer_armed[dir]) arm(pipe, dir);
+}
+
+void NetemProxy::arm(const std::shared_ptr<Pipe>& pipe, int dir) {
+  pipe->timer_armed[dir] = true;
+  double delay = pipe->due[dir].front().first - reactor_.now();
+  reactor_.add_timer(delay, [this, pipe, dir]() { drain(pipe, dir); });
+}
+
+void NetemProxy::drain(const std::shared_ptr<Pipe>& pipe, int dir) {
+  pipe->timer_armed[dir] = false;
+  double now = reactor_.now();
+  std::shared_ptr<TcpConn> dst = pipe->dest(dir);
+  auto& due = pipe->due[dir];
+  while (!due.empty() && due.front().first <= now) {
+    if (!dst->closed()) dst->send(due.front().second);
+    due.pop_front();
+  }
+  if (!due.empty()) {
+    arm(pipe, dir);
+    return;
+  }
+  pipe->maybe_finish(dir);
 }
 
 }  // namespace sbroker::net

@@ -11,9 +11,10 @@
 // finally applied to the daemon's deadline/retry/SWR/overload machinery over
 // real sockets.
 //
-// Byte order per connection direction is preserved: delayed chunks are
+// Byte order per connection direction is preserved: delivery times are
 // clamped monotone exactly like sim::Link's FIFO delivery (TCP cannot
-// reorder; neither may the shim).
+// reorder; neither may the shim), and delayed chunks wait in a per-direction
+// queue drained from its head.
 //
 // The proxy runs its own reactor thread; construct, read `port()`, point a
 // backend channel at it, destroy to tear down.
@@ -22,6 +23,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -55,6 +57,11 @@ class NetemProxy {
 
   void relay(const std::shared_ptr<Pipe>& pipe, bool downstream,
              std::string bytes);
+  /// Arms the drain timer for the head of `dir`'s delayed-chunk queue.
+  void arm(const std::shared_ptr<Pipe>& pipe, int dir);
+  /// Writes every chunk of `dir`'s queue that is due, in order; re-arms for
+  /// the rest.
+  void drain(const std::shared_ptr<Pipe>& pipe, int dir);
   double bandwidth_at(double now) const;
 
   Reactor reactor_;

@@ -8,8 +8,9 @@
 // once (HTTP/1.1 pipelining — responses come back in request order, so a
 // per-connection FIFO of pending exchanges matches them exactly).
 //
-// Compared to the stop-and-wait HttpBackend (one outstanding request per
-// connection, ~one socket per in-flight request under load), this channel:
+// Compared to stop-and-wait (one outstanding request per connection, ~one
+// socket per in-flight request under load; Config::pipeline_depth = 1 is
+// that control), this channel:
 //
 //   * caps physical connections at Config::max_connections and pipelines up
 //     to Config::pipeline_depth exchanges per connection — at concurrency C

@@ -8,7 +8,6 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "net/tcp.h"
 #include "util/log.h"
 
 namespace sbroker::net {
@@ -64,9 +63,6 @@ Reactor::~Reactor() {
   cycle_end.clear();
   // Destroying the callbacks above may have parked more state; drain last.
   drain_graveyard();
-  // Close the ring before freeing the buffers its in-flight writes point at.
-  uring_.reset();
-  uring_ops_.clear();
   if (wake_fd_ >= 0) close(wake_fd_);
   if (epoll_fd_ >= 0) close(epoll_fd_);
 }
@@ -182,9 +178,6 @@ bool Reactor::poll_once(int timeout_ms) {
   drain_posted();
   fire_due_timers();
   drain_cycle_end();
-  // All SQEs staged this cycle (from fd callbacks, timers, or cycle-end
-  // flushes) go to the kernel in one syscall.
-  if (uring_ != nullptr && uring_->pending() > 0) uring_->flush();
   drain_graveyard();
   return !stopped_;
 }
@@ -213,65 +206,6 @@ void Reactor::drain_cycle_end() {
     hooks.swap(cycle_end_);
     for (auto& hook : hooks) hook();
   }
-}
-
-bool Reactor::enable_io_uring() {
-  if (uring_ != nullptr) return true;
-  uring_ = UringQueue::create();
-  if (uring_ == nullptr) return false;
-  add_fd(uring_->ring_fd(), EPOLLIN, [this](uint32_t) { handle_uring_completions(); });
-  return true;
-}
-
-bool Reactor::uring_submit(const std::shared_ptr<TcpConn>& conn,
-                           std::deque<std::string>& segments, size_t head,
-                           size_t total) {
-  if (uring_ == nullptr || segments.empty() || total == 0) return false;
-  // writev caps iovcnt at IOV_MAX (1024); an absurdly fragmented queue goes
-  // through the synchronous path instead.
-  if (segments.size() > 1024) return false;
-  auto op = std::make_unique<UringWrite>();
-  op->conn = conn;
-  op->segments = std::move(segments);
-  op->head = head;
-  op->total = total;
-  op->iov.reserve(op->segments.size());
-  size_t offset = head;
-  for (auto& segment : op->segments) {
-    if (segment.size() > offset) {
-      op->iov.push_back(iovec{segment.data() + offset, segment.size() - offset});
-    }
-    offset = 0;
-  }
-  uint64_t id = next_uring_id_++;
-  bool queued = uring_->submit_writev(conn->fd(), op->iov.data(),
-                                      static_cast<unsigned>(op->iov.size()), id);
-  if (!queued) {
-    // SQ full: push what is staged to the kernel and retry once.
-    uring_->flush();
-    queued = uring_->submit_writev(conn->fd(), op->iov.data(),
-                                   static_cast<unsigned>(op->iov.size()), id);
-  }
-  if (!queued) {
-    segments = std::move(op->segments);  // hand the buffers back untouched
-    return false;
-  }
-  uring_ops_[id] = std::move(op);
-  return true;
-}
-
-void Reactor::handle_uring_completions() {
-  if (uring_ == nullptr) return;
-  uring_->drain_completions([this](uint64_t id, int32_t result) {
-    auto it = uring_ops_.find(id);
-    if (it == uring_ops_.end()) return;
-    std::unique_ptr<UringWrite> op = std::move(it->second);
-    uring_ops_.erase(it);
-    ++uring_completions_;
-    if (std::shared_ptr<TcpConn> conn = op->conn.lock()) {
-      conn->uring_complete(result, *op);
-    }
-  });
 }
 
 void Reactor::post(std::function<void()> fn) {

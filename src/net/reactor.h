@@ -7,37 +7,16 @@
 // eventfd).
 #pragma once
 
-#include <sys/uio.h>
-
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <queue>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
-#include "net/uring.h"
-
 namespace sbroker::net {
-
-class TcpConn;
-
-/// A batched write pinned in flight on the io_uring backend: the segments
-/// moved out of a connection's queue plus the iovecs pointing into them.
-/// Owned by the reactor until the completion arrives (the buffers must
-/// outlive kernel-side processing even if the connection dies first).
-struct UringWrite {
-  std::weak_ptr<TcpConn> conn;
-  std::deque<std::string> segments;
-  size_t head = 0;   ///< consumed prefix of the first segment
-  size_t total = 0;  ///< bytes covered by the submission
-  std::vector<iovec> iov;
-};
 
 class Reactor {
  public:
@@ -106,23 +85,6 @@ class Reactor {
   /// of one write per response.
   void at_cycle_end(std::function<void()> fn);
 
-  /// Switches batched writes to io_uring submission: TcpConn::flush hands
-  /// its queued segments to the reactor, SQEs accumulate during the cycle,
-  /// and ONE io_uring_enter at cycle end submits them all. False when the
-  /// backend is compiled out or the kernel refuses (epoll path keeps
-  /// working unchanged).
-  bool enable_io_uring();
-  bool io_uring_enabled() const { return uring_ != nullptr; }
-
-  /// Takes ownership of `segments` (pinning them until completion) and
-  /// queues a writev SQE for `conn`. On failure `segments` is left
-  /// untouched and the caller should write synchronously instead.
-  bool uring_submit(const std::shared_ptr<TcpConn>& conn,
-                    std::deque<std::string>& segments, size_t head, size_t total);
-
-  /// Completed io_uring submissions since enable_io_uring() (diagnostics).
-  uint64_t uring_completions() const { return uring_completions_; }
-
  private:
   struct Timer {
     double deadline;
@@ -137,7 +99,6 @@ class Reactor {
   void drain_posted();
   void drain_graveyard();
   void drain_cycle_end();
-  void handle_uring_completions();
   int next_timeout_ms(int default_ms) const;
 
   int epoll_fd_ = -1;
@@ -152,10 +113,6 @@ class Reactor {
   std::vector<std::function<void()>> graveyard_;  ///< deferred destructions
   std::unordered_map<int, std::function<void()>> teardowns_;
   std::vector<std::function<void()>> cycle_end_;  ///< one-shot end-of-cycle hooks
-  std::unique_ptr<UringQueue> uring_;
-  uint64_t next_uring_id_ = 1;
-  uint64_t uring_completions_ = 0;
-  std::unordered_map<uint64_t, std::unique_ptr<UringWrite>> uring_ops_;
 };
 
 }  // namespace sbroker::net

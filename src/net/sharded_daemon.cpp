@@ -63,7 +63,6 @@ ShardedBrokerDaemon::ShardedBrokerDaemon(std::string name,
     // seed+1 IS shard i+1's seed), replaying identical streams.
     cfg.broker.rng_seed = util::derive_seed(config_.broker.rng_seed, i);
     cfg.tick_interval = config_.tick_interval;
-    cfg.io_uring = config_.io_uring;
     if (kernel_sharding) {
       cfg.reuse_port = true;
       cfg.listen_port = i == 0 ? config_.listen_port : port_;

@@ -53,9 +53,6 @@ struct ShardedBrokerDaemonConfig {
   /// Admin plane (/healthz /metrics /statusz /tracez) on its own reactor
   /// thread; enabled by default on an ephemeral port.
   AdminConfig admin;
-  /// Opt every shard reactor into the io_uring write backend (see
-  /// BrokerDaemonConfig::io_uring; epoll/writev fallback when unavailable).
-  bool io_uring = false;
 };
 
 class ShardedBrokerDaemon {

@@ -154,7 +154,7 @@ namespace {
 // Appends below this coalesce into the tail segment; at or above it a moved
 // string becomes its own segment (adopt, don't copy).
 constexpr size_t kCoalesceLimit = 64 * 1024;
-// iovecs per writev call; longer queues just loop.
+// iovecs per gather write; longer queues just loop.
 constexpr int kMaxIov = 64;
 }  // namespace
 
@@ -180,34 +180,6 @@ void TcpConn::queue(std::string&& bytes) {
 }
 
 void TcpConn::flush() {
-  // While an io_uring batch is in flight nothing else may write: the
-  // completion handler continues (ordering would break otherwise).
-  if (fd_ < 0 || uring_inflight_) return;
-  if (queued_bytes_ == 0) {
-    if (shutdown_after_flush_) {
-      close_now();
-      return;
-    }
-    update_interest();
-    return;
-  }
-  if (!uring_backoff_ && reactor_.io_uring_enabled()) {
-    if (reactor_.uring_submit(shared_from_this(), segments_, head_, queued_bytes_)) {
-      uring_inflight_ = true;
-      uring_inflight_bytes_ = queued_bytes_;
-      segments_.clear();
-      head_ = 0;
-      queued_bytes_ = 0;
-      update_interest();  // completion, not EPOLLOUT, drives progress
-      return;
-    }
-    // Ring unavailable for this batch (SQ exhausted / too fragmented):
-    // write synchronously below.
-  }
-  flush_writev();
-}
-
-void TcpConn::flush_writev() {
   while (fd_ >= 0 && queued_bytes_ > 0) {
     iovec iov[kMaxIov];
     int count = 0;
@@ -221,7 +193,13 @@ void TcpConn::flush_writev() {
       }
       offset = 0;
     }
-    ssize_t n = ::writev(fd_, iov, count);
+    // sendmsg is writev plus flags: MSG_NOSIGNAL turns a write to a peer
+    // that already closed into EPIPE (close below) instead of a SIGPIPE
+    // that would kill the whole process.
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = static_cast<size_t>(count);
+    ssize_t n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
     if (n > 0) {
       consume_queued(static_cast<size_t>(n));
       continue;
@@ -231,12 +209,9 @@ void TcpConn::flush_writev() {
     close_now();
     return;
   }
-  if (fd_ >= 0 && queued_bytes_ == 0) {
-    uring_backoff_ = false;  // drained; the ring may be used again
-    if (shutdown_after_flush_) {
-      close_now();
-      return;
-    }
+  if (fd_ >= 0 && queued_bytes_ == 0 && shutdown_after_flush_) {
+    close_now();
+    return;
   }
   update_interest();
 }
@@ -256,51 +231,9 @@ void TcpConn::consume_queued(size_t n) {
   }
 }
 
-void TcpConn::uring_complete(int32_t result, UringWrite& op) {
-  uring_inflight_ = false;
-  uring_inflight_bytes_ = 0;
-  if (fd_ < 0) return;  // closed while in flight; op's buffers just die
-  if (result < 0 && result != -EAGAIN && result != -EINTR) {
-    close_now();
-    return;
-  }
-  size_t written = result > 0 ? static_cast<size_t>(result) : 0;
-  if (written < op.total) {
-    // Socket buffer filled mid-batch. Re-queue the unwritten tail AT THE
-    // FRONT (bytes queued while we were in flight come after it) and drain
-    // via EPOLLOUT before touching the ring again.
-    size_t skip = written;
-    while (skip > 0) {
-      size_t front_left = op.segments.front().size() - op.head;
-      if (skip >= front_left) {
-        skip -= front_left;
-        op.segments.pop_front();
-        op.head = 0;
-      } else {
-        op.head += skip;
-        skip = 0;
-      }
-    }
-    queued_bytes_ += op.total - written;
-    head_ = op.head;
-    while (!op.segments.empty()) {
-      segments_.push_front(std::move(op.segments.back()));
-      op.segments.pop_back();
-    }
-    uring_backoff_ = true;
-    update_interest();
-    return;
-  }
-  if (queued_bytes_ > 0) {
-    flush();  // bytes queued during the flight: next batch
-  } else if (shutdown_after_flush_) {
-    close_now();
-  }
-}
-
 void TcpConn::update_interest() {
   if (fd_ < 0) return;
-  bool need_write = queued_bytes_ > 0 && !uring_inflight_;
+  bool need_write = queued_bytes_ > 0;
   if (need_write == want_write_) return;
   want_write_ = need_write;
   reactor_.mod_fd(fd_, EPOLLIN | (need_write ? static_cast<uint32_t>(EPOLLOUT) : 0u));
@@ -308,7 +241,7 @@ void TcpConn::update_interest() {
 
 void TcpConn::shutdown() {
   if (fd_ < 0) return;
-  if (pending_bytes() == 0) {
+  if (queued_bytes_ == 0) {
     close_now();
   } else {
     shutdown_after_flush_ = true;

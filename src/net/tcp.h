@@ -56,8 +56,9 @@ class TcpConn : public std::enable_shared_from_this<TcpConn> {
   void queue(std::string_view bytes);
   void queue(std::string&& bytes);
 
-  /// Writes everything queued: one writev on the epoll path, or one SQE
-  /// handed to the reactor's io_uring backend when enabled.
+  /// Writes everything queued with one gather write per call (as much as
+  /// the socket takes; the rest drains on EPOLLOUT). A peer that already
+  /// closed yields EPIPE and closes the connection; it never raises SIGPIPE.
   void flush();
 
   /// Graceful close: flushes buffered writes, then closes.
@@ -68,20 +69,14 @@ class TcpConn : public std::enable_shared_from_this<TcpConn> {
 
   bool closed() const { return fd_ < 0; }
   int fd() const { return fd_; }
-  /// Bytes accepted but not yet written (including an in-flight io_uring
-  /// batch).
-  size_t pending_bytes() const { return queued_bytes_ + uring_inflight_bytes_; }
-
-  /// Reactor-internal: completion of an io_uring batch. `result` is bytes
-  /// written or a negative errno; unwritten bytes in `op` are re-queued.
-  void uring_complete(int32_t result, UringWrite& op);
+  /// Bytes accepted but not yet written.
+  size_t pending_bytes() const { return queued_bytes_; }
 
  private:
   TcpConn(Reactor& reactor, int fd);
 
   void on_events(uint32_t events);
   void handle_readable();
-  void flush_writev();
   void consume_queued(size_t n);
   void close_now();
   void reactor_teardown();
@@ -96,12 +91,6 @@ class TcpConn : public std::enable_shared_from_this<TcpConn> {
   std::deque<std::string> segments_;
   size_t head_ = 0;
   size_t queued_bytes_ = 0;
-  size_t uring_inflight_bytes_ = 0;
-  bool uring_inflight_ = false;
-  /// After a short io_uring write the socket buffer is full; drain the
-  /// remainder through EPOLLOUT + writev before submitting to the ring
-  /// again (keeps byte order without overlapping submissions).
-  bool uring_backoff_ = false;
   bool shutdown_after_flush_ = false;
   bool want_write_ = false;
   bool registered_ = false;

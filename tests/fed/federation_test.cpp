@@ -15,6 +15,7 @@
 
 #include "net/http_client.h"
 #include "net/http_server.h"
+#include "net/pipelined_backend.h"
 #include "net/tcp.h"
 
 namespace sbroker::fed {
@@ -78,7 +79,7 @@ class FederationTest : public ::testing::Test {
           "fed" + std::to_string(i), cfg, fed);
       uint16_t backend_port = backend_server_->port();
       node->add_backend([backend_port](net::Reactor& reactor, size_t) {
-        return std::make_shared<net::HttpBackend>(reactor, backend_port);
+        return std::make_shared<net::PipelinedBackend>(reactor, backend_port);
       });
       node->start();
       nodes_.push_back(std::move(node));

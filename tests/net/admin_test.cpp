@@ -12,6 +12,7 @@
 
 #include "net/http_client.h"
 #include "net/http_server.h"
+#include "net/pipelined_backend.h"
 #include "net/sharded_daemon.h"
 #include "util/json.h"
 
@@ -64,7 +65,7 @@ class AdminPlaneTest : public ::testing::Test {
     auto daemon = std::make_unique<ShardedBrokerDaemon>("admin-test", cfg);
     uint16_t port = backend_server_->port();
     daemon->add_backend([port](Reactor& reactor, size_t) {
-      return std::make_shared<HttpBackend>(reactor, port);
+      return std::make_shared<PipelinedBackend>(reactor, port);
     });
     daemon->start();
     return daemon;

@@ -17,6 +17,7 @@
 #include "net/frame.h"
 #include "net/http_client.h"
 #include "net/http_server.h"
+#include "net/pipelined_backend.h"
 #include "net/sharded_daemon.h"
 
 namespace sbroker::net {
@@ -37,7 +38,7 @@ class BinaryIngressTest : public ::testing::Test {
     cfg.tick_interval = 0.005;
     daemon_ = std::make_unique<BrokerDaemon>(reactor_, "bin-broker", cfg);
     daemon_->add_backend(
-        std::make_shared<HttpBackend>(reactor_, backend_server_->port()));
+        std::make_shared<PipelinedBackend>(reactor_, backend_server_->port()));
 
     thread_ = std::thread([this] { reactor_.run(); });
   }
@@ -239,7 +240,7 @@ TEST(BinaryIngressSharded, ConservationAndAggregatedWireStats) {
   cfg.admin.enabled = false;
   auto daemon = std::make_unique<ShardedBrokerDaemon>("bin-sharded", cfg);
   daemon->add_backend([&](Reactor& reactor, size_t) {
-    return std::make_shared<HttpBackend>(reactor, backend.port());
+    return std::make_shared<PipelinedBackend>(reactor, backend.port());
   });
   daemon->start();
 

@@ -1,5 +1,5 @@
 // End-to-end over real sockets: blocking BrokerClient -> BrokerDaemon
-// (wire protocol, TCP) -> HttpBackend -> mini HTTP backend server.
+// (wire protocol, TCP) -> PipelinedBackend -> mini HTTP backend server.
 #include "net/broker_daemon.h"
 
 #include <gtest/gtest.h>
@@ -8,13 +8,12 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <chrono>
-#include <future>
 #include <thread>
 
 #include "db/dataset.h"
 #include "net/http_client.h"
 #include "net/http_server.h"
+#include "net/pipelined_backend.h"
 #include "srv/inproc_backend.h"
 
 namespace sbroker::net {
@@ -36,7 +35,7 @@ class BrokerDaemonTest : public ::testing::Test {
     cfg.tick_interval = 0.005;
     daemon_ = std::make_unique<BrokerDaemon>(reactor_, "web-broker", cfg);
     daemon_->add_backend(
-        std::make_shared<HttpBackend>(reactor_, backend_server_->port()));
+        std::make_shared<PipelinedBackend>(reactor_, backend_server_->port()));
 
     thread_ = std::thread([this] { reactor_.run(); });
   }
@@ -113,7 +112,7 @@ TEST_F(BrokerDaemonTest, UnreachableBackendYieldsError) {
   BrokerDaemonConfig cfg;
   cfg.broker.enable_cache = false;
   BrokerDaemon lonely(reactor2, "lonely", cfg);
-  lonely.add_backend(std::make_shared<HttpBackend>(reactor2, 1));  // port 1: closed
+  lonely.add_backend(std::make_shared<PipelinedBackend>(reactor2, 1));  // port 1: closed
   std::thread t([&] { reactor2.run(); });
   BrokerClient client(lonely.port());
   auto reply = client.call(request(1, 3, "/x"));
@@ -156,53 +155,6 @@ TEST_F(BrokerDaemonTest, HttpOnMainPortIsSniffedAndServed) {
   ASSERT_TRUE(resp.has_value());
   EXPECT_EQ(resp->status, 200);
   EXPECT_EQ(resp->body, "content of /sniffed-page");
-}
-
-TEST(HttpBackendIdlePool, CapsParkedConnectionsAndPrunesByTtl) {
-  Reactor reactor;
-  HttpServer server(reactor, 0,
-                    [](const http::Request& req, HttpServer::Responder respond) {
-                      respond(http::make_response(200, "body of " + req.target));
-                    });
-  HttpBackend::IdleConfig idle;
-  idle.max_idle = 2;
-  idle.idle_ttl = 0.06;
-  auto backend = std::make_shared<HttpBackend>(reactor, server.port(), idle);
-  std::thread thread([&] { reactor.run(); });
-
-  // Three overlapping calls force three physical connections; all three park
-  // on completion, so the cap must evict the oldest down to two.
-  std::atomic<int> completions{0};
-  std::promise<void> issued;
-  reactor.post([&]() {
-    for (int i = 0; i < 3; ++i) {
-      core::Backend::Call call;
-      call.payload = "/idle-" + std::to_string(i);
-      backend->invoke(call, [&](double, bool ok, const std::string&) {
-        if (ok) ++completions;
-      });
-    }
-    issued.set_value();
-  });
-  issued.get_future().get();
-  for (int spin = 0; spin < 1000 && completions.load() < 3; ++spin) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  ASSERT_EQ(completions.load(), 3);
-
-  std::promise<size_t> parked;
-  reactor.post([&]() { parked.set_value(backend->idle_connections()); });
-  EXPECT_EQ(parked.get_future().get(), 2u);
-  EXPECT_EQ(backend->connections_opened(), 3u);  // reactor quiescent: safe read
-
-  // Past the TTL the background prune closes the survivors too.
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  std::promise<size_t> after_ttl;
-  reactor.post([&]() { after_ttl.set_value(backend->idle_connections()); });
-  EXPECT_EQ(after_ttl.get_future().get(), 0u);
-
-  reactor.stop();
-  thread.join();
 }
 
 TEST_F(BrokerDaemonTest, InprocDbBackendServesSql) {

@@ -102,7 +102,7 @@ TEST_F(RequestLifecycleTest, DeadlineShedsAgainstStalledBackendAcrossShards) {
   auto daemon = std::make_unique<ShardedBrokerDaemon>("lifecycle", cfg);
   uint16_t port = mute_->port();
   daemon->add_backend([port](Reactor& reactor, size_t) {
-    return std::make_shared<HttpBackend>(reactor, port);
+    return std::make_shared<PipelinedBackend>(reactor, port);
   });
   daemon->start();
 
@@ -233,9 +233,9 @@ TEST_F(RequestLifecycleTest, RetryFailsOverToHealthyReplicaOverPipelinedChannel)
   EXPECT_TRUE(daemon->shard(0).broker().balancer().ejected(0));
 }
 
-TEST_F(RequestLifecycleTest, HttpBackendFailsHalfStalledExchangeOnDeadline) {
+TEST_F(RequestLifecycleTest, PipelinedBackendFailsHalfStalledExchangeOnDeadline) {
   on_backend_reactor([&] { mute_ = std::make_unique<MuteServer>(backend_reactor_); });
-  auto backend = std::make_shared<HttpBackend>(backend_reactor_, mute_->port());
+  auto backend = std::make_shared<PipelinedBackend>(backend_reactor_, mute_->port());
 
   std::atomic<bool> done_called{false};
   std::atomic<bool> ok_result{true};
@@ -280,32 +280,32 @@ TEST_F(RequestLifecycleTest, HttpGatewayMapsDeadlineShedTo504) {
   });
 
   // Two daemons on their own reactor: one fronting the mute backend (every
-  // deadline request 504s) and one fronting the echo backend (200s). Built
+  // deadline request 504s) and one fronting the echo backend (200s). Plain
+  // HTTP reaches each through the first-byte sniff on its main port. Built
   // before the reactor thread starts, like ShardedBrokerDaemon does.
   Reactor daemon_reactor;
   BrokerDaemonConfig dcfg;
   dcfg.broker.rules = core::QosRules{3, 100.0};
   dcfg.broker.enable_cache = false;
   dcfg.enable_udp = false;
-  dcfg.enable_http = true;
   dcfg.tick_interval = 0.5;  // coarse: the 504 must arrive at the deadline
   auto stalled = std::make_unique<BrokerDaemon>(daemon_reactor, "stalled", dcfg);
-  stalled->add_backend(std::make_shared<HttpBackend>(daemon_reactor, mute_->port()));
+  stalled->add_backend(std::make_shared<PipelinedBackend>(daemon_reactor, mute_->port()));
   auto healthy = std::make_unique<BrokerDaemon>(daemon_reactor, "healthy", dcfg);
-  healthy->add_backend(std::make_shared<HttpBackend>(daemon_reactor, echo_->port()));
+  healthy->add_backend(std::make_shared<PipelinedBackend>(daemon_reactor, echo_->port()));
   std::thread daemon_thread([&] { daemon_reactor.run(); });
 
   http::Request deadline_req;
   deadline_req.target = "/page";
   deadline_req.headers.set(std::string(http::kDeadlineHeader), "100");
-  auto shed = http_fetch(stalled->http_port(), deadline_req);
+  auto shed = http_fetch(stalled->port(), deadline_req);
   ASSERT_TRUE(shed.has_value());
   EXPECT_EQ(shed->status, 504);
   EXPECT_EQ(shed->headers.get(http::kFidelityHeader), std::optional<std::string>("busy"));
 
   http::Request ok_req;
   ok_req.target = "/page";
-  auto served = http_fetch(healthy->http_port(), ok_req);
+  auto served = http_fetch(healthy->port(), ok_req);
   ASSERT_TRUE(served.has_value());
   EXPECT_EQ(served->status, 200);
   EXPECT_EQ(served->body, "content of /page");

@@ -14,6 +14,7 @@
 
 #include "net/http_client.h"
 #include "net/http_server.h"
+#include "net/pipelined_backend.h"
 
 namespace sbroker::net {
 namespace {
@@ -57,7 +58,7 @@ class ShardedDaemonTest : public ::testing::Test {
     auto daemon = std::make_unique<ShardedBrokerDaemon>("sharded", cfg);
     uint16_t port = backend_server_->port();
     daemon->add_backend([port](Reactor& reactor, size_t) {
-      return std::make_shared<HttpBackend>(reactor, port);
+      return std::make_shared<PipelinedBackend>(reactor, port);
     });
     daemon->start();
     return daemon;

@@ -17,6 +17,7 @@
 
 #include "net/http_client.h"
 #include "net/http_server.h"
+#include "net/pipelined_backend.h"
 #include "net/sharded_daemon.h"
 
 namespace sbroker::net {
@@ -72,7 +73,7 @@ TEST(DaemonStampede, ConcurrentIdenticalRequestsHitBackendOnce) {
   cfg.broker.enable_cache = true;
   cfg.broker.cache_ttl = 30.0;
   BrokerDaemon daemon(reactor, "stampede", cfg);
-  daemon.add_backend(std::make_shared<HttpBackend>(reactor, backend_server.port()));
+  daemon.add_backend(std::make_shared<PipelinedBackend>(reactor, backend_server.port()));
   std::thread reactor_thread([&] { reactor.run(); });
 
   // Four clients storm the same cold key while the one fetch is held open.
@@ -87,13 +88,15 @@ TEST(DaemonStampede, ConcurrentIdenticalRequestsHitBackendOnce) {
     });
   }
 
-  // All four must be aboard the single flight before it resolves.
+  // All four must be aboard the single flight before it resolves. The
+  // backend shares the daemon's reactor, so the leader's fetch may still be
+  // unread when the waiters have coalesced: wait for the hit too.
   ASSERT_TRUE(eventually([&]() {
     return on_reactor(reactor, [&]() {
       return daemon.broker().metrics().flight.coalesced_waiters;
     }) == static_cast<uint64_t>(kClients - 1);
   }));
-  EXPECT_EQ(backend_hits.load(), 1);
+  ASSERT_TRUE(eventually([&]() { return backend_hits.load() == 1; }));
 
   reactor.post([&]() {
     ASSERT_EQ(parked.size(), 1u);
@@ -146,7 +149,7 @@ TEST(ShardedStampede, MissesOnDifferentShardsShareOneFetch) {
   cfg.admin.enabled = false;
   ShardedBrokerDaemon daemon("sharded-stampede", cfg);
   daemon.add_backend([&](Reactor& shard_reactor, size_t) {
-    return std::make_shared<HttpBackend>(shard_reactor, backend_server.port());
+    return std::make_shared<PipelinedBackend>(shard_reactor, backend_server.port());
   });
   daemon.start();
 
@@ -214,7 +217,7 @@ TEST(DaemonStampede, OverduePrefetchDoesNotSpinTheTickTimerWhileBusy) {
   cfg.broker.prefetch_idle_threshold = 0.0;  // any outstanding request: busy
   cfg.tick_interval = 5.0;  // only deadline/prefetch schedules arm the timer
   BrokerDaemon daemon(reactor, "spin", cfg);
-  daemon.add_backend(std::make_shared<HttpBackend>(reactor, backend_server.port()));
+  daemon.add_backend(std::make_shared<PipelinedBackend>(reactor, backend_server.port()));
   std::thread reactor_thread([&] { reactor.run(); });
 
   // Occupy the broker with a stalled request that sheds on its own deadline.

@@ -9,6 +9,7 @@
 #include "net/broker_daemon.h"
 #include "net/http_client.h"
 #include "net/http_server.h"
+#include "net/pipelined_backend.h"
 
 namespace sbroker::net {
 namespace {
@@ -63,7 +64,7 @@ class UdpDaemonTest : public ::testing::Test {
     cfg.enable_udp = true;
     daemon_ = std::make_unique<BrokerDaemon>(reactor_, "udp-broker", cfg);
     daemon_->add_backend(
-        std::make_shared<HttpBackend>(reactor_, backend_server_->port()));
+        std::make_shared<PipelinedBackend>(reactor_, backend_server_->port()));
     thread_ = std::thread([this] { reactor_.run(); });
   }
 

@@ -55,7 +55,9 @@ TEST(FlightRecorder, WraparoundKeepsMostRecent) {
   for (size_t i = 0; i < events.size(); ++i) {
     EXPECT_EQ(events[i].request_id, 12 + i);
     EXPECT_EQ(events[i].seq, 12 + i);
-    if (i > 0) EXPECT_EQ(events[i].seq, events[i - 1].seq + 1);
+    if (i > 0) {
+      EXPECT_EQ(events[i].seq, events[i - 1].seq + 1);
+    }
   }
 }
 

@@ -7,9 +7,20 @@
 namespace sbroker::sim {
 namespace {
 
+/// Link parameters with the named delay fields set and the rest at their
+/// defaults (no bandwidth trace).
+Link::Params params(double latency, double jitter = 0.0,
+                    double bytes_per_second = 0.0) {
+  Link::Params p;
+  p.latency = latency;
+  p.jitter = jitter;
+  p.bytes_per_second = bytes_per_second;
+  return p;
+}
+
 TEST(Link, DeliversAfterLatency) {
   Simulation sim;
-  Link link(sim, Link::Params{.latency = 0.5});
+  Link link(sim, params(0.5));
   double arrived = -1;
   link.deliver([&] { arrived = sim.now(); });
   sim.run();
@@ -19,7 +30,7 @@ TEST(Link, DeliversAfterLatency) {
 
 TEST(Link, JitterBoundedAndVarying) {
   Simulation sim;
-  Link link(sim, Link::Params{.latency = 0.1, .jitter = 0.2}, util::Rng(5));
+  Link link(sim, params(0.1, 0.2), util::Rng(5));
   std::vector<double> arrivals;
   for (int i = 0; i < 50; ++i) {
     link.deliver([&] { arrivals.push_back(sim.now()); });
@@ -41,7 +52,7 @@ TEST(Link, JitterBoundedAndVarying) {
 // reply-matching. Delivery order must equal send order, always.
 TEST(Link, JitterNeverReordersDeliveries) {
   Simulation sim;
-  Link link(sim, Link::Params{.latency = 0.1, .jitter = 0.2}, util::Rng(7));
+  Link link(sim, params(0.1, 0.2), util::Rng(7));
   std::vector<int> order;
   for (int i = 0; i < 200; ++i) {
     link.deliver([&order, i] { order.push_back(i); });
@@ -58,7 +69,7 @@ TEST(Link, JitterNeverReordersDeliveries) {
 
 TEST(Link, MonotoneClampPreservesArrivalTimes) {
   Simulation sim;
-  Link link(sim, Link::Params{.latency = 0.1, .jitter = 0.2}, util::Rng(11));
+  Link link(sim, params(0.1, 0.2), util::Rng(11));
   std::vector<double> arrivals;
   for (int i = 0; i < 50; ++i) {
     link.deliver([&] { arrivals.push_back(sim.now()); });
@@ -72,7 +83,7 @@ TEST(Link, MonotoneClampPreservesArrivalTimes) {
 
 TEST(Link, BandwidthAddsTransmissionDelay) {
   Simulation sim;
-  Link link(sim, Link::Params{.latency = 0.0, .bytes_per_second = 1000.0});
+  Link link(sim, params(0.0, 0.0, 1000.0));
   double arrived = -1;
   link.deliver([&] { arrived = sim.now(); }, 500);
   sim.run();
@@ -84,7 +95,7 @@ TEST(Link, BandwidthAddsTransmissionDelay) {
 // each independently taking bytes/bandwidth from t=0.
 TEST(Link, SharedChannelSerializesTransmissions) {
   Simulation sim;
-  Link link(sim, Link::Params{.latency = 0.0, .bytes_per_second = 1000.0});
+  Link link(sim, params(0.0, 0.0, 1000.0));
   double first = -1, second = -1;
   link.deliver([&] { first = sim.now(); }, 500);
   link.deliver([&] { second = sim.now(); }, 500);

@@ -147,7 +147,8 @@ TEST(CgiBackend, FixedProcessingTime) {
   sim::Simulation sim;
   CgiBackendConfig cfg;
   cfg.processing_time = 2.0;
-  cfg.link = sim::Link::Params{.latency = 0.0};
+  cfg.link = sim::Link::Params{};
+  cfg.link.latency = 0.0;
   SimCgiBackend backend(sim, "backend1", cfg);
   Reply r;
   backend.invoke({"/cgi/task", false}, capture(r));
@@ -163,7 +164,8 @@ TEST(CgiBackend, MaxClientsQueues) {
   CgiBackendConfig cfg;
   cfg.processing_time = 1.0;
   cfg.capacity = 5;
-  cfg.link = sim::Link::Params{.latency = 0.0};
+  cfg.link = sim::Link::Params{};
+  cfg.link.latency = 0.0;
   SimCgiBackend backend(sim, "b", cfg);
   std::vector<Reply> replies(12);
   for (auto& r : replies) backend.invoke({"/t", false}, capture(r));
@@ -184,7 +186,8 @@ TEST(CgiBackend, BatchCostsPerRecord) {
   sim::Simulation sim;
   CgiBackendConfig cfg;
   cfg.processing_time = 1.0;
-  cfg.link = sim::Link::Params{.latency = 0.0};
+  cfg.link = sim::Link::Params{};
+  cfg.link.latency = 0.0;
   SimCgiBackend backend(sim, "b", cfg);
   Reply r;
   std::string payload = std::string("/a") + core::kRecordSep + "/b" + core::kRecordSep + "/c";

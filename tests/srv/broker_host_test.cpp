@@ -49,7 +49,8 @@ TEST_F(BrokerHostTest, EndToEndQueryThroughHost) {
 }
 
 TEST_F(BrokerHostTest, IpcLatencyAppearsInResponseTime) {
-  sim::Link::Params slow_ipc{.latency = 0.25};
+  sim::Link::Params slow_ipc;
+  slow_ipc.latency = 0.25;
   BrokerHost host(sim_, "db-broker", config(), slow_ipc);
   host.broker().add_backend(backend_);
   double replied_at = -1;
