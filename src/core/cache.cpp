@@ -15,7 +15,10 @@ ResultCache::ResultCache(size_t capacity, double ttl)
     : ResultCache(capacity, ttl, CacheTuning{}) {}
 
 ResultCache::ResultCache(size_t capacity, double ttl, CacheTuning tuning)
-    : capacity_(capacity), ttl_(ttl), tuning_(tuning) {
+    : capacity_(capacity),
+      front_window_(capacity / 4 > 0 ? capacity / 4 : 1),
+      ttl_(ttl),
+      tuning_(tuning) {
   assert(capacity > 0);
   assert(tuning_.ttl_jitter >= 0.0 && tuning_.ttl_jitter < 1.0);
 }
@@ -32,6 +35,20 @@ double ResultCache::effective_ttl(std::string_view key) const {
   return ttl_ * (1.0 + tuning_.ttl_jitter * (2.0 * u - 1.0));
 }
 
+void ResultCache::move_to_front(Slot it) {
+  lru_.splice(lru_.begin(), lru_, it);
+  it->promoted_at = ++seq_;
+}
+
+void ResultCache::touch(Slot it) {
+  ++hits_;
+  // Fewer than front_window_ moves since this entry's own means it is still
+  // within the front window; leave the list untouched. Under the striped
+  // cache this keeps a hot hit from writing list nodes other shards read.
+  if (seq_ - it->promoted_at < front_window_) return;
+  move_to_front(it);
+}
+
 std::optional<std::string> ResultCache::get(std::string_view key, double now) {
   auto it = map_.find(key);
   if (it == map_.end()) {
@@ -45,8 +62,7 @@ std::optional<std::string> ResultCache::get(std::string_view key, double now) {
     // put() refreshes it in place.
     return std::nullopt;
   }
-  ++hits_;
-  lru_.splice(lru_.begin(), lru_, it->second);
+  touch(it->second);
   return it->second->value;
 }
 
@@ -59,8 +75,7 @@ std::pair<LookupOutcome, const std::string*> ResultCache::lookup_entry(
   }
   Entry& e = *it->second;
   if (fresh(e, now)) {
-    ++hits_;
-    lru_.splice(lru_.begin(), lru_, it->second);
+    touch(it->second);
     return {e.negative ? LookupOutcome::kNegative : LookupOutcome::kHit,
             &e.value};
   }
@@ -114,7 +129,7 @@ void ResultCache::store(std::string_view key, std::string value, double now,
     e.expires_at = expires_at;
     e.negative = negative;
     e.refresh_claimed_at = -kClaimInf;
-    lru_.splice(lru_.begin(), lru_, it->second);
+    move_to_front(it->second);
     return;
   }
   if (map_.size() >= capacity_) {
@@ -125,7 +140,7 @@ void ResultCache::store(std::string_view key, std::string value, double now,
     ++evictions_;
   }
   lru_.push_front(Entry{std::string(key), std::move(value), now, expires_at,
-                        negative, -kClaimInf});
+                        negative, -kClaimInf, ++seq_});
   map_[lru_.front().key] = lru_.begin();
 }
 

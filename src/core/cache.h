@@ -81,7 +81,7 @@ class ResultCacheBase {
   virtual ~ResultCacheBase() = default;
 
   /// Fresh lookup: returns the value only when present, unexpired and
-  /// positive. Refreshes LRU position on hit.
+  /// positive. A hit may refresh the entry's LRU position.
   virtual std::optional<std::string> get(std::string_view key, double now) = 0;
 
   /// Classified lookup: distinguishes fresh hits, negative hits and
@@ -139,6 +139,12 @@ class ResultCacheBase {
 inline constexpr double kClaimInf = 1e300;
 
 /// Single-threaded LRU+TTL cache. `final` so direct calls devirtualize.
+///
+/// Promotion on hit is gated: an entry still among the most recent
+/// `max(1, capacity/4)` moves to the front stays where it is, so a hot
+/// working set that fits in the front quarter is served without writing the
+/// list. Eviction order is exact LRU for entries outside that front quarter;
+/// inside it, recency is approximate (a hit there does not reorder).
 class ResultCache final : public ResultCacheBase {
  public:
   /// `capacity` entries; `ttl` seconds of freshness (<=0 disables expiry).
@@ -179,7 +185,12 @@ class ResultCache final : public ResultCacheBase {
     /// has passed since the claim (a claimed refresh that never lands must
     /// not wedge the key). Cleared by put().
     double refresh_claimed_at = -kClaimInf;
+    /// Value of seq_ when this entry last moved to the front. At most
+    /// `seq_ - promoted_at` other entries have moved in front of it since,
+    /// which bounds its distance from the front.
+    uint64_t promoted_at = 0;
   };
+  using Slot = std::list<Entry>::iterator;
 
   // Transparent hash/equal: get()/get_stale() probe with the request payload
   // as a string_view without materializing a temporary std::string.
@@ -191,6 +202,10 @@ class ResultCache final : public ResultCacheBase {
   };
 
   bool fresh(const Entry& e, double now) const { return now <= e.expires_at; }
+  /// Hit bookkeeping shared by get()/lookup()/lookup_into(): counts the hit
+  /// and promotes the entry only when it has left the front window.
+  void touch(Slot it);
+  void move_to_front(Slot it);
   void store(std::string_view key, std::string value, double now,
              bool negative, double ttl_for_entry);
   /// Shared classification for lookup()/lookup_into(): outcome plus a
@@ -198,17 +213,23 @@ class ResultCache final : public ResultCacheBase {
   std::pair<LookupOutcome, const std::string*> lookup_entry(std::string_view key,
                                                             double now);
 
-  size_t capacity_;
-  double ttl_;
-  CacheTuning tuning_;
-  std::list<Entry> lru_;  // front = most recent
-  std::unordered_map<std::string, std::list<Entry>::iterator, KeyHash,
-                     std::equal_to<>>
-      map_;
+  // Counters come first: StripedResultCache places its stripe mutex right
+  // before this object, so a hit's counter write lands on the cache line the
+  // lock already owns instead of dirtying a second one.
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
   uint64_t expired_ = 0;
   uint64_t evictions_ = 0;
+  size_t capacity_;
+  /// Moves to the front an entry may lag behind and still count as recent:
+  /// max(1, capacity/4).
+  uint64_t front_window_;
+  /// Moves to the front so far (inserts, overwrites, promotions).
+  uint64_t seq_ = 0;
+  double ttl_;
+  CacheTuning tuning_;
+  std::list<Entry> lru_;  // front = most recent
+  std::unordered_map<std::string, Slot, KeyHash, std::equal_to<>> map_;
 };
 
 }  // namespace sbroker::core

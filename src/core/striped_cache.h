@@ -14,6 +14,12 @@
 // worst hash skew. LRU is per-stripe: eviction order is approximate with
 // respect to the global access order, which is the standard striped-LRU
 // trade-off.
+//
+// A fresh hit writes one cache line: the stripe's own. Each stripe starts on
+// a line boundary with the mutex first and the ResultCache hit counter
+// right behind it, and ResultCache's gated promotion leaves the LRU list
+// alone for entries in its front quarter. Shards hitting the same hot keys
+// then contend only on the lock word, not on list nodes or a counter line.
 #pragma once
 
 #include <memory>
@@ -59,12 +65,19 @@ class StripedResultCache final : public ResultCacheBase {
   size_t max_resident() const { return per_stripe_capacity_ * stripes_.size(); }
 
  private:
-  struct Stripe {
+  static constexpr size_t kCacheLine = 64;
+
+  /// Line-aligned so no two stripes share a line; `cache` starts with its
+  /// counters, so hits and misses are counted on the mutex's line.
+  struct alignas(kCacheLine) Stripe {
     mutable std::mutex mu;
     ResultCache cache;
     Stripe(size_t cap, double ttl, CacheTuning tuning)
         : cache(cap, ttl, tuning) {}
   };
+  // mutex + ResultCache's vtable pointer + hits_ + misses_ fit in one line.
+  static_assert(sizeof(std::mutex) + sizeof(void*) + 2 * sizeof(uint64_t) <=
+                kCacheLine);
 
   Stripe& stripe_for(std::string_view key) const {
     return *stripes_[std::hash<std::string_view>{}(key) % stripes_.size()];

@@ -1,22 +1,44 @@
 #include "net/frame.h"
 
 #include <cstring>
+#include <initializer_list>
 
 namespace sbroker::net::frame {
 namespace {
 
-void put_u32(uint32_t v, std::string& out) {
-  char b[4];
-  b[0] = static_cast<char>(v & 0xff);
-  b[1] = static_cast<char>((v >> 8) & 0xff);
-  b[2] = static_cast<char>((v >> 16) & 0xff);
-  b[3] = static_cast<char>((v >> 24) & 0xff);
-  out.append(b, 4);
+void store_u32(char* p, uint32_t v) {
+  p[0] = static_cast<char>(v & 0xff);
+  p[1] = static_cast<char>((v >> 8) & 0xff);
+  p[2] = static_cast<char>((v >> 16) & 0xff);
+  p[3] = static_cast<char>((v >> 24) & 0xff);
 }
 
-void put_u64(uint64_t v, std::string& out) {
-  put_u32(static_cast<uint32_t>(v & 0xffffffffu), out);
-  put_u32(static_cast<uint32_t>(v >> 32), out);
+void store_u64(char* p, uint64_t v) {
+  store_u32(p, static_cast<uint32_t>(v & 0xffffffffu));
+  store_u32(p + 4, static_cast<uint32_t>(v >> 32));
+}
+
+// Fills the 8-byte header every frame starts with.
+void store_header(char* p, uint8_t kind, uint8_t status, uint32_t length) {
+  p[0] = static_cast<char>(kMagic);
+  p[1] = static_cast<char>(kVersion);
+  p[2] = static_cast<char>(kind);
+  p[3] = static_cast<char>(status);
+  store_u32(p + 4, length);
+}
+
+// Appends `parts` back to back with one resize and one copy per part; the
+// fixed-size prefix of every frame is built on the stack by the caller.
+void append_parts(std::string& out, std::initializer_list<std::string_view> parts) {
+  size_t total = 0;
+  for (std::string_view part : parts) total += part.size();
+  size_t at = out.size();
+  out.resize(at + total);
+  char* dst = out.data() + at;
+  for (std::string_view part : parts) {
+    if (!part.empty()) std::memcpy(dst, part.data(), part.size());
+    dst += part.size();
+  }
 }
 
 uint32_t get_u32(const char* p) {
@@ -82,30 +104,22 @@ ParseResult parse_reply_like(std::string_view bytes, uint8_t kind, Reply& out,
 }
 
 void encode_request_like(uint8_t kind, const Request& request, std::string& out) {
-  uint32_t length = static_cast<uint32_t>(kRequestFixed + request.query.size());
-  out.reserve(out.size() + kHeaderSize + length);
-  out.push_back(static_cast<char>(kMagic));
-  out.push_back(static_cast<char>(kVersion));
-  out.push_back(static_cast<char>(kind));
-  out.push_back(static_cast<char>(request.qos_level));
-  put_u32(length, out);
-  put_u64(request.request_id, out);
-  put_u32(request.deadline_ms, out);
-  out.append(request.query);
+  char fixed[kHeaderSize + kRequestFixed];
+  store_header(fixed, kind, request.qos_level,
+               static_cast<uint32_t>(kRequestFixed + request.query.size()));
+  store_u64(fixed + kHeaderSize, request.request_id);
+  store_u32(fixed + kHeaderSize + 8, request.deadline_ms);
+  append_parts(out, {std::string_view(fixed, sizeof(fixed)), request.query});
 }
 
 void encode_reply_like(uint8_t kind, uint64_t request_id, http::Fidelity fidelity,
                        uint8_t flags, std::string_view payload, std::string& out) {
-  uint32_t length = static_cast<uint32_t>(kReplyFixed + payload.size());
-  out.reserve(out.size() + kHeaderSize + length);
-  out.push_back(static_cast<char>(kMagic));
-  out.push_back(static_cast<char>(kVersion));
-  out.push_back(static_cast<char>(kind));
-  out.push_back(static_cast<char>(fidelity));
-  put_u32(length, out);
-  put_u64(request_id, out);
-  out.push_back(static_cast<char>(flags));
-  out.append(payload);
+  char fixed[kHeaderSize + kReplyFixed];
+  store_header(fixed, kind, static_cast<uint8_t>(fidelity),
+               static_cast<uint32_t>(kReplyFixed + payload.size()));
+  store_u64(fixed + kHeaderSize, request_id);
+  fixed[kHeaderSize + 8] = static_cast<char>(flags);
+  append_parts(out, {std::string_view(fixed, sizeof(fixed)), payload});
 }
 
 }  // namespace
@@ -180,31 +194,24 @@ void encode_peer_reply(uint64_t request_id, http::Fidelity fidelity, uint8_t fla
 }
 
 void encode_push(std::string_view key, std::string_view value, std::string& out) {
-  uint32_t length = static_cast<uint32_t>(kPushFixed + key.size() + value.size());
-  out.reserve(out.size() + kHeaderSize + length);
-  out.push_back(static_cast<char>(kMagic));
-  out.push_back(static_cast<char>(kVersion));
-  out.push_back(static_cast<char>(kKindPeerPush));
-  out.push_back(0);
-  put_u32(length, out);
-  put_u32(static_cast<uint32_t>(key.size()), out);
-  out.append(key);
-  out.append(value);
+  char fixed[kHeaderSize + kPushFixed];
+  store_header(fixed, kKindPeerPush, 0,
+               static_cast<uint32_t>(kPushFixed + key.size() + value.size()));
+  store_u32(fixed + kHeaderSize, static_cast<uint32_t>(key.size()));
+  append_parts(out, {std::string_view(fixed, sizeof(fixed)), key, value});
 }
 
 void encode_gossip(const Gossip& gossip, std::string& out) {
-  out.reserve(out.size() + kHeaderSize + kGossipFixed);
-  out.push_back(static_cast<char>(kMagic));
-  out.push_back(static_cast<char>(kVersion));
-  out.push_back(static_cast<char>(kKindGossip));
-  out.push_back(0);
-  put_u32(static_cast<uint32_t>(kGossipFixed), out);
-  put_u32(gossip.node, out);
-  put_u32(gossip.outstanding, out);
+  char frame[kHeaderSize + kGossipFixed];
+  store_header(frame, kKindGossip, 0, static_cast<uint32_t>(kGossipFixed));
+  char* section = frame + kHeaderSize;
+  store_u32(section, gossip.node);
+  store_u32(section + 4, gossip.outstanding);
   uint64_t bits = 0;
   std::memcpy(&bits, &gossip.threshold, sizeof(bits));
-  put_u64(bits, out);
-  out.push_back(gossip.overloaded ? 1 : 0);
+  store_u64(section + 8, bits);
+  section[16] = gossip.overloaded ? 1 : 0;
+  out.append(frame, sizeof(frame));
 }
 
 uint8_t flags_for(http::Fidelity fidelity) {

@@ -222,8 +222,15 @@ void TcpConn::consume_queued(size_t n) {
     size_t front_left = segments_.front().size() - head_;
     if (n >= front_left) {
       n -= front_left;
-      segments_.pop_front();
       head_ = 0;
+      // The last segment is next cycle's coalescing tail: keep its buffer
+      // (emptied) so steady-state replies append without reallocating. An
+      // adopted oversized buffer is released instead of pinned.
+      if (segments_.size() == 1 && segments_.front().capacity() <= 2 * kCoalesceLimit) {
+        segments_.front().clear();
+      } else {
+        segments_.pop_front();
+      }
     } else {
       head_ += n;
       n = 0;

@@ -87,7 +87,8 @@ class TcpConn : public std::enable_shared_from_this<TcpConn> {
   DataFn on_data_;
   CloseFn on_close_;
   /// Outgoing bytes as a segment list: head_ bytes of the front segment are
-  /// already written. Segments are what writev's iovecs point at.
+  /// already written. Segments are what writev's iovecs point at. Once the
+  /// queue drains, one emptied segment stays behind for its capacity.
   std::deque<std::string> segments_;
   size_t head_ = 0;
   size_t queued_bytes_ = 0;

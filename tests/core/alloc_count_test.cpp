@@ -15,8 +15,13 @@
 #include <string>
 #include <vector>
 
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include "core/arena.h"
 #include "core/broker.h"
+#include "net/reactor.h"
+#include "net/tcp.h"
 
 namespace {
 std::atomic<uint64_t> g_allocations{0};
@@ -152,6 +157,39 @@ TEST(AllocCount, ArenaStoreDoesNotAllocatePerRequest) {
   }
   uint64_t after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u);
+}
+
+TEST(AllocCount, TcpConnReusesTailSegmentAcrossCycles) {
+  // The daemon queues each reply frame into a connection's tail segment and
+  // flushes once per reactor cycle. Once a cycle drains completely, the next
+  // one must append into the same buffer, not re-grow a fresh string.
+  int fds[2];
+  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0, fds), 0);
+  net::Reactor reactor;
+  auto conn = net::TcpConn::adopt(reactor, fds[0]);
+  conn->start([](std::string_view) {}, [] {});
+
+  // ~3.5 KB per cycle in 40 small frames, like a pipelined hit burst.
+  const std::string frame(88, 'r');
+  char sink[8192];
+  auto cycle = [&]() {
+    for (int f = 0; f < 40; ++f) conn->queue(std::string_view(frame));
+    conn->flush();
+    ASSERT_EQ(conn->pending_bytes(), 0u);
+    while (::read(fds[1], sink, sizeof(sink)) > 0) {
+    }
+  };
+  cycle();  // warm-up: the tail grows once
+
+  constexpr int kCycles = 1000;
+  uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (int i = 0; i < kCycles; ++i) cycle();
+  uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_LT(after - before, static_cast<uint64_t>(kCycles) / 10)
+      << (after - before) << " allocations across " << kCycles << " cycles";
+
+  conn->abort();
+  close(fds[1]);
 }
 
 }  // namespace

@@ -240,5 +240,72 @@ TEST(Cache, NeverServesStaleOnFreshPath) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Gated promotion: a hit moves an entry to the front only once it has left
+// the most recent max(1, capacity/4) positions. get_stale() probes residency
+// without touching recency, so it observes eviction order directly.
+
+std::string nth(const char* prefix, int i) { return prefix + std::to_string(i); }
+
+/// Every way a fresh hit reaches the shared touch(): get, lookup, lookup_into.
+void hit(ResultCache& cache, const std::string& key, int how) {
+  Arena scratch;
+  switch (how) {
+    case 0:
+      ASSERT_TRUE(cache.get(key, 0.0).has_value()) << key;
+      break;
+    case 1:
+      ASSERT_EQ(cache.lookup(key, 0.0).outcome, LookupOutcome::kHit) << key;
+      break;
+    default:
+      ASSERT_EQ(cache.lookup_into(key, 0.0, scratch).outcome, LookupOutcome::kHit)
+          << key;
+      break;
+  }
+}
+
+TEST(Cache, HitOutsideFrontQuarterPromotesEntry) {
+  constexpr int kCapacity = 16;
+  for (int how = 0; how < 3; ++how) {
+    ResultCache cache(kCapacity, 0.0);
+    for (int i = 0; i < kCapacity; ++i) cache.put(nth("k", i), "v", 0.0);
+    // k0 is the oldest entry, far outside the front quarter: the hit promotes.
+    hit(cache, "k0", how);
+    for (int i = 0; i < 3 * kCapacity / 4; ++i) {
+      cache.put(nth("new", i), "v", 0.0);
+      EXPECT_TRUE(cache.get_stale("k0").has_value()) << "how=" << how << " i=" << i;
+      // Never-hit entries leave in insertion order: k1 first, then k2, ...
+      EXPECT_FALSE(cache.get_stale(nth("k", i + 1)).has_value()) << i;
+      EXPECT_TRUE(cache.get_stale(nth("k", i + 2)).has_value()) << i;
+    }
+    EXPECT_EQ(cache.hits(), 1u);
+  }
+}
+
+TEST(Cache, HitInsideFrontQuarterLeavesOrderAlone) {
+  constexpr int kCapacity = 16;
+  constexpr int kWindow = kCapacity / 4;
+  for (int how = 0; how < 3; ++how) {
+    ResultCache cache(kCapacity, 0.0);
+    for (int i = 0; i < kCapacity; ++i) cache.put(nth("k", i), "v", 0.0);
+    // The newest kWindow entries are inside the front quarter; hitting them
+    // (newest first, which a strict LRU would turn into reverse order)
+    // writes nothing to the list, so eviction stays in insertion order.
+    for (int i = kCapacity - 1; i >= kCapacity - kWindow; --i) hit(cache, nth("k", i), how);
+    for (int i = 0; i < kCapacity; ++i) {
+      cache.put(nth("new", i), "v", 0.0);
+      EXPECT_FALSE(cache.get_stale(nth("k", i)).has_value()) << "how=" << how << " i=" << i;
+      if (i + 1 < kCapacity) {
+        EXPECT_TRUE(cache.get_stale(nth("k", i + 1)).has_value()) << i;
+      }
+    }
+    // The approximation's bound: an entry hit in the front quarter still
+    // outlived 3*capacity/4 inserts after its hit (the oldest of them, k12,
+    // left on the 13th).
+    EXPECT_EQ(cache.evictions(), static_cast<uint64_t>(kCapacity));
+    EXPECT_EQ(cache.hits(), static_cast<uint64_t>(kWindow));
+  }
+}
+
 }  // namespace
 }  // namespace sbroker::core

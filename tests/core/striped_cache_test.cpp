@@ -146,6 +146,59 @@ TEST(StripedCacheTest, TtlExpiryUnderConcurrentPutGet) {
   EXPECT_GT(cache.expired(), 0u);
 }
 
+TEST(StripedCacheTest, TwoThreadLookupIntoWithEvictingPuts) {
+  // The sharded daemon's exact mix: shards probe through lookup_into (copy
+  // under the stripe lock into a per-request arena) while misses insert
+  // into full stripes, evicting entries other shards may be reading. The
+  // keyspace is four times the capacity, so puts evict constantly and hits
+  // race with eviction and (for hits outside the front quarter) promotion.
+  StripedResultCache cache(64, 0.0, 4);
+  constexpr int kThreads = 2;
+  constexpr int kOps = 40000;
+  constexpr int kKeys = 256;
+  std::atomic<int> mismatches{0};
+  std::atomic<uint64_t> probes{0};
+  std::atomic<uint64_t> observed_hits{0};
+  auto value_for = [](int k) {
+    // Past the small-string buffer, so a torn copy cannot hide in SSO.
+    return "value-for-key-" + std::to_string(k) + std::string(48, static_cast<char>('a' + k % 26));
+  };
+
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t]() {
+      Arena scratch;
+      uint64_t rng = 0x5eed0000ULL + static_cast<uint64_t>(t);
+      for (int op = 0; op < kOps; ++op) {
+        rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
+        int k = static_cast<int>((rng >> 33) % kKeys);
+        std::string key = "key-" + std::to_string(k);
+        if ((rng >> 20) % 4 == 0) {
+          cache.put(key, value_for(k), 0.0);
+          continue;
+        }
+        scratch.reset();
+        probes.fetch_add(1, std::memory_order_relaxed);
+        LookupView v = cache.lookup_into(key, 1.0, scratch);
+        if (v.outcome == LookupOutcome::kHit) {
+          observed_hits.fetch_add(1, std::memory_order_relaxed);
+          if (v.value != value_for(k)) mismatches.fetch_add(1, std::memory_order_relaxed);
+        } else if (v.outcome != LookupOutcome::kMiss || !v.value.empty()) {
+          mismatches.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(cache.hits() + cache.misses(), probes.load());
+  EXPECT_EQ(cache.hits(), observed_hits.load());
+  EXPECT_GT(cache.hits(), 0u);
+  EXPECT_GT(cache.misses(), 0u);
+  EXPECT_GT(cache.evictions(), 0u);
+  EXPECT_LE(cache.size(), cache.max_resident());
+}
+
 /// Keys that all land in one stripe of an N-stripe cache, built by probing
 /// the same hash the cache's stripe selector uses.
 std::vector<std::string> same_stripe_keys(size_t stripes, size_t count) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <initializer_list>
 #include <string>
 
 namespace sbroker::net::frame {
@@ -313,6 +314,144 @@ TEST(PeerFrameTest, TruncatedPeerFramesNeedMore) {
               ParseResult::kNeedMore)
         << len;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Golden bytes: the encoders' exact output, pinned byte for byte from the
+// wire layout in frame.h. Each encoder appends, so every case also runs onto
+// a non-empty buffer whose prefix must survive untouched, and then parses
+// back through the matching parse_*.
+
+std::string bytes(std::initializer_list<unsigned char> b) {
+  return std::string(b.begin(), b.end());
+}
+
+/// Encodes onto an empty buffer and onto one holding `prefix`; both must
+/// equal the golden frame (after the prefix). Returns the frame alone.
+template <typename Encode>
+std::string encode_both_ways(Encode encode, const std::string& golden) {
+  std::string fresh;
+  encode(fresh);
+  EXPECT_EQ(fresh, golden);
+  const std::string prefix = "earlier-frame-bytes";
+  std::string appended = prefix;
+  encode(appended);
+  EXPECT_EQ(appended.substr(0, prefix.size()), prefix);
+  EXPECT_EQ(appended.substr(prefix.size()), golden);
+  return fresh;
+}
+
+TEST(FrameGoldenTest, RequestBytes) {
+  Request in;
+  in.request_id = 0x1122334455667788ull;
+  in.qos_level = 3;
+  in.deadline_ms = 1500;
+  in.query = "/q-7";
+  std::string golden = bytes({0xB7, 0x01, 0x01, 0x03, 0x10, 0x00, 0x00, 0x00,
+                              0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11,
+                              0xDC, 0x05, 0x00, 0x00}) +
+                       "/q-7";
+  std::string wire =
+      encode_both_ways([&](std::string& out) { encode_request(in, out); }, golden);
+  Request out;
+  size_t consumed = 0;
+  ASSERT_EQ(parse_request(wire, out, &consumed), ParseResult::kFrame);
+  EXPECT_EQ(consumed, golden.size());
+  EXPECT_EQ(out.request_id, in.request_id);
+  EXPECT_EQ(out.qos_level, 3);
+  EXPECT_EQ(out.deadline_ms, 1500u);
+  EXPECT_EQ(out.query, "/q-7");
+}
+
+TEST(FrameGoldenTest, PeerFetchBytes) {
+  Request in;
+  in.request_id = 0x1122334455667788ull;
+  in.qos_level = 2;
+  in.deadline_ms = 0xA0B0C0D0u;
+  in.query = "";
+  std::string golden = bytes({0xB7, 0x01, 0x03, 0x02, 0x0C, 0x00, 0x00, 0x00,
+                              0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11,
+                              0xD0, 0xC0, 0xB0, 0xA0});
+  std::string wire =
+      encode_both_ways([&](std::string& out) { encode_peer_fetch(in, out); }, golden);
+  Request out;
+  ASSERT_EQ(parse_peer_fetch(wire, out, nullptr), ParseResult::kFrame);
+  EXPECT_EQ(out.request_id, in.request_id);
+  EXPECT_EQ(out.qos_level, 2);
+  EXPECT_EQ(out.deadline_ms, 0xA0B0C0D0u);
+  EXPECT_TRUE(out.query.empty());
+}
+
+TEST(FrameGoldenTest, ReplyBytes) {
+  std::string golden = bytes({0xB7, 0x01, 0x02, 0x01, 0x0D, 0x00, 0x00, 0x00,
+                              0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,
+                              0x03}) +
+                       "body";
+  std::string wire = encode_both_ways(
+      [](std::string& out) {
+        encode_reply(0x0102030405060708ull, http::Fidelity::kCached,
+                     kFlagCacheServed | kFlagDegraded, "body", out);
+      },
+      golden);
+  Reply out;
+  size_t consumed = 0;
+  ASSERT_EQ(parse_reply(wire, out, &consumed), ParseResult::kFrame);
+  EXPECT_EQ(consumed, golden.size());
+  EXPECT_EQ(out.request_id, 0x0102030405060708ull);
+  EXPECT_EQ(out.fidelity, http::Fidelity::kCached);
+  EXPECT_EQ(out.flags, kFlagCacheServed | kFlagDegraded);
+  EXPECT_EQ(out.payload, "body");
+}
+
+TEST(FrameGoldenTest, PeerReplyBytes) {
+  // A payload past 255 bytes exercises the second length byte.
+  std::string payload(300, 'p');
+  std::string golden = bytes({0xB7, 0x01, 0x04, 0x04, 0x35, 0x01, 0x00, 0x00,
+                              0xFF, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+                              0x02}) +
+                       payload;
+  std::string wire = encode_both_ways(
+      [&](std::string& out) {
+        encode_peer_reply(0xFF, http::Fidelity::kDegraded, kFlagDegraded, payload,
+                          out);
+      },
+      golden);
+  Reply out;
+  ASSERT_EQ(parse_peer_reply(wire, out, nullptr), ParseResult::kFrame);
+  EXPECT_EQ(out.request_id, 0xFFu);
+  EXPECT_EQ(out.fidelity, http::Fidelity::kDegraded);
+  EXPECT_EQ(out.flags, kFlagDegraded);
+  EXPECT_EQ(out.payload, payload);
+}
+
+TEST(FrameGoldenTest, PushAndGossipBytes) {
+  std::string push_golden = bytes({0xB7, 0x01, 0x05, 0x00, 0x09, 0x00, 0x00, 0x00,
+                                   0x03, 0x00, 0x00, 0x00}) +
+                            "/k1" + "vv";
+  std::string push = encode_both_ways(
+      [](std::string& out) { encode_push("/k1", "vv", out); }, push_golden);
+  Push p;
+  ASSERT_EQ(parse_push(push, p, nullptr), ParseResult::kFrame);
+  EXPECT_EQ(p.key, "/k1");
+  EXPECT_EQ(p.value, "vv");
+
+  Gossip in;
+  in.node = 2;
+  in.outstanding = 137;
+  in.threshold = 48.625;  // IEEE-754 bits 0x4048500000000000
+  in.overloaded = true;
+  std::string gossip_golden = bytes({0xB7, 0x01, 0x06, 0x00, 0x11, 0x00, 0x00, 0x00,
+                                     0x02, 0x00, 0x00, 0x00, 0x89, 0x00, 0x00, 0x00,
+                                     0x00, 0x00, 0x00, 0x00, 0x00, 0x50, 0x48, 0x40,
+                                     0x01});
+  std::string gossip = encode_both_ways(
+      [&](std::string& out) { encode_gossip(in, out); }, gossip_golden);
+  Gossip g;
+  ASSERT_EQ(parse_gossip(gossip, g, nullptr), ParseResult::kFrame);
+  EXPECT_EQ(g.node, 2u);
+  EXPECT_EQ(g.outstanding, 137u);
+  EXPECT_EQ(g.threshold, 48.625);
+  EXPECT_TRUE(g.overloaded);
 }
 
 }  // namespace
