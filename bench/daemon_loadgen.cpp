@@ -1,7 +1,7 @@
 // Closed-loop multi-connection load generator for the sharded broker daemon.
 //
 // Drives a ShardedBrokerDaemon over real TCP sockets: M client threads, each
-// with one persistent wire-protocol connection, issue requests back-to-back
+// with one persistent client connection, issue requests back-to-back
 // for a fixed wall-clock window. The sweep is the cross product of shard
 // counts and backend-channel modes. Both modes use net::PipelinedBackend:
 // pipeline=0 is the stop-and-wait control (pipeline depth 1, one connection
@@ -60,12 +60,10 @@
 //             exceed the client-side p50 (the broker measures a strict
 //             subset of what the client times)         (default 1)
 //   proto     comma list of client protocols to sweep, from:
-//               wire  legacy SBRK codec (http/wire.h), the historic default
-//               bin   compact binary frames (net/frame.h) on the same port —
-//                     served by the arena fast path + coalesced flushes
+//               bin   compact binary frames (net/frame.h) — served by the
+//                     arena fast path + coalesced flushes
 //               http  HTTP/1.1 keep-alive, sniffed on the same main port
-//             (default "wire", so existing smokes measure what they always
-//             measured)
+//             (default "bin")
 //   policy    comma list of balancer policies swept per combination, from
 //             random, round-robin (rr), least-outstanding (least), weighted,
 //             ewma, p2c (see core/balance.h)   (default "least-outstanding",
@@ -533,17 +531,14 @@ RunResult run_one(size_t shards, bool pipelined, size_t clients, double seconds,
         }
         if (stop_flag.load(std::memory_order_relaxed)) return;
       }
-      // One persistent connection of the selected protocol per thread; all
-      // three speak to the same sniffed main port.
-      std::unique_ptr<net::BrokerClient> wire_client;
+      // One persistent connection of the selected protocol per thread; both
+      // speak to the same sniffed main port.
       std::unique_ptr<net::FrameClient> bin_client;
       std::unique_ptr<net::HttpKeepAliveClient> http_client;
       if (proto == "bin") {
         bin_client = std::make_unique<net::FrameClient>(daemon.port());
-      } else if (proto == "http") {
-        http_client = std::make_unique<net::HttpKeepAliveClient>(daemon.port());
       } else {
-        wire_client = std::make_unique<net::BrokerClient>(daemon.port());
+        http_client = std::make_unique<net::HttpKeepAliveClient>(daemon.port());
       }
       // Per-thread LCG so every sweep runs the identical trace per thread.
       uint64_t rng = 0x9e3779b97f4a7c15ULL + c;
@@ -597,7 +592,7 @@ RunResult run_one(size_t shards, bool pipelined, size_t clients, double seconds,
                      reply->fidelity != http::Fidelity::kError;
           o.mispaired =
               o.matched && wrong_body(reply->fidelity, payload, reply->payload);
-        } else if (http_client) {
+        } else {
           http::Request hreq;
           hreq.target = payload;
           hreq.set_qos_level(qos);
@@ -614,20 +609,6 @@ RunResult run_one(size_t shards, bool pipelined, size_t clients, double seconds,
             o.mispaired = (fidelity == "full" || fidelity == "cached") &&
                           resp->body != "body of " + payload;
           }
-        } else {
-          http::BrokerRequest req;
-          req.request_id = rid;
-          req.qos_level = qos;
-          req.service = "web";
-          req.deadline_ms = timeout_ms;
-          req.payload = payload;
-          auto reply = wire_client->call(req);
-          o.got_reply = reply.has_value();
-          o.matched = reply && reply->request_id == rid;
-          o.useful = o.matched && reply->fidelity != http::Fidelity::kBusy &&
-                     reply->fidelity != http::Fidelity::kError;
-          o.mispaired =
-              o.matched && wrong_body(reply->fidelity, payload, reply->payload);
         }
         if (o.mispaired) ++mispaired[c];
         return o;
@@ -974,7 +955,7 @@ std::vector<std::string> parse_proto_list(const std::string& list) {
     size_t comma = list.find(',', pos);
     if (comma == std::string::npos) comma = list.size();
     std::string token = list.substr(pos, comma - pos);
-    if (token != "wire" && token != "bin" && token != "http") return {};
+    if (token != "bin" && token != "http") return {};
     values.push_back(std::move(token));
     pos = comma + 1;
   }
@@ -1130,7 +1111,7 @@ int main(int argc, char** argv) {
   knobs.jitter = cfg.get_double("jitter", 0.0);
   knobs.negttl = cfg.get_double("negttl", 0.0);
   knobs.coalesce = cfg.get_bool("coalesce", true);
-  std::string proto_list = cfg.get_string("proto", "wire");
+  std::string proto_list = cfg.get_string("proto", "bin");
   size_t burst = static_cast<size_t>(cfg.get_int("burst", 1));
   std::string policy_list = cfg.get_string("policy", "least-outstanding");
   std::string skew_list = cfg.get_string("skew", "1");
@@ -1205,7 +1186,7 @@ int main(int argc, char** argv) {
   if (protos.empty()) {
     std::fprintf(stderr,
                  "error: proto=%s must be a comma list drawn from "
-                 "wire,bin,http\n", proto_list.c_str());
+                 "bin,http\n", proto_list.c_str());
     return 1;
   }
   if (burst < 1) {
@@ -1696,7 +1677,6 @@ int main(int argc, char** argv) {
         .field("channel_cancels", r.metrics.transport.cancels)
         .field("peak_pipeline_depth", r.metrics.transport.peak_in_flight)
         .field("frames_in", r.wire.frames_in)
-        .field("legacy_in", r.wire.legacy_in)
         .field("http_in", r.wire.http_in)
         .field("fast_hits", r.wire.fast_hits)
         .field("wire_flushes", r.wire.flushes)

@@ -57,7 +57,6 @@ DiffResult run_differentiation(const DiffConfig& config) {
           http::BrokerRequest req;
           req.request_id = bed.next_request_id++;
           req.qos_level = static_cast<uint8_t>(qos_level);
-          req.service = "backend" + std::to_string(stage);
           req.payload = "/stage" + std::to_string(stage);
           bed.hosts[static_cast<size_t>(stage) - 1]->submit(
               req, [&, qos_level, stage, done](const http::BrokerReply& reply) {

@@ -63,7 +63,6 @@ RunResult run_once(size_t degree, uint64_t total_requests, size_t concurrency,
                         http::BrokerRequest req;
                         req.request_id = seq + 1;
                         req.qos_level = 3;
-                        req.service = "db";
                         req.payload = gen.next_point_query(query_rng);
                         host.submit(req, [done](const http::BrokerReply&) { done(); });
                       });

@@ -142,19 +142,6 @@ void BM_AdmissionDecide(benchmark::State& state) {
 }
 BENCHMARK(BM_AdmissionDecide);
 
-void BM_WireEncodeDecodeRequest(benchmark::State& state) {
-  http::BrokerRequest req;
-  req.request_id = 1;
-  req.qos_level = 2;
-  req.service = "db";
-  req.payload = "SELECT * FROM records WHERE id = 123456";
-  for (auto _ : state) {
-    std::string bytes = http::encode(req);
-    benchmark::DoNotOptimize(http::decode_request(bytes));
-  }
-}
-BENCHMARK(BM_WireEncodeDecodeRequest);
-
 void BM_HttpParseRequest(benchmark::State& state) {
   std::string wire =
       "GET /app/movie?id=42 HTTP/1.1\r\nHost: front\r\nX-QoS-Level: 2\r\n"
@@ -191,8 +178,6 @@ void BM_ClusterSplitReply(benchmark::State& state) {
 }
 BENCHMARK(BM_ClusterSplitReply)->Arg(8)->Arg(40);
 
-// The legacy comparison point for BM_FrameEncodeDecodeRequest below is
-// BM_WireEncodeDecodeRequest: same request shape through the SBRK codec.
 void BM_FrameEncodeDecodeRequest(benchmark::State& state) {
   net::frame::Request req{1, 2, 0, "SELECT * FROM records WHERE id = 123456"};
   std::string bytes;

@@ -40,10 +40,10 @@
 #                  in BENCH_daemon.json next to the client-side numbers
 #                  (default 1)
 #   BENCH_PROTO    comma list of client protocols swept per combination:
-#                  wire (legacy SBRK codec), bin (binary frames + arena fast
-#                  path), http (HTTP/1.1 keep-alive on the same sniffed
-#                  port). Comparing proto=bin against proto=http at dup=0 is
-#                  the wire-framing speedup headline (default "wire,http,bin")
+#                  bin (binary frames + arena fast path), http (HTTP/1.1
+#                  keep-alive on the same sniffed port). Comparing proto=bin
+#                  against proto=http at dup=0 is the wire-framing speedup
+#                  headline (default "http,bin")
 #   BENCH_BURST    frames pipelined per send, proto=bin only (default 1)
 #
 # Replica-selection sweep knobs (the second loadgen invocation below; its
@@ -142,7 +142,7 @@ echo "== daemon loadgen (channel/cache sweep)"
   "jitter=${BENCH_JITTER:-0.1}" \
   "negttl=${BENCH_NEGTTL:-0}" \
   "coalesce=${BENCH_COALESCE:-1}" \
-  "proto=${BENCH_PROTO:-wire,http,bin}" \
+  "proto=${BENCH_PROTO:-http,bin}" \
   "burst=${BENCH_BURST:-1}" \
   "out=$tmp_main"
 

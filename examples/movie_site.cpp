@@ -54,7 +54,6 @@ int main(int argc, char** argv) {
     http::BrokerRequest req;
     req.request_id = next_id++;
     req.qos_level = static_cast<uint8_t>(level);
-    req.service = "schedule-db";
     req.payload = gen.next_movie_query(query_rng, 50);
     host.submit(req, [done](const http::BrokerReply&) { done(); });
   });

@@ -46,7 +46,6 @@ int main() {
     http::BrokerRequest req;
     req.request_id = id;
     req.qos_level = static_cast<uint8_t>(qos);
-    req.service = "db";
     req.payload = std::move(sql);
     host.submit(req, [id, &sim](const http::BrokerReply& reply) {
       std::printf("t=%.4fs  request %llu -> %-6s  %.40s%s\n", sim.now(),

@@ -61,12 +61,8 @@ int main() {
               daemon.admin_port());
 
   auto call = [&](uint64_t id, int qos, const std::string& target) {
-    net::BrokerClient client(daemon.port());
-    http::BrokerRequest req;
-    req.request_id = id;
-    req.qos_level = static_cast<uint8_t>(qos);
-    req.payload = target;
-    auto reply = client.call(req);
+    net::FrameClient client(daemon.port());
+    auto reply = client.call(id, target, static_cast<uint8_t>(qos));
     if (reply) {
       std::printf("  %-18s qos=%d -> %-6s %.40s\n", target.c_str(), qos,
                   http::fidelity_name(reply->fidelity), reply->payload.c_str());
@@ -85,12 +81,8 @@ int main() {
   std::vector<std::thread> slow_clients;
   for (int i = 0; i < 4; ++i) {
     slow_clients.emplace_back([&, i] {
-      net::BrokerClient client(daemon.port());
-      http::BrokerRequest req;
-      req.request_id = static_cast<uint64_t>(100 + i);
-      req.qos_level = 3;
-      req.payload = "/slow";
-      client.call(req);
+      net::FrameClient client(daemon.port());
+      client.call(static_cast<uint64_t>(100 + i), "/slow", 3);
     });
   }
   // Give the slow calls a moment to occupy the global outstanding window.

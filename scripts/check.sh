@@ -14,11 +14,11 @@
 #   scripts/check.sh ubsan     # just the UBSan core/net/obs suites
 #   scripts/check.sh perfbench # every benchmark workload, both modes, with
 #                              # its output checks (perfbench/run.py --smoke)
+#   scripts/check.sh asan ubsan  # several suites, run in the order given
 set -eu
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 jobs=$(nproc 2>/dev/null || echo 2)
-what=${1:-all}
 
 run_plain() {
   echo "== plain build (-Werror) + full ctest"
@@ -92,14 +92,17 @@ run_perfbench() {
   (cd "$repo_root" && python3 perfbench/run.py --smoke)
 }
 
-case "$what" in
-  plain) run_plain ;;
-  tsan) run_tsan ;;
-  asan) run_asan ;;
-  ubsan) run_ubsan ;;
-  perfbench) run_perfbench ;;
-  all) run_plain; run_tsan; run_asan; run_ubsan; run_perfbench ;;
-  *) echo "usage: scripts/check.sh [plain|tsan|asan|ubsan|perfbench|all]" >&2; exit 2 ;;
-esac
+[ $# -gt 0 ] || set -- all
+for what in "$@"; do
+  case "$what" in
+    plain) run_plain ;;
+    tsan) run_tsan ;;
+    asan) run_asan ;;
+    ubsan) run_ubsan ;;
+    perfbench) run_perfbench ;;
+    all) run_plain; run_tsan; run_asan; run_ubsan; run_perfbench ;;
+    *) echo "usage: scripts/check.sh [plain|tsan|asan|ubsan|perfbench|all]..." >&2; exit 2 ;;
+  esac
+done
 
 echo "== check.sh: all requested suites passed"

@@ -66,8 +66,12 @@ bool ShardPeering::try_forward(const http::BrokerRequest& request,
   if (request.deadline_ms > 0) {
     timeout = std::min(timeout, request.deadline_ms / 1000.0);
   }
+  // The transaction tag travels with the fetch: the owner's broker is the
+  // one that admits it, so it must see the step to escalate.
   bool sent = channels_[owner]->fetch(
-      request.payload, request.qos_level, request.deadline_ms, timeout,
+      net::frame::Request{0, request.qos_level, request.deadline_ms,
+                          request.payload, request.txn_id, request.txn_step},
+      timeout,
       [this, done = std::move(done)](bool ok, http::Fidelity fidelity,
                                      uint8_t flags, std::string payload) {
         if (ok) {

@@ -64,8 +64,8 @@ bool PeerChannel::ensure_connected() {
   return true;
 }
 
-bool PeerChannel::fetch(std::string_view query, uint8_t qos_level,
-                        uint32_t deadline_ms, double timeout, FetchDone done) {
+bool PeerChannel::fetch(net::frame::Request request, double timeout,
+                        FetchDone done) {
   if (!ensure_connected()) {
     drops_.fetch_add(1, std::memory_order_relaxed);
     return false;
@@ -73,13 +73,9 @@ bool PeerChannel::fetch(std::string_view query, uint8_t qos_level,
   uint64_t id =
       id_salt_ |
       (g_correlation.fetch_add(1, std::memory_order_relaxed) & kCorrelationMask);
-  net::frame::Request freq;
-  freq.request_id = id;
-  freq.qos_level = qos_level;
-  freq.deadline_ms = deadline_ms;
-  freq.query = query;
+  request.request_id = id;
   encode_scratch_.clear();
-  net::frame::encode_peer_fetch(freq, encode_scratch_);
+  net::frame::encode_peer_fetch(request, encode_scratch_);
 
   Pending pending;
   pending.done = std::move(done);

@@ -50,11 +50,11 @@ class PeerChannel {
   PeerChannel(const PeerChannel&) = delete;
   PeerChannel& operator=(const PeerChannel&) = delete;
 
-  /// Sends a kPeerFetch and registers `done` under a fresh correlation id
-  /// with a `timeout`-seconds exchange deadline. Returns false — without
-  /// retaining `done` — when the channel is in dial backoff.
-  bool fetch(std::string_view query, uint8_t qos_level, uint32_t deadline_ms,
-             double timeout, FetchDone done);
+  /// Sends `request` as a kPeerFetch under a fresh correlation id (which
+  /// replaces request.request_id) and registers `done` with a
+  /// `timeout`-seconds exchange deadline. Returns false — without retaining
+  /// `done` — when the channel is in dial backoff.
+  bool fetch(net::frame::Request request, double timeout, FetchDone done);
 
   /// Fire-and-forget sends; false (dropped, counted) while in backoff.
   bool send_push(std::string_view key, std::string_view value);

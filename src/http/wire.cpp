@@ -1,88 +1,6 @@
 #include "http/wire.h"
 
-#include <cstring>
-
 namespace sbroker::http {
-namespace {
-
-constexpr uint32_t kMagic = 0x4b524253;  // "SBRK" little-endian
-constexpr uint8_t kVersion = 1;
-constexpr uint8_t kKindRequest = 1;
-constexpr uint8_t kKindReply = 2;
-// Strings longer than this indicate a corrupt length field, not real data.
-constexpr uint32_t kMaxStringLength = 64 * 1024 * 1024;
-
-void put_u8(std::string& out, uint8_t v) { out.push_back(static_cast<char>(v)); }
-
-void put_u32(std::string& out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void put_u64(std::string& out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void put_string(std::string& out, std::string_view s) {
-  put_u32(out, static_cast<uint32_t>(s.size()));
-  out.append(s);
-}
-
-class Reader {
- public:
-  explicit Reader(std::string_view bytes) : bytes_(bytes) {}
-
-  bool u8(uint8_t& v) {
-    if (pos_ + 1 > bytes_.size()) return false;
-    v = static_cast<uint8_t>(bytes_[pos_++]);
-    return true;
-  }
-
-  bool u32(uint32_t& v) {
-    if (pos_ + 4 > bytes_.size()) return false;
-    v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<uint32_t>(static_cast<uint8_t>(bytes_[pos_ + i])) << (8 * i);
-    }
-    pos_ += 4;
-    return true;
-  }
-
-  bool u64(uint64_t& v) {
-    if (pos_ + 8 > bytes_.size()) return false;
-    v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<uint64_t>(static_cast<uint8_t>(bytes_[pos_ + i])) << (8 * i);
-    }
-    pos_ += 8;
-    return true;
-  }
-
-  bool str(std::string& v) {
-    uint32_t len;
-    if (!u32(len)) return false;
-    if (len > kMaxStringLength || pos_ + len > bytes_.size()) return false;
-    v.assign(bytes_.substr(pos_, len));
-    pos_ += len;
-    return true;
-  }
-
-  size_t pos() const { return pos_; }
-
- private:
-  std::string_view bytes_;
-  size_t pos_ = 0;
-};
-
-bool read_preamble(Reader& r, uint8_t expected_kind) {
-  uint32_t magic;
-  uint8_t version, kind;
-  if (!r.u32(magic) || magic != kMagic) return false;
-  if (!r.u8(version) || version != kVersion) return false;
-  if (!r.u8(kind) || kind != expected_kind) return false;
-  return true;
-}
-
-}  // namespace
 
 const char* fidelity_name(Fidelity f) {
   switch (f) {
@@ -98,59 +16,6 @@ const char* fidelity_name(Fidelity f) {
       return "degraded";
   }
   return "?";
-}
-
-std::string encode(const BrokerRequest& msg) {
-  std::string out;
-  put_u32(out, kMagic);
-  put_u8(out, kVersion);
-  put_u8(out, kKindRequest);
-  put_u64(out, msg.request_id);
-  put_u8(out, msg.qos_level);
-  put_u64(out, msg.txn_id);
-  put_u8(out, msg.txn_step);
-  put_u32(out, msg.deadline_ms);
-  put_string(out, msg.service);
-  put_string(out, msg.payload);
-  return out;
-}
-
-std::string encode(const BrokerReply& msg) {
-  std::string out;
-  put_u32(out, kMagic);
-  put_u8(out, kVersion);
-  put_u8(out, kKindReply);
-  put_u64(out, msg.request_id);
-  put_u8(out, static_cast<uint8_t>(msg.fidelity));
-  put_string(out, msg.payload);
-  return out;
-}
-
-std::optional<BrokerRequest> decode_request(std::string_view bytes, size_t* consumed) {
-  Reader r(bytes);
-  if (!read_preamble(r, kKindRequest)) return std::nullopt;
-  BrokerRequest msg;
-  if (!r.u64(msg.request_id) || !r.u8(msg.qos_level) || !r.u64(msg.txn_id) ||
-      !r.u8(msg.txn_step) || !r.u32(msg.deadline_ms) || !r.str(msg.service) ||
-      !r.str(msg.payload)) {
-    return std::nullopt;
-  }
-  if (consumed) *consumed = r.pos();
-  return msg;
-}
-
-std::optional<BrokerReply> decode_reply(std::string_view bytes, size_t* consumed) {
-  Reader r(bytes);
-  if (!read_preamble(r, kKindReply)) return std::nullopt;
-  BrokerReply msg;
-  uint8_t fidelity;
-  if (!r.u64(msg.request_id) || !r.u8(fidelity) || !r.str(msg.payload)) {
-    return std::nullopt;
-  }
-  if (fidelity > static_cast<uint8_t>(Fidelity::kDegraded)) return std::nullopt;
-  msg.fidelity = static_cast<Fidelity>(fidelity);
-  if (consumed) *consumed = r.pos();
-  return msg;
 }
 
 }  // namespace sbroker::http

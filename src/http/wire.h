@@ -1,22 +1,15 @@
-// Broker wire protocol.
+// Broker message types.
 //
-// Web application processes talk to service brokers "through lightweight
-// UDP" (paper Section V-B-1) by exchanging small messages carrying the query
-// and its QoS specification. This module defines that message pair and a
-// compact length-prefixed binary codec usable over UDP datagrams or a TCP
-// stream (each encoded message is self-delimiting).
-//
-// Layout (all integers little-endian):
-//   magic  u32  'SBRK'
-//   version u8  (1)
-//   kind   u8   (1 = request, 2 = reply)
-//   ... kind-specific fields, strings as u32 length + bytes
+// Web application processes send service brokers small messages carrying
+// the query and its QoS specification (paper Section V-B-1); the broker
+// answers each with a reply of some fidelity. These are the in-process
+// forms of that message pair, shared by the broker core and every ingress.
+// The bytes on the wire are net/frame.h frames (TCP, UDP, federation
+// peers) or HTTP/1.1 sniffed on the same port.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
-#include <string_view>
 
 namespace sbroker::http {
 
@@ -40,7 +33,6 @@ struct BrokerRequest {
   uint64_t txn_id = 0;        ///< 0 = not part of a transaction
   uint8_t txn_step = 0;       ///< 1-based step within the transaction
   uint32_t deadline_ms = 0;   ///< answer-by budget from submit; 0 = none
-  std::string service;        ///< broker/service name, e.g. "db" or "backend1"
   std::string payload;        ///< query text (SQL) or request target (URI)
 };
 
@@ -49,17 +41,5 @@ struct BrokerReply {
   Fidelity fidelity = Fidelity::kFull;
   std::string payload;        ///< result text, cached copy, or notice
 };
-
-/// Self-delimiting binary encodings.
-std::string encode(const BrokerRequest& msg);
-std::string encode(const BrokerReply& msg);
-
-/// Decodes one message from the front of `bytes`. On success returns the
-/// message and sets `*consumed` to the bytes used; returns nullopt when
-/// `bytes` is malformed or does not contain a full message of that kind.
-std::optional<BrokerRequest> decode_request(std::string_view bytes,
-                                            size_t* consumed = nullptr);
-std::optional<BrokerReply> decode_reply(std::string_view bytes,
-                                        size_t* consumed = nullptr);
 
 }  // namespace sbroker::http

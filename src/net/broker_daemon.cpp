@@ -26,6 +26,17 @@ http::BrokerRequest map_http_request(const http::Request& req, uint64_t id) {
   return breq;
 }
 
+/// Copies a decoded request frame into the broker's request form, reusing
+/// `out`'s payload capacity in steady state.
+void fill_request(const frame::Request& freq, http::BrokerRequest& out) {
+  out.request_id = freq.request_id;
+  out.qos_level = freq.qos_level;
+  out.txn_id = freq.txn_id;
+  out.txn_step = freq.txn_step;
+  out.deadline_ms = freq.deadline_ms;
+  out.payload.assign(freq.query);
+}
+
 http::Response map_broker_reply(const http::BrokerReply& reply) {
   int status = 200;
   switch (reply.fidelity) {
@@ -51,10 +62,10 @@ http::Response map_broker_reply(const http::BrokerReply& reply) {
 
 struct BrokerDaemon::Conn {
   /// Wire protocol the first byte of the connection selected.
-  enum class Mode { kSniff, kFrame, kLegacy, kHttp };
+  enum class Mode { kSniff, kFrame, kHttp };
 
   std::shared_ptr<TcpConn> tcp;
-  std::string inbox;            ///< frame / legacy reassembly buffer
+  std::string inbox;            ///< frame reassembly buffer
   Mode mode = Mode::kSniff;
   http::RequestParser parser;   ///< kHttp only
   /// Reused across requests so the steady state re-uses their capacity
@@ -96,15 +107,13 @@ void BrokerDaemon::adopt_client(int fd) {
 void BrokerDaemon::on_client_bytes(const std::shared_ptr<Conn>& conn,
                                    std::string_view bytes) {
   if (conn->mode == Conn::Mode::kSniff && !bytes.empty()) {
-    // One listen port, three protocols, distinguished by the first byte:
-    // 0xB7 is the compact frame magic, 'S' starts the legacy SBRK magic, and
-    // an ASCII letter starts an HTTP/1.1 method. The byte values are
-    // mutually exclusive by construction (frame_test pins this).
+    // One listen port, two protocols, distinguished by the first byte:
+    // 0xB7 is the frame magic and an ASCII letter starts an HTTP/1.1
+    // method. The byte values are disjoint by construction (frame_test
+    // pins this).
     unsigned char first = static_cast<unsigned char>(bytes.front());
     if (first == frame::kMagic) {
       conn->mode = Conn::Mode::kFrame;
-    } else if (first == 'S') {
-      conn->mode = Conn::Mode::kLegacy;
     } else if ((first >= 'A' && first <= 'Z') || (first >= 'a' && first <= 'z')) {
       conn->mode = Conn::Mode::kHttp;
     } else {
@@ -120,10 +129,6 @@ void BrokerDaemon::on_client_bytes(const std::shared_ptr<Conn>& conn,
     case Conn::Mode::kFrame:
       conn->inbox.append(bytes);
       ok = drain_frames(conn);
-      break;
-    case Conn::Mode::kLegacy:
-      conn->inbox.append(bytes);
-      ok = drain_legacy(conn);
       break;
     case Conn::Mode::kHttp:
       conn->parser.feed(bytes);
@@ -191,12 +196,7 @@ void BrokerDaemon::handle_client_frame(const std::shared_ptr<Conn>& conn,
                                        const frame::Request& freq) {
   wire_->frames_in += 1;
   http::BrokerRequest& req = conn->req_scratch;
-  req.request_id = freq.request_id;
-  req.qos_level = freq.qos_level;
-  req.txn_id = 0;
-  req.txn_step = 0;
-  req.deadline_ms = freq.deadline_ms;
-  req.payload.assign(freq.query);  // reuses capacity in steady state
+  fill_request(freq, req);
 
   // Fast path: a cache-answerable request is served entirely out of the
   // scratch arena (value copy + reply view), with the reply bytes queued
@@ -275,12 +275,7 @@ void BrokerDaemon::handle_peer_fetch(const std::shared_ptr<Conn>& conn,
   wire_->frames_in += 1;
   fed_->on_peer_fetch();
   http::BrokerRequest& req = conn->req_scratch;
-  req.request_id = freq.request_id;
-  req.qos_level = freq.qos_level;
-  req.txn_id = 0;
-  req.txn_step = 0;
-  req.deadline_ms = freq.deadline_ms;  // the forwarder's remaining budget
-  req.payload.assign(freq.query);
+  fill_request(freq, req);  // deadline_ms is the forwarder's remaining budget
 
   // Serve as owner: cache, else local fetch. Never re-forwarded — the owner
   // answers a peer fetch itself by construction, so forwarding cannot loop.
@@ -305,31 +300,6 @@ void BrokerDaemon::handle_peer_fetch(const std::shared_ptr<Conn>& conn,
         }
         if (fed_ != nullptr) fed_->on_served(key, reply.payload, reply.fidelity);
       });
-}
-
-bool BrokerDaemon::drain_legacy(const std::shared_ptr<Conn>& conn) {
-  while (true) {
-    size_t consumed = 0;
-    auto request = http::decode_request(conn->inbox, &consumed);
-    if (!request) {
-      // Either an incomplete message (wait for more bytes) or garbage.
-      // Distinguish by magic: a buffer that cannot even start a valid
-      // message will never become one.
-      if (conn->inbox.size() >= 6 &&
-          !(conn->inbox[0] == 'S' && conn->inbox[1] == 'B' &&
-            conn->inbox[2] == 'R' && conn->inbox[3] == 'K')) {
-        return false;
-      }
-      return true;
-    }
-    conn->inbox.erase(0, consumed);
-    wire_->legacy_in += 1;
-    auto tcp = conn->tcp;
-    broker_.submit(reactor_.now(), *request,
-                   [tcp](const http::BrokerReply& reply) {
-                     if (!tcp->closed()) tcp->send(http::encode(reply));
-                   });
-  }
 }
 
 bool BrokerDaemon::drain_http(const std::shared_ptr<Conn>& conn) {
@@ -396,13 +366,21 @@ void BrokerDaemon::schedule_flush(const std::shared_ptr<Conn>& conn) {
 }
 
 void BrokerDaemon::on_datagram(std::string_view payload, const sockaddr_in& from) {
-  auto request = http::decode_request(payload);
-  if (!request) {
-    SBROKER_WARN("broker-daemon") << "undecodable datagram dropped";
+  frame::Request freq;
+  size_t consumed = 0;
+  if (frame::parse_request(payload, freq, &consumed) != frame::ParseResult::kFrame ||
+      consumed != payload.size()) {
+    SBROKER_WARN("broker-daemon") << "malformed datagram dropped";
     return;
   }
-  broker_.submit(reactor_.now(), *request, [this, from](const http::BrokerReply& reply) {
-    if (udp_) udp_->send_to(from, http::encode(reply));
+  http::BrokerRequest req;
+  fill_request(freq, req);
+  broker_.submit(reactor_.now(), req, [this, from](const http::BrokerReply& reply) {
+    if (!udp_) return;
+    std::string bytes;
+    frame::encode_reply(reply.request_id, reply.fidelity,
+                        frame::flags_for(reply.fidelity), reply.payload, bytes);
+    udp_->send_to(from, bytes);
   });
   rearm_tick();
 }

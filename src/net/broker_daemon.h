@@ -1,8 +1,8 @@
 // Real-socket service broker daemon.
 //
 // Runs the identical core::ServiceBroker logic that the simulation uses,
-// but over live TCP: web application processes connect and exchange the
-// binary wire protocol (http/wire.h), and the broker forwards to real HTTP
+// but over live TCP: web application processes connect and exchange
+// binary frames (net/frame.h), and the broker forwards to real HTTP
 // backend servers. This is the deployment shape of the paper's distributed
 // model (Figure 5) — admission, clustering, caching and differentiation all
 // happen in this process, in front of QoS-unaware backends.
@@ -32,13 +32,12 @@ struct BrokerDaemonConfig {
   bool reuse_port = false;
 };
 
-/// Ingress/egress accounting for the daemon's main listen port. The three
+/// Ingress/egress accounting for the daemon's main listen port. The two
 /// `_in` counters classify requests by the protocol the first-byte sniff
 /// picked; `flushes`/`flushed_responses` measure reactor-cycle write
 /// coalescing (flushed_responses > flushes means batching happened).
 struct WireStats {
   uint64_t frames_in = 0;    ///< binary-frame requests (net/frame.h)
-  uint64_t legacy_in = 0;    ///< legacy SBRK messages (http/wire.h)
   uint64_t http_in = 0;      ///< sniffed HTTP/1.1 requests on the main port
   uint64_t fast_hits = 0;    ///< frame requests served by the arena fast path
   uint64_t flushes = 0;      ///< cycle-end flush() calls on frame/http conns
@@ -46,7 +45,6 @@ struct WireStats {
 
   void merge(const WireStats& o) {
     frames_in += o.frames_in;
-    legacy_in += o.legacy_in;
     http_in += o.http_in;
     fast_hits += o.fast_hits;
     flushes += o.flushes;
@@ -91,8 +89,8 @@ class BrokerDaemon {
   /// fetching locally, and the peer kinds (kPeerFetch / kPeerPush /
   /// kGossip) are accepted on the same sniffed port. Without one, peer
   /// frames are a protocol error and the daemon behaves exactly as before.
-  /// Federation applies to the binary frame protocol only — the legacy,
-  /// HTTP and UDP ingresses always fetch locally.
+  /// Federation applies to frames on the main port only — the HTTP and UDP
+  /// ingresses always fetch locally.
   void set_federation(FederationHook* federation) { fed_ = federation; }
 
  private:
@@ -103,7 +101,6 @@ class BrokerDaemon {
   void rearm_tick();
   void on_client_bytes(const std::shared_ptr<Conn>& conn, std::string_view bytes);
   bool drain_frames(const std::shared_ptr<Conn>& conn);
-  bool drain_legacy(const std::shared_ptr<Conn>& conn);
   bool drain_http(const std::shared_ptr<Conn>& conn);
   /// One decoded client request frame: cache fast path, then federation
   /// forward (hook installed and a live peer owns the key), then local fetch.
@@ -132,6 +129,8 @@ class BrokerDaemon {
   void queue_http_reply(const std::shared_ptr<Conn>& conn,
                         const http::BrokerReply& reply);
   void schedule_flush(const std::shared_ptr<Conn>& conn);
+  /// One datagram must hold exactly one request frame; anything else
+  /// (truncated, trailing bytes, another kind) is dropped without a reply.
   void on_datagram(std::string_view payload, const sockaddr_in& from);
 
   Reactor& reactor_;

@@ -83,6 +83,8 @@ ParseResult parse_request_like(std::string_view bytes, uint8_t kind, Request& ou
   out.qos_level = static_cast<uint8_t>(bytes[3]);
   out.request_id = get_u64(section.data());
   out.deadline_ms = get_u32(section.data() + 8);
+  out.txn_id = get_u64(section.data() + 12);
+  out.txn_step = static_cast<uint8_t>(section[20]);
   out.query = section.substr(kRequestFixed);
   return ParseResult::kFrame;
 }
@@ -109,6 +111,8 @@ void encode_request_like(uint8_t kind, const Request& request, std::string& out)
                static_cast<uint32_t>(kRequestFixed + request.query.size()));
   store_u64(fixed + kHeaderSize, request.request_id);
   store_u32(fixed + kHeaderSize + 8, request.deadline_ms);
+  store_u64(fixed + kHeaderSize + 12, request.txn_id);
+  fixed[kHeaderSize + 20] = static_cast<char>(request.txn_step);
   append_parts(out, {std::string_view(fixed, sizeof(fixed)), request.query});
 }
 

@@ -1,25 +1,35 @@
-// Length-prefixed compact binary framing for the broker's client wire.
+// Length-prefixed compact binary framing: the broker's one binary wire
+// format, spoken by clients over TCP and UDP and by federation peers.
 //
-// The legacy SBRK codec (http/wire.h) is self-delimiting per field but not
-// length-prefixed: a receiver holding a partial message re-parses the whole
-// prefix on every arrival, and cannot cheaply tell "incomplete" from the
-// frame's total size. This framing fixes both for the hot path: a fixed
-// 8-byte header carries the total payload length up front, so the receiver
-// does O(1) work per arrival and the parser hands out zero-copy views into
-// the receive buffer.
+// A fixed 8-byte header carries the total section length up front, so a
+// receiver does O(1) work per arrival to tell "incomplete" from "complete"
+// and the parser hands out zero-copy views into the receive buffer. Over
+// UDP each datagram carries exactly one frame.
 //
-// All integers little-endian. Header (8 bytes, both directions):
+// All integers little-endian. Header (8 bytes, every kind):
 //
 //   offset  size  field
 //   ------  ----  --------------------------------------------------------
-//   0       u8    magic 0xB7 (never 'S' of SBRK, never an ASCII HTTP method
-//                 letter — the daemon sniffs the protocol off this byte)
-//   1       u8    version (1)
+//   0       u8    magic 0xB7 (never an ASCII HTTP method letter — the
+//                 daemon sniffs the protocol off this byte)
+//   1       u8    version (2)
 //   2       u8    kind: 1 = request, 2 = reply
 //   3       u8    request: QoS class | reply: status (http::Fidelity)
 //   4       u32   length of the kind-specific section that follows
 //
-// Request section:  u64 request id, u32 deadline_ms, query bytes (rest).
+// Request section (21 fixed bytes, then the query):
+//
+//   offset  size  field
+//   ------  ----  --------------------------------------------------------
+//   0       u64   request id
+//   8       u32   deadline_ms (answer-by budget; 0 = broker default)
+//   12      u64   txn_id (0 = not part of a transaction)
+//   20      u8    txn_step (1-based step within the transaction)
+//   21      ...   query bytes (rest of the section)
+//
+// The transaction tag drives the paper's transaction escalation: later
+// steps of one transaction are admitted at a boosted QoS class.
+//
 // Reply section:    u64 request id, u8 flight flags, payload bytes (rest).
 //
 // Flags on a reply describe how the answer was produced (cache-served,
@@ -32,7 +42,8 @@
 //   kind 3 kPeerFetch — a non-owner forwarding a cache miss to the key's
 //     ring owner. Section layout identical to a request (the deadline_ms
 //     field carries the *remaining* budget, so a slow owner cannot strand
-//     the client past its original deadline).
+//     the client past its original deadline; the transaction tag travels
+//     unchanged, so the owner escalates exactly as the forwarder would).
 //   kind 4 kPeerReply — the owner's answer; layout identical to a reply.
 //   kind 5 kPeerPush  — hot-key replication: u32 key length, key bytes,
 //     value bytes (rest). Fire-and-forget, status byte unused.
@@ -50,7 +61,7 @@
 namespace sbroker::net::frame {
 
 inline constexpr uint8_t kMagic = 0xB7;
-inline constexpr uint8_t kVersion = 1;
+inline constexpr uint8_t kVersion = 2;
 inline constexpr uint8_t kKindRequest = 1;
 inline constexpr uint8_t kKindReply = 2;
 inline constexpr uint8_t kKindPeerFetch = 3;
@@ -58,8 +69,8 @@ inline constexpr uint8_t kKindPeerReply = 4;
 inline constexpr uint8_t kKindPeerPush = 5;
 inline constexpr uint8_t kKindGossip = 6;
 inline constexpr size_t kHeaderSize = 8;
-/// Request section carries id + deadline before the query bytes.
-inline constexpr size_t kRequestFixed = 12;
+/// Request section carries id + deadline + transaction tag before the query.
+inline constexpr size_t kRequestFixed = 21;
 /// Reply section carries id + flags before the payload bytes.
 inline constexpr size_t kReplyFixed = 9;
 /// Push section carries the key length before the key + value bytes.
@@ -67,8 +78,7 @@ inline constexpr size_t kPushFixed = 4;
 /// Gossip section is fixed-size: node + outstanding + threshold + mode.
 inline constexpr size_t kGossipFixed = 17;
 /// Upper bound on the kind-specific section; larger lengths are a protocol
-/// error, not a "wait for more bytes" state (same 64 MiB cap as the legacy
-/// codec's string limit).
+/// error, not a "wait for more bytes" state.
 inline constexpr uint32_t kMaxSectionLength = 64u * 1024u * 1024u;
 
 /// Reply flag bits (bitwise OR).
@@ -84,6 +94,8 @@ struct Request {
   uint8_t qos_level = 1;
   uint32_t deadline_ms = 0;
   std::string_view query;
+  uint64_t txn_id = 0;   ///< 0 = not part of a transaction
+  uint8_t txn_step = 0;  ///< 1-based step within the transaction
 };
 
 /// Decoded reply; `payload` is a view with the same lifetime rule.

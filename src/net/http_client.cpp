@@ -78,31 +78,6 @@ std::optional<http::Response> http_fetch(uint16_t port, const http::Request& req
   return std::nullopt;
 }
 
-BrokerClient::BrokerClient(uint16_t port, int timeout_ms) : timeout_ms_(timeout_ms) {
-  fd_ = blocking_connect(port, timeout_ms);
-  if (fd_ < 0) throw std::runtime_error("BrokerClient: connect failed");
-}
-
-BrokerClient::~BrokerClient() {
-  if (fd_ >= 0) close(fd_);
-}
-
-std::optional<http::BrokerReply> BrokerClient::call(const http::BrokerRequest& request) {
-  if (fd_ < 0) return std::nullopt;
-  if (!send_all(fd_, http::encode(request))) return std::nullopt;
-  char buf[16384];
-  while (true) {
-    size_t consumed = 0;
-    if (auto reply = http::decode_reply(inbox_, &consumed)) {
-      inbox_.erase(0, consumed);
-      return reply;
-    }
-    ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-    if (n <= 0) return std::nullopt;
-    inbox_.append(buf, static_cast<size_t>(n));
-  }
-}
-
 HttpKeepAliveClient::HttpKeepAliveClient(uint16_t port, int timeout_ms) {
   fd_ = blocking_connect(port, timeout_ms);
   if (fd_ < 0) throw std::runtime_error("HttpKeepAliveClient: connect failed");
@@ -160,13 +135,9 @@ std::optional<FrameReply> FrameClient::read_reply() {
   }
 }
 
-std::optional<FrameReply> FrameClient::call(uint64_t request_id,
-                                            std::string_view query,
-                                            uint8_t qos_level,
-                                            uint32_t deadline_ms) {
-  frame::Request req{request_id, qos_level, deadline_ms, query};
+std::optional<FrameReply> FrameClient::call(const frame::Request& request) {
   outbox_.clear();
-  frame::encode_request(req, outbox_);
+  frame::encode_request(request, outbox_);
   if (!send_raw(outbox_)) return std::nullopt;
   return read_reply();
 }

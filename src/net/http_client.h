@@ -1,4 +1,4 @@
-// Blocking HTTP and broker-protocol clients for tests and examples.
+// Blocking HTTP and binary-frame clients for tests, examples and benches.
 //
 // These run on the *caller's* thread with ordinary blocking sockets — the
 // natural shape for a test driving a reactor that runs on another thread.
@@ -11,7 +11,6 @@
 
 #include "http/message.h"
 #include "http/parser.h"
-#include "http/wire.h"
 #include "net/frame.h"
 #include "net/net_config.h"
 
@@ -22,25 +21,6 @@ namespace sbroker::net {
 /// after `timeout_ms`.
 std::optional<http::Response> http_fetch(uint16_t port, const http::Request& request,
                                          int timeout_ms = kDefaultClientTimeoutMs);
-
-/// Persistent blocking connection speaking the broker wire protocol.
-class BrokerClient {
- public:
-  /// Connects immediately; throws std::runtime_error on failure.
-  explicit BrokerClient(uint16_t port, int timeout_ms = kDefaultClientTimeoutMs);
-  ~BrokerClient();
-  BrokerClient(const BrokerClient&) = delete;
-  BrokerClient& operator=(const BrokerClient&) = delete;
-
-  /// Sends a request and waits for the matching reply (replies arrive in
-  /// submission order on one connection). nullopt on IO error or timeout.
-  std::optional<http::BrokerReply> call(const http::BrokerRequest& request);
-
- private:
-  int fd_;
-  int timeout_ms_;
-  std::string inbox_;
-};
 
 /// Persistent blocking HTTP/1.1 keep-alive connection: many request/response
 /// exchanges on one socket. http_fetch opens a fresh connection per call —
@@ -83,10 +63,15 @@ class FrameClient {
   FrameClient(const FrameClient&) = delete;
   FrameClient& operator=(const FrameClient&) = delete;
 
-  /// One frame exchange: sends the request, waits for the matching reply.
-  /// nullopt on IO error or timeout.
+  /// One frame exchange: sends the request (every field, transaction tag
+  /// included), waits for the matching reply. nullopt on IO error or
+  /// timeout.
+  std::optional<FrameReply> call(const frame::Request& request);
+  /// Shorthand for a request outside any transaction.
   std::optional<FrameReply> call(uint64_t request_id, std::string_view query,
-                                 uint8_t qos_level = 1, uint32_t deadline_ms = 0);
+                                 uint8_t qos_level = 1, uint32_t deadline_ms = 0) {
+    return call(frame::Request{request_id, qos_level, deadline_ms, query});
+  }
 
   /// Pipelined burst: encodes every request into one send (ids are
   /// `first_id, first_id+1, ...`), then collects that many replies. The

@@ -1,18 +1,17 @@
 // Shared networking defaults.
 //
 // Every blocking client helper used by tests, examples and the load
-// generator bounds its wait with the same default, defined once here —
-// previously BrokerClient hard-coded 5000 ms while the UDP helper hard-coded
-// 2000 ms, so "the client gave up" meant different things per transport. A
-// client that hits this bound observed a broker timeout; the HTTP gateway
-// maps the broker's own deadline sheds to 504 Gateway Timeout before the
-// client ever gets here.
+// generator bounds its wait with the same default, defined once here, so
+// "the client gave up" means the same thing on every transport. A client
+// that hits this bound observed a broker timeout; the HTTP gateway maps the
+// broker's own deadline sheds to 504 Gateway Timeout before the client ever
+// gets here.
 #pragma once
 
 namespace sbroker::net {
 
-/// Default wait bound for the blocking client helpers (BrokerClient,
-/// http_fetch, udp_exchange), milliseconds.
+/// Default wait bound for the blocking client helpers (FrameClient,
+/// HttpKeepAliveClient, http_fetch, udp_exchange), milliseconds.
 inline constexpr int kDefaultClientTimeoutMs = 5000;
 
 }  // namespace sbroker::net

@@ -2,8 +2,8 @@
 //
 // The paper's distributed-model prototype exchanges broker messages "through
 // lightweight UDP"; BrokerDaemon uses this socket for its datagram listener.
-// One wire message per datagram — the binary codec is self-delimiting, so a
-// datagram either decodes or is dropped.
+// One frame (net/frame.h) per datagram — the header announces the frame's
+// length, so a datagram either holds exactly one frame or is dropped.
 #pragma once
 
 #include <netinet/in.h>

@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -127,6 +128,18 @@ class FederationTest : public ::testing::Test {
     }
   }
 
+  /// Highest step `node`'s (single) shard broker has seen of transaction
+  /// `txn`; read on that shard's reactor thread.
+  static int highest_step(FederatedDaemon& node, uint64_t txn) {
+    std::promise<int> step;
+    auto done = step.get_future();
+    node.daemon().shard_reactor(0).post([&]() {
+      core::ServiceBroker& broker = node.daemon().shard(0).broker();
+      step.set_value(broker.transactions().highest_step(txn));
+    });
+    return done.get();
+  }
+
   /// Tier-wide metric totals (every node's shards folded together).
   core::BrokerMetrics::ClassCounters tier_totals() {
     core::BrokerMetrics::ClassCounters total;
@@ -209,6 +222,22 @@ TEST_F(FederationTest, PeerRepliesPreserveOwnerFidelityFlags) {
   EXPECT_TRUE(second->flags & net::frame::kFlagCacheServed);
   EXPECT_GE(nodes_[0]->counters().forwards_sent.load(), 2u);
   EXPECT_GE(nodes_[2]->counters().fetches_served.load(), 2u);
+}
+
+TEST_F(FederationTest, ForwardedMissCarriesTransactionTag) {
+  start_nodes();
+  // A tagged step entering at node 0 for a key node 2 owns is served by
+  // node 2, so transaction escalation happens at the owner: the tag has to
+  // survive the kPeerFetch hop.
+  std::string k = key_owned_by(2);
+  FrameClient client(nodes_[0]->port());
+  auto reply =
+      client.call(net::frame::Request{1, 1, 0, k, /*txn_id=*/55, /*txn_step=*/3});
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->fidelity, http::Fidelity::kFull);
+  EXPECT_EQ(nodes_[2]->counters().fetches_served.load(), 1u);
+  EXPECT_EQ(highest_step(*nodes_[2], 55), 3);
+  EXPECT_EQ(highest_step(*nodes_[0], 55), 0);  // the forwarder only relayed it
 }
 
 TEST_F(FederationTest, HotKeyIsReplicatedToEveryPeerCache) {

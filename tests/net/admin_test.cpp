@@ -19,15 +19,6 @@
 namespace sbroker::net {
 namespace {
 
-http::BrokerRequest make_request(uint64_t id, int level, std::string target) {
-  http::BrokerRequest req;
-  req.request_id = id;
-  req.qos_level = static_cast<uint8_t>(level);
-  req.service = "web";
-  req.payload = std::move(target);
-  return req;
-}
-
 std::optional<http::Response> admin_get(uint16_t port, std::string target) {
   http::Request req;
   req.method = "GET";
@@ -73,11 +64,11 @@ class AdminPlaneTest : public ::testing::Test {
 
   /// Issues `n` distinct class-cycling requests over one connection.
   static void drive(ShardedBrokerDaemon& daemon, int n, uint64_t base = 0) {
-    BrokerClient client(daemon.port());
+    FrameClient client(daemon.port());
     for (int i = 0; i < n; ++i) {
       uint64_t id = base + static_cast<uint64_t>(i);
       auto reply =
-          client.call(make_request(id, 1 + i % 3, "/a" + std::to_string(id)));
+          client.call(id, "/a" + std::to_string(id), 1 + i % 3);
       ASSERT_TRUE(reply.has_value()) << "request " << id;
     }
   }
@@ -202,8 +193,8 @@ TEST_F(AdminPlaneTest, TracezIsTimeOrderedAndConserved) {
 TEST_F(AdminPlaneTest, DisabledAdminPlaneBindsNoPort) {
   auto daemon = make_daemon(1, /*admin_enabled=*/false);
   EXPECT_EQ(daemon->admin_port(), 0);
-  BrokerClient client(daemon->port());
-  auto reply = client.call(make_request(1, 3, "/still-works"));
+  FrameClient client(daemon->port());
+  auto reply = client.call(1, "/still-works", 3);
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->payload, "content of /still-works");
   daemon->stop();

@@ -1,6 +1,6 @@
 // Binary frame ingress on the daemon's main port: protocol sniffing, frame
-// reassembly, robustness against malformed bytes, coexistence with the
-// legacy and HTTP protocols on one port, and the write-coalescing counters.
+// reassembly, robustness against malformed bytes, coexistence with HTTP on
+// one port, and the write-coalescing counters.
 #include <gtest/gtest.h>
 #include <poll.h>
 #include <sys/socket.h>
@@ -87,6 +87,24 @@ TEST_F(BinaryIngressTest, FrameRoundTripAndCacheFlags) {
   EXPECT_EQ(stats.flushed_responses, 2u);
 }
 
+TEST_F(BinaryIngressTest, TaggedCacheHitAdvancesTransaction) {
+  // A transaction step answered by the arena fast path still counts as
+  // progress: a later step of the same transaction escalates from there.
+  FrameClient client(daemon_->port());
+  ASSERT_TRUE(client.call(1, "/catalog").has_value());  // warm the cache
+  auto hit = client.call(frame::Request{2, 1, 0, "/catalog", /*txn_id=*/9,
+                                        /*txn_step=*/2});
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->fidelity, http::Fidelity::kCached);
+  std::promise<int> step;
+  auto done = step.get_future();
+  reactor_.post([&]() {
+    step.set_value(daemon_->broker().transactions().highest_step(9));
+  });
+  EXPECT_EQ(done.get(), 2);
+  EXPECT_EQ(wire().fast_hits, 1u);
+}
+
 TEST_F(BinaryIngressTest, FrameSplitAcrossTcpReadsStillServed) {
   FrameClient client(daemon_->port());
   std::string encoded;
@@ -161,25 +179,16 @@ TEST_F(BinaryIngressTest, TruncatedFrameThenDisconnectIsHarmless) {
   EXPECT_EQ(reply->payload, "content of /alive-after-truncation");
 }
 
-TEST_F(BinaryIngressTest, ThreeProtocolsInterleavedOnOnePort) {
-  // Binary frames, the legacy SBRK codec, and plain HTTP/1.1 all on the
-  // daemon's single main port, interleaved from three live connections.
+TEST_F(BinaryIngressTest, FrameAndHttpInterleavedOnOnePort) {
+  // Binary frames and plain HTTP/1.1 on the daemon's single main port,
+  // interleaved from live connections.
   FrameClient framed(daemon_->port());
-  BrokerClient legacy(daemon_->port());
   for (int i = 0; i < 3; ++i) {
     std::string target = "/mixed-" + std::to_string(i);
 
     auto f = framed.call(static_cast<uint64_t>(100 + i), target);
     ASSERT_TRUE(f.has_value()) << i;
     EXPECT_EQ(f->payload, "content of " + target);
-
-    http::BrokerRequest req;
-    req.request_id = static_cast<uint64_t>(200 + i);
-    req.qos_level = 2;
-    req.payload = target;
-    auto l = legacy.call(req);
-    ASSERT_TRUE(l.has_value()) << i;
-    EXPECT_EQ(l->payload, "content of " + target);
 
     http::Request hreq;
     hreq.target = target;
@@ -191,7 +200,6 @@ TEST_F(BinaryIngressTest, ThreeProtocolsInterleavedOnOnePort) {
 
   WireStats stats = wire();
   EXPECT_EQ(stats.frames_in, 3u);
-  EXPECT_EQ(stats.legacy_in, 3u);
   EXPECT_EQ(stats.http_in, 3u);
 }
 
@@ -276,7 +284,7 @@ TEST(BinaryIngressSharded, ConservationAndAggregatedWireStats) {
 
   WireStats stats = daemon->aggregate_wire_stats();  // post() path
   EXPECT_EQ(stats.frames_in, static_cast<uint64_t>(kClients * kPerClient));
-  EXPECT_EQ(stats.legacy_in, 0u);
+  EXPECT_EQ(stats.http_in, 0u);
   EXPECT_EQ(stats.flushed_responses, stats.frames_in);
 
   daemon->stop();

@@ -1,5 +1,5 @@
-// End-to-end over real sockets: blocking BrokerClient -> BrokerDaemon
-// (wire protocol, TCP) -> PipelinedBackend -> mini HTTP backend server.
+// End-to-end over real sockets: blocking FrameClient -> BrokerDaemon
+// (binary frames, TCP) -> PipelinedBackend -> mini HTTP backend server.
 #include "net/broker_daemon.h"
 
 #include <gtest/gtest.h>
@@ -45,15 +45,6 @@ class BrokerDaemonTest : public ::testing::Test {
     thread_.join();
   }
 
-  http::BrokerRequest request(uint64_t id, int level, std::string target) {
-    http::BrokerRequest req;
-    req.request_id = id;
-    req.qos_level = static_cast<uint8_t>(level);
-    req.service = "web";
-    req.payload = std::move(target);
-    return req;
-  }
-
   Reactor reactor_;
   std::unique_ptr<HttpServer> backend_server_;
   std::unique_ptr<BrokerDaemon> daemon_;
@@ -61,8 +52,8 @@ class BrokerDaemonTest : public ::testing::Test {
 };
 
 TEST_F(BrokerDaemonTest, FullFidelityRoundTrip) {
-  BrokerClient client(daemon_->port());
-  auto reply = client.call(request(1, 3, "/page-1"));
+  FrameClient client(daemon_->port());
+  auto reply = client.call(1, "/page-1", 3);
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->request_id, 1u);
   EXPECT_EQ(reply->fidelity, http::Fidelity::kFull);
@@ -70,20 +61,20 @@ TEST_F(BrokerDaemonTest, FullFidelityRoundTrip) {
 }
 
 TEST_F(BrokerDaemonTest, SecondIdenticalRequestServedFromCache) {
-  BrokerClient client(daemon_->port());
-  auto first = client.call(request(1, 3, "/cached-page"));
+  FrameClient client(daemon_->port());
+  auto first = client.call(1, "/cached-page", 3);
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(first->fidelity, http::Fidelity::kFull);
-  auto second = client.call(request(2, 3, "/cached-page"));
+  auto second = client.call(2, "/cached-page", 3);
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(second->fidelity, http::Fidelity::kCached);
   EXPECT_EQ(second->payload, "content of /cached-page");
 }
 
 TEST_F(BrokerDaemonTest, SequentialRequestsOnOneConnection) {
-  BrokerClient client(daemon_->port());
+  FrameClient client(daemon_->port());
   for (uint64_t i = 0; i < 10; ++i) {
-    auto reply = client.call(request(i, 2, "/p" + std::to_string(i)));
+    auto reply = client.call(i, "/p" + std::to_string(i), 2);
     ASSERT_TRUE(reply.has_value()) << i;
     EXPECT_EQ(reply->request_id, i);
     EXPECT_EQ(reply->payload, "content of /p" + std::to_string(i));
@@ -95,10 +86,10 @@ TEST_F(BrokerDaemonTest, ConcurrentClients) {
   std::vector<std::thread> threads;
   for (int c = 0; c < 4; ++c) {
     threads.emplace_back([&, c] {
-      BrokerClient client(daemon_->port());
+      FrameClient client(daemon_->port());
       for (int i = 0; i < 5; ++i) {
         uint64_t id = static_cast<uint64_t>(c) * 100 + static_cast<uint64_t>(i);
-        auto reply = client.call(request(id, 2, "/t" + std::to_string(id)));
+        auto reply = client.call(id, "/t" + std::to_string(id), 2);
         if (reply && reply->request_id == id) ++ok;
       }
     });
@@ -114,34 +105,43 @@ TEST_F(BrokerDaemonTest, UnreachableBackendYieldsError) {
   BrokerDaemon lonely(reactor2, "lonely", cfg);
   lonely.add_backend(std::make_shared<PipelinedBackend>(reactor2, 1));  // port 1: closed
   std::thread t([&] { reactor2.run(); });
-  BrokerClient client(lonely.port());
-  auto reply = client.call(request(1, 3, "/x"));
+  FrameClient client(lonely.port());
+  auto reply = client.call(1, "/x", 3);
   reactor2.stop();
   t.join();
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->fidelity, http::Fidelity::kError);
 }
 
-TEST_F(BrokerDaemonTest, MalformedBytesCloseConnection) {
-  BrokerClient good(daemon_->port());
-  {
-    // A first byte that is neither the frame magic, the legacy 'S' of SBRK,
-    // nor an ASCII letter fails the protocol sniff; the daemon closes the
-    // connection without replying.
-    int fd = connect_tcp(daemon_->port());
-    ASSERT_GE(fd, 0);
-    const char junk[] = "\x01\x02garbage";
-    ASSERT_GT(::send(fd, junk, sizeof(junk) - 1, 0), 0);
+/// Sends `bytes` on a fresh connection and reports whether the daemon
+/// closed it without replying.
+bool closed_without_reply(uint16_t port, std::string_view bytes) {
+  int fd = connect_tcp(port);
+  if (fd < 0) return false;
+  bool closed = false;
+  if (::send(fd, bytes.data(), bytes.size(), 0) > 0) {
     // connect_tcp hands back a non-blocking fd; wait for the peer close.
     pollfd pfd{fd, POLLIN, 0};
-    ASSERT_EQ(::poll(&pfd, 1, 2000), 1);
     char buf[64];
-    ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    EXPECT_EQ(n, 0);  // EOF, not data: closed without replying
-    ::close(fd);
+    closed = ::poll(&pfd, 1, 2000) == 1 && ::recv(fd, buf, sizeof(buf), 0) == 0;
   }
+  ::close(fd);
+  return closed;
+}
+
+TEST_F(BrokerDaemonTest, MalformedBytesCloseConnection) {
+  FrameClient good(daemon_->port());
+  // A first byte that is neither the frame magic nor an ASCII letter fails
+  // the protocol sniff; the daemon closes the connection without replying.
+  EXPECT_TRUE(closed_without_reply(daemon_->port(), "\x01\x02garbage"));
+  // A client of the retired legacy codec opens with its magic 'S' 'B' 'R'
+  // 'K', an ASCII letter, so it is sniffed as HTTP; once a line ends, the
+  // request line is malformed and the connection is closed without a reply.
+  const char legacy[] = "\x53\x42\x52\x4b\x01\x01\x07\x00\r\n";
+  EXPECT_TRUE(closed_without_reply(daemon_->port(),
+                                   std::string_view(legacy, sizeof(legacy) - 1)));
   // The daemon must still serve well-formed clients afterwards.
-  auto reply = good.call(request(5, 3, "/still-alive"));
+  auto reply = good.call(5, "/still-alive", 3);
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->payload, "content of /still-alive");
 }
@@ -168,8 +168,8 @@ TEST_F(BrokerDaemonTest, InprocDbBackendServesSql) {
   daemon.add_backend(std::make_shared<srv::InprocDbBackend>(
       db, [&reactor2] { return reactor2.now(); }));
   std::thread t([&] { reactor2.run(); });
-  BrokerClient client(daemon.port());
-  auto reply = client.call(request(1, 3, "SELECT id FROM records WHERE id = 42"));
+  FrameClient client(daemon.port());
+  auto reply = client.call(1, "SELECT id FROM records WHERE id = 42", 3);
   reactor2.stop();
   t.join();
   ASSERT_TRUE(reply.has_value());

@@ -15,6 +15,8 @@ TEST(FrameTest, RequestRoundTrip) {
   in.qos_level = 3;
   in.deadline_ms = 1500;
   in.query = "/object-42";
+  in.txn_id = 0xFEDCBA9876543210ull;
+  in.txn_step = 3;
   std::string wire;
   encode_request(in, wire);
   ASSERT_EQ(wire.size(), kHeaderSize + kRequestFixed + in.query.size());
@@ -27,6 +29,23 @@ TEST(FrameTest, RequestRoundTrip) {
   EXPECT_EQ(out.qos_level, in.qos_level);
   EXPECT_EQ(out.deadline_ms, in.deadline_ms);
   EXPECT_EQ(out.query, in.query);
+  EXPECT_EQ(out.txn_id, in.txn_id);
+  EXPECT_EQ(out.txn_step, in.txn_step);
+}
+
+TEST(FrameTest, UntaggedRequestDecodesWithoutTransaction) {
+  Request in;
+  in.request_id = 1;
+  in.query = "q";
+  std::string wire;
+  encode_request(in, wire);
+  Request out;
+  out.txn_id = 99;  // must be overwritten, not left over
+  out.txn_step = 9;
+  ASSERT_EQ(parse_request(wire, out, nullptr), ParseResult::kFrame);
+  EXPECT_EQ(out.deadline_ms, 0u);
+  EXPECT_EQ(out.txn_id, 0u);
+  EXPECT_EQ(out.txn_step, 0);
 }
 
 TEST(FrameTest, ReplyRoundTrip) {
@@ -86,7 +105,7 @@ TEST(FrameTest, WrongVersionIsError) {
   in.request_id = 1;
   std::string wire;
   encode_request(in, wire);
-  wire[1] = 2;  // bump version
+  wire[1] = 1;  // a v1 sender, whose request section has no transaction tag
   Request out;
   EXPECT_EQ(parse_request(wire, out, nullptr), ParseResult::kError);
 }
@@ -116,7 +135,7 @@ TEST(FrameTest, SectionShorterThanFixedPartIsError) {
   wire.push_back(static_cast<char>(kVersion));
   wire.push_back(static_cast<char>(kKindRequest));
   wire.push_back(1);
-  uint32_t len = 4;  // request fixed part needs 12
+  uint32_t len = 4;  // request fixed part needs 21
   for (int i = 0; i < 4; ++i) wire.push_back(static_cast<char>((len >> (8 * i)) & 0xff));
   wire.append(4, '\0');
   Request out;
@@ -165,9 +184,18 @@ TEST(FrameTest, BackToBackFramesParseSequentially) {
 }
 
 TEST(FrameTest, MagicDistinctFromOtherProtocols) {
-  // First-byte sniffing relies on these being disjoint.
-  EXPECT_NE(kMagic, 'S');                 // legacy SBRK
-  EXPECT_FALSE(kMagic >= 'A' && kMagic <= 'Z');  // HTTP method letters
+  // First-byte sniffing relies on the frame magic never starting an HTTP
+  // method.
+  EXPECT_FALSE(kMagic >= 'A' && kMagic <= 'Z');
+  EXPECT_FALSE(kMagic >= 'a' && kMagic <= 'z');
+}
+
+TEST(FrameTest, FidelityNames) {
+  EXPECT_STREQ(http::fidelity_name(http::Fidelity::kFull), "full");
+  EXPECT_STREQ(http::fidelity_name(http::Fidelity::kCached), "cached");
+  EXPECT_STREQ(http::fidelity_name(http::Fidelity::kBusy), "busy");
+  EXPECT_STREQ(http::fidelity_name(http::Fidelity::kError), "error");
+  EXPECT_STREQ(http::fidelity_name(http::Fidelity::kDegraded), "degraded");
 }
 
 TEST(FrameTest, FlagsForFidelity) {
@@ -184,6 +212,8 @@ TEST(PeerFrameTest, PeerFetchRoundTrip) {
   in.qos_level = 2;
   in.deadline_ms = 750;  // the forwarder's *remaining* budget
   in.query = "/forwarded-key";
+  in.txn_id = 4242;  // the client's transaction tag travels to the owner
+  in.txn_step = 2;
   std::string wire;
   encode_peer_fetch(in, wire);
   EXPECT_EQ(static_cast<uint8_t>(wire[2]), kKindPeerFetch);
@@ -196,6 +226,8 @@ TEST(PeerFrameTest, PeerFetchRoundTrip) {
   EXPECT_EQ(out.qos_level, in.qos_level);
   EXPECT_EQ(out.deadline_ms, in.deadline_ms);
   EXPECT_EQ(out.query, in.query);
+  EXPECT_EQ(out.txn_id, in.txn_id);
+  EXPECT_EQ(out.txn_step, in.txn_step);
   // The kinds are disjoint: a peer fetch is not a client request.
   EXPECT_EQ(parse_request(wire, out, &consumed), ParseResult::kError);
 }
@@ -347,9 +379,13 @@ TEST(FrameGoldenTest, RequestBytes) {
   in.qos_level = 3;
   in.deadline_ms = 1500;
   in.query = "/q-7";
-  std::string golden = bytes({0xB7, 0x01, 0x01, 0x03, 0x10, 0x00, 0x00, 0x00,
+  in.txn_id = 0x0A0B0C0D0E0F1011ull;
+  in.txn_step = 3;
+  std::string golden = bytes({0xB7, 0x02, 0x01, 0x03, 0x19, 0x00, 0x00, 0x00,
                               0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11,
-                              0xDC, 0x05, 0x00, 0x00}) +
+                              0xDC, 0x05, 0x00, 0x00,
+                              0x11, 0x10, 0x0F, 0x0E, 0x0D, 0x0C, 0x0B, 0x0A,
+                              0x03}) +
                        "/q-7";
   std::string wire =
       encode_both_ways([&](std::string& out) { encode_request(in, out); }, golden);
@@ -361,6 +397,8 @@ TEST(FrameGoldenTest, RequestBytes) {
   EXPECT_EQ(out.qos_level, 3);
   EXPECT_EQ(out.deadline_ms, 1500u);
   EXPECT_EQ(out.query, "/q-7");
+  EXPECT_EQ(out.txn_id, in.txn_id);
+  EXPECT_EQ(out.txn_step, 3);
 }
 
 TEST(FrameGoldenTest, PeerFetchBytes) {
@@ -369,9 +407,13 @@ TEST(FrameGoldenTest, PeerFetchBytes) {
   in.qos_level = 2;
   in.deadline_ms = 0xA0B0C0D0u;
   in.query = "";
-  std::string golden = bytes({0xB7, 0x01, 0x03, 0x02, 0x0C, 0x00, 0x00, 0x00,
+  in.txn_id = 0x77;
+  in.txn_step = 2;
+  std::string golden = bytes({0xB7, 0x02, 0x03, 0x02, 0x15, 0x00, 0x00, 0x00,
                               0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11,
-                              0xD0, 0xC0, 0xB0, 0xA0});
+                              0xD0, 0xC0, 0xB0, 0xA0,
+                              0x77, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+                              0x02});
   std::string wire =
       encode_both_ways([&](std::string& out) { encode_peer_fetch(in, out); }, golden);
   Request out;
@@ -380,10 +422,12 @@ TEST(FrameGoldenTest, PeerFetchBytes) {
   EXPECT_EQ(out.qos_level, 2);
   EXPECT_EQ(out.deadline_ms, 0xA0B0C0D0u);
   EXPECT_TRUE(out.query.empty());
+  EXPECT_EQ(out.txn_id, 0x77u);
+  EXPECT_EQ(out.txn_step, 2);
 }
 
 TEST(FrameGoldenTest, ReplyBytes) {
-  std::string golden = bytes({0xB7, 0x01, 0x02, 0x01, 0x0D, 0x00, 0x00, 0x00,
+  std::string golden = bytes({0xB7, 0x02, 0x02, 0x01, 0x0D, 0x00, 0x00, 0x00,
                               0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,
                               0x03}) +
                        "body";
@@ -406,7 +450,7 @@ TEST(FrameGoldenTest, ReplyBytes) {
 TEST(FrameGoldenTest, PeerReplyBytes) {
   // A payload past 255 bytes exercises the second length byte.
   std::string payload(300, 'p');
-  std::string golden = bytes({0xB7, 0x01, 0x04, 0x04, 0x35, 0x01, 0x00, 0x00,
+  std::string golden = bytes({0xB7, 0x02, 0x04, 0x04, 0x35, 0x01, 0x00, 0x00,
                               0xFF, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
                               0x02}) +
                        payload;
@@ -425,7 +469,7 @@ TEST(FrameGoldenTest, PeerReplyBytes) {
 }
 
 TEST(FrameGoldenTest, PushAndGossipBytes) {
-  std::string push_golden = bytes({0xB7, 0x01, 0x05, 0x00, 0x09, 0x00, 0x00, 0x00,
+  std::string push_golden = bytes({0xB7, 0x02, 0x05, 0x00, 0x09, 0x00, 0x00, 0x00,
                                    0x03, 0x00, 0x00, 0x00}) +
                             "/k1" + "vv";
   std::string push = encode_both_ways(
@@ -440,7 +484,7 @@ TEST(FrameGoldenTest, PushAndGossipBytes) {
   in.outstanding = 137;
   in.threshold = 48.625;  // IEEE-754 bits 0x4048500000000000
   in.overloaded = true;
-  std::string gossip_golden = bytes({0xB7, 0x01, 0x06, 0x00, 0x11, 0x00, 0x00, 0x00,
+  std::string gossip_golden = bytes({0xB7, 0x02, 0x06, 0x00, 0x11, 0x00, 0x00, 0x00,
                                      0x02, 0x00, 0x00, 0x00, 0x89, 0x00, 0x00, 0x00,
                                      0x00, 0x00, 0x00, 0x00, 0x00, 0x50, 0x48, 0x40,
                                      0x01});

@@ -22,16 +22,6 @@
 namespace sbroker::net {
 namespace {
 
-http::BrokerRequest make_request(uint64_t id, int level, std::string target) {
-  http::BrokerRequest req;
-  req.request_id = id;
-  req.qos_level = static_cast<uint8_t>(level);
-  req.service = "web";
-  req.deadline_ms = 100;
-  req.payload = std::move(target);
-  return req;
-}
-
 std::optional<http::Response> admin_get(uint16_t port, std::string target) {
   http::Request req;
   req.method = "GET";
@@ -97,13 +87,13 @@ class OverloadDaemonTest : public ::testing::Test {
     std::vector<std::thread> workers;
     for (int t = 0; t < threads; ++t) {
       workers.emplace_back([&daemon, &stop, t]() {
-        BrokerClient client(daemon.port());
+        FrameClient client(daemon.port());
         uint64_t id = static_cast<uint64_t>(t) << 32;
         while (!stop.load(std::memory_order_relaxed)) {
           uint64_t rid = ++id;
-          auto reply = client.call(
-              make_request(rid, 1 + static_cast<int>(rid % 3),
-                           "/k" + std::to_string(rid % 64)));
+          auto reply = client.call(rid, "/k" + std::to_string(rid % 64),
+                                   static_cast<uint8_t>(1 + rid % 3),
+                                   /*deadline_ms=*/100);
           if (!reply.has_value()) break;
         }
       });

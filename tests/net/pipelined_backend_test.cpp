@@ -267,15 +267,11 @@ TEST(PipelinedShardedDaemon, ConservationAndConnectionCapUnderConcurrency) {
   std::vector<std::thread> clients;
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c]() {
-      BrokerClient client(daemon.port());
+      FrameClient client(daemon.port());
       for (int i = 0; i < kPerClient; ++i) {
         uint64_t id = static_cast<uint64_t>(c) * 1000 + static_cast<uint64_t>(i);
-        http::BrokerRequest req;
-        req.request_id = id;
-        req.qos_level = static_cast<uint8_t>(1 + i % 3);
-        req.service = "web";
-        req.payload = "/t" + std::to_string(id);
-        auto reply = client.call(req);
+        auto reply = client.call(id, "/t" + std::to_string(id),
+                                 static_cast<uint8_t>(1 + i % 3));
         if (reply && reply->request_id == id &&
             reply->payload == "content of /t" + std::to_string(id)) {
           ++ok;

@@ -32,17 +32,6 @@ bool wait_for(Pred pred) {
   return pred();
 }
 
-http::BrokerRequest make_request(uint64_t id, int level, std::string target,
-                                 uint32_t deadline_ms = 0) {
-  http::BrokerRequest req;
-  req.request_id = id;
-  req.qos_level = static_cast<uint8_t>(level);
-  req.service = "web";
-  req.deadline_ms = deadline_ms;
-  req.payload = std::move(target);
-  return req;
-}
-
 /// Backend server whose every route stalls: it reads requests and never
 /// responds (the half-open failure mode — the connection stays up).
 class MuteServer {
@@ -114,11 +103,11 @@ TEST_F(RequestLifecycleTest, DeadlineShedsAgainstStalledBackendAcrossShards) {
   auto begin = std::chrono::steady_clock::now();
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c]() {
-      BrokerClient client(daemon->port());
+      FrameClient client(daemon->port());
       for (int i = 0; i < kPerClient; ++i) {
         uint64_t id = static_cast<uint64_t>(c) * 1000 + static_cast<uint64_t>(i);
-        auto reply = client.call(
-            make_request(id, 3, "/stall" + std::to_string(id), /*deadline_ms=*/100));
+        auto reply = client.call(id, "/stall" + std::to_string(id), 3,
+                                 /*deadline_ms=*/100);
         if (!reply) continue;
         ++answered;
         if (reply->fidelity == http::Fidelity::kBusy &&
@@ -202,10 +191,10 @@ TEST_F(RequestLifecycleTest, RetryFailsOverToHealthyReplicaOverPipelinedChannel)
   constexpr int kRequests = 6;
   int full = 0;
   {
-    BrokerClient client(daemon->port());
+    FrameClient client(daemon->port());
     for (int i = 0; i < kRequests; ++i) {
-      auto reply = client.call(
-          make_request(static_cast<uint64_t>(i + 1), 3, "/r" + std::to_string(i)));
+      auto reply =
+          client.call(static_cast<uint64_t>(i + 1), "/r" + std::to_string(i), 3);
       ASSERT_TRUE(reply.has_value()) << "request " << i;
       if (reply->fidelity == http::Fidelity::kFull &&
           reply->payload == "content of /r" + std::to_string(i)) {

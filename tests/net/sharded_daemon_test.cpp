@@ -19,15 +19,6 @@
 namespace sbroker::net {
 namespace {
 
-http::BrokerRequest make_request(uint64_t id, int level, std::string target) {
-  http::BrokerRequest req;
-  req.request_id = id;
-  req.qos_level = static_cast<uint8_t>(level);
-  req.service = "web";
-  req.payload = std::move(target);
-  return req;
-}
-
 class ShardedDaemonTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -77,11 +68,10 @@ TEST_F(ShardedDaemonTest, RepliesEqualRequestsAcrossConcurrentClients) {
   std::vector<std::thread> clients;
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c]() {
-      BrokerClient client(daemon->port());
+      FrameClient client(daemon->port());
       for (int i = 0; i < kPerClient; ++i) {
         uint64_t id = static_cast<uint64_t>(c) * 1000 + static_cast<uint64_t>(i);
-        auto reply = client.call(
-            make_request(id, 1 + i % 3, "/t" + std::to_string(id)));
+        auto reply = client.call(id, "/t" + std::to_string(id), 1 + i % 3);
         if (reply && reply->request_id == id &&
             reply->payload == "content of /t" + std::to_string(id)) {
           ++ok;
@@ -110,13 +100,13 @@ TEST_F(ShardedDaemonTest, SharedCacheServesRepeatArrivingAtAnotherShard) {
   auto daemon = make_daemon(2, /*force_fallback=*/true);
   ASSERT_FALSE(daemon->kernel_accept_sharding());
 
-  BrokerClient first_conn(daemon->port());   // -> shard 0
-  auto first = first_conn.call(make_request(1, 3, "/hot-object"));
+  FrameClient first_conn(daemon->port());   // -> shard 0
+  auto first = first_conn.call(1, "/hot-object", 3);
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(first->fidelity, http::Fidelity::kFull);
 
-  BrokerClient second_conn(daemon->port());  // -> shard 1
-  auto second = second_conn.call(make_request(2, 3, "/hot-object"));
+  FrameClient second_conn(daemon->port());  // -> shard 1
+  auto second = second_conn.call(2, "/hot-object", 3);
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(second->fidelity, http::Fidelity::kCached);
   EXPECT_EQ(second->payload, "content of /hot-object");
@@ -134,12 +124,12 @@ TEST_F(ShardedDaemonTest, KernelShardingServesRepeatFromSharedCacheToo) {
   ASSERT_TRUE(daemon->kernel_accept_sharding());
   // Wherever the kernel hashes these two connections, the shared cache makes
   // placement irrelevant: the repeat must be a hit.
-  BrokerClient a(daemon->port());
-  auto first = a.call(make_request(1, 3, "/popular"));
+  FrameClient a(daemon->port());
+  auto first = a.call(1, "/popular", 3);
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(first->fidelity, http::Fidelity::kFull);
-  BrokerClient b(daemon->port());
-  auto second = b.call(make_request(2, 3, "/popular"));
+  FrameClient b(daemon->port());
+  auto second = b.call(2, "/popular", 3);
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(second->fidelity, http::Fidelity::kCached);
   daemon->stop();
@@ -169,9 +159,9 @@ TEST_F(ShardedDaemonTest, GlobalAdmissionCountsLoadOnOtherShards) {
   std::atomic<int> slow_done{0};
   for (int i = 0; i < 4; ++i) {
     occupiers.emplace_back([&, i]() {
-      BrokerClient client(daemon->port());
+      FrameClient client(daemon->port());
       auto reply =
-          client.call(make_request(static_cast<uint64_t>(100 + i), 3, "/slow"));
+          client.call(static_cast<uint64_t>(100 + i), "/slow", 3);
       if (reply) ++slow_done;
     });
   }
@@ -185,8 +175,8 @@ TEST_F(ShardedDaemonTest, GlobalAdmissionCountsLoadOnOtherShards) {
   // The probe's shard holds only 2 of the 4 outstanding requests — under
   // the class-3 bound of 4 when viewed per-shard — so this drop can only
   // come from the shared global counter.
-  BrokerClient probe(daemon->port());
-  auto reply = probe.call(make_request(500, 3, "/probe-object"));
+  FrameClient probe(daemon->port());
+  auto reply = probe.call(500, "/probe-object", 3);
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->fidelity, http::Fidelity::kBusy);
 
@@ -202,12 +192,11 @@ TEST_F(ShardedDaemonTest, ShutdownMidTrafficDoesNotCrashOrHang) {
   for (int c = 0; c < 3; ++c) {
     clients.emplace_back([&, c]() {
       try {
-        BrokerClient client(daemon->port(), /*timeout_ms=*/300);
+        FrameClient client(daemon->port(), /*timeout_ms=*/300);
         uint64_t id = static_cast<uint64_t>(c) << 32;
         while (!stop.load(std::memory_order_relaxed)) {
           ++id;
-          auto reply = client.call(
-              make_request(id, 2, "/churn" + std::to_string(id % 17)));
+          auto reply = client.call(id, "/churn" + std::to_string(id % 17), 2);
           if (!reply) break;  // daemon went away mid-call: expected
         }
       } catch (const std::exception&) {
@@ -228,12 +217,12 @@ TEST_F(ShardedDaemonTest, ShutdownMidTrafficDoesNotCrashOrHang) {
 
 TEST_F(ShardedDaemonTest, SingleShardBehavesLikePlainDaemon) {
   auto daemon = make_daemon(1, /*force_fallback=*/false);
-  BrokerClient client(daemon->port());
-  auto reply = client.call(make_request(7, 3, "/solo"));
+  FrameClient client(daemon->port());
+  auto reply = client.call(7, "/solo", 3);
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->fidelity, http::Fidelity::kFull);
   EXPECT_EQ(reply->payload, "content of /solo");
-  auto again = client.call(make_request(8, 3, "/solo"));
+  auto again = client.call(8, "/solo", 3);
   ASSERT_TRUE(again.has_value());
   EXPECT_EQ(again->fidelity, http::Fidelity::kCached);
   daemon->stop();

@@ -23,17 +23,6 @@
 namespace sbroker::net {
 namespace {
 
-http::BrokerRequest make_request(uint64_t id, int level, std::string target,
-                                 uint32_t deadline_ms = 0) {
-  http::BrokerRequest req;
-  req.request_id = id;
-  req.qos_level = static_cast<uint8_t>(level);
-  req.service = "web";
-  req.payload = std::move(target);
-  req.deadline_ms = deadline_ms;
-  return req;
-}
-
 /// Polls `pred` from the test thread until it holds or ~2s elapse.
 bool eventually(const std::function<bool()>& pred) {
   for (int i = 0; i < 1000; ++i) {
@@ -78,13 +67,13 @@ TEST(DaemonStampede, ConcurrentIdenticalRequestsHitBackendOnce) {
 
   // Four clients storm the same cold key while the one fetch is held open.
   constexpr int kClients = 4;
-  std::vector<std::optional<http::BrokerReply>> replies(kClients);
+  std::vector<std::optional<FrameReply>> replies(kClients);
   std::vector<std::thread> clients;
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c]() {
-      BrokerClient client(daemon.port());
+      FrameClient client(daemon.port());
       replies[static_cast<size_t>(c)] =
-          client.call(make_request(static_cast<uint64_t>(c) + 1, 3, "/slow"));
+          client.call(static_cast<uint64_t>(c) + 1, "/slow", 3);
     });
   }
 
@@ -153,10 +142,10 @@ TEST(ShardedStampede, MissesOnDifferentShardsShareOneFetch) {
   });
   daemon.start();
 
-  std::optional<http::BrokerReply> reply_a, reply_b;
+  std::optional<FrameReply> reply_a, reply_b;
   std::thread client_a([&]() {
-    BrokerClient client(daemon.port());
-    reply_a = client.call(make_request(1, 3, "/slow"));
+    FrameClient client(daemon.port());
+    reply_a = client.call(1, "/slow", 3);
   });
   // Shard 0 must own the flight before the second client connects. The
   // claim lands before the fetch reaches the backend thread, so wait for
@@ -165,8 +154,8 @@ TEST(ShardedStampede, MissesOnDifferentShardsShareOneFetch) {
   ASSERT_TRUE(eventually([&]() { return backend_hits.load() == 1; }));
 
   std::thread client_b([&]() {
-    BrokerClient client(daemon.port());
-    reply_b = client.call(make_request(2, 3, "/slow"));
+    FrameClient client(daemon.port());
+    reply_b = client.call(2, "/slow", 3);
   });
   // Shard 1 misses, loses the claim, and parks — without a second fetch.
   ASSERT_TRUE(eventually([&]() { return daemon.shared_flights().parked() >= 1; }));
@@ -221,10 +210,10 @@ TEST(DaemonStampede, OverduePrefetchDoesNotSpinTheTickTimerWhileBusy) {
   std::thread reactor_thread([&] { reactor.run(); });
 
   // Occupy the broker with a stalled request that sheds on its own deadline.
-  std::optional<http::BrokerReply> stalled;
+  std::optional<FrameReply> stalled;
   std::thread client([&]() {
-    BrokerClient client_conn(daemon.port());
-    stalled = client_conn.call(make_request(1, 3, "/stall", /*deadline_ms=*/700));
+    FrameClient client_conn(daemon.port());
+    stalled = client_conn.call(1, "/stall", 3, /*deadline_ms=*/700);
   });
   ASSERT_TRUE(eventually([&]() {
     return on_reactor(reactor, [&]() { return daemon.broker().outstanding(); }) == 1;

@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "net/broker_daemon.h"
+#include "net/frame.h"
 #include "net/http_client.h"
 #include "net/http_server.h"
 #include "net/pipelined_backend.h"
@@ -73,14 +74,20 @@ class UdpDaemonTest : public ::testing::Test {
     thread_.join();
   }
 
-  std::optional<http::BrokerReply> call(uint64_t id, int qos, std::string target) {
-    http::BrokerRequest req;
-    req.request_id = id;
-    req.qos_level = static_cast<uint8_t>(qos);
-    req.payload = std::move(target);
-    auto raw = udp_exchange(daemon_->udp_port(), http::encode(req));
+  /// Sends one request frame as a datagram and parses the one reply frame.
+  std::optional<FrameReply> call(uint64_t id, uint8_t qos, std::string_view target) {
+    std::string datagram;
+    frame::encode_request(frame::Request{id, qos, 0, target}, datagram);
+    auto raw = udp_exchange(daemon_->udp_port(), datagram);
     if (!raw) return std::nullopt;
-    return http::decode_reply(*raw);
+    frame::Reply reply;
+    size_t consumed = 0;
+    if (frame::parse_reply(*raw, reply, &consumed) != frame::ParseResult::kFrame ||
+        consumed != raw->size()) {
+      return std::nullopt;
+    }
+    return FrameReply{reply.request_id, reply.fidelity, reply.flags,
+                      std::string(reply.payload)};
   }
 
   Reactor reactor_;
@@ -108,7 +115,7 @@ TEST_F(UdpDaemonTest, CacheWorksOverUdp) {
 }
 
 TEST_F(UdpDaemonTest, GarbageDatagramIsDroppedSilently) {
-  auto raw = udp_exchange(daemon_->udp_port(), "this is not the wire protocol", 200);
+  auto raw = udp_exchange(daemon_->udp_port(), "this is not a frame", 200);
   EXPECT_FALSE(raw.has_value());  // no reply — UDP drop semantics
   // Daemon still healthy.
   auto reply = call(3, 3, "/after-garbage");
@@ -116,17 +123,36 @@ TEST_F(UdpDaemonTest, GarbageDatagramIsDroppedSilently) {
   EXPECT_EQ(reply->payload, "udp-served /after-garbage");
 }
 
+TEST_F(UdpDaemonTest, TruncatedFrameDatagramIsDropped) {
+  std::string datagram;
+  frame::encode_request(frame::Request{4, 3, 0, "/truncated"}, datagram);
+  datagram.pop_back();  // the header announces one byte more than arrives
+  EXPECT_FALSE(udp_exchange(daemon_->udp_port(), datagram, 200).has_value());
+  auto reply = call(5, 3, "/after-truncated");
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->payload, "udp-served /after-truncated");
+}
+
+TEST_F(UdpDaemonTest, FrameWithTrailingBytesIsDropped) {
+  // A datagram holds exactly one frame: a valid frame followed by anything
+  // (here a second, complete frame) is malformed as a whole.
+  std::string datagram;
+  frame::encode_request(frame::Request{6, 3, 0, "/first"}, datagram);
+  frame::encode_request(frame::Request{7, 3, 0, "/second"}, datagram);
+  EXPECT_FALSE(udp_exchange(daemon_->udp_port(), datagram, 200).has_value());
+  auto reply = call(8, 3, "/after-trailing");
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->request_id, 8u);
+  EXPECT_EQ(reply->payload, "udp-served /after-trailing");
+}
+
 TEST_F(UdpDaemonTest, TcpAndUdpShareOneBroker) {
   auto udp_reply = call(1, 3, "/shared");
   ASSERT_TRUE(udp_reply.has_value());
   EXPECT_EQ(udp_reply->fidelity, http::Fidelity::kFull);
   // The same key over TCP hits the cache the UDP request populated.
-  BrokerClient tcp(daemon_->port());
-  http::BrokerRequest req;
-  req.request_id = 2;
-  req.qos_level = 3;
-  req.payload = "/shared";
-  auto tcp_reply = tcp.call(req);
+  FrameClient tcp(daemon_->port());
+  auto tcp_reply = tcp.call(2, "/shared", 3);
   ASSERT_TRUE(tcp_reply.has_value());
   EXPECT_EQ(tcp_reply->fidelity, http::Fidelity::kCached);
 }
