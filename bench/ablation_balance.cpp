@@ -65,7 +65,7 @@ double run_once(core::BalancePolicy policy, uint64_t requests, size_t concurrenc
                       });
   client.start();
   sim.run();
-  return client.response_times().mean() * 1000.0;
+  return client.response_times().mean_seconds() * 1000.0;
 }
 
 }  // namespace

@@ -65,7 +65,7 @@ RunResult run_once(bool enable_cache, double theta, uint64_t requests,
   sim.run();
 
   RunResult r;
-  r.mean_ms = client.response_times().mean() * 1000.0;
+  r.mean_ms = client.response_times().mean_seconds() * 1000.0;
   r.backend_calls = backend->calls();
   r.hit_ratio = host.broker().cache().hit_ratio();
   return r;

@@ -55,7 +55,7 @@ double run_once(bool pooled, double setup_cost, uint64_t requests, size_t concur
                       });
   client.start();
   sim.run();
-  return client.response_times().mean() * 1000.0;
+  return client.response_times().mean_seconds() * 1000.0;
 }
 
 }  // namespace

@@ -73,7 +73,7 @@ RunResult run_once(bool rewrite, size_t clients, double duration) {
   sim.run();
 
   RunResult r;
-  r.mean_ms = population.response_times().mean() * 1000.0;
+  r.mean_ms = population.response_times().mean_seconds() * 1000.0;
   r.completed = population.completed();
   r.rewrites = host.broker().rewriter().rewrites();
   return r;

@@ -64,7 +64,7 @@ RunResult run_once(bool prefetch, double duration, size_t clients) {
   sim.run_until(duration + 30.0);
 
   RunResult r;
-  r.mean_ms = population.response_times().mean() * 1000.0;
+  r.mean_ms = population.response_times().mean_seconds() * 1000.0;
   r.p99_ms = population.response_times().p99() * 1000.0;
   r.backend_calls = backend->calls();
   return r;

@@ -49,9 +49,9 @@
 //             body ("body of <target>"; a mis-paired pipelined reply fails)
 //             after every run; exit 1 on violation — this is the ctest
 //             smoke mode that keeps the bench binary honest
-//   obs       1 = broker latency histograms + flight recorder on; 0 = the
-//             compiled-in-but-idle baseline the overhead experiment
-//             compares against                         (default 1)
+//   obs       1 = broker flight recorder on; 0 = the compiled-in-but-idle
+//             baseline the overhead experiment compares against (latency
+//             histograms always record)                 (default 1)
 //   scrape    1 = hit the admin plane: /healthz and /metrics mid-window
 //             (they must serve while the broker is loaded), /statusz after
 //             the window; broker-side per-class p50/p95/p99 land in the
@@ -151,6 +151,7 @@
 //             (default none)
 //   out       JSON result file; "" = stdout only      (default BENCH_daemon.json)
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -172,13 +173,13 @@
 #include "net/pipelined_backend.h"
 #include "net/reactor.h"
 #include "net/sharded_daemon.h"
+#include "obs/histogram.h"
 #include "sim/link.h"
 #include "srv/service_profile.h"
 #include "wl/arrival.h"
 #include "util/config.h"
 #include "util/json.h"
 #include "util/rng.h"
-#include "util/stats.h"
 
 using namespace sbroker;
 
@@ -198,8 +199,8 @@ struct PhaseStats {
   uint64_t replies = 0;
   uint64_t useful = 0;
   uint64_t good = 0;
+  obs::LatencyHistogram useful_latency;  // seconds, useful replies only
   double goodput = 0.0;  // good replies per second of phase time
-  double p99_ms = 0.0;   // p99 latency over useful replies
 };
 
 struct RunResult {
@@ -223,7 +224,7 @@ struct RunResult {
   uint64_t mispaired = 0;  // full/cached replies carrying another target's body
   double seconds = 0.0;
   double rps = 0.0;
-  util::Histogram latency;  // seconds
+  obs::LatencyHistogram latency;  // seconds
   double hit_ratio = 0.0;
   core::BrokerMetrics metrics;  // metrics.transport carries the channel stats
   // Admin-plane scrape results (scrape=1): broker-side latency percentiles
@@ -254,7 +255,7 @@ struct RunResult {
   uint64_t sent = 0;           // arrivals actually put on the wire
   uint64_t queued_behind = 0;  // arrivals sent >1ms late (sender was busy)
   double max_lag = 0.0;        // worst send lag behind schedule, seconds
-  util::Histogram service_latency;  // from actual send (the biased view)
+  obs::LatencyHistogram service_latency;  // from actual send (the biased view)
   // Link-degradation shim (the link= dimension).
   std::string link = "none";
   double proxy_max_delay = 0.0;  // worst single-chunk delay applied, seconds
@@ -462,7 +463,6 @@ RunResult run_one(size_t shards, bool pipelined, size_t clients, double seconds,
   cfg.broker.cache_tuning.ttl_jitter = knobs.jitter;
   cfg.broker.cache_tuning.negative_ttl = knobs.negttl;
   cfg.broker.lifecycle.max_attempts = attempts;
-  cfg.broker.obs.histograms = obs_on;
   cfg.broker.obs.trace = obs_on;
   cfg.broker.balance = rk.policy;
   cfg.shards = shards;
@@ -494,7 +494,7 @@ RunResult run_one(size_t shards, bool pipelined, size_t clients, double seconds,
   std::vector<uint64_t> counts(total_clients, 0);
   std::vector<uint64_t> failures(total_clients, 0);
   std::vector<uint64_t> mispaired(total_clients, 0);
-  std::vector<std::vector<double>> latencies(total_clients);
+  std::vector<obs::LatencyHistogram> latencies(total_clients);
   // Open-loop accounting (arrivals != closed): per-thread schedule counters
   // and the biased from-actual-send latencies kept next to the corrected
   // ones above.
@@ -503,16 +503,10 @@ RunResult run_one(size_t shards, bool pipelined, size_t clients, double seconds,
   std::vector<uint64_t> sent_counts(total_clients, 0);
   std::vector<uint64_t> queued_counts(total_clients, 0);
   std::vector<double> lag_max(total_clients, 0.0);
-  std::vector<std::vector<double>> service_lats(total_clients);
-  // Flash-crowd phase records: reply completion time relative to t0, its
-  // latency, and the useful/good classification (only kept with crowd>1).
-  struct ReplyRec {
-    float t = 0.0f;
-    float lat = 0.0f;
-    bool useful = false;
-    bool good = false;
-  };
-  std::vector<std::vector<ReplyRec>> records(total_clients);
+  std::vector<obs::LatencyHistogram> service_lats(total_clients);
+  // Flash-crowd phase tallies (crowd>1 only), classified at reply time
+  // against the ramp: [0] = pre-crowd, [1] = crowd phase.
+  std::vector<std::array<PhaseStats, 2>> phases(ok.crowd > 1 ? total_clients : 0);
   std::vector<std::thread> threads;
   threads.reserve(total_clients);
 
@@ -543,7 +537,6 @@ RunResult run_one(size_t shards, bool pipelined, size_t clients, double seconds,
       // Per-thread LCG so every sweep runs the identical trace per thread.
       uint64_t rng = 0x9e3779b97f4a7c15ULL + c;
       uint64_t id = c << 32;
-      latencies[c].reserve(1 << 16);
       // Draws the next target off the per-thread trace: the dup= hot-key
       // bias, the QoS class, and the stallpct mute-route mapping, shared by
       // both loop shapes.
@@ -628,7 +621,6 @@ RunResult run_one(size_t shards, bool pipelined, size_t clients, double seconds,
         acfg.period = ak.period;
         acfg.floor_frac = ak.floor_frac;
         wl::ArrivalSchedule schedule(acfg, util::derive_seed(ak.seed, c));
-        service_lats[c].reserve(1 << 14);
         // Safety valve for a wedged run: anything still unsent by then stays
         // scheduled-but-unsent and fails the check gate loudly.
         double hard_stop = t0 + seconds + std::max(5.0, 2.0 * seconds);
@@ -657,8 +649,8 @@ RunResult run_one(size_t shards, bool pipelined, size_t clients, double seconds,
           double end = monotonic_seconds();
           if (o.matched) {
             ++counts[c];
-            latencies[c].push_back(end - intended);    // corrected
-            service_lats[c].push_back(end - send_at);  // the biased view
+            latencies[c].record_seconds(end - intended);    // corrected
+            service_lats[c].record_seconds(end - send_at);  // the biased view
           } else {
             ++failures[c];
             if (!o.got_reply) break;  // connection is gone; stop this client
@@ -696,7 +688,7 @@ RunResult run_one(size_t shards, bool pipelined, size_t clients, double seconds,
             if (wrong_body(reply.fidelity, payload, reply.payload)) ++mispaired[c];
           }
           if (replies.size() == burst) {
-            latencies[c].push_back(elapsed);
+            latencies[c].record_seconds(elapsed);
           } else {
             failures[c] += burst - replies.size();
             break;  // connection is gone; stop this client
@@ -711,13 +703,16 @@ RunResult run_one(size_t shards, bool pipelined, size_t clients, double seconds,
           // A busy reply about to be retried is not the end of the logical
           // request — its latency lands on the eventual useful reply.
           bool will_retry = !o.useful && ok.backoff_ms > 0.0;
-          if (!will_retry) latencies[c].push_back(elapsed);
+          if (!will_retry) latencies[c].record_seconds(elapsed);
           if (ok.crowd > 1) {
-            // Good = useful and within the client deadline (5ms wire slack).
-            bool good = o.useful && (timeout_ms == 0 ||
-                                     elapsed <= timeout_ms * 1e-3 + 0.005);
-            records[c].push_back({static_cast<float>(start + elapsed - t0),
-                                  static_cast<float>(elapsed), o.useful, good});
+            PhaseStats& ph = phases[c][start + elapsed - t0 < ok.ramp ? 0 : 1];
+            ++ph.replies;
+            if (o.useful) {
+              ++ph.useful;
+              ph.useful_latency.record_seconds(elapsed);
+              // Good = useful and within the client deadline (5ms wire slack).
+              if (timeout_ms == 0 || elapsed <= timeout_ms * 1e-3 + 0.005) ++ph.good;
+            }
           }
           if (will_retry) {
             std::this_thread::sleep_for(
@@ -791,28 +786,24 @@ RunResult run_one(size_t shards, bool pipelined, size_t clients, double seconds,
     r.requests += counts[c];
     r.failures += failures[c];
     r.mispaired += mispaired[c];
-    for (double s : latencies[c]) r.latency.add(s);
+    r.latency.merge(latencies[c]);
     r.scheduled += scheduled_counts[c];
     r.sent += sent_counts[c];
     r.queued_behind += queued_counts[c];
     r.max_lag = std::max(r.max_lag, lag_max[c]);
-    for (double s : service_lats[c]) r.service_latency.add(s);
+    r.service_latency.merge(service_lats[c]);
   }
   if (ok.crowd > 1) {
     r.phased = true;
     r.pre.duration = std::min(ok.ramp, wall);
     r.crowd_phase.duration = std::max(0.0, wall - ok.ramp);
-    util::Histogram pre_lat, crowd_lat;
-    for (const auto& recs : records) {
-      for (const ReplyRec& rec : recs) {
-        bool in_pre = rec.t < ok.ramp;
-        PhaseStats& ph = in_pre ? r.pre : r.crowd_phase;
-        ++ph.replies;
-        if (rec.useful) {
-          ++ph.useful;
-          (in_pre ? pre_lat : crowd_lat).add(rec.lat);
-        }
-        if (rec.good) ++ph.good;
+    for (const auto& client : phases) {
+      PhaseStats* totals[2] = {&r.pre, &r.crowd_phase};
+      for (size_t i = 0; i < 2; ++i) {
+        totals[i]->replies += client[i].replies;
+        totals[i]->useful += client[i].useful;
+        totals[i]->good += client[i].good;
+        totals[i]->useful_latency.merge(client[i].useful_latency);
       }
     }
     if (r.pre.duration > 0.0) {
@@ -822,8 +813,6 @@ RunResult run_one(size_t shards, bool pipelined, size_t clients, double seconds,
       r.crowd_phase.goodput =
           static_cast<double>(r.crowd_phase.good) / r.crowd_phase.duration;
     }
-    r.pre.p99_ms = pre_lat.p99() * 1e3;
-    r.crowd_phase.p99_ms = crowd_lat.p99() * 1e3;
   }
   r.rps = wall > 0 ? static_cast<double>(r.requests) / wall : 0.0;
   r.hit_ratio = daemon.shared_cache().hit_ratio();
@@ -1362,7 +1351,7 @@ int main(int argc, char** argv) {
                   r.pipelined ? "pipeline" : "stopwait",
                   r.kernel_accept_sharding ? "kernel" : "rrobin",
                   static_cast<unsigned long long>(r.requests), r.rps,
-                  r.latency.percentile(0.5) * 1e3, r.latency.p99() * 1e3,
+                  r.latency.p50() * 1e3, r.latency.p99() * 1e3,
                   r.broker_total.p50 * 1e3, r.hit_ratio * 100.0,
                   static_cast<unsigned long long>(total.dropped),
                   static_cast<unsigned long long>(total.deadline_misses),
@@ -1379,7 +1368,7 @@ int main(int argc, char** argv) {
             "p99 %8.2f ms   thresh %.1f sheds %llu lifo %llu\n",
             r.pre.duration, static_cast<unsigned long long>(r.pre.replies),
             static_cast<unsigned long long>(r.pre.good), r.pre.goodput,
-            r.pre.p99_ms, r.admission_threshold,
+            r.pre.useful_latency.p99() * 1e3, r.admission_threshold,
             static_cast<unsigned long long>(total.deadline_misses),
             static_cast<unsigned long long>(total.lifo_sheds));
         std::printf(
@@ -1388,7 +1377,7 @@ int main(int argc, char** argv) {
             r.crowd_phase.duration,
             static_cast<unsigned long long>(r.crowd_phase.replies),
             static_cast<unsigned long long>(r.crowd_phase.good),
-            r.crowd_phase.goodput, r.crowd_phase.p99_ms);
+            r.crowd_phase.goodput, r.crowd_phase.useful_latency.p99() * 1e3);
       }
       if (r.open_loop) {
         std::printf(
@@ -1505,9 +1494,8 @@ int main(int argc, char** argv) {
                        "statusz parsed=%d (shards=%zu pipeline=%zu)\n",
                        r.admin_live ? 1 : 0, r.scraped ? 1 : 0, shards, mode);
           conservation_ok = false;
-        } else if (obs_on && backoff == 0.0 &&
-                   r.broker_total.p50 >
-                       r.latency.percentile(0.5) * 1.05 + 0.0005) {
+        } else if (backoff == 0.0 &&
+                   r.broker_total.p50 > r.latency.p50() * 1.05 + 0.0005) {
           // (backoff>0 voids the subset premise: the client folds busy
           // attempts into one logical latency sample while the broker still
           // times every wire request individually.)
@@ -1515,7 +1503,7 @@ int main(int argc, char** argv) {
                        "broker-side p50 %.3fms exceeds client-side p50 "
                        "%.3fms (shards=%zu pipeline=%zu)\n",
                        r.broker_total.p50 * 1e3,
-                       r.latency.percentile(0.5) * 1e3, shards, mode);
+                       r.latency.p50() * 1e3, shards, mode);
           conservation_ok = false;
         }
       }
@@ -1639,8 +1627,8 @@ int main(int argc, char** argv) {
         .field("mispaired", r.mispaired)
         .field("seconds", r.seconds)
         .field("rps", r.rps)
-        .field("latency_mean_ms", r.latency.mean() * 1e3)
-        .field("latency_p50_ms", r.latency.percentile(0.5) * 1e3)
+        .field("latency_mean_ms", r.latency.mean_seconds() * 1e3)
+        .field("latency_p50_ms", r.latency.p50() * 1e3)
         .field("latency_p99_ms", r.latency.p99() * 1e3)
         .field("cache_hit_ratio", r.hit_ratio)
         .field("issued", total.issued)
@@ -1704,7 +1692,7 @@ int main(int argc, char** argv) {
           .field("sent", r.sent)
           .field("queued_behind", r.queued_behind)
           .field("max_send_lag_ms", r.max_lag * 1e3)
-          .field("uncorrected_p50_ms", r.service_latency.percentile(0.5) * 1e3)
+          .field("uncorrected_p50_ms", r.service_latency.p50() * 1e3)
           .field("uncorrected_p99_ms", r.service_latency.p99() * 1e3);
     }
     if (r.link != "none") {
@@ -1724,7 +1712,7 @@ int main(int argc, char** argv) {
             .field("useful", phases[i]->useful)
             .field("good", phases[i]->good)
             .field("goodput_rps", phases[i]->goodput)
-            .field("p99_ms", phases[i]->p99_ms)
+            .field("p99_ms", phases[i]->useful_latency.p99() * 1e3)
             .end_object();
       }
       json.end_array();

@@ -2,6 +2,8 @@
 
 #include <functional>
 
+#include "obs/histogram.h"
+
 namespace sbroker::bench {
 namespace {
 
@@ -105,20 +107,20 @@ DiffResult run_differentiation(const DiffConfig& config) {
   bed.sim.run();
 
   DiffResult result;
-  util::Summary all_times;
+  obs::LatencyHistogram all_times;
   for (int level = 1; level <= 3; ++level) {
     const auto& pop = *populations[static_cast<size_t>(level) - 1];
     ClassResult& cr = result.per_class[static_cast<size_t>(level) - 1];
     cr.completed = pop.completed();
-    cr.mean_processing_time = pop.response_times().mean();
+    cr.mean_processing_time = pop.response_times().mean_seconds();
     uint64_t started = requests_started[static_cast<size_t>(level) - 1];
     cr.mean_stages =
         started == 0 ? 0
                      : static_cast<double>(stages_served[static_cast<size_t>(level) - 1]) /
                            static_cast<double>(started);
-    all_times.merge(pop.response_times().summary());
+    all_times.merge(pop.response_times());
   }
-  result.mean_processing_time_all = all_times.mean();
+  result.mean_processing_time_all = all_times.mean_seconds();
 
   if (config.use_broker) {
     for (size_t b = 0; b < 3; ++b) {

@@ -70,8 +70,8 @@ RunResult run_once(size_t degree, uint64_t total_requests, size_t concurrency,
   sim.run();
 
   RunResult result;
-  result.mean_ms = client.response_times().mean() * 1000.0;
-  result.p90_ms = client.response_times().p90() * 1000.0;
+  result.mean_ms = client.response_times().mean_seconds() * 1000.0;
+  result.p90_ms = client.response_times().quantile(0.9) * 1000.0;
   result.backend_calls = backend->calls();
   return result;
 }

@@ -33,8 +33,9 @@
 #                  errors in this harness anyway)
 #   BENCH_COALESCE single-flight miss coalescing on/off (default 1; 0 is the
 #                  A/B ablation arm for the stampede experiment)
-#   BENCH_OBS      broker histograms + flight recorder on/off (default 1;
-#                  0 measures the compiled-in-but-idle overhead baseline)
+#   BENCH_OBS      broker flight recorder on/off (default 1; 0 measures the
+#                  compiled-in-but-idle overhead baseline; latency
+#                  histograms always record)
 #   BENCH_SCRAPE   scrape the admin plane (/metrics mid-run, /statusz after
 #                  each run) so broker-side p50/p95/p99 per QoS class land
 #                  in BENCH_daemon.json next to the client-side numbers

@@ -14,10 +14,10 @@
 #include "db/dataset.h"
 #include "ldap/sim_backend.h"
 #include "mail/sim_backend.h"
+#include "obs/histogram.h"
 #include "srv/broker_host.h"
 #include "srv/db_backend.h"
 #include "util/config.h"
-#include "util/stats.h"
 
 using namespace sbroker;
 
@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
   auto mail_broker = make_host("mail-broker", 803, false);  // inboxes must be fresh
   mail_broker->broker().add_backend(mail_backend);
 
-  util::Histogram page_latency;
+  obs::LatencyHistogram page_latency;
   uint64_t next_id = 1;
   int panels_failed = 0;
 
@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
       auto remaining = std::make_shared<int>(3);
       auto panel_done = [&, started, remaining](const http::BrokerReply& reply) {
         if (reply.fidelity == http::Fidelity::kError) ++panels_failed;
-        if (--*remaining == 0) page_latency.add(sim.now() - started);
+        if (--*remaining == 0) page_latency.record_seconds(sim.now() - started);
       };
       auto send = [&](srv::BrokerHost& host, std::string payload) {
         http::BrokerRequest req;
@@ -114,8 +114,8 @@ int main(int argc, char** argv) {
   sim.run();
 
   std::printf("intranet portal: %d dashboard pages, 3 services each\n\n", pages);
-  std::printf("  page latency:  mean %.2f ms, p99 %.2f ms\n", page_latency.mean() * 1000,
-              page_latency.p99() * 1000);
+  std::printf("  page latency:  mean %.2f ms, p99 %.2f ms\n",
+              page_latency.mean_seconds() * 1000, page_latency.p99() * 1000);
   std::printf("  panel errors:  %d\n", panels_failed);
   std::printf("  db accesses:   %llu (cache absorbed the repeats)\n",
               static_cast<unsigned long long>(db_backend->calls()));

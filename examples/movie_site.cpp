@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
   std::printf("movie site, %zu clients for %.0fs (virtual):\n", clients, duration);
   std::printf("  requests served:    %llu\n",
               static_cast<unsigned long long>(crowd.completed()));
-  std::printf("  mean response time: %.2f ms\n", crowd.response_times().mean() * 1000);
+  std::printf("  mean response time: %.2f ms\n", crowd.response_times().mean_seconds() * 1000);
   std::printf("  p99 response time:  %.2f ms\n", crowd.response_times().p99() * 1000);
   std::printf("  database accesses:  %llu\n",
               static_cast<unsigned long long>(backend->calls()));

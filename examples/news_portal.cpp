@@ -10,10 +10,10 @@
 //   $ ./news_portal [pages=50]
 #include <cstdio>
 
+#include "obs/histogram.h"
 #include "srv/broker_host.h"
 #include "srv/cgi_backend.h"
 #include "util/config.h"
-#include "util/stats.h"
 
 using namespace sbroker;
 
@@ -56,21 +56,15 @@ int main(int argc, char** argv) {
   headlines.host->broker().prefetcher().add("/headlines", "/headlines", 12.0);
   headlines.host->kick();
 
-  util::Histogram page_latency;
-  util::Histogram slowest_panel;
+  obs::LatencyHistogram page_latency;
   uint64_t next_id = 1;
 
   auto compose_page = [&](double at) {
     sim.at(at, [&]() {
       auto started = sim.now();
       auto remaining = std::make_shared<int>(3);
-      auto worst = std::make_shared<double>(0.0);
-      auto panel_done = [&, started, remaining, worst]() {
-        *worst = std::max(*worst, sim.now() - started);
-        if (--*remaining == 0) {
-          page_latency.add(sim.now() - started);
-          slowest_panel.add(*worst);
-        }
+      auto panel_done = [&, started, remaining]() {
+        if (--*remaining == 0) page_latency.record_seconds(sim.now() - started);
       };
       auto fetch = [&](Panel& panel, std::string target) {
         http::BrokerRequest req;
@@ -92,7 +86,7 @@ int main(int argc, char** argv) {
 
   std::printf("news portal: %d pages composed from 3 providers in parallel\n\n", pages);
   std::printf("  page latency:   mean %.1f ms, p99 %.1f ms\n",
-              page_latency.mean() * 1000, page_latency.p99() * 1000);
+              page_latency.mean_seconds() * 1000, page_latency.p99() * 1000);
   std::printf("  headline fetches answered from cache: %llu of %d\n",
               static_cast<unsigned long long>(
                   headlines.host->broker().metrics().total().cache_hits),

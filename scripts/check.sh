@@ -10,8 +10,8 @@
 #   scripts/check.sh           # everything
 #   scripts/check.sh plain     # just the plain -Werror build + full ctest
 #   scripts/check.sh tsan      # just the TSan core/net suites
-#   scripts/check.sh asan      # just the ASan core/net/integration suites
-#   scripts/check.sh ubsan     # just the UBSan core/net/obs suites
+#   scripts/check.sh asan      # just the ASan core/net/integration/http/wl/obs suites
+#   scripts/check.sh ubsan     # just the UBSan core/net/obs/http/wl suites
 #   scripts/check.sh perfbench # every benchmark workload, both modes, with
 #                              # its output checks (perfbench/run.py --smoke)
 #   scripts/check.sh asan ubsan  # several suites, run in the order given
@@ -60,23 +60,26 @@ run_tsan() {
 }
 
 run_asan() {
-  echo "== ASan build (core_test, net_test, fed_test, integration_test)"
+  echo "== ASan build (core_test, net_test, fed_test, integration_test, http_test, wl_test, obs_test)"
   cmake -B "$repo_root/build-asan" -S "$repo_root" -DSBROKER_SANITIZE=address
   cmake --build "$repo_root/build-asan" -j "$jobs" \
-    --target core_test net_test fed_test integration_test
+    --target core_test net_test fed_test integration_test http_test wl_test obs_test
   # No leak suppressions: reactors break TcpConn<->owner cycles at teardown
   # (Reactor::set_teardown / defer_destroy), so exit-time leaks fail for real.
   "$repo_root/build-asan/tests/core_test"
   "$repo_root/build-asan/tests/net_test"
   "$repo_root/build-asan/tests/fed_test"
   "$repo_root/build-asan/tests/integration_test"
+  "$repo_root/build-asan/tests/http_test"
+  "$repo_root/build-asan/tests/wl_test"
+  "$repo_root/build-asan/tests/obs_test"
 }
 
 run_ubsan() {
-  echo "== UBSan build (core_test, net_test, fed_test, obs_test)"
+  echo "== UBSan build (core_test, net_test, fed_test, obs_test, http_test, wl_test)"
   cmake -B "$repo_root/build-ubsan" -S "$repo_root" -DSBROKER_SANITIZE=undefined
   cmake --build "$repo_root/build-ubsan" -j "$jobs" \
-    --target core_test net_test fed_test obs_test
+    --target core_test net_test fed_test obs_test http_test wl_test
   UBSAN_OPTIONS="halt_on_error=1,print_stacktrace=1" \
     "$repo_root/build-ubsan/tests/core_test"
   UBSAN_OPTIONS="halt_on_error=1,print_stacktrace=1" \
@@ -85,6 +88,10 @@ run_ubsan() {
     "$repo_root/build-ubsan/tests/fed_test"
   UBSAN_OPTIONS="halt_on_error=1,print_stacktrace=1" \
     "$repo_root/build-ubsan/tests/obs_test"
+  UBSAN_OPTIONS="halt_on_error=1,print_stacktrace=1" \
+    "$repo_root/build-ubsan/tests/http_test"
+  UBSAN_OPTIONS="halt_on_error=1,print_stacktrace=1" \
+    "$repo_root/build-ubsan/tests/wl_test"
 }
 
 run_perfbench() {

@@ -145,7 +145,6 @@ void ServiceBroker::serve_from_cache(double now, const http::BrokerRequest& requ
     auto& c = metrics_.at(base_level);
     c.errors += 1;
     c.completed += 1;
-    c.response_time.add(0.0);
     metrics_.flight.negative_hits += 1;
     obs_.record(base_level, obs::Stage::kTotal, 0.0);
     obs_.trace(now, request.request_id, obs::TraceEventKind::kCacheHit,
@@ -156,7 +155,6 @@ void ServiceBroker::serve_from_cache(double now, const http::BrokerRequest& requ
   auto& c = metrics_.at(base_level);
   c.cache_hits += 1;
   c.completed += 1;
-  c.response_time.add(0.0);
   obs_.record(base_level, obs::Stage::kTotal, 0.0);
   if (outcome != LookupOutcome::kHit) {
     metrics_.flight.swr_hits += 1;
@@ -189,7 +187,6 @@ void ServiceBroker::submit_tail(double now, const http::BrokerRequest& request,
     auto& c = metrics_.at(base_level);
     c.errors += 1;
     c.completed += 1;
-    c.response_time.add(0.0);
     obs_.record(base_level, obs::Stage::kTotal, 0.0);
     obs_.trace(now, request.request_id, obs::TraceEventKind::kComplete,
                static_cast<uint8_t>(base_level),
@@ -275,7 +272,6 @@ void ServiceBroker::reply_drop(double now, const http::BrokerRequest& request,
   auto& c = metrics_.at(base_level);
   c.dropped += 1;
   c.completed += 1;
-  c.response_time.add(0.0);
   obs_.record(base_level, obs::Stage::kTotal, 0.0);
   obs_.trace(now, request.request_id, obs::TraceEventKind::kDrop,
              static_cast<uint8_t>(base_level), /*detail=*/1);
@@ -533,7 +529,6 @@ void ServiceBroker::finish_context(RequestContext* ctx, double now,
   }
   if (count_error) c.errors += 1;
   c.completed += 1;
-  c.response_time.add(now - ctx->submitted_at);
   obs_.record(ctx->base_level, obs::Stage::kTotal, now - ctx->submitted_at);
   obs_.trace(now, ctx->id, obs::TraceEventKind::kComplete,
              static_cast<uint8_t>(ctx->base_level),
@@ -557,7 +552,6 @@ void ServiceBroker::shed_context(RequestContext* ctx, double now, bool deadline_
     if (admission_.overload().lifo_active()) c.lifo_sheds += 1;
   }
   c.completed += 1;
-  c.response_time.add(now - ctx->submitted_at);
   obs_.record(ctx->base_level, obs::Stage::kTotal, now - ctx->submitted_at);
   obs_.trace(now, ctx->id,
              deadline_miss ? obs::TraceEventKind::kDeadline
@@ -711,9 +705,8 @@ void ServiceBroker::tick(double now) {
 
 void ServiceBroker::evaluate_overload(double now) {
   OverloadController& ctl = admission_.overload();
-  // Static-without-lifo never reads the signal; and without histograms
-  // there is no signal to read (feedback policies need obs.histograms on).
-  if (!ctl.wants_feedback() || !config_.obs.histograms) return;
+  // Static-without-lifo never reads the signal.
+  if (!ctl.wants_feedback()) return;
   if (now < next_overload_eval_) return;
   next_overload_eval_ = now + config_.overload.eval_interval;
 
@@ -989,8 +982,7 @@ std::optional<double> ServiceBroker::next_deadline() const {
   // would re-arm a discrete-event owner's timer forever (the sim would
   // never drain). An overload mode latched at drain time simply waits for
   // traffic to resume before its exit evaluations run.
-  if (outstanding_ > 0 && config_.obs.histograms &&
-      admission_.overload().wants_feedback()) {
+  if (outstanding_ > 0 && admission_.overload().wants_feedback()) {
     fold(next_overload_eval_);
   }
   while (!deadlines_.empty() && !contexts_.count(deadlines_.top().second)) {

@@ -111,7 +111,7 @@ struct BrokerConfig {
   uint64_t rng_seed = 42;          ///< seeds the balancer's random policy
   LifecycleConfig lifecycle;       ///< deadlines, attempt budget, backoff
   HealthConfig health;             ///< replica ejection / half-open recovery
-  obs::ObsConfig obs;              ///< latency histograms + flight recorder
+  obs::ObsConfig obs;              ///< flight recorder (histograms always record)
 };
 
 class ServiceBroker {
@@ -307,7 +307,7 @@ class ServiceBroker {
   /// total/queue-wait histograms, feeds the interval's p95 + deadline budget
   /// to the OverloadController, and flips the dispatch queue's LIFO
   /// discipline when the overload mode changed. No-op off the evaluation
-  /// cadence, for static-without-lifo policies, and with histograms off.
+  /// cadence and for static-without-lifo policies.
   void evaluate_overload(double now);
   void expire_deadlines(double now);
   void drain_retries(double now);

@@ -1,8 +1,9 @@
 // Per-class broker metrics.
 //
-// Everything the evaluation section reports comes from these counters:
-// completed requests per class (Table I), drop ratios per broker per class
-// (Tables II-IV), and processing-time series (Figures 9 and 10).
+// Counters only: completed requests per class (Table I) and drop ratios per
+// broker per class (Tables II-IV). Latencies are recorded by
+// obs::LatencyHistogram — the broker's in its obs::BrokerObserver, the
+// clients' in the wl recorders.
 #pragma once
 
 #include <cstdint>
@@ -11,7 +12,6 @@
 
 #include "core/backend.h"
 #include "core/overload.h"
-#include "util/stats.h"
 
 namespace sbroker::core {
 
@@ -31,7 +31,19 @@ class BrokerMetrics {
     uint64_t lifo_sheds = 0;  ///< deadline sheds taken while the class queue
                               ///< ran LIFO (subset of deadline_misses)
     uint64_t retries = 0;     ///< broker-level re-dispatches to another replica
-    util::Summary response_time;  ///< submit -> reply, seconds
+
+    /// Field-wise sum; the one place that lists every per-class counter.
+    void merge(const ClassCounters& other) {
+      issued += other.issued;
+      forwarded += other.forwarded;
+      dropped += other.dropped;
+      cache_hits += other.cache_hits;
+      completed += other.completed;
+      errors += other.errors;
+      deadline_misses += other.deadline_misses;
+      lifo_sheds += other.lifo_sheds;
+      retries += other.retries;
+    }
 
     double drop_ratio() const {
       return issued == 0 ? 0.0
@@ -51,18 +63,7 @@ class BrokerMetrics {
   /// Aggregates across classes.
   ClassCounters total() const {
     ClassCounters t;
-    for (const auto& c : per_class_) {
-      t.issued += c.issued;
-      t.forwarded += c.forwarded;
-      t.dropped += c.dropped;
-      t.cache_hits += c.cache_hits;
-      t.completed += c.completed;
-      t.errors += c.errors;
-      t.deadline_misses += c.deadline_misses;
-      t.lifo_sheds += c.lifo_sheds;
-      t.retries += c.retries;
-      t.response_time.merge(c.response_time);
-    }
+    for (const auto& c : per_class_) t.merge(c);
     return t;
   }
 
@@ -131,18 +132,7 @@ class BrokerMetrics {
       per_class_.resize(other.per_class_.size());
     }
     for (size_t i = 0; i < other.per_class_.size(); ++i) {
-      ClassCounters& mine = per_class_[i];
-      const ClassCounters& theirs = other.per_class_[i];
-      mine.issued += theirs.issued;
-      mine.forwarded += theirs.forwarded;
-      mine.dropped += theirs.dropped;
-      mine.cache_hits += theirs.cache_hits;
-      mine.completed += theirs.completed;
-      mine.errors += theirs.errors;
-      mine.deadline_misses += theirs.deadline_misses;
-      mine.lifo_sheds += theirs.lifo_sheds;
-      mine.retries += theirs.retries;
-      mine.response_time.merge(theirs.response_time);
+      per_class_[i].merge(other.per_class_[i]);
     }
     transport.merge(other.transport);
     lifecycle.merge(other.lifecycle);

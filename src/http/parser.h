@@ -4,9 +4,14 @@
 // Content-Length framing is supported (no chunked encoding) — every peer in
 // this repo sends explicit lengths. Malformed input moves the parser into a
 // sticky error state; the connection owner should then close.
+//
+// Buffering is bounded: a head (start line plus headers) that has not ended
+// within kMaxHeadBytes, or a Content-Length above kMaxBodyBytes, is an error
+// the moment it is seen, so no peer can grow a connection's buffer past
+// kMaxHeadBytes + kMaxBodyBytes plus whatever it fed in one call.
 #pragma once
 
-#include <deque>
+#include <cstddef>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -16,6 +21,11 @@
 namespace sbroker::http {
 
 enum class ParseResult { kNeedMore, kMessage, kError };
+
+/// Longest accepted head: start line, headers and the blank line.
+inline constexpr size_t kMaxHeadBytes = 64 * 1024;
+/// Largest accepted Content-Length; matches the binary frame section cap.
+inline constexpr size_t kMaxBodyBytes = 64 * 1024 * 1024;
 
 /// Parses a stream of HTTP requests (server side).
 class RequestParser {
@@ -28,8 +38,12 @@ class RequestParser {
 
   bool in_error() const { return error_; }
   const std::string& error_message() const { return error_message_; }
+  /// Bytes fed but not yet consumed by a complete message.
+  size_t buffered() const { return buffer_.size(); }
 
  private:
+  ParseResult fail(const char* message);
+
   std::string buffer_;
   bool error_ = false;
   std::string error_message_;
@@ -50,6 +64,8 @@ class ResponseParser {
   size_t buffered() const { return buffer_.size(); }
 
  private:
+  ParseResult fail(const char* message);
+
   std::string buffer_;
   bool error_ = false;
   std::string error_message_;

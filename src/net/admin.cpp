@@ -246,7 +246,7 @@ std::string render_prometheus(const std::vector<ShardStatus>& shards,
     num_levels = std::max(num_levels, s.metrics.num_levels());
   }
   core::BrokerMetrics metrics(num_levels);
-  obs::BrokerObserver observer(obs::ObsConfig{true, false, 0}, num_levels);
+  obs::BrokerObserver observer(obs::ObsConfig{false, 0}, num_levels);
   size_t outstanding = 0;
   for (const auto& s : shards) {
     metrics.merge(s.metrics);
@@ -432,7 +432,7 @@ std::string render_statusz(const std::vector<ShardStatus>& shards,
     num_levels = std::max(num_levels, s.metrics.num_levels());
   }
   core::BrokerMetrics metrics(num_levels);
-  obs::BrokerObserver observer(obs::ObsConfig{true, false, 0}, num_levels);
+  obs::BrokerObserver observer(obs::ObsConfig{false, 0}, num_levels);
   size_t outstanding = 0;
   for (const auto& s : shards) {
     metrics.merge(s.metrics);

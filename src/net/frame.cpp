@@ -3,7 +3,13 @@
 #include <cstring>
 #include <initializer_list>
 
+#include "http/parser.h"
+
 namespace sbroker::net::frame {
+
+// Both ingress codecs on the main port accept the same largest payload.
+static_assert(http::kMaxBodyBytes == kMaxSectionLength);
+
 namespace {
 
 void store_u32(char* p, uint32_t v) {

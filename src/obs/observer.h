@@ -9,10 +9,11 @@
 // copying the whole observer (a dozen small vectors) on the owning thread
 // and merging the copies — the BrokerMetrics pattern.
 //
-// Both instruments can be disabled in config; a disabled instrument keeps
-// its memory footprint but turns record calls into an early return, which is
-// the "compiled in but idle" baseline the overhead experiment compares
-// against.
+// The histograms always record: they are the broker's one latency
+// instrument, and the overload controller's feedback signal reads them. The
+// flight recorder can be disabled in config; a disabled recorder allocates
+// no ring and turns trace calls into an early return, which is the
+// "compiled in but idle" baseline the overhead experiment compares against.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +36,6 @@ inline constexpr size_t kNumStages = 4;
 const char* stage_name(Stage stage);
 
 struct ObsConfig {
-  bool histograms = true;       ///< latency distributions per class x stage
   bool trace = true;            ///< request-event flight recorder
   size_t trace_capacity = 4096; ///< ring slots (rounded up to a power of 2)
 };
@@ -46,7 +46,6 @@ class BrokerObserver {
   BrokerObserver(const ObsConfig& config, int num_levels);
 
   void record(int level, Stage stage, double seconds) {
-    if (!config_.histograms) return;
     histograms_[slot(level, stage)].record_seconds(seconds);
   }
 

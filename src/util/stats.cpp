@@ -6,34 +6,4 @@ namespace sbroker::util {
 
 double Summary::stddev() const { return std::sqrt(variance()); }
 
-double Histogram::percentile(double q) const {
-  if (samples_.empty()) return 0.0;
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
-  }
-  q = std::clamp(q, 0.0, 1.0);
-  size_t rank = static_cast<size_t>(std::ceil(q * static_cast<double>(samples_.size())));
-  if (rank == 0) rank = 1;
-  return samples_[rank - 1];
-}
-
-std::vector<uint64_t> Histogram::bucketize(size_t buckets) const {
-  std::vector<uint64_t> out(buckets, 0);
-  if (samples_.empty() || buckets == 0) return out;
-  double lo = summary_.min();
-  double hi = summary_.max();
-  double width = (hi - lo) / static_cast<double>(buckets);
-  if (width <= 0) {
-    out[0] = samples_.size();
-    return out;
-  }
-  for (double x : samples_) {
-    auto idx = static_cast<size_t>((x - lo) / width);
-    if (idx >= buckets) idx = buckets - 1;
-    ++out[idx];
-  }
-  return out;
-}
-
 }  // namespace sbroker::util

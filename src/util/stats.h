@@ -1,16 +1,12 @@
-// Online statistics used by the benchmark harness and broker metrics.
+// Online moments for the simulation substrate and the benchmark harness.
 //
 // `Summary` keeps O(1) moments (count/mean/variance/min/max) using Welford's
-// algorithm. `Histogram` keeps a full sample reservoir when small, or fixed
-// log-scale buckets otherwise, so percentiles stay cheap for million-sample
-// runs. `Counter` is a trivially copyable monotonically increasing count.
+// algorithm. Latency distributions (quantiles) use obs::LatencyHistogram.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <string>
-#include <vector>
 
 namespace sbroker::util {
 
@@ -61,59 +57,5 @@ class Summary {
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
 };
-
-/// Percentile-capable sample collection.
-///
-/// Stores raw samples up to `kExactLimit`, after which it keeps them anyway —
-/// the workloads in this repo produce at most a few hundred thousand samples
-/// per run, and exact percentiles make experiment tables reproducible. The
-/// vector is sorted lazily on first percentile query.
-class Histogram {
- public:
-  void add(double x) {
-    samples_.push_back(x);
-    sorted_ = false;
-    summary_.add(x);
-  }
-
-  /// q in [0,1]; returns 0 when empty. Nearest-rank percentile.
-  double percentile(double q) const;
-  double median() const { return percentile(0.5); }
-  double p90() const { return percentile(0.90); }
-  double p99() const { return percentile(0.99); }
-
-  const Summary& summary() const { return summary_; }
-  uint64_t count() const { return summary_.count(); }
-  double mean() const { return summary_.mean(); }
-
-  void clear() {
-    samples_.clear();
-    sorted_ = false;
-    summary_ = Summary{};
-  }
-
-  /// Bucketized view for ASCII rendering: `buckets` equal-width bins between
-  /// min and max. Returns counts per bin; empty when no samples.
-  std::vector<uint64_t> bucketize(size_t buckets) const;
-
- private:
-  mutable std::vector<double> samples_;
-  mutable bool sorted_ = false;
-  Summary summary_;
-};
-
-/// Simple named counter set used by broker metrics.
-class Counter {
- public:
-  void inc(uint64_t by = 1) { value_ += by; }
-  uint64_t value() const { return value_; }
-  void reset() { value_ = 0; }
-
- private:
-  uint64_t value_ = 0;
-};
-
-/// Ratio helper that tolerates a zero denominator.
-inline double safe_ratio(double num, double den) { return den == 0.0 ? 0.0 : num / den; }
 
 }  // namespace sbroker::util

@@ -22,7 +22,7 @@ void AbClient::issue_next() {
   uint64_t seq = issued_++;
   double started = sim_.now();
   issue_(seq, [this, started]() {
-    response_times_.add(sim_.now() - started);
+    response_times_.record_seconds(sim_.now() - started);
     ++completed_;
     issue_next();
   });

@@ -9,8 +9,8 @@
 #include <cstdint>
 #include <functional>
 
+#include "obs/histogram.h"
 #include "sim/simulation.h"
-#include "util/stats.h"
 
 namespace sbroker::wl {
 
@@ -32,7 +32,7 @@ class AbClient {
 
   bool finished() const { return completed_ == config_.total_requests; }
   uint64_t completed() const { return completed_; }
-  const util::Histogram& response_times() const { return response_times_; }
+  const obs::LatencyHistogram& response_times() const { return response_times_; }
 
  private:
   void issue_next();
@@ -42,7 +42,7 @@ class AbClient {
   IssueFn issue_;
   uint64_t issued_ = 0;
   uint64_t completed_ = 0;
-  util::Histogram response_times_;
+  obs::LatencyHistogram response_times_;
 };
 
 }  // namespace sbroker::wl

@@ -42,8 +42,8 @@ void OpenLoopClients::send(double scheduled_at) {
   max_lag_ = std::max(max_lag_, sent_at - scheduled_at);
   issue_(config_.qos_level, [this, scheduled_at, sent_at]() {
     double now = sim_.now();
-    response_times_.add(now - scheduled_at);  // from intended send time
-    service_times_.add(now - sent_at);        // the biased view, for contrast
+    response_times_.record_seconds(now - scheduled_at);  // from intended send time
+    service_times_.record_seconds(now - sent_at);        // the biased view, for contrast
     ++completed_;
     --outstanding_;
     if (!backlog_.empty()) {

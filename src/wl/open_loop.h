@@ -14,8 +14,8 @@
 #include <deque>
 #include <functional>
 
+#include "obs/histogram.h"
 #include "sim/simulation.h"
-#include "util/stats.h"
 #include "wl/arrival.h"
 
 namespace sbroker::wl {
@@ -50,10 +50,10 @@ class OpenLoopClients {
   double max_lag() const { return max_lag_; }
 
   /// Latency measured from the scheduled time (omission-corrected).
-  const util::Histogram& response_times() const { return response_times_; }
+  const obs::LatencyHistogram& response_times() const { return response_times_; }
   /// Latency measured from the actual send (the biased, closed-loop-style
   /// view) — kept so the omission gap is observable in one run.
-  const util::Histogram& service_times() const { return service_times_; }
+  const obs::LatencyHistogram& service_times() const { return service_times_; }
 
  private:
   void schedule_next_arrival();
@@ -72,8 +72,8 @@ class OpenLoopClients {
   uint64_t completed_ = 0;
   uint64_t queued_behind_ = 0;
   double max_lag_ = 0.0;
-  util::Histogram response_times_;
-  util::Histogram service_times_;
+  obs::LatencyHistogram response_times_;
+  obs::LatencyHistogram service_times_;
 };
 
 }  // namespace sbroker::wl

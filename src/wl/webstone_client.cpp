@@ -18,7 +18,7 @@ void WebStoneClients::client_loop() {
     // Count only requests that complete inside the window, like WebStone's
     // run summary.
     if (sim_.now() <= end_time_) {
-      response_times_.add(sim_.now() - started);
+      response_times_.record_seconds(sim_.now() - started);
       ++completed_;
     }
     if (config_.think_time > 0) {

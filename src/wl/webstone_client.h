@@ -12,9 +12,9 @@
 #include <functional>
 #include <vector>
 
+#include "obs/histogram.h"
 #include "sim/simulation.h"
 #include "util/rng.h"
-#include "util/stats.h"
 
 namespace sbroker::wl {
 
@@ -38,7 +38,7 @@ class WebStoneClients {
 
   uint64_t completed() const { return completed_; }
   int qos_level() const { return config_.qos_level; }
-  const util::Histogram& response_times() const { return response_times_; }
+  const obs::LatencyHistogram& response_times() const { return response_times_; }
 
  private:
   void client_loop();
@@ -49,7 +49,7 @@ class WebStoneClients {
   util::Rng rng_;
   double end_time_ = 0.0;
   uint64_t completed_ = 0;
-  util::Histogram response_times_;
+  obs::LatencyHistogram response_times_;
 };
 
 }  // namespace sbroker::wl

@@ -67,7 +67,7 @@ TEST(Broker, ForwardsAndRepliesFullFidelity) {
   EXPECT_EQ(cap.replies[0].fidelity, http::Fidelity::kFull);
   EXPECT_EQ(cap.replies[0].payload, "result");
   EXPECT_EQ(broker.outstanding(), 0u);
-  EXPECT_DOUBLE_EQ(broker.metrics().at(3).response_time.max(), 0.5);
+  EXPECT_DOUBLE_EQ(broker.observer().histogram(3, obs::Stage::kTotal).max_seconds(), 0.5);
 }
 
 TEST(Broker, NoBackendYieldsErrorReply) {

@@ -37,13 +37,13 @@ TEST(Metrics, DropRatio) {
 TEST(Metrics, TotalAggregates) {
   BrokerMetrics m(2);
   m.at(1).issued = 3;
-  m.at(1).response_time.add(1.0);
+  m.at(1).cache_hits = 1;
   m.at(2).issued = 4;
-  m.at(2).response_time.add(3.0);
+  m.at(2).retries = 2;
   auto total = m.total();
   EXPECT_EQ(total.issued, 7u);
-  EXPECT_EQ(total.response_time.count(), 2u);
-  EXPECT_DOUBLE_EQ(total.response_time.mean(), 2.0);
+  EXPECT_EQ(total.cache_hits, 1u);
+  EXPECT_EQ(total.retries, 2u);
 }
 
 TEST(Metrics, Reset) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+
 namespace sbroker::http {
 namespace {
 
@@ -98,6 +101,79 @@ TEST(ResponseParser, RoundTripSerializeParse) {
   EXPECT_EQ(parsed->status, 206);
   EXPECT_EQ(parsed->body, "partial body");
   EXPECT_EQ(parsed->headers.get("x-fidelity"), "cached");
+}
+
+// Bounded buffering: a head that never ends, or a body announced past the
+// cap, is refused as soon as it shows rather than buffered without limit.
+
+std::string header_block_past_cap() {
+  std::string block;
+  const std::string line = "X-Pad: " + std::string(100, 'p') + "\r\n";
+  while (block.size() <= kMaxHeadBytes) block += line;
+  return block;  // never ends in the blank line
+}
+
+template <typename Parser, typename Message>
+void expect_head_without_line_end_capped(std::string_view start) {
+  Parser parser;
+  Message msg;
+  parser.feed(start);
+  parser.feed(std::string(kMaxHeadBytes - start.size(), 'a'));
+  EXPECT_EQ(parser.next(msg), ParseResult::kNeedMore);  // exactly at the cap
+  parser.feed(std::string(128 * 1024, 'a'));
+  EXPECT_EQ(parser.next(msg), ParseResult::kError);
+  EXPECT_TRUE(parser.in_error());
+}
+
+template <typename Parser, typename Message>
+void expect_header_block_capped(std::string_view start_line) {
+  Parser parser;
+  Message msg;
+  parser.feed(start_line);
+  parser.feed("X-Pad: short\r\n");
+  EXPECT_EQ(parser.next(msg), ParseResult::kNeedMore);
+  parser.feed(header_block_past_cap());
+  EXPECT_EQ(parser.next(msg), ParseResult::kError);
+}
+
+template <typename Parser, typename Message>
+void expect_body_length_capped(std::string_view start_line) {
+  Parser at_cap;
+  Message msg;
+  at_cap.feed(std::string(start_line) +
+              "Content-Length: " + std::to_string(kMaxBodyBytes) + "\r\n\r\n");
+  EXPECT_EQ(at_cap.next(msg), ParseResult::kNeedMore);  // waits for the body
+  Parser huge;
+  huge.feed(std::string(start_line) + "Content-Length: 1000000000000\r\n\r\n");
+  EXPECT_EQ(huge.next(msg), ParseResult::kError);  // at once, before any body
+  Parser past_cap;
+  past_cap.feed(std::string(start_line) + "Content-Length: " +
+                std::to_string(kMaxBodyBytes + 1) + "\r\n\r\n");
+  EXPECT_EQ(past_cap.next(msg), ParseResult::kError);
+}
+
+TEST(RequestParser, HeadWithoutLineEndPastCapIsError) {
+  expect_head_without_line_end_capped<RequestParser, Request>("GET /");
+}
+
+TEST(RequestParser, HeaderBlockWithoutBlankLinePastCapIsError) {
+  expect_header_block_capped<RequestParser, Request>("GET / HTTP/1.1\r\n");
+}
+
+TEST(RequestParser, ContentLengthPastCapIsErrorAtOnce) {
+  expect_body_length_capped<RequestParser, Request>("POST / HTTP/1.1\r\n");
+}
+
+TEST(ResponseParser, HeadWithoutLineEndPastCapIsError) {
+  expect_head_without_line_end_capped<ResponseParser, Response>("HTTP/1.1 200 ");
+}
+
+TEST(ResponseParser, HeaderBlockWithoutBlankLinePastCapIsError) {
+  expect_header_block_capped<ResponseParser, Response>("HTTP/1.1 200 OK\r\n");
+}
+
+TEST(ResponseParser, ContentLengthPastCapIsErrorAtOnce) {
+  expect_body_length_capped<ResponseParser, Response>("HTTP/1.1 200 OK\r\n");
 }
 
 TEST(OneShot, IncompleteReturnsNullopt) {

@@ -56,7 +56,7 @@ TEST(SimEndToEnd, FrontendWorkersHeldAcrossBrokerCalls) {
   EXPECT_EQ(frontend.served(), 100u);
   EXPECT_EQ(host.broker().metrics().total().completed, 100u);
   EXPECT_EQ(host.broker().outstanding(), 0u);
-  EXPECT_GT(client.response_times().mean(), 0.0);
+  EXPECT_GT(client.response_times().mean_seconds(), 0.0);
 }
 
 // Clustering through the full stack conserves requests and answers everyone.
@@ -188,7 +188,7 @@ TEST(SimEndToEnd, DeterministicBySeed) {
                         });
     client.start();
     sim.run();
-    return std::make_tuple(client.response_times().mean(),
+    return std::make_tuple(client.response_times().mean_seconds(),
                            host.broker().metrics().total().dropped,
                            host.broker().metrics().total().forwarded);
   };

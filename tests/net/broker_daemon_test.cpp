@@ -8,9 +8,12 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
+#include <chrono>
 #include <thread>
 
 #include "db/dataset.h"
+#include "http/parser.h"
 #include "net/http_client.h"
 #include "net/http_server.h"
 #include "net/pipelined_backend.h"
@@ -144,6 +147,44 @@ TEST_F(BrokerDaemonTest, MalformedBytesCloseConnection) {
   auto reply = good.call(5, "/still-alive", 3);
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->payload, "content of /still-alive");
+}
+
+TEST_F(BrokerDaemonTest, HttpHeadWithoutLineEndIsClosed) {
+  // An HTTP client that never ends its request line must not grow the
+  // connection's buffer without bound: once the head passes
+  // http::kMaxHeadBytes the daemon closes the connection without replying.
+  int fd = connect_tcp(daemon_->port());
+  ASSERT_GE(fd, 0);
+  std::string bytes = "GET /" + std::string(16 * 1024, 'a');
+  size_t sent = 0;
+  bool closed = false;
+  bool replied = false;
+  auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!closed && std::chrono::steady_clock::now() < give_up) {
+    pollfd pfd{fd, POLLIN | POLLOUT, 0};
+    if (::poll(&pfd, 1, 100) <= 0) continue;
+    if (pfd.revents & (POLLIN | POLLHUP | POLLERR)) {
+      char buf[64];
+      ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+      replied = replied || n > 0;
+      closed = n == 0 || (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK);
+    } else if (pfd.revents & POLLOUT) {
+      // Endless 'a's: the request line never ends.
+      ssize_t n = ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
+      if (n > 0) sent += static_cast<size_t>(n);
+      closed = n < 0 && errno != EAGAIN && errno != EWOULDBLOCK;
+      bytes.assign(bytes.size(), 'a');
+    }
+  }
+  ::close(fd);
+  EXPECT_TRUE(closed);
+  EXPECT_FALSE(replied);
+  EXPECT_GT(sent, http::kMaxHeadBytes);
+  // The daemon must still serve well-formed clients afterwards.
+  FrameClient good(daemon_->port());
+  auto reply = good.call(6, "/after-long-line", 3);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->payload, "content of /after-long-line");
 }
 
 TEST_F(BrokerDaemonTest, HttpOnMainPortIsSniffedAndServed) {

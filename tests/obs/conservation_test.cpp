@@ -155,10 +155,9 @@ TEST(TraceConservation, EveryAnswerLeavesExactlyOneTerminalEvent) {
   EXPECT_GT(obs.histogram(3, Stage::kTotal).max_seconds(), 0.49);
 }
 
-TEST(TraceConservation, DisabledObserverRecordsNothing) {
+TEST(TraceConservation, TraceOffRecordsNoEventsButHistogramsCount) {
   BrokerConfig cfg;
   cfg.rules = QosRules{3, 20.0};
-  cfg.obs.histograms = false;
   cfg.obs.trace = false;
   ServiceBroker broker("obs-off", cfg);
   auto backend = std::make_shared<FakeBackend>();
@@ -168,7 +167,8 @@ TEST(TraceConservation, DisabledObserverRecordsNothing) {
   backend->complete(0, 0.25);
   ASSERT_EQ(cap.replies.size(), 1u);
   const BrokerObserver& obs = broker.observer();
-  EXPECT_EQ(obs.merged_histogram(Stage::kTotal).count(), 0u);
+  // Latency histograms always record: one kTotal sample per reply.
+  EXPECT_EQ(obs.merged_histogram(Stage::kTotal).count(), 1u);
   EXPECT_EQ(obs.recorder().recorded(), 0u);
   EXPECT_EQ(obs.recorder().capacity(), 0u);
 }

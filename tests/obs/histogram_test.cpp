@@ -95,6 +95,11 @@ TEST(LatencyHistogram, CountSumMeanMax) {
   EXPECT_NEAR(h.sum_seconds(), 0.006, 1e-9);
   EXPECT_NEAR(h.mean_seconds(), 0.002, 1e-9);
   EXPECT_NEAR(h.max_seconds(), 0.003, 1e-9);
+  // Recording after a query is seen by the next query (nothing is cached).
+  EXPECT_NEAR(h.p50(), 0.002, 0.002 * LatencyHistogram::kRelativeError);
+  h.record_seconds(0.0001);
+  h.record_seconds(0.0001);
+  EXPECT_NEAR(h.p50(), 0.001, 0.001 * LatencyHistogram::kRelativeError);
 }
 
 TEST(LatencyHistogram, OverflowBucketReportsRecordedMax) {

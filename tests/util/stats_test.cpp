@@ -53,51 +53,5 @@ TEST(Summary, MergeWithEmptySides) {
   EXPECT_DOUBLE_EQ(b.mean(), 1.0);
 }
 
-TEST(Histogram, PercentilesExact) {
-  Histogram h;
-  for (int i = 1; i <= 100; ++i) h.add(static_cast<double>(i));
-  EXPECT_DOUBLE_EQ(h.percentile(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(h.median(), 50.0);
-  EXPECT_DOUBLE_EQ(h.p90(), 90.0);
-  EXPECT_DOUBLE_EQ(h.p99(), 99.0);
-  EXPECT_DOUBLE_EQ(h.percentile(1.0), 100.0);
-}
-
-TEST(Histogram, EmptyPercentileIsZero) {
-  Histogram h;
-  EXPECT_DOUBLE_EQ(h.median(), 0.0);
-}
-
-TEST(Histogram, AddAfterPercentileStaysCorrect) {
-  Histogram h;
-  h.add(10);
-  EXPECT_DOUBLE_EQ(h.median(), 10.0);
-  h.add(1);
-  h.add(2);
-  EXPECT_DOUBLE_EQ(h.median(), 2.0);
-}
-
-TEST(Histogram, Bucketize) {
-  Histogram h;
-  for (int i = 0; i < 10; ++i) h.add(static_cast<double>(i));
-  auto buckets = h.bucketize(3);
-  ASSERT_EQ(buckets.size(), 3u);
-  uint64_t total = 0;
-  for (auto c : buckets) total += c;
-  EXPECT_EQ(total, 10u);
-}
-
-TEST(Histogram, BucketizeConstantSeries) {
-  Histogram h;
-  for (int i = 0; i < 5; ++i) h.add(3.0);
-  auto buckets = h.bucketize(4);
-  EXPECT_EQ(buckets[0], 5u);
-}
-
-TEST(SafeRatio, ZeroDenominator) {
-  EXPECT_DOUBLE_EQ(safe_ratio(5, 0), 0.0);
-  EXPECT_DOUBLE_EQ(safe_ratio(6, 3), 2.0);
-}
-
 }  // namespace
 }  // namespace sbroker::util

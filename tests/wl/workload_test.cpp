@@ -72,7 +72,7 @@ TEST(AbClient, ResponseTimeMeasuredAroundIssue) {
   });
   client.start();
   sim.run();
-  EXPECT_DOUBLE_EQ(client.response_times().mean(), 2.5);
+  EXPECT_DOUBLE_EQ(client.response_times().mean_seconds(), 2.5);
 }
 
 TEST(WebStone, ClosedLoopIssuesUntilWindowEnds) {
