@@ -413,20 +413,18 @@ class BackendPool {
 bool parse_statusz(const std::string& body, RunResult& r) {
   std::optional<util::JsonValue> doc = util::JsonValue::parse(body);
   if (!doc || !doc->is_object()) return false;
-  const util::JsonValue& total = (*doc)["stages"]["total"];
-  if (total.is_null()) return false;
-  r.broker_total.count = static_cast<uint64_t>(total["count"].as_int());
-  r.broker_total.p50 = total["p50"].as_double();
-  r.broker_total.p95 = total["p95"].as_double();
-  r.broker_total.p99 = total["p99"].as_double();
-  for (const util::JsonValue& cls : (*doc)["classes"].items()) {
-    const util::JsonValue& lat = cls["latency"]["total"];
-    BrokerPercentiles pct;
-    pct.count = static_cast<uint64_t>(lat["count"].as_int());
-    pct.p50 = lat["p50"].as_double();
-    pct.p95 = lat["p95"].as_double();
-    pct.p99 = lat["p99"].as_double();
-    r.broker_class.push_back(pct);
+  auto percentiles = [](const util::JsonValue& h) {
+    return BrokerPercentiles{static_cast<uint64_t>(h["count"].as_int()),
+                             h["p50"].as_double(), h["p95"].as_double(),
+                             h["p99"].as_double()};
+  };
+  auto total = net::statusz_samples(*doc, "sbroker_stage_latency_seconds",
+                                    {{"stage", "total"}});
+  if (total.empty()) return false;
+  r.broker_total = percentiles(*total[0]);
+  for (const util::JsonValue* cls : net::statusz_samples(
+           *doc, "sbroker_latency_seconds", {{"stage", "total"}})) {
+    r.broker_class.push_back(percentiles(*cls));
   }
   return true;
 }

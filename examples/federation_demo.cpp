@@ -7,7 +7,7 @@
 // authoritative place. Closed-loop client threads in the parent then drive
 // a fixed number of requests over a round-robin key sequence, entering the
 // tier at different nodes, and the parent scrapes each child's /statusz
-// federation block for forward/replication/gossip counters.
+// sbroker_federation_* families for forward/replication/gossip counters.
 //
 //   $ ./federation_demo peers=3 clients=6 requests=1920 keys=64 check=1
 //
@@ -207,11 +207,11 @@ std::optional<util::JsonValue> scrape_statusz(uint16_t admin_port) {
   return util::JsonValue::parse(resp->body);
 }
 
-/// Waits until every member's /statusz federation block reports every peer
-/// fresh — i.e. every directed gossip (and therefore forwarding) channel
-/// has carried a frame. Without this barrier, requests issued while an
-/// early member's dial to a not-yet-listening peer sits in backoff would
-/// correctly fall back to local fetches and break the strict gates.
+/// Waits until every member's /statusz reports every peer fresh — i.e.
+/// every directed gossip (and therefore forwarding) channel has carried a
+/// frame. Without this barrier, requests issued while an early member's
+/// dial to a not-yet-listening peer sits in backoff would correctly fall
+/// back to local fetches and break the strict gates.
 bool wait_for_mesh(const std::vector<uint16_t>& admin_ports, double timeout_s) {
   auto deadline = std::chrono::steady_clock::now() +
                   std::chrono::duration<double>(timeout_s);
@@ -219,16 +219,13 @@ bool wait_for_mesh(const std::vector<uint16_t>& admin_ports, double timeout_s) {
     size_t meshed = 0;
     for (uint16_t port : admin_ports) {
       auto doc = scrape_statusz(port);
-      if (!doc) continue;
-      const util::JsonValue& peers = (*doc)["federation"]["peers"];
-      if (!peers.is_array() || peers.size() == 0) continue;
-      bool all_fresh = true;
-      for (const util::JsonValue& peer : peers.items()) {
-        if (!peer["self"].as_bool(false) && !peer["fresh"].as_bool(false)) {
-          all_fresh = false;
-        }
+      if (!doc || doc->find("sbroker_federation_nodes") == nullptr) continue;
+      auto fresh = net::statusz_samples(*doc, "sbroker_federation_peer_fresh");
+      if (std::all_of(fresh.begin(), fresh.end(), [](const auto* peer) {
+            return (*peer)["value"].as_double() == 1.0;
+          })) {
+        ++meshed;
       }
-      if (all_fresh) ++meshed;
     }
     if (meshed == admin_ports.size()) return true;
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
@@ -397,11 +394,14 @@ PhaseResult run_phase(const Knobs& k, size_t peers, bool kill_one) {
   for (uint16_t port : admin_ports) {
     auto doc = scrape_statusz(port);
     if (!doc) continue;
-    const util::JsonValue& fed = (*doc)["federation"];
-    r.forwards += static_cast<uint64_t>(fed["forwards_sent"].as_double());
-    r.forward_fails += static_cast<uint64_t>(fed["forward_fails"].as_double());
-    r.pushes += static_cast<uint64_t>(fed["pushes_sent"].as_double());
-    r.gossip_rounds += static_cast<uint64_t>(fed["gossip_rounds"].as_double());
+    auto counter = [&](const char* family) {
+      auto s = net::statusz_samples(*doc, family);
+      return s.empty() ? 0 : static_cast<uint64_t>((*s[0])["value"].as_int());
+    };
+    r.forwards += counter("sbroker_federation_forwards_sent_total");
+    r.forward_fails += counter("sbroker_federation_forward_fails_total");
+    r.pushes += counter("sbroker_federation_pushes_sent_total");
+    r.gossip_rounds += counter("sbroker_federation_gossip_rounds_total");
   }
 
   children.shutdown();

@@ -18,6 +18,7 @@
 #include "net/http_server.h"
 #include "net/pipelined_backend.h"
 #include "net/sharded_daemon.h"
+#include "util/json.h"
 
 using namespace sbroker;
 
@@ -95,9 +96,17 @@ int main() {
   http::Request scrape;
   scrape.target = "/statusz";
   scrape.headers.set("Host", "localhost");
-  if (auto statusz = net::http_fetch(daemon.admin_port(), scrape)) {
-    std::printf("\n/statusz (broker-side stage latencies): %.120s...\n",
-                statusz->body.c_str());
+  auto statusz = net::http_fetch(daemon.admin_port(), scrape);
+  util::JsonValue doc = util::JsonValue::parse(statusz ? statusz->body : "")
+                            .value_or(util::JsonValue());
+  std::printf("\n/statusz broker-side stage latencies, all classes:\n");
+  for (const util::JsonValue* stage :
+       net::statusz_samples(doc, "sbroker_stage_latency_seconds")) {
+    std::printf("  %-12s count=%-3.0f p50=%.3fms p99=%.3fms\n",
+                (*stage)["labels"]["stage"].as_string().c_str(),
+                (*stage)["count"].as_double(),
+                (*stage)["p50"].as_double() * 1e3,
+                (*stage)["p99"].as_double() * 1e3);
   }
 
   core::BrokerMetrics m = daemon.aggregate_metrics();

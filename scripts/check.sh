@@ -1,17 +1,21 @@
 #!/bin/sh
 # Full local verification gate: plain build (warnings are errors) + full
-# ctest, then TSan, ASan and UBSan builds of the concurrency-heavy suites, then
-# the benchmark's smoke run. core_test carries the
+# ctest, then TSan, ASan and UBSan builds of the concurrency-heavy suites, an
+# optimised Release build (warnings are errors) + full ctest, then the
+# benchmark's smoke run. core_test carries the
 # single-flight/SWR/FlightTable suites and net_test the daemon-level stampede
 # suites, so all three sanitizers cover the miss-coalescing paths. Run from
 # anywhere; trees live at the repo root (build/, build-tsan/, build-asan/,
-# build-ubsan/) and are reused across runs.
+# build-ubsan/, build-release/) and are reused across runs.
 #
 #   scripts/check.sh           # everything
 #   scripts/check.sh plain     # just the plain -Werror build + full ctest
 #   scripts/check.sh tsan      # just the TSan core/net suites
 #   scripts/check.sh asan      # just the ASan core/net/integration/http/wl/obs suites
 #   scripts/check.sh ubsan     # just the UBSan core/net/obs/http/wl suites
+#   scripts/check.sh release   # Release (-O3, NDEBUG) -Werror build + full
+#                              # ctest: deeper inlining and compiled-out
+#                              # asserts surface warnings the default tree hides
 #   scripts/check.sh perfbench # every benchmark workload, both modes, with
 #                              # its output checks (perfbench/run.py --smoke)
 #   scripts/check.sh asan ubsan  # several suites, run in the order given
@@ -94,6 +98,14 @@ run_ubsan() {
     "$repo_root/build-ubsan/tests/wl_test"
 }
 
+run_release() {
+  echo "== Release build (-Werror) + full ctest"
+  cmake -B "$repo_root/build-release" -S "$repo_root" \
+    -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS=-Werror
+  cmake --build "$repo_root/build-release" -j "$jobs"
+  ctest --test-dir "$repo_root/build-release" --output-on-failure -j "$jobs"
+}
+
 run_perfbench() {
   echo "== perfbench smoke (every workload, end-to-end and traced)"
   (cd "$repo_root" && python3 perfbench/run.py --smoke)
@@ -106,9 +118,10 @@ for what in "$@"; do
     tsan) run_tsan ;;
     asan) run_asan ;;
     ubsan) run_ubsan ;;
+    release) run_release ;;
     perfbench) run_perfbench ;;
-    all) run_plain; run_tsan; run_asan; run_ubsan; run_perfbench ;;
-    *) echo "usage: scripts/check.sh [plain|tsan|asan|ubsan|perfbench|all]..." >&2; exit 2 ;;
+    all) run_plain; run_tsan; run_asan; run_ubsan; run_release; run_perfbench ;;
+    *) echo "usage: scripts/check.sh [plain|tsan|asan|ubsan|release|perfbench|all]..." >&2; exit 2 ;;
   esac
 done
 

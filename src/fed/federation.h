@@ -155,7 +155,7 @@ class FederatedDaemon {
   uint16_t admin_port() const { return daemon_.admin_port(); }
   uint32_t node_id() const { return fed_config_.node_id; }
 
-  /// Federation block for /statusz and /metrics (admin thread; reads only
+  /// Federation snapshot for /statusz and /metrics (admin thread; reads only
   /// atomics, the mutex-guarded view, and the immutable ring).
   net::FederationStatus admin_status() const;
 

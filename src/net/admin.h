@@ -2,8 +2,10 @@
 //
 // Serves the operational surface the paper's evaluation needed ad-hoc
 // harness code for: /metrics (Prometheus text exposition), /healthz,
-// /statusz (JSON: per-class counters, per-stage latency percentiles,
-// per-shard and per-replica detail) and /tracez (flight-recorder dump).
+// /statusz (the same families as JSON, histograms with percentiles) and
+// /tracez (flight-recorder dump). /metrics and /statusz are two renderers
+// of one registry: collect_metrics() turns a snapshot into a flat list of
+// typed samples, and every sbroker_* family is named there and nowhere else.
 // The AdminServer runs its own Reactor on a dedicated thread, so scrapes
 // never compete with broker admission for a shard reactor's attention; its
 // handlers snapshot shard state by posting onto each shard reactor and
@@ -14,8 +16,11 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/broker.h"
@@ -24,6 +29,7 @@
 #include "net/http_server.h"
 #include "net/reactor.h"
 #include "obs/observer.h"
+#include "util/json.h"
 
 namespace sbroker::net {
 
@@ -77,7 +83,7 @@ struct FederationPeerStatus {
   uint64_t dials = 0;        ///< connection attempts
 };
 
-/// Federation block for /statusz and /metrics, produced by
+/// Federation snapshot behind /statusz and /metrics, produced by
 /// fed::FederatedDaemon::admin_status() (net/ only defines the DTO so the
 /// admin plane needs no fed/ dependency).
 struct FederationStatus {
@@ -103,18 +109,48 @@ struct FederationStatus {
 /// (or while its daemon is stopped) — it reads single-writer state.
 ShardStatus snapshot_shard(const core::ServiceBroker& broker, size_t shard);
 
-/// Prometheus text exposition of the shard snapshots (counters summed,
-/// latency histograms merged into cumulative `le` buckets). A non-null
-/// `federation` appends the sbroker_federation_* families.
+enum class MetricKind { kCounter, kGauge, kHistogram };
+
+/// Label (name, value) pairs, in exposition order.
+using MetricLabels = std::vector<std::pair<const char*, std::string>>;
+
+/// One sample of the registry. Samples of a family are contiguous and carry
+/// the family's name, help and kind.
+struct MetricSample {
+  const char* family = "";
+  const char* help = "";
+  MetricKind kind = MetricKind::kGauge;
+  MetricLabels labels;
+  double value = 0.0;  ///< counters and gauges
+  std::optional<obs::LatencyHistogram> histogram;  ///< kHistogram: merged
+};
+
+/// The one metric registry: counters summed and latency histograms merged
+/// across shards, per-shard and per-replica gauges, and, with a non-null
+/// `federation`, the sbroker_federation_* families. String state (policy
+/// names, load state, peer identity) rides as labels on *_info gauges of
+/// value 1.
+std::vector<MetricSample> collect_metrics(
+    const std::vector<ShardStatus>& shards,
+    const FederationStatus* federation = nullptr);
+
+/// Prometheus text exposition of collect_metrics(); histograms as
+/// cumulative `le` buckets plus _sum and _count.
 std::string render_prometheus(const std::vector<ShardStatus>& shards,
                               const FederationStatus* federation = nullptr);
 
-/// JSON status document: per-class counters with per-stage latency
-/// percentiles, aggregate stage distributions, transport/lifecycle stats,
-/// and per-shard/per-replica detail. A non-null `federation` adds a
-/// top-level "federation" block.
+/// JSON form of the same families: an object keyed by family name, each
+/// {"type","help","samples":[{"labels":{..},"value":v}]}; a histogram
+/// sample carries "count", "sum", "buckets" (the `le` buckets /metrics
+/// shows, keyed by bound) and "p50", "p95", "p99", "max".
 std::string render_statusz(const std::vector<ShardStatus>& shards,
                            const FederationStatus* federation = nullptr);
+
+/// Reading side of render_statusz: the samples of `family` in a parsed
+/// /statusz document whose labels carry every `match` pair, in order.
+std::vector<const util::JsonValue*> statusz_samples(
+    const util::JsonValue& doc, std::string_view family,
+    const std::vector<std::pair<std::string, std::string>>& match = {});
 
 /// JSON dump of flight-recorder events (caller merges/sorts across shards).
 std::string render_tracez(const std::vector<obs::TraceEvent>& events);
@@ -141,7 +177,7 @@ class AdminServer {
   uint16_t port() const { return port_; }
 
   /// Installs the federation snapshot source; /metrics and /statusz then
-  /// include the federation families/block. Callable after the server is
+  /// include the federation families. Callable after the server is
   /// already running (mutex-guarded; the daemon wires this post-construction).
   void set_federation(FederationFn federation);
 

@@ -109,7 +109,7 @@ class ShardedBrokerDaemon {
 
   /// Installs the admin plane's federation snapshot source (no-op when the
   /// admin plane is disabled). /metrics and /statusz then carry the
-  /// federation families/block.
+  /// sbroker_federation_* families.
   void set_federation_status(AdminServer::FederationFn federation) {
     if (admin_) admin_->set_federation(std::move(federation));
   }

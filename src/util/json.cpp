@@ -1,27 +1,28 @@
 #include "util/json.h"
 
 #include <cassert>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
 namespace sbroker::util {
 
+std::string format_double(double v) {
+  // Integers a double holds exactly print in full; everything else as %g
+  // at the fewest significant digits that round-trip.
+  bool integral = v == std::trunc(v) && std::fabs(v) < 0x1p53;
+  char buf[32];
+  auto [end, ec] = std::to_chars(
+      buf, buf + sizeof(buf), v,
+      integral ? std::chars_format::fixed : std::chars_format::general);
+  return std::string(buf, ec == std::errc() ? end : buf);
+}
+
 namespace {
 
-std::string format_double(double v) {
-  if (!std::isfinite(v)) return "null";  // JSON has no inf/nan
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  // Trim to the shortest representation that round-trips.
-  for (int precision = 1; precision < 17; ++precision) {
-    char shorter[32];
-    std::snprintf(shorter, sizeof(shorter), "%.*g", precision, v);
-    double parsed = 0.0;
-    std::sscanf(shorter, "%lf", &parsed);
-    if (parsed == v) return shorter;
-  }
-  return buf;
+std::string json_number(double v) {
+  return std::isfinite(v) ? format_double(v) : "null";  // JSON has no inf/nan
 }
 
 }  // namespace
@@ -119,7 +120,7 @@ JsonWriter& JsonWriter::field(std::string_view name, double value) {
   out_ += '"';
   out_ += escape(name);
   out_ += "\":";
-  out_ += format_double(value);
+  out_ += json_number(value);
   return *this;
 }
 
@@ -164,7 +165,7 @@ JsonWriter& JsonWriter::value(std::string_view v) {
 
 JsonWriter& JsonWriter::value(double v) {
   comma_if_needed();
-  out_ += format_double(v);
+  out_ += json_number(v);
   return *this;
 }
 

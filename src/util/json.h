@@ -24,6 +24,11 @@
 
 namespace sbroker::util {
 
+/// Shortest decimal text that parses back to exactly `v`: "1200", "0.0005",
+/// "1e-07", "1234567.25". Finite values only; each format spells inf/nan
+/// its own way.
+std::string format_double(double v);
+
 class JsonWriter {
  public:
   JsonWriter& begin_object();
@@ -96,6 +101,10 @@ class JsonValue {
   const JsonValue& at(size_t i) const { return array_.at(i); }
   const std::vector<JsonValue>& items() const { return array_; }
 
+  /// Object members by key; empty for non-objects.
+  const std::map<std::string, JsonValue, std::less<>>& members() const {
+    return object_;
+  }
   /// Object member lookup; nullptr when absent or not an object.
   const JsonValue* find(std::string_view key) const;
   /// Chained lookup that never faults: returns a null-typed sentinel for

@@ -8,6 +8,14 @@
 namespace sbroker::core {
 namespace {
 
+/// `prefix` followed by `n` in decimal. Built by appending: GCC 12 at -O2
+/// reports a false -Wrestrict overlap for `"k" + std::to_string(n)`.
+std::string nth(const char* prefix, uint64_t n) {
+  std::string out(prefix);
+  out += std::to_string(n);
+  return out;
+}
+
 // --------------------------------------------------------------------------
 // HotSpotDetector
 
@@ -232,7 +240,7 @@ TEST(BrokerFidelity, LoadStateTracksOutstanding) {
     http::BrokerRequest req;
     req.request_id = i;
     req.qos_level = 3;
-    req.payload = "q" + std::to_string(i);
+    req.payload = nth("q", i);
     broker.submit(0.0, req, [](const http::BrokerReply&) {});
   }
   EXPECT_EQ(broker.load_state(), LoadState::kHot);

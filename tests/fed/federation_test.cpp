@@ -14,10 +14,12 @@
 #include <thread>
 #include <vector>
 
+#include "net/admin.h"
 #include "net/http_client.h"
 #include "net/http_server.h"
 #include "net/pipelined_backend.h"
 #include "net/tcp.h"
+#include "util/json.h"
 
 namespace sbroker::fed {
 namespace {
@@ -342,10 +344,15 @@ TEST_F(FederationTest, AdminPlaneExposesFederation) {
   req.target = "/statusz";
   auto statusz = net::http_fetch(nodes_[0]->admin_port(), req);
   ASSERT_TRUE(statusz.has_value());
-  EXPECT_NE(statusz->body.find("\"federation\""), std::string::npos);
-  EXPECT_NE(statusz->body.find("\"ring_share\""), std::string::npos);
-  EXPECT_NE(statusz->body.find("\"forwards_sent\""), std::string::npos);
-  EXPECT_NE(statusz->body.find("\"peers\""), std::string::npos);
+  auto doc = util::JsonValue::parse(statusz->body);
+  ASSERT_TRUE(doc.has_value());
+  EXPECT_EQ(net::statusz_samples(*doc, "sbroker_federation_ring_share").size(),
+            1u);
+  EXPECT_EQ(
+      net::statusz_samples(*doc, "sbroker_federation_forwards_sent_total").size(),
+      1u);
+  EXPECT_EQ(net::statusz_samples(*doc, "sbroker_federation_peer_info").size(),
+            kNodes);
 
   req.target = "/metrics";
   auto metrics = net::http_fetch(nodes_[0]->admin_port(), req);

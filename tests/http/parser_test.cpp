@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
 #include <string_view>
 
@@ -174,6 +175,74 @@ TEST(ResponseParser, HeaderBlockWithoutBlankLinePastCapIsError) {
 
 TEST(ResponseParser, ContentLengthPastCapIsErrorAtOnce) {
   expect_body_length_capped<ResponseParser, Response>("HTTP/1.1 200 OK\r\n");
+}
+
+// Work stays linear in the bytes fed when a peer dribbles an unfinished head
+// one byte per read: the end-of-head search resumes where it stopped and the
+// header lines are parsed once.
+
+template <typename Parser, typename Message>
+double seconds_to_dribble(std::string_view wire, ParseResult last) {
+  Parser parser;
+  Message msg;
+  auto start = std::chrono::steady_clock::now();
+  for (size_t i = 0; i < wire.size(); ++i) {
+    parser.feed(wire.substr(i, 1));
+    ParseResult got = parser.next(msg);
+    if (i + 1 < wire.size()) {
+      EXPECT_EQ(got, ParseResult::kNeedMore) << "byte " << i;
+    } else {
+      EXPECT_EQ(got, last);
+    }
+  }
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+TEST(RequestParser, CarriageReturnDribbleIsLinear) {
+  std::string wire(kMaxHeadBytes, '\r');
+  EXPECT_LT((seconds_to_dribble<RequestParser, Request>(wire, ParseResult::kNeedMore)),
+            1.0);
+}
+
+TEST(ResponseParser, CarriageReturnDribbleIsLinear) {
+  std::string wire(kMaxHeadBytes, '\r');
+  EXPECT_LT((seconds_to_dribble<ResponseParser, Response>(wire, ParseResult::kNeedMore)),
+            1.0);
+}
+
+TEST(RequestParser, HeaderBlockDribbleIsLinear) {
+  std::string wire = "GET /h HTTP/1.1\r\n";
+  for (int i = 0; i < 4000; ++i) wire += "X-a: b\r\n";
+  wire += "\r\n";
+  EXPECT_LT((seconds_to_dribble<RequestParser, Request>(wire, ParseResult::kMessage)),
+            1.0);
+}
+
+TEST(RequestParser, EverySplitPointParsesTheSameMessage) {
+  const std::string wire =
+      "POST /q HTTP/1.1\r\nHost: broker\r\nX-QoS-Level: 3\r\n"
+      "Content-Length: 11\r\n\r\nSELECT * 42";
+  auto whole = parse_request(wire);
+  ASSERT_TRUE(whole.has_value());
+  for (size_t cut = 0; cut <= wire.size(); ++cut) {
+    SCOPED_TRACE(testing::Message() << "cut=" << cut);
+    RequestParser parser;
+    Request req;
+    parser.feed(std::string_view(wire).substr(0, cut));
+    if (cut < wire.size()) {
+      EXPECT_EQ(parser.next(req), ParseResult::kNeedMore);
+    }
+    parser.feed(std::string_view(wire).substr(cut));
+    ASSERT_EQ(parser.next(req), ParseResult::kMessage);
+    EXPECT_EQ(req.method, whole->method);
+    EXPECT_EQ(req.target, whole->target);
+    EXPECT_EQ(req.version, whole->version);
+    EXPECT_EQ(req.headers.entries(), whole->headers.entries());
+    EXPECT_EQ(req.body, whole->body);
+    EXPECT_EQ(parser.buffered(), 0u);
+    EXPECT_EQ(parser.next(req), ParseResult::kNeedMore);
+  }
 }
 
 TEST(OneShot, IncompleteReturnsNullopt) {

@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "net/admin.h"
 #include "net/http_client.h"
 #include "net/http_server.h"
 #include "net/pipelined_backend.h"
@@ -180,13 +181,19 @@ TEST_F(OverloadDaemonTest, StaticLifoShedsThroughTheDeadlinePath) {
   ASSERT_TRUE(statusz.has_value());
   std::optional<util::JsonValue> doc = util::JsonValue::parse(statusz->body);
   ASSERT_TRUE(doc.has_value());
-  EXPECT_GE((*doc)["overload"]["enters"].as_int(), 1);
-  const util::JsonValue& shard = (*doc)["per_shard"].items()[0];
-  EXPECT_EQ(shard["overload_policy"].as_string(), "static");
-  EXPECT_DOUBLE_EQ(shard["admission_threshold"].as_double(), 150.0);
+  auto enters = statusz_samples(*doc, "sbroker_overload_enters_total");
+  ASSERT_EQ(enters.size(), 1u);
+  EXPECT_GE((*enters[0])["value"].as_int(), 1);
+  auto info = statusz_samples(*doc, "sbroker_shard_info");
+  ASSERT_EQ(info.size(), 1u);
+  EXPECT_EQ((*info[0])["labels"]["overload_policy"].as_string(), "static");
+  auto threshold = statusz_samples(*doc, "sbroker_admission_threshold");
+  ASSERT_EQ(threshold.size(), 1u);
+  EXPECT_DOUBLE_EQ((*threshold[0])["value"].as_double(), 150.0);
   uint64_t lifo_sheds = 0;
-  for (const util::JsonValue& cls : (*doc)["classes"].items()) {
-    lifo_sheds += static_cast<uint64_t>(cls["lifo_sheds"].as_int());
+  for (const util::JsonValue* cls :
+       statusz_samples(*doc, "sbroker_lifo_sheds_total")) {
+    lifo_sheds += static_cast<uint64_t>((*cls)["value"].as_int());
   }
   EXPECT_EQ(lifo_sheds, total.lifo_sheds);
   daemon->stop();
