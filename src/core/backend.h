@@ -24,8 +24,10 @@ struct ChannelStats {
   uint64_t calls = 0;               ///< invoke() count
   uint64_t connections_opened = 0;  ///< physical connection setups
   uint64_t open_connections = 0;    ///< currently open physical connections
-  uint64_t flushes = 0;             ///< coalesced write flushes to sockets
-  uint64_t requests_written = 0;    ///< requests carried by those flushes
+  uint64_t flushes = 0;             ///< cycle-end gather writes to sockets
+  /// Requests queued for those writes; a re-issued request counts once per
+  /// connection it was queued on.
+  uint64_t requests_written = 0;
   uint64_t rejections = 0;          ///< channel-saturated backpressure failures
   uint64_t retries = 0;             ///< exchanges re-issued after connection loss
   uint64_t timeouts = 0;            ///< half-stalled exchanges failed on deadline

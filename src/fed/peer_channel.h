@@ -6,6 +6,8 @@
 // reports). Unlike the HTTP backend channel, replies are matched by
 // correlation id, not arrival order, so one connection carries any number
 // of concurrent exchanges with no head-of-line coupling between them.
+// Frames sent during one reactor cycle leave together in the connection's
+// one cycle-end gather write (TcpConn::queue).
 //
 // Failure model: a dead peer surfaces as a connection close (RST on a
 // killed process) or an exchange timeout. Either way every pending fetch

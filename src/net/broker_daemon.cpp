@@ -72,7 +72,6 @@ struct BrokerDaemon::Conn {
   /// instead of allocating per request.
   http::BrokerRequest req_scratch;
   std::string encode_scratch;
-  bool flush_scheduled = false;  ///< a cycle-end coalesced flush is armed
 };
 
 BrokerDaemon::BrokerDaemon(Reactor& reactor, std::string name,
@@ -194,14 +193,14 @@ bool BrokerDaemon::drain_frames(const std::shared_ptr<Conn>& conn) {
 
 void BrokerDaemon::handle_client_frame(const std::shared_ptr<Conn>& conn,
                                        const frame::Request& freq) {
-  wire_->frames_in += 1;
+  wire_.frames_in += 1;
   http::BrokerRequest& req = conn->req_scratch;
   fill_request(freq, req);
 
   // Fast path: a cache-answerable request is served entirely out of the
   // scratch arena (value copy + reply view), with the reply bytes queued
-  // for the cycle-end coalesced flush. Only a true miss pays for the
-  // owning std::function + context arena of the full path.
+  // for the connection's cycle-end gather write. Only a true miss pays for
+  // the owning std::function + context arena of the full path.
   scratch_.reset();
   bool served = broker_.try_submit_fast(
       reactor_.now(), req, scratch_, [&](const core::ReplyView& r) {
@@ -209,7 +208,7 @@ void BrokerDaemon::handle_client_frame(const std::shared_ptr<Conn>& conn,
         if (fed_ != nullptr) fed_->on_served(req.payload, r.payload, r.fidelity);
       });
   if (served) {
-    wire_->fast_hits += 1;
+    wire_.fast_hits += 1;
     return;
   }
   // The fast path counted nothing on a miss, so exactly one node's broker
@@ -272,7 +271,7 @@ bool BrokerDaemon::try_forward_miss(const std::shared_ptr<Conn>& conn,
 
 void BrokerDaemon::handle_peer_fetch(const std::shared_ptr<Conn>& conn,
                                      const frame::Request& freq) {
-  wire_->frames_in += 1;
+  wire_.frames_in += 1;
   fed_->on_peer_fetch();
   http::BrokerRequest& req = conn->req_scratch;
   fill_request(freq, req);  // deadline_ms is the forwarder's remaining budget
@@ -287,7 +286,7 @@ void BrokerDaemon::handle_peer_fetch(const std::shared_ptr<Conn>& conn,
         fed_->on_served(req.payload, r.payload, r.fidelity);
       });
   if (served) {
-    wire_->fast_hits += 1;
+    wire_.fast_hits += 1;
     return;
   }
   broker_.submit_miss(
@@ -308,7 +307,7 @@ bool BrokerDaemon::drain_http(const std::shared_ptr<Conn>& conn) {
     auto result = conn->parser.next(req);
     if (result == http::ParseResult::kNeedMore) return true;
     if (result == http::ParseResult::kError) return false;
-    wire_->http_in += 1;
+    wire_.http_in += 1;
     auto breq = map_http_request(req, ++http_seq_);
     broker_.submit(reactor_.now(), breq,
                    [this, conn](const http::BrokerReply& reply) {
@@ -337,9 +336,8 @@ void BrokerDaemon::queue_reply_frame(const std::shared_ptr<Conn>& conn,
     frame::encode_reply(request_id, fidelity, flags, payload,
                         conn->encode_scratch);
   }
-  conn->tcp->queue(conn->encode_scratch);
-  wire_->flushed_responses += 1;
-  schedule_flush(conn);
+  wire_.flushed_responses += 1;
+  if (conn->tcp->queue(conn->encode_scratch)) wire_.flushes += 1;
 }
 
 void BrokerDaemon::queue_http_reply(const std::shared_ptr<Conn>& conn,
@@ -347,22 +345,8 @@ void BrokerDaemon::queue_http_reply(const std::shared_ptr<Conn>& conn,
   auto resp = map_broker_reply(reply);
   conn->encode_scratch.clear();
   resp.serialize_into(conn->encode_scratch);
-  conn->tcp->queue(conn->encode_scratch);
-  wire_->flushed_responses += 1;
-  schedule_flush(conn);
-}
-
-void BrokerDaemon::schedule_flush(const std::shared_ptr<Conn>& conn) {
-  if (conn->flush_scheduled) return;
-  conn->flush_scheduled = true;
-  // The hook captures the shared WireStats, not `this`: it may still be
-  // pending (to be destroyed, not run) when the daemon is torn down.
-  reactor_.at_cycle_end([conn, wire = wire_]() {
-    conn->flush_scheduled = false;
-    if (conn->tcp->closed()) return;
-    wire->flushes += 1;
-    conn->tcp->flush();
-  });
+  wire_.flushed_responses += 1;
+  if (conn->tcp->queue(conn->encode_scratch)) wire_.flushes += 1;
 }
 
 void BrokerDaemon::on_datagram(std::string_view payload, const sockaddr_in& from) {

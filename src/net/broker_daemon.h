@@ -40,8 +40,8 @@ struct WireStats {
   uint64_t frames_in = 0;    ///< binary-frame requests (net/frame.h)
   uint64_t http_in = 0;      ///< sniffed HTTP/1.1 requests on the main port
   uint64_t fast_hits = 0;    ///< frame requests served by the arena fast path
-  uint64_t flushes = 0;      ///< cycle-end flush() calls on frame/http conns
-  uint64_t flushed_responses = 0;  ///< responses queued through that path
+  uint64_t flushes = 0;      ///< cycle-end gather writes on frame/http conns
+  uint64_t flushed_responses = 0;  ///< responses those writes carried
 
   void merge(const WireStats& o) {
     frames_in += o.frames_in;
@@ -80,7 +80,7 @@ class BrokerDaemon {
   /// Main-port protocol mix and write-coalescing counters. Same threading
   /// contract as broker(): touch only from this daemon's reactor thread (or
   /// while stopped).
-  WireStats wire_stats() const { return *wire_; }
+  WireStats wire_stats() const { return wire_; }
 
   /// Installs this shard's federation endpoint (see net/fed_hook.h). Call
   /// before traffic flows; the hook must outlive the daemon's traffic. With
@@ -115,8 +115,8 @@ class BrokerDaemon {
   /// local fallback from here on).
   bool try_forward_miss(const std::shared_ptr<Conn>& conn,
                         const http::BrokerRequest& req);
-  /// Queues one encoded reply on the connection and arms the per-cycle
-  /// coalesced flush (one writev per reactor wakeup per connection, however
+  /// Queues one encoded reply on the connection; it leaves in the
+  /// connection's cycle-end gather write (one per reactor wakeup, however
   /// many replies landed in it).
   void queue_frame_reply(const std::shared_ptr<Conn>& conn, uint64_t request_id,
                          http::Fidelity fidelity, std::string_view payload);
@@ -128,7 +128,6 @@ class BrokerDaemon {
                          uint8_t flags, std::string_view payload);
   void queue_http_reply(const std::shared_ptr<Conn>& conn,
                         const http::BrokerReply& reply);
-  void schedule_flush(const std::shared_ptr<Conn>& conn);
   /// One datagram must hold exactly one request frame; anything else
   /// (truncated, trailing bytes, another kind) is dropped without a reply.
   void on_datagram(std::string_view payload, const sockaddr_in& from);
@@ -143,9 +142,7 @@ class BrokerDaemon {
   TcpListener listener_;
   std::unique_ptr<UdpSocket> udp_;
   uint64_t http_seq_ = 0;  ///< synthesizes request ids for HTTP clients
-  /// shared_ptr so cycle-end flush hooks can keep counting without holding
-  /// `this` (they may be pending when the daemon is torn down).
-  std::shared_ptr<WireStats> wire_ = std::make_shared<WireStats>();
+  WireStats wire_;
   /// Scratch arena for the allocation-free cache fast path; reset per frame.
   core::Arena scratch_;
   /// This shard's federation endpoint; null = single-node behaviour.

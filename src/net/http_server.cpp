@@ -17,18 +17,20 @@ struct HttpServer::Conn {
   std::map<uint64_t, std::string> held;
 
   /// HTTP/1.1 pipelining: responses leave in request order, whatever order
-  /// the handlers answer in.
+  /// the handlers answer in. Everything released in one reactor cycle,
+  /// held responses included, leaves in the connection's one cycle-end
+  /// gather write.
   void deliver(uint64_t seq, std::string bytes) {
     if (tcp->closed()) return;
     if (seq != send_seq) {
       held.emplace(seq, std::move(bytes));
       return;
     }
-    tcp->send(bytes);
+    tcp->queue(std::move(bytes));
     ++send_seq;
     for (auto it = held.begin(); it != held.end() && it->first == send_seq;
          it = held.erase(it)) {
-      tcp->send(it->second);
+      tcp->queue(std::move(it->second));
       ++send_seq;
     }
   }

@@ -4,9 +4,10 @@
 // answer synchronously or hold the responder and answer later (from a
 // reactor timer), which is how the test backends simulate bounded CGI
 // processing time. Responses leave each connection in request order
-// (HTTP/1.1 pipelining), however the handlers order their answers; a
-// request never answered holds back every later response on its
-// connection, as a stalled serial server would. Supports MGET natively:
+// (HTTP/1.1 pipelining), however the handlers order their answers, and all
+// released in one reactor cycle leave in one gather write; a request never
+// answered holds back every later response on its connection, as a stalled
+// serial server would. Supports MGET natively:
 // when the handler registry is used, an MGET request fans out to the
 // per-target handlers and the parts are recombined (http/mget.h framing).
 #pragma once

@@ -120,7 +120,7 @@ void NetemProxy::relay(const std::shared_ptr<Pipe>& pipe, bool downstream,
   }
   std::shared_ptr<TcpConn> dst = pipe->dest(dir);
   if (delay <= 0.0 && pipe->due[dir].empty()) {
-    if (!dst->closed()) dst->send(bytes);
+    if (!dst->closed()) dst->queue(std::move(bytes));
     return;
   }
   pipe->due[dir].emplace_back(deliver_at, std::move(bytes));
@@ -139,7 +139,7 @@ void NetemProxy::drain(const std::shared_ptr<Pipe>& pipe, int dir) {
   std::shared_ptr<TcpConn> dst = pipe->dest(dir);
   auto& due = pipe->due[dir];
   while (!due.empty() && due.front().first <= now) {
-    if (!dst->closed()) dst->send(due.front().second);
+    if (!dst->closed()) dst->queue(std::move(due.front().second));
     due.pop_front();
   }
   if (!due.empty()) {

@@ -98,12 +98,13 @@ void PipelinedBackend::enqueue(ExchangePtr exchange, bool allow_overflow) {
   }
   ++exchange->attempts;
   exchange->channel = ch->id;
-  ch->outbox.append(exchange->wire);
-  ++ch->unflushed;
+  // Every request queued on a connection this cycle leaves in its one
+  // cycle-end gather write; the call that armed that write counts it.
+  if (ch->conn->queue(exchange->wire)) ++stats_.flushes;
+  ++stats_.requests_written;
   ch->pipeline.push_back(std::move(exchange));
   stats_.peak_in_flight =
       std::max<uint64_t>(stats_.peak_in_flight, ch->pipeline.size());
-  schedule_flush();
 }
 
 PipelinedBackend::Channel* PipelinedBackend::pick_channel(bool allow_overflow) {
@@ -153,31 +154,6 @@ std::shared_ptr<PipelinedBackend::Channel> PipelinedBackend::find_channel(
     if (ch->id == id) return ch;
   }
   return nullptr;
-}
-
-void PipelinedBackend::schedule_flush() {
-  if (flush_scheduled_) return;
-  flush_scheduled_ = true;
-  std::weak_ptr<PipelinedBackend> weak = weak_from_this();
-  reactor_.add_timer(0.0, [weak]() {
-    if (auto self = weak.lock()) self->flush_all();
-  });
-}
-
-void PipelinedBackend::flush_all() {
-  flush_scheduled_ = false;
-  // Snapshot: a failed send closes its connection re-entrantly, which
-  // mutates channels_ (handle_close erases and may re-enqueue elsewhere).
-  std::vector<std::shared_ptr<Channel>> snapshot = channels_;
-  for (const auto& ch : snapshot) {
-    if (ch->outbox.empty() || ch->conn->closed()) continue;
-    ++stats_.flushes;
-    stats_.requests_written += ch->unflushed;
-    ch->unflushed = 0;
-    std::string bytes;
-    bytes.swap(ch->outbox);
-    ch->conn->send(bytes);
-  }
 }
 
 void PipelinedBackend::on_data(uint64_t channel_id, std::string_view bytes) {

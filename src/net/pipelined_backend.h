@@ -15,10 +15,10 @@
 //   * caps physical connections at Config::max_connections and pipelines up
 //     to Config::pipeline_depth exchanges per connection — at concurrency C
 //     the daemon keeps min(C, max_connections) hot sockets instead of ~C;
-//   * coalesces writes: invoke() appends to a per-connection outbox and one
-//     zero-delay reactor timer flushes every outbox once per wakeup, so a
-//     burst of dispatches becomes one send() per connection, not one per
-//     request;
+//   * coalesces writes: invoke() queues the request on its connection, and
+//     every request queued during one reactor wakeup leaves in that
+//     connection's one cycle-end gather write (TcpConn::queue), so a burst
+//     of dispatches becomes one send per connection, not one per request;
 //   * applies backpressure: past max_connections * pipeline_depth total
 //     in-flight, invoke() fails fast (ok=false, "channel saturated").
 //     Construct with Config::from_pool(broker.pool) and the broker's own
@@ -109,8 +109,6 @@ class PipelinedBackend : public core::Backend,
     uint64_t id = 0;
     std::shared_ptr<TcpConn> conn;
     std::deque<ExchangePtr> pipeline;  ///< FIFO awaiting responses
-    std::string outbox;                ///< bytes not yet handed to the socket
-    size_t unflushed = 0;              ///< requests currently in outbox
     http::ResponseParser parser;
   };
 
@@ -122,8 +120,6 @@ class PipelinedBackend : public core::Backend,
   Channel* pick_channel(bool allow_overflow);
   Channel* open_channel();
   std::shared_ptr<Channel> find_channel(uint64_t id);
-  void schedule_flush();
-  void flush_all();
   void on_data(uint64_t channel_id, std::string_view bytes);
   void handle_close(uint64_t channel_id);
   void complete(const ExchangePtr& exchange, bool ok, std::string payload);
@@ -139,7 +135,6 @@ class PipelinedBackend : public core::Backend,
   Config config_;
   std::vector<std::shared_ptr<Channel>> channels_;
   uint64_t next_channel_id_ = 1;
-  bool flush_scheduled_ = false;
   bool sweep_armed_ = false;
   double next_sweep_at_ = 0.0;
   Reactor::TimerId sweep_timer_ = 0;

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "net/tcp.h"
 #include "util/log.h"
 
 namespace sbroker::net {
@@ -56,11 +57,11 @@ Reactor::~Reactor() {
     posted.swap(posted_);
   }
   posted.clear();
-  // Cycle-end hooks are destroyed, never invoked: they capture connections
-  // whose owners are mid-teardown.
-  std::vector<std::function<void()>> cycle_end;
-  cycle_end.swap(cycle_end_);
-  cycle_end.clear();
+  // Armed flushes are dropped, never run: the teardown hooks above closed
+  // their sockets.
+  std::vector<std::shared_ptr<TcpConn>> flushes;
+  flushes.swap(flushes_);
+  flushes.clear();
   // Destroying the callbacks above may have parked more state; drain last.
   drain_graveyard();
   if (wake_fd_ >= 0) close(wake_fd_);
@@ -144,23 +145,23 @@ void Reactor::drain_graveyard() {
   // A parked closure's destructor may park more (an owner dying can close
   // further connections); loop until quiescent.
   while (!graveyard_.empty()) {
-    std::vector<std::function<void()>> dead;
-    dead.swap(graveyard_);
-    dead.clear();
+    graveyard_.swap(graveyard_spare_);
+    graveyard_spare_.clear();
   }
 }
 
 void Reactor::drain_posted() {
-  std::vector<std::function<void()>> tasks;
   {
     std::lock_guard<std::mutex> lock(post_mu_);
-    tasks.swap(posted_);
+    posted_.swap(posted_spare_);
   }
-  for (auto& task : tasks) task();
+  for (auto& task : posted_spare_) task();
+  posted_spare_.clear();
 }
 
 bool Reactor::poll_once(int timeout_ms) {
   if (stopped_) return false;
+  run_flushes();
   epoll_event events[64];
   int n = epoll_wait(epoll_fd_, events, 64, next_timeout_ms(timeout_ms));
   if (n < 0 && errno != EINTR) {
@@ -177,7 +178,7 @@ bool Reactor::poll_once(int timeout_ms) {
   }
   drain_posted();
   fire_due_timers();
-  drain_cycle_end();
+  run_flushes();
   drain_graveyard();
   return !stopped_;
 }
@@ -194,18 +195,18 @@ void Reactor::stop() {
   [[maybe_unused]] ssize_t n = write(wake_fd_, &one, sizeof(one));
 }
 
-void Reactor::at_cycle_end(std::function<void()> fn) {
-  cycle_end_.push_back(std::move(fn));
+void Reactor::flush_at_cycle_end(std::shared_ptr<TcpConn> conn) {
+  flushes_.push_back(std::move(conn));
 }
 
-void Reactor::drain_cycle_end() {
-  // A hook may arm another (a flush submitting work that wants a follow-up);
-  // loop until quiescent.
-  while (!cycle_end_.empty()) {
-    std::vector<std::function<void()>> hooks;
-    hooks.swap(cycle_end_);
-    for (auto& hook : hooks) hook();
+void Reactor::run_flushes() {
+  // A flush may arm another (a write error closes a backend connection and
+  // its requests re-issue on a sibling); the index loop runs those too.
+  for (size_t i = 0; i < flushes_.size(); ++i) {
+    std::shared_ptr<TcpConn> conn = std::move(flushes_[i]);
+    conn->run_armed_flush();
   }
+  flushes_.clear();
 }
 
 void Reactor::post(std::function<void()> fn) {

@@ -1,7 +1,8 @@
 // Single-threaded epoll reactor.
 //
 // All socket I/O for the real broker daemon runs on one reactor thread:
-// callbacks for fd readiness plus a monotonic-clock timer heap. Everything
+// callbacks for fd readiness, a monotonic-clock timer heap, and one
+// cycle-end gather write per connection that queued bytes. Everything
 // registered with the reactor is called from run(), so handlers need no
 // locking. stop() is safe to call from another thread (it writes an
 // eventfd).
@@ -10,6 +11,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <queue>
 #include <string>
@@ -17,6 +19,8 @@
 #include <vector>
 
 namespace sbroker::net {
+
+class TcpConn;
 
 class Reactor {
  public:
@@ -50,7 +54,8 @@ class Reactor {
   void run();
 
   /// Runs at most one epoll wait + dispatch cycle; `timeout_ms` -1 blocks.
-  /// Returns false after stop() was requested.
+  /// Flushes armed outside a cycle run before the wait, so queued bytes are
+  /// never stranded behind it. Returns false after stop() was requested.
   bool poll_once(int timeout_ms);
 
   /// Thread-safe shutdown request.
@@ -78,14 +83,16 @@ class Reactor {
   void set_teardown(int fd, std::function<void()> fn);
   void clear_teardown(int fd);
 
-  /// Registers a ONE-SHOT hook that runs at the end of the current dispatch
-  /// cycle (after fd callbacks, posted tasks, and timers; before the
-  /// graveyard drains). The daemon uses this to flush every connection that
-  /// accumulated responses during the wakeup with one writev each, instead
-  /// of one write per response.
-  void at_cycle_end(std::function<void()> fn);
-
  private:
+  friend class TcpConn;
+  /// Queues `conn` for one flush at the end of the current dispatch cycle
+  /// (after fd callbacks, posted tasks and timers; before the graveyard
+  /// drains), or before the next epoll_wait when armed outside a cycle.
+  /// TcpConn arms this itself on its first queued write of a cycle, so every
+  /// connection leaves a wakeup with one gather write however many writers
+  /// queued on it. Holding the connection keeps it alive until its flush.
+  void flush_at_cycle_end(std::shared_ptr<TcpConn> conn);
+
   struct Timer {
     double deadline;
     TimerId id;
@@ -98,7 +105,7 @@ class Reactor {
   void fire_due_timers();
   void drain_posted();
   void drain_graveyard();
-  void drain_cycle_end();
+  void run_flushes();
   int next_timeout_ms(int default_ms) const;
 
   int epoll_fd_ = -1;
@@ -110,9 +117,13 @@ class Reactor {
   std::unordered_map<TimerId, TimerCallback> timer_callbacks_;
   std::mutex post_mu_;
   std::vector<std::function<void()>> posted_;
+  // The drains swap their queue with a spare that keeps its capacity, so a
+  // steady-state cycle allocates nothing.
+  std::vector<std::function<void()>> posted_spare_;
   std::vector<std::function<void()>> graveyard_;  ///< deferred destructions
+  std::vector<std::function<void()>> graveyard_spare_;
   std::unordered_map<int, std::function<void()>> teardowns_;
-  std::vector<std::function<void()>> cycle_end_;  ///< one-shot end-of-cycle hooks
+  std::vector<std::shared_ptr<TcpConn>> flushes_;  ///< armed cycle-end flushes
 };
 
 }  // namespace sbroker::net

@@ -132,6 +132,10 @@ void TcpConn::handle_readable() {
     ssize_t n = ::read(fd_, buf, sizeof(buf));
     if (n > 0) {
       if (on_data_) on_data_(std::string_view(buf, static_cast<size_t>(n)));
+      // A short read drained the socket; epoll is level-triggered, so
+      // anything arriving later reports again instead of costing an EAGAIN
+      // read here.
+      if (static_cast<size_t>(n) < sizeof(buf)) return;
       continue;
     }
     if (n == 0) {
@@ -145,11 +149,6 @@ void TcpConn::handle_readable() {
   }
 }
 
-void TcpConn::send(std::string_view bytes) {
-  queue(bytes);
-  flush();
-}
-
 namespace {
 // Appends below this coalesce into the tail segment; at or above it a moved
 // string becomes its own segment (adopt, don't copy).
@@ -158,25 +157,38 @@ constexpr size_t kCoalesceLimit = 64 * 1024;
 constexpr int kMaxIov = 64;
 }  // namespace
 
-void TcpConn::queue(std::string_view bytes) {
-  if (fd_ < 0 || bytes.empty()) return;
+bool TcpConn::queue(std::string_view bytes) {
+  if (fd_ < 0 || bytes.empty()) return false;
   if (segments_.empty() || segments_.back().size() + bytes.size() > kCoalesceLimit) {
     segments_.emplace_back(bytes);
   } else {
     segments_.back().append(bytes);
   }
   queued_bytes_ += bytes.size();
+  return arm_flush();
 }
 
-void TcpConn::queue(std::string&& bytes) {
-  if (fd_ < 0 || bytes.empty()) return;
-  if (!segments_.empty() && segments_.back().size() + bytes.size() <= kCoalesceLimit) {
-    queued_bytes_ += bytes.size();
-    segments_.back().append(bytes);
-    return;
-  }
+bool TcpConn::queue(std::string&& bytes) {
+  if (fd_ < 0 || bytes.empty()) return false;
   queued_bytes_ += bytes.size();
-  segments_.push_back(std::move(bytes));
+  if (!segments_.empty() && segments_.back().size() + bytes.size() <= kCoalesceLimit) {
+    segments_.back().append(bytes);
+  } else {
+    segments_.push_back(std::move(bytes));
+  }
+  return arm_flush();
+}
+
+bool TcpConn::arm_flush() {
+  if (flush_armed_) return false;
+  flush_armed_ = true;
+  reactor_.flush_at_cycle_end(shared_from_this());
+  return true;
+}
+
+void TcpConn::run_armed_flush() {
+  flush_armed_ = false;
+  flush();
 }
 
 void TcpConn::flush() {
@@ -250,8 +262,12 @@ void TcpConn::shutdown() {
   if (fd_ < 0) return;
   if (queued_bytes_ == 0) {
     close_now();
-  } else {
-    shutdown_after_flush_ = true;
+    return;
+  }
+  shutdown_after_flush_ = true;
+  if (on_data_) {
+    reactor_.defer_destroy([keep = std::move(on_data_)]() {});
+    on_data_ = nullptr;
   }
 }
 

@@ -1,8 +1,9 @@
 // Non-blocking TCP primitives on the reactor.
 //
 // `TcpConn` owns a connected socket: reads are pushed to `on_data`, writes
-// are buffered and flushed as EPOLLOUT allows, close/error reaches
-// `on_close` exactly once. `TcpListener` accepts and hands raw fds to its
+// are buffered and leave in one gather write at the end of the reactor
+// cycle (the rest as EPOLLOUT allows), close/error reaches `on_close`
+// exactly once. `TcpListener` accepts and hands raw fds to its
 // callback. IPv4 loopback is all the testbeds need; addresses are
 // "host:port" with numeric hosts.
 #pragma once
@@ -46,22 +47,24 @@ class TcpConn : public std::enable_shared_from_this<TcpConn> {
   /// start() again replaces both callbacks (connection reuse by a new owner).
   void start(DataFn on_data, CloseFn on_close);
 
-  /// Buffers and flushes opportunistically (queue + flush).
-  void send(std::string_view bytes);
+  /// Buffers `bytes` and arms this connection's cycle-end flush (see
+  /// Reactor::flush_at_cycle_end) unless one is armed already, so everything
+  /// every writer queues during one reactor wakeup leaves in one gather
+  /// write. Small appends coalesce into the tail segment; the rvalue
+  /// overload adopts a large buffer without copying. Returns true when this
+  /// call armed the flush, which owners count as one coalesced write.
+  bool queue(std::string_view bytes);
+  bool queue(std::string&& bytes);
+  /// Same as queue().
+  void send(std::string_view bytes) { queue(bytes); }
 
-  /// Buffers WITHOUT flushing. Responses produced during one reactor wakeup
-  /// queue here and go out in a single writev when flush() runs (the daemon
-  /// arms a cycle-end flush). Small appends coalesce into the tail segment;
-  /// use the rvalue overload to adopt a large buffer without copying.
-  void queue(std::string_view bytes);
-  void queue(std::string&& bytes);
-
-  /// Writes everything queued with one gather write per call (as much as
-  /// the socket takes; the rest drains on EPOLLOUT). A peer that already
+  /// Writes everything queued now, with one gather write per call (as much
+  /// as the socket takes; the rest drains on EPOLLOUT). A peer that already
   /// closed yields EPIPE and closes the connection; it never raises SIGPIPE.
   void flush();
 
-  /// Graceful close: flushes buffered writes, then closes.
+  /// Graceful close: flushes buffered writes, then closes. Bytes read after
+  /// this are dropped.
   void shutdown();
 
   /// Immediate close.
@@ -73,8 +76,13 @@ class TcpConn : public std::enable_shared_from_this<TcpConn> {
   size_t pending_bytes() const { return queued_bytes_; }
 
  private:
+  friend class Reactor;
   TcpConn(Reactor& reactor, int fd);
 
+  /// Arms the cycle-end flush; false when one is armed already.
+  bool arm_flush();
+  /// The reactor's call of an armed flush.
+  void run_armed_flush();
   void on_events(uint32_t events);
   void handle_readable();
   void consume_queued(size_t n);
@@ -93,6 +101,7 @@ class TcpConn : public std::enable_shared_from_this<TcpConn> {
   size_t head_ = 0;
   size_t queued_bytes_ = 0;
   bool shutdown_after_flush_ = false;
+  bool flush_armed_ = false;
   bool want_write_ = false;
   bool registered_ = false;
 };

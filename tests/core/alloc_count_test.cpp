@@ -192,5 +192,39 @@ TEST(AllocCount, TcpConnReusesTailSegmentAcrossCycles) {
   close(fds[1]);
 }
 
+TEST(AllocCount, ReactorCycleWithQueuedRepliesAllocatesNothing) {
+  // The whole write path of a steady-state cycle: queue() arms the
+  // connection's cycle-end flush, poll_once runs it as one gather write and
+  // drains its (empty) posted and graveyard queues. None of it may allocate
+  // once warm: not the flush list, not the queue swaps, not the tail
+  // segment.
+  int fds[2];
+  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0, fds), 0);
+  net::Reactor reactor;
+  auto conn = net::TcpConn::adopt(reactor, fds[0]);
+  conn->start([](std::string_view) {}, [] {});
+
+  const std::string frame(88, 'r');
+  char sink[8192];
+  auto cycle = [&]() {
+    for (int f = 0; f < 40; ++f) conn->queue(std::string_view(frame));
+    reactor.poll_once(0);
+    ASSERT_EQ(conn->pending_bytes(), 0u);
+    while (::read(fds[1], sink, sizeof(sink)) > 0) {
+    }
+  };
+  cycle();  // warm-up: the tail segment and the flush list grow once
+
+  constexpr int kCycles = 1000;
+  uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (int i = 0; i < kCycles; ++i) cycle();
+  uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_LT(after - before, 100u)
+      << (after - before) << " allocations across " << kCycles << " cycles";
+
+  conn->abort();
+  close(fds[1]);
+}
+
 }  // namespace
 }  // namespace sbroker::core
