@@ -19,6 +19,11 @@
 #   scripts/check.sh perfbench # every benchmark workload, both modes, with
 #                              # its output checks (perfbench/run.py --smoke)
 #   scripts/check.sh asan ubsan  # several suites, run in the order given
+#   scripts/check.sh simdiff REF   # builds the 17 simulator programs (paper
+#                              # harnesses, ablations, simulator examples)
+#                              # from REF and from the working tree and fails
+#                              # on any byte of stdout that differs; not part
+#                              # of `all` (REF is any commit, e.g. HEAD~1)
 set -eu
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -111,8 +116,48 @@ run_perfbench() {
   (cd "$repo_root" && python3 perfbench/run.py --smoke)
 }
 
+sim_bench="fig7_clustering fig9_api_vs_broker fig10_qos_classes
+  table1_completions tables234_drop_ratios ablation_cache ablation_connpool
+  ablation_centralized ablation_balance ablation_prefetch ablation_txn
+  ablation_fidelity"
+sim_examples="quickstart movie_site travel_agency news_portal intranet_portal"
+
+# sim_outputs SRC BUILD OUT: builds the simulator programs of source tree SRC
+# in BUILD and writes each one's stdout to OUT/<program>.out.
+sim_outputs() {
+  cmake -B "$2" -S "$1" >/dev/null
+  cmake --build "$2" -j "$jobs" --target $sim_bench $sim_examples >/dev/null
+  mkdir -p "$3"
+  for p in $sim_bench; do "$2/bench/$p" >"$3/$p.out"; done
+  for p in $sim_examples; do "$2/examples/$p" >"$3/$p.out"; done
+}
+
+run_simdiff() {
+  echo "== simdiff: simulator stdout at $1 vs the working tree"
+  scratch=$(mktemp -d)
+  trap 'rm -rf "$scratch"' EXIT
+  mkdir "$scratch/ref"
+  git -C "$repo_root" archive "$1" | tar -x -C "$scratch/ref"
+  sim_outputs "$scratch/ref" "$scratch/ref-build" "$scratch/ref-out"
+  sim_outputs "$repo_root" "$repo_root/build" "$scratch/new-out"
+  differ=0
+  for p in $sim_bench $sim_examples; do
+    if ! cmp -s "$scratch/ref-out/$p.out" "$scratch/new-out/$p.out"; then
+      echo "simdiff: $p prints different output"
+      diff "$scratch/ref-out/$p.out" "$scratch/new-out/$p.out" | head -20 || true
+      differ=1
+    fi
+  done
+  rm -rf "$scratch"
+  trap - EXIT
+  [ "$differ" -eq 0 ] || exit 1
+  echo "simdiff: every simulator program prints the same bytes as $1"
+}
+
 [ $# -gt 0 ] || set -- all
-for what in "$@"; do
+while [ $# -gt 0 ]; do
+  what=$1
+  shift
   case "$what" in
     plain) run_plain ;;
     tsan) run_tsan ;;
@@ -120,8 +165,13 @@ for what in "$@"; do
     ubsan) run_ubsan ;;
     release) run_release ;;
     perfbench) run_perfbench ;;
+    simdiff)
+      [ $# -gt 0 ] || { echo "usage: scripts/check.sh simdiff REF" >&2; exit 2; }
+      run_simdiff "$1"
+      shift
+      ;;
     all) run_plain; run_tsan; run_asan; run_ubsan; run_release; run_perfbench ;;
-    *) echo "usage: scripts/check.sh [plain|tsan|asan|ubsan|release|perfbench|all]..." >&2; exit 2 ;;
+    *) echo "usage: scripts/check.sh [plain|tsan|asan|ubsan|release|perfbench|simdiff REF|all]..." >&2; exit 2 ;;
   esac
 done
 

@@ -88,44 +88,56 @@ double ServiceBroker::compute_deadline(double now, uint32_t deadline_ms) const {
 
 void ServiceBroker::submit(double now, const http::BrokerRequest& request,
                            ReplyFn reply) {
-  QosLevel base_level = config_.rules.clamp_level(request.qos_level);
-  metrics_.at(base_level).issued += 1;
-
-  QosLevel effective =
-      txn_->effective_level(request.txn_id, request.txn_step, base_level, now);
-
-  // 1. Result cache. lookup() classifies the probe: fresh hits and
-  //    grace-window stale values answer immediately (the one caller that won
-  //    the refresh claim also kicks off the background revalidation), cached
-  //    backend errors answer as errors, and only a true miss proceeds to the
-  //    fetch path.
-  if (config_.enable_cache) {
-    LookupResult looked = cache_->lookup(request.payload, now);
-    if (looked.outcome != LookupOutcome::kMiss) {
-      serve_from_cache(now, request, base_level, looked.outcome, *looked.value,
-                       [&reply](const ReplyView& r) {
-                         reply(http::BrokerReply{r.request_id, r.fidelity,
-                                                 std::string(r.payload)});
-                       });
-      return;
-    }
-  }
-
-  submit_tail(now, request, std::move(reply), base_level, effective);
+  // The same probe as every other caller's. The scratch arena is this call's
+  // own, so a submit made from inside the hit reply probes into another.
+  std::unique_ptr<Arena> scratch = arena_pool_.acquire();
+  bool served = try_submit_fast(now, request, *scratch, [&reply](const ReplyView& r) {
+    reply(http::BrokerReply{r.request_id, r.fidelity, std::string(r.payload)});
+  });
+  arena_pool_.release(std::move(scratch));
+  if (!served) submit_miss(now, request, std::move(reply));
 }
 
 bool ServiceBroker::try_submit_fast(double now, const http::BrokerRequest& request,
                                     Arena& scratch, ReplyViewFn reply) {
+  // 1. Result cache. lookup_into() classifies the probe: fresh hits and
+  //    grace-window stale values answer immediately (the one caller that won
+  //    the refresh claim also kicks off the background revalidation), cached
+  //    backend errors answer as errors, and only a true miss falls through
+  //    to submit_miss().
   if (!config_.enable_cache) return false;
   LookupView looked = cache_->lookup_into(request.payload, now, scratch);
   if (looked.outcome == LookupOutcome::kMiss) return false;
 
   QosLevel base_level = config_.rules.clamp_level(request.qos_level);
-  metrics_.at(base_level).issued += 1;
-  // Side-effect parity with submit(): transaction progress advances even for
-  // cache-answered steps (escalation must see step N served from cache).
+  auto& c = metrics_.at(base_level);
+  c.issued += 1;
+  // Side-effect parity with submit_miss(): transaction progress advances even
+  // for cache-answered steps (escalation must see step N served from cache).
   txn_->effective_level(request.txn_id, request.txn_step, base_level, now);
-  serve_from_cache(now, request, base_level, looked.outcome, looked.value, reply);
+  c.completed += 1;
+  obs_.record(base_level, obs::Stage::kTotal, 0.0);
+  if (looked.outcome == LookupOutcome::kNegative) {
+    c.errors += 1;
+    metrics_.flight.negative_hits += 1;
+    obs_.trace(now, request.request_id, obs::TraceEventKind::kCacheHit,
+               static_cast<uint8_t>(base_level), /*detail: negative=*/2);
+    reply(ReplyView{request.request_id, http::Fidelity::kError, looked.value});
+    return true;
+  }
+  c.cache_hits += 1;
+  if (looked.outcome != LookupOutcome::kHit) {
+    metrics_.flight.swr_hits += 1;
+    obs_.trace(now, request.request_id, obs::TraceEventKind::kSwr,
+               static_cast<uint8_t>(base_level),
+               looked.outcome == LookupOutcome::kStaleRefresh ? 1 : 0);
+  }
+  obs_.trace(now, request.request_id, obs::TraceEventKind::kCacheHit,
+             static_cast<uint8_t>(base_level));
+  reply(ReplyView{request.request_id, http::Fidelity::kCached, looked.value});
+  if (looked.outcome == LookupOutcome::kStaleRefresh) {
+    issue_refresh(request.payload, now);
+  }
   return true;
 }
 
@@ -135,44 +147,7 @@ void ServiceBroker::submit_miss(double now, const http::BrokerRequest& request,
   metrics_.at(base_level).issued += 1;
   QosLevel effective =
       txn_->effective_level(request.txn_id, request.txn_step, base_level, now);
-  submit_tail(now, request, std::move(reply), base_level, effective);
-}
 
-void ServiceBroker::serve_from_cache(double now, const http::BrokerRequest& request,
-                                     QosLevel base_level, LookupOutcome outcome,
-                                     std::string_view value, ReplyViewFn reply) {
-  if (outcome == LookupOutcome::kNegative) {
-    auto& c = metrics_.at(base_level);
-    c.errors += 1;
-    c.completed += 1;
-    metrics_.flight.negative_hits += 1;
-    obs_.record(base_level, obs::Stage::kTotal, 0.0);
-    obs_.trace(now, request.request_id, obs::TraceEventKind::kCacheHit,
-               static_cast<uint8_t>(base_level), /*detail: negative=*/2);
-    reply(ReplyView{request.request_id, http::Fidelity::kError, value});
-    return;
-  }
-  auto& c = metrics_.at(base_level);
-  c.cache_hits += 1;
-  c.completed += 1;
-  obs_.record(base_level, obs::Stage::kTotal, 0.0);
-  if (outcome != LookupOutcome::kHit) {
-    metrics_.flight.swr_hits += 1;
-    obs_.trace(now, request.request_id, obs::TraceEventKind::kSwr,
-               static_cast<uint8_t>(base_level),
-               outcome == LookupOutcome::kStaleRefresh ? 1 : 0);
-  }
-  obs_.trace(now, request.request_id, obs::TraceEventKind::kCacheHit,
-             static_cast<uint8_t>(base_level));
-  reply(ReplyView{request.request_id, http::Fidelity::kCached, value});
-  if (outcome == LookupOutcome::kStaleRefresh) {
-    issue_refresh(request.payload, now);
-  }
-}
-
-void ServiceBroker::submit_tail(double now, const http::BrokerRequest& request,
-                                ReplyFn reply, QosLevel base_level,
-                                QosLevel effective) {
   // 2. Admission, against the (possibly cross-shard) outstanding count —
   //    floored by the federation's gossiped tier pressure when installed.
   double admission_load = load_->load();
@@ -513,7 +488,7 @@ void ServiceBroker::destroy_context(RequestContext* ctx) {
 
 void ServiceBroker::finish_context(RequestContext* ctx, double now,
                                    http::Fidelity fidelity,
-                                   const std::string& payload, bool count_error) {
+                                   std::string_view payload, bool count_error) {
   assert(outstanding_ > 0);
   --outstanding_;
   load_->dec();
@@ -533,7 +508,7 @@ void ServiceBroker::finish_context(RequestContext* ctx, double now,
   obs_.trace(now, ctx->id, obs::TraceEventKind::kComplete,
              static_cast<uint8_t>(ctx->base_level),
              static_cast<uint16_t>(fidelity));
-  ctx->reply(http::BrokerReply{ctx->id, fidelity, payload});
+  ctx->reply(http::BrokerReply{ctx->id, fidelity, std::string(payload)});
   destroy_context(ctx);
 }
 
@@ -853,7 +828,7 @@ bool ServiceBroker::claim_flight(std::string_view key) {
 }
 
 void ServiceBroker::resolve_flight(std::string_view key, double now, bool ok,
-                                   const std::string& payload) {
+                                   std::string_view payload) {
   auto fit = flights_.find(key);
   if (fit == flights_.end()) return;
   Flight flight = std::move(fit->second);
@@ -929,6 +904,7 @@ void ServiceBroker::drain_flight_wakeups(double now) {
     keys.swap(flight_wakeups_);
     flight_wakeups_pending_.store(false, std::memory_order_relaxed);
   }
+  std::unique_ptr<Arena> scratch = arena_pool_.acquire();
   for (const std::string& key : keys) {
     auto fit = flights_.find(key);
     // Only leaderless, unowned flights are waiting on a remote resolution;
@@ -936,18 +912,19 @@ void ServiceBroker::drain_flight_wakeups(double now) {
     if (fit == flights_.end() || fit->second.owner || fit->second.leader != 0) {
       continue;
     }
-    LookupResult looked = cache_->lookup(key, now);
+    scratch->reset();
+    LookupView looked = cache_->lookup_into(key, now, *scratch);
     switch (looked.outcome) {
       case LookupOutcome::kHit:
       case LookupOutcome::kStaleServe:
       case LookupOutcome::kStaleRefresh:
-        resolve_flight(key, now, /*ok=*/true, *looked.value);
+        resolve_flight(key, now, /*ok=*/true, looked.value);
         if (looked.outcome == LookupOutcome::kStaleRefresh) {
           issue_refresh(key, now);
         }
         break;
       case LookupOutcome::kNegative:
-        resolve_flight(key, now, /*ok=*/false, *looked.value);
+        resolve_flight(key, now, /*ok=*/false, looked.value);
         break;
       case LookupOutcome::kMiss:
         // The remote fetch died without publishing anything: promote a
@@ -956,6 +933,7 @@ void ServiceBroker::drain_flight_wakeups(double now) {
         break;
     }
   }
+  arena_pool_.release(std::move(scratch));
 }
 
 ChannelStats ServiceBroker::channel_stats() const {

@@ -167,21 +167,23 @@ class ServiceBroker {
   }
 
   /// Handles one request message. `reply` fires exactly once — possibly
-  /// re-entrantly (cache hit / drop) or later (backend completion).
+  /// re-entrantly (cache hit / drop) or later (backend completion). Exactly
+  /// try_submit_fast() into an arena of this call's own (so a re-entrant
+  /// submit from inside the reply gets another), then submit_miss().
   void submit(double now, const http::BrokerRequest& request, ReplyFn reply);
 
-  /// Allocation-free fast path: when the cache answers the request
-  /// (hit / negative / stale-within-grace), replies synchronously through
-  /// `reply` — the payload view lives in `scratch` — and returns true.
-  /// Returns false without consuming the request when it must take the full
-  /// fetch path; the caller then calls submit_miss(). The cache probe and
-  /// its counters/refresh-claim side effects happen exactly once across the
-  /// pair, which is why the fallback must be submit_miss(), not submit().
+  /// The one cache probe, and the allocation-free hit path: when the cache
+  /// answers the request (hit / negative / stale-within-grace), replies
+  /// synchronously through `reply` — the payload view lives in `scratch` —
+  /// and returns true. Returns false without consuming or counting the
+  /// request when it must take the full fetch path; the caller then calls
+  /// submit_miss(). Every ingress and the simulator reach the cache this
+  /// way, so a hit is counted, traced and recorded at one site.
   bool try_submit_fast(double now, const http::BrokerRequest& request,
                        Arena& scratch, ReplyViewFn reply);
 
-  /// submit() for a request whose cache probe (via try_submit_fast) already
-  /// missed: identical except the duplicate probe is skipped.
+  /// The fetch path for a request whose try_submit_fast() probe missed:
+  /// admission, lifecycle context, single-flight and dispatch.
   void submit_miss(double now, const http::BrokerRequest& request, ReplyFn reply);
 
   /// Housekeeping: flushes overdue cluster batches, sheds deadline-expired
@@ -282,15 +284,6 @@ class ServiceBroker {
   };
 
   double compute_deadline(double now, uint32_t deadline_ms) const;
-  /// submit() minus the cache probe: admission, lifecycle-context creation
-  /// (placement-new into a pooled arena) and the cluster/dispatch path.
-  void submit_tail(double now, const http::BrokerRequest& request, ReplyFn reply,
-                   QosLevel base_level, QosLevel effective);
-  /// Shared cache-answer bookkeeping (metrics, traces, reply, refresh kick)
-  /// for submit() and try_submit_fast(). `outcome` must be servable.
-  void serve_from_cache(double now, const http::BrokerRequest& request,
-                        QosLevel base_level, LookupOutcome outcome,
-                        std::string_view value, ReplyViewFn reply);
   void enqueue_batch(Batch batch, double now);
   void pump(double now);
   void dispatch(ReadyBatch ready, double now);
@@ -300,7 +293,7 @@ class ServiceBroker {
   /// to the pool — the exactly-once terminal's single free.
   void destroy_context(RequestContext* ctx);
   void finish_context(RequestContext* ctx, double now, http::Fidelity fidelity,
-                      const std::string& payload, bool count_error);
+                      std::string_view payload, bool count_error);
   void shed_context(RequestContext* ctx, double now, bool deadline_miss);
   bool may_retry(const RequestContext& ctx, double now) const;
   /// Feedback-control evaluation on the tick path: snapshots the observer's
@@ -327,7 +320,7 @@ class ServiceBroker {
   /// Answers and detaches every waiter, releases the table claim. `ok`
   /// selects kCached vs kError waiter replies. No-op when no flight exists.
   void resolve_flight(std::string_view key, double now, bool ok,
-                      const std::string& payload);
+                      std::string_view payload);
   /// Called when `member_id`'s fetch chain died without resolving its key
   /// (expired pre-dispatch, harvested, or failed with no retry budget while
   /// already shed): if it still leads the flight, promote a live waiter to

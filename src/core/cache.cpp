@@ -4,13 +4,6 @@
 
 namespace sbroker::core {
 
-LookupView ResultCacheBase::lookup_into(std::string_view key, double now,
-                                        Arena& scratch) {
-  LookupResult r = lookup(key, now);
-  if (!r.value) return {r.outcome, {}};
-  return {r.outcome, scratch.store(*r.value)};
-}
-
 ResultCache::ResultCache(size_t capacity, double ttl)
     : ResultCache(capacity, ttl, CacheTuning{}) {}
 
@@ -49,63 +42,35 @@ void ResultCache::touch(Slot it) {
   move_to_front(it);
 }
 
-std::optional<std::string> ResultCache::get(std::string_view key, double now) {
+LookupView ResultCache::lookup_into(std::string_view key, double now,
+                                    Arena& scratch) {
   auto it = map_.find(key);
   if (it == map_.end()) {
     ++misses_;
-    return std::nullopt;
-  }
-  if (it->second->negative || !fresh(*it->second, now)) {
-    ++expired_;
-    ++misses_;
-    // Keep the stale entry: get_stale may still serve it on drops; a later
-    // put() refreshes it in place.
-    return std::nullopt;
-  }
-  touch(it->second);
-  return it->second->value;
-}
-
-std::pair<LookupOutcome, const std::string*> ResultCache::lookup_entry(
-    std::string_view key, double now) {
-  auto it = map_.find(key);
-  if (it == map_.end()) {
-    ++misses_;
-    return {LookupOutcome::kMiss, nullptr};
+    return {};
   }
   Entry& e = *it->second;
   if (fresh(e, now)) {
     touch(it->second);
     return {e.negative ? LookupOutcome::kNegative : LookupOutcome::kHit,
-            &e.value};
+            scratch.store(e.value)};
   }
   // Expired. Positive entries get the grace window; negatives never do — a
-  // cached error past its short TTL must not keep answering.
+  // cached error past its short TTL must not keep answering. Either way the
+  // stale entry stays: get_stale may still serve it on drops, and a later
+  // put() refreshes it in place.
   if (!e.negative && tuning_.swr_grace > 0.0 &&
       now - e.expires_at <= tuning_.swr_grace) {
     ++hits_;
     if (now - e.refresh_claimed_at > tuning_.swr_grace) {
       e.refresh_claimed_at = now;
-      return {LookupOutcome::kStaleRefresh, &e.value};
+      return {LookupOutcome::kStaleRefresh, scratch.store(e.value)};
     }
-    return {LookupOutcome::kStaleServe, &e.value};
+    return {LookupOutcome::kStaleServe, scratch.store(e.value)};
   }
   ++expired_;
   ++misses_;
-  return {LookupOutcome::kMiss, nullptr};
-}
-
-LookupResult ResultCache::lookup(std::string_view key, double now) {
-  auto [outcome, value] = lookup_entry(key, now);
-  if (value == nullptr) return {outcome, std::nullopt};
-  return {outcome, *value};
-}
-
-LookupView ResultCache::lookup_into(std::string_view key, double now,
-                                    Arena& scratch) {
-  auto [outcome, value] = lookup_entry(key, now);
-  if (value == nullptr) return {outcome, {}};
-  return {outcome, scratch.store(*value)};
+  return {};
 }
 
 std::optional<std::string> ResultCache::get_stale(std::string_view key) const {

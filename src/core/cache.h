@@ -9,8 +9,9 @@
 // fidelity" (Section IV).
 //
 // Anti-stampede machinery lives here too (CacheTuning):
-//   * stale-while-revalidate — within a grace window past expiry, lookup()
-//     serves the stale value and hands exactly one caller a refresh claim;
+//   * stale-while-revalidate — within a grace window past expiry,
+//     lookup_into() serves the stale value and hands exactly one caller a
+//     refresh claim;
 //   * per-key TTL jitter — co-inserted keys de-synchronize their expiries
 //     instead of turning every hot key into a periodic miss storm;
 //   * negative entries — backend error replies cached for a short TTL so a
@@ -36,7 +37,7 @@ namespace sbroker::core {
 /// Anti-stampede knobs; the all-zero default reproduces the plain LRU+TTL
 /// behaviour exactly.
 struct CacheTuning {
-  /// Seconds past expiry during which lookup() still serves the stale value
+  /// Seconds past expiry during which lookup_into() still serves the stale value
   /// (kStaleRefresh/kStaleServe). 0 disables stale-while-revalidate.
   double swr_grace = 0.0;
   /// Fractional ±jitter applied to each entry's TTL, keyed by a hash of the
@@ -52,18 +53,13 @@ struct CacheTuning {
   uint64_t jitter_salt = 0;
 };
 
-/// Classified result of ResultCacheBase::lookup().
+/// Classified result of ResultCacheBase::lookup_into().
 enum class LookupOutcome {
   kMiss,          ///< nothing servable; caller must fetch
   kHit,           ///< fresh positive value
   kNegative,      ///< fresh negative (cached backend error) value
   kStaleServe,    ///< stale-within-grace value; refresh already claimed
   kStaleRefresh,  ///< stale-within-grace value; caller won the refresh claim
-};
-
-struct LookupResult {
-  LookupOutcome outcome = LookupOutcome::kMiss;
-  std::optional<std::string> value;
 };
 
 /// lookup_into() result: the value lives in the caller's arena (valid until
@@ -80,23 +76,14 @@ class ResultCacheBase {
  public:
   virtual ~ResultCacheBase() = default;
 
-  /// Fresh lookup: returns the value only when present, unexpired and
-  /// positive. A hit may refresh the entry's LRU position.
-  virtual std::optional<std::string> get(std::string_view key, double now) = 0;
-
-  /// Classified lookup: distinguishes fresh hits, negative hits and
+  /// The one classified read: distinguishes fresh hits, negative hits and
   /// grace-window stale values, and atomically assigns the single refresh
   /// claim for a stale entry (kStaleRefresh for exactly one caller per grace
-  /// window — under the striped cache this claim is cross-shard).
-  virtual LookupResult lookup(std::string_view key, double now) = 0;
-
-  /// lookup() with the value copied into `scratch` instead of a heap
-  /// std::string — the servable-outcome classification and refresh-claim
-  /// semantics are identical. The base implementation wraps lookup();
-  /// concrete caches override it to copy straight from the entry (for the
-  /// striped cache, under the stripe lock — a raw view would race with
-  /// eviction by other shards once the lock drops).
-  virtual LookupView lookup_into(std::string_view key, double now, Arena& scratch);
+  /// window — under the striped cache this claim is cross-shard). A fresh
+  /// hit may refresh the entry's LRU position. The value is copied into
+  /// `scratch` (for the striped cache, under the stripe lock — a raw view
+  /// would race with eviction by other shards once the lock drops).
+  virtual LookupView lookup_into(std::string_view key, double now, Arena& scratch) = 0;
 
   /// Stale-permitted lookup: returns the value even when expired (used for
   /// low-fidelity replies). Negative entries are never served stale. Does
@@ -151,8 +138,6 @@ class ResultCache final : public ResultCacheBase {
   ResultCache(size_t capacity, double ttl);
   ResultCache(size_t capacity, double ttl, CacheTuning tuning);
 
-  std::optional<std::string> get(std::string_view key, double now) override;
-  LookupResult lookup(std::string_view key, double now) override;
   LookupView lookup_into(std::string_view key, double now, Arena& scratch) override;
   std::optional<std::string> get_stale(std::string_view key) const override;
   void put(std::string_view key, std::string value, double now) override;
@@ -192,7 +177,7 @@ class ResultCache final : public ResultCacheBase {
   };
   using Slot = std::list<Entry>::iterator;
 
-  // Transparent hash/equal: get()/get_stale() probe with the request payload
+  // Transparent hash/equal: lookup_into()/get_stale() probe with the request payload
   // as a string_view without materializing a temporary std::string.
   struct KeyHash {
     using is_transparent = void;
@@ -202,16 +187,12 @@ class ResultCache final : public ResultCacheBase {
   };
 
   bool fresh(const Entry& e, double now) const { return now <= e.expires_at; }
-  /// Hit bookkeeping shared by get()/lookup()/lookup_into(): counts the hit
-  /// and promotes the entry only when it has left the front window.
+  /// Fresh-hit bookkeeping: counts the hit and promotes the entry only when
+  /// it has left the front window.
   void touch(Slot it);
   void move_to_front(Slot it);
   void store(std::string_view key, std::string value, double now,
              bool negative, double ttl_for_entry);
-  /// Shared classification for lookup()/lookup_into(): outcome plus a
-  /// pointer at the resident value (null on kMiss).
-  std::pair<LookupOutcome, const std::string*> lookup_entry(std::string_view key,
-                                                            double now);
 
   // Counters come first: StripedResultCache places its stripe mutex right
   // before this object, so a hit's counter write lands on the cache line the

@@ -21,18 +21,6 @@ StripedResultCache::StripedResultCache(size_t capacity, double ttl,
   }
 }
 
-std::optional<std::string> StripedResultCache::get(std::string_view key, double now) {
-  Stripe& s = stripe_for(key);
-  std::lock_guard<std::mutex> lock(s.mu);
-  return s.cache.get(key, now);
-}
-
-LookupResult StripedResultCache::lookup(std::string_view key, double now) {
-  Stripe& s = stripe_for(key);
-  std::lock_guard<std::mutex> lock(s.mu);
-  return s.cache.lookup(key, now);
-}
-
 LookupView StripedResultCache::lookup_into(std::string_view key, double now,
                                            Arena& scratch) {
   Stripe& s = stripe_for(key);

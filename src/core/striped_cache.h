@@ -37,13 +37,11 @@ class StripedResultCache final : public ResultCacheBase {
   StripedResultCache(size_t capacity, double ttl, size_t stripes,
                      CacheTuning tuning);
 
-  std::optional<std::string> get(std::string_view key, double now) override;
   /// The stale-refresh claim is taken under the stripe lock, so exactly one
   /// shard per grace window wins kStaleRefresh for a key — the cross-shard
-  /// half of "trigger exactly one background refresh".
-  LookupResult lookup(std::string_view key, double now) override;
-  /// Copies into the caller's arena while the stripe lock is held — a raw
-  /// view into the entry would race with eviction by other shards.
+  /// half of "trigger exactly one background refresh". The value is copied
+  /// into the caller's arena while the lock is held — a raw view into the
+  /// entry would race with eviction by other shards.
   LookupView lookup_into(std::string_view key, double now, Arena& scratch) override;
   std::optional<std::string> get_stale(std::string_view key) const override;
   void put(std::string_view key, std::string value, double now) override;

@@ -37,24 +37,24 @@ void fill_request(const frame::Request& freq, http::BrokerRequest& out) {
   out.payload.assign(freq.query);
 }
 
-http::Response map_broker_reply(const http::BrokerReply& reply) {
+http::Response map_broker_reply(http::Fidelity fidelity, std::string_view payload) {
   int status = 200;
-  switch (reply.fidelity) {
+  switch (fidelity) {
     case http::Fidelity::kFull:
     case http::Fidelity::kCached:
     case http::Fidelity::kDegraded:
       status = 200;
       break;
     case http::Fidelity::kBusy:
-      status = reply.payload == core::kDeadlineExceeded ? 504 : 503;
+      status = payload == core::kDeadlineExceeded ? 504 : 503;
       break;
     case http::Fidelity::kError:
       status = 502;
       break;
   }
-  auto resp = http::make_response(status, reply.payload);
+  auto resp = http::make_response(status, std::string(payload));
   resp.headers.set(std::string(http::kFidelityHeader),
-                   std::string(http::fidelity_name(reply.fidelity)));
+                   std::string(http::fidelity_name(fidelity)));
   return resp;
 }
 
@@ -191,41 +191,46 @@ bool BrokerDaemon::drain_frames(const std::shared_ptr<Conn>& conn) {
   return true;
 }
 
-void BrokerDaemon::handle_client_frame(const std::shared_ptr<Conn>& conn,
-                                       const frame::Request& freq) {
-  wire_.frames_in += 1;
-  http::BrokerRequest& req = conn->req_scratch;
-  fill_request(freq, req);
-
-  // Fast path: a cache-answerable request is served entirely out of the
-  // scratch arena (value copy + reply view), with the reply bytes queued
-  // for the connection's cycle-end gather write. Only a true miss pays for
-  // the owning std::function + context arena of the full path.
+template <typename Sink>
+bool BrokerDaemon::serve(const http::BrokerRequest& req, const Sink& sink,
+                          const std::shared_ptr<Conn>* forward_from) {
+  // A cache-answerable request is served entirely out of the scratch arena
+  // (value copy + reply view) through the non-owning ReplyViewFn. Only a
+  // true miss pays for the owning std::function + context arena.
   scratch_.reset();
-  bool served = broker_.try_submit_fast(
-      reactor_.now(), req, scratch_, [&](const core::ReplyView& r) {
-        queue_frame_reply(conn, r.request_id, r.fidelity, r.payload);
-        if (fed_ != nullptr) fed_->on_served(req.payload, r.payload, r.fidelity);
-      });
-  if (served) {
-    wire_.fast_hits += 1;
-    return;
+  if (broker_.try_submit_fast(reactor_.now(), req, scratch_,
+                              [&](const core::ReplyView& r) { sink(req.payload, r); })) {
+    return true;
   }
   // The fast path counted nothing on a miss, so exactly one node's broker
   // sees each request: the forwarding path hands it to the owner (which
   // counts it), the local path submits it here. Tier-wide issued+cache_hits
   // therefore equals client replies whichever route a request takes.
-  if (fed_ != nullptr && try_forward_miss(conn, req)) return;
+  if (forward_from != nullptr && fed_ != nullptr &&
+      try_forward_miss(*forward_from, req)) {
+    return false;
+  }
   broker_.submit_miss(reactor_.now(), req,
-                      [this, conn, key = req.payload](const http::BrokerReply& reply) {
-                        if (!conn->tcp->closed()) {
-                          queue_frame_reply(conn, reply.request_id,
-                                            reply.fidelity, reply.payload);
-                        }
-                        if (fed_ != nullptr) {
-                          fed_->on_served(key, reply.payload, reply.fidelity);
-                        }
+                      [sink, key = req.payload](const http::BrokerReply& r) {
+                        sink(key, core::ReplyView{r.request_id, r.fidelity, r.payload});
                       });
+  return false;
+}
+
+auto BrokerDaemon::client_sink(const std::shared_ptr<Conn>& conn) {
+  return [this, conn](std::string_view key, const core::ReplyView& r) {
+    if (!conn->tcp->closed()) {
+      queue_frame_reply(conn, r.request_id, r.fidelity, r.payload);
+    }
+    if (fed_ != nullptr) fed_->on_served(key, r.payload, r.fidelity);
+  };
+}
+
+void BrokerDaemon::handle_client_frame(const std::shared_ptr<Conn>& conn,
+                                       const frame::Request& freq) {
+  wire_.frames_in += 1;
+  fill_request(freq, conn->req_scratch);
+  if (serve(conn->req_scratch, client_sink(conn), &conn)) wire_.fast_hits += 1;
 }
 
 bool BrokerDaemon::try_forward_miss(const std::shared_ptr<Conn>& conn,
@@ -245,7 +250,7 @@ bool BrokerDaemon::try_forward_miss(const std::shared_ptr<Conn>& conn,
           }
           return;
         }
-        // Owner unreachable (dead channel / exchange timeout): fetch locally
+        // Owner unreachable (dead channel / exchange timeout): serve locally
         // with whatever budget the client has left, clamped to >= 1ms so the
         // request sheds through the normal deadline path instead of hanging.
         if (kept->deadline_ms > 0) {
@@ -254,17 +259,7 @@ bool BrokerDaemon::try_forward_miss(const std::shared_ptr<Conn>& conn,
           kept->deadline_ms =
               remaining >= 1.0 ? static_cast<uint32_t>(remaining) : 1u;
         }
-        broker_.submit_miss(
-            reactor_.now(), *kept,
-            [this, conn, key = kept->payload](const http::BrokerReply& reply) {
-              if (!conn->tcp->closed()) {
-                queue_frame_reply(conn, reply.request_id, reply.fidelity,
-                                  reply.payload);
-              }
-              if (fed_ != nullptr) {
-                fed_->on_served(key, reply.payload, reply.fidelity);
-              }
-            });
+        serve(*kept, client_sink(conn));
         rearm_tick();  // the fallback may carry the earliest deadline
       });
 }
@@ -273,47 +268,30 @@ void BrokerDaemon::handle_peer_fetch(const std::shared_ptr<Conn>& conn,
                                      const frame::Request& freq) {
   wire_.frames_in += 1;
   fed_->on_peer_fetch();
-  http::BrokerRequest& req = conn->req_scratch;
-  fill_request(freq, req);  // deadline_ms is the forwarder's remaining budget
-
+  fill_request(freq, conn->req_scratch);  // deadline_ms: the forwarder's budget
   // Serve as owner: cache, else local fetch. Never re-forwarded — the owner
   // answers a peer fetch itself by construction, so forwarding cannot loop.
-  scratch_.reset();
-  bool served = broker_.try_submit_fast(
-      reactor_.now(), req, scratch_, [&](const core::ReplyView& r) {
-        queue_reply_frame(conn, frame::kKindPeerReply, r.request_id, r.fidelity,
-                          frame::flags_for(r.fidelity), r.payload);
-        fed_->on_served(req.payload, r.payload, r.fidelity);
-      });
-  if (served) {
-    wire_.fast_hits += 1;
-    return;
-  }
-  broker_.submit_miss(
-      reactor_.now(), req,
-      [this, conn, key = req.payload](const http::BrokerReply& reply) {
-        if (!conn->tcp->closed()) {
-          queue_reply_frame(conn, frame::kKindPeerReply, reply.request_id,
-                            reply.fidelity, frame::flags_for(reply.fidelity),
-                            reply.payload);
-        }
-        if (fed_ != nullptr) fed_->on_served(key, reply.payload, reply.fidelity);
-      });
+  auto sink = [this, conn](std::string_view key, const core::ReplyView& r) {
+    if (!conn->tcp->closed()) {
+      queue_reply_frame(conn, frame::kKindPeerReply, r.request_id, r.fidelity,
+                        frame::flags_for(r.fidelity), r.payload);
+    }
+    if (fed_ != nullptr) fed_->on_served(key, r.payload, r.fidelity);
+  };
+  if (serve(conn->req_scratch, sink)) wire_.fast_hits += 1;
 }
 
 bool BrokerDaemon::drain_http(const std::shared_ptr<Conn>& conn) {
+  auto sink = [this, conn](std::string_view, const core::ReplyView& r) {
+    if (!conn->tcp->closed()) queue_http_reply(conn, r.fidelity, r.payload);
+  };
   while (true) {
     http::Request req;
     auto result = conn->parser.next(req);
     if (result == http::ParseResult::kNeedMore) return true;
     if (result == http::ParseResult::kError) return false;
     wire_.http_in += 1;
-    auto breq = map_http_request(req, ++http_seq_);
-    broker_.submit(reactor_.now(), breq,
-                   [this, conn](const http::BrokerReply& reply) {
-                     if (conn->tcp->closed()) return;
-                     queue_http_reply(conn, reply);
-                   });
+    serve(map_http_request(req, ++http_seq_), sink);
   }
 }
 
@@ -341,8 +319,9 @@ void BrokerDaemon::queue_reply_frame(const std::shared_ptr<Conn>& conn,
 }
 
 void BrokerDaemon::queue_http_reply(const std::shared_ptr<Conn>& conn,
-                                    const http::BrokerReply& reply) {
-  auto resp = map_broker_reply(reply);
+                                    http::Fidelity fidelity,
+                                    std::string_view payload) {
+  auto resp = map_broker_reply(fidelity, payload);
   conn->encode_scratch.clear();
   resp.serialize_into(conn->encode_scratch);
   wire_.flushed_responses += 1;
@@ -357,14 +336,13 @@ void BrokerDaemon::on_datagram(std::string_view payload, const sockaddr_in& from
     SBROKER_WARN("broker-daemon") << "malformed datagram dropped";
     return;
   }
-  http::BrokerRequest req;
-  fill_request(freq, req);
-  broker_.submit(reactor_.now(), req, [this, from](const http::BrokerReply& reply) {
+  fill_request(freq, udp_request_);
+  serve(udp_request_, [this, from](std::string_view, const core::ReplyView& r) {
     if (!udp_) return;
-    std::string bytes;
-    frame::encode_reply(reply.request_id, reply.fidelity,
-                        frame::flags_for(reply.fidelity), reply.payload, bytes);
-    udp_->send_to(from, bytes);
+    udp_reply_.clear();
+    frame::encode_reply(r.request_id, r.fidelity, frame::flags_for(r.fidelity),
+                        r.payload, udp_reply_);
+    udp_->send_to(from, udp_reply_);
   });
   rearm_tick();
 }

@@ -5,7 +5,10 @@
 // binary frames (net/frame.h), and the broker forwards to real HTTP
 // backend servers. This is the deployment shape of the paper's distributed
 // model (Figure 5) — admission, clustering, caching and differentiation all
-// happen in this process, in front of QoS-unaware backends.
+// happen in this process, in front of QoS-unaware backends. Every ingress
+// (frames, peer fetches, HTTP sniffed on the main port, UDP) reaches the
+// broker through one helper, serve(): the cache fast path first, the miss
+// path after it, exactly as the simulator's ServiceBroker::submit().
 //
 // Everything runs on one Reactor thread; a periodic timer drives
 // broker.tick() for cluster-deadline flushes and prefetch.
@@ -39,7 +42,10 @@ struct BrokerDaemonConfig {
 struct WireStats {
   uint64_t frames_in = 0;    ///< binary-frame requests (net/frame.h)
   uint64_t http_in = 0;      ///< sniffed HTTP/1.1 requests on the main port
-  uint64_t fast_hits = 0;    ///< frame requests served by the arena fast path
+  /// Frame requests (client and peer fetch) the cache answered. HTTP and
+  /// UDP hits take the same path but are not counted here, so
+  /// fast_hits / frames_in stays a frame-only share.
+  uint64_t fast_hits = 0;
   uint64_t flushes = 0;      ///< cycle-end gather writes on frame/http conns
   uint64_t flushed_responses = 0;  ///< responses those writes carried
 
@@ -102,6 +108,20 @@ class BrokerDaemon {
   void on_client_bytes(const std::shared_ptr<Conn>& conn, std::string_view bytes);
   bool drain_frames(const std::shared_ptr<Conn>& conn);
   bool drain_http(const std::shared_ptr<Conn>& conn);
+  /// The one route from every ingress (client frame, peer fetch, forward
+  /// fallback, sniffed HTTP, UDP) to the broker. The cache fast path
+  /// answers through `sink` with the payload in scratch_, so a hit costs no
+  /// std::function and no allocation in the broker. A miss is offered to
+  /// the federation first when `forward_from` is set (client frames), then
+  /// takes the broker's miss path with `sink` wrapped in the owning ReplyFn.
+  /// `sink(key, reply)` gets the request's cache key and its one answer.
+  /// True when the cache answered.
+  template <typename Sink>
+  bool serve(const http::BrokerRequest& req, const Sink& sink,
+             const std::shared_ptr<Conn>* forward_from = nullptr);
+  /// Sink for a client frame connection: queues the reply frame and reports
+  /// the answer to the federation.
+  auto client_sink(const std::shared_ptr<Conn>& conn);
   /// One decoded client request frame: cache fast path, then federation
   /// forward (hook installed and a live peer owns the key), then local fetch.
   void handle_client_frame(const std::shared_ptr<Conn>& conn,
@@ -127,7 +147,7 @@ class BrokerDaemon {
                          uint64_t request_id, http::Fidelity fidelity,
                          uint8_t flags, std::string_view payload);
   void queue_http_reply(const std::shared_ptr<Conn>& conn,
-                        const http::BrokerReply& reply);
+                        http::Fidelity fidelity, std::string_view payload);
   /// One datagram must hold exactly one request frame; anything else
   /// (truncated, trailing bytes, another kind) is dropped without a reply.
   void on_datagram(std::string_view payload, const sockaddr_in& from);
@@ -143,8 +163,11 @@ class BrokerDaemon {
   std::unique_ptr<UdpSocket> udp_;
   uint64_t http_seq_ = 0;  ///< synthesizes request ids for HTTP clients
   WireStats wire_;
-  /// Scratch arena for the allocation-free cache fast path; reset per frame.
+  /// Scratch arena for the allocation-free cache fast path; reset per request.
   core::Arena scratch_;
+  /// Reused across datagrams, like a connection's request/encode scratch.
+  http::BrokerRequest udp_request_;
+  std::string udp_reply_;
   /// This shard's federation endpoint; null = single-node behaviour.
   FederationHook* fed_ = nullptr;
 };

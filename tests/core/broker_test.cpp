@@ -141,6 +141,37 @@ TEST(Broker, CacheHitSkipsBackend) {
   EXPECT_EQ(broker.metrics().at(2).cache_hits, 1u);
 }
 
+TEST(Broker, CacheHitReplyMaySubmitAnotherHitReentrantly) {
+  // submit() probes into an arena of its own call, so a submit made from
+  // inside a hit reply probes into another and neither reply sees the other
+  // request's payload.
+  BrokerConfig cfg = basic_config();
+  cfg.enable_cache = true;
+  cfg.cache_ttl = 100.0;
+  ServiceBroker broker("b", cfg);
+  auto backend = std::make_shared<FakeBackend>();
+  broker.add_backend(backend);
+  broker.cache().put("outer", "outer-value", 0.0);
+  broker.cache().put("inner", "inner-value", 0.0);
+  Capture outer, inner;
+  broker.submit(1.0, make_request(1, 2, "outer"), [&](const http::BrokerReply& r) {
+    broker.submit(1.0, make_request(2, 2, "inner"), inner.fn());
+    outer.replies.push_back(r);
+  });
+  EXPECT_TRUE(backend->invocations.empty());
+  ASSERT_EQ(outer.replies.size(), 1u);
+  ASSERT_EQ(inner.replies.size(), 1u);
+  EXPECT_EQ(outer.replies[0].request_id, 1u);
+  EXPECT_EQ(outer.replies[0].fidelity, http::Fidelity::kCached);
+  EXPECT_EQ(outer.replies[0].payload, "outer-value");
+  EXPECT_EQ(inner.replies[0].request_id, 2u);
+  EXPECT_EQ(inner.replies[0].fidelity, http::Fidelity::kCached);
+  EXPECT_EQ(inner.replies[0].payload, "inner-value");
+  EXPECT_EQ(broker.metrics().at(2).issued, 2u);
+  EXPECT_EQ(broker.metrics().at(2).completed, 2u);
+  EXPECT_EQ(broker.metrics().at(2).cache_hits, 2u);
+}
+
 TEST(Broker, ClusteringBatchesAndSplits) {
   BrokerConfig cfg = basic_config();
   cfg.cluster = ClusterConfig{3, 10.0};

@@ -1,6 +1,6 @@
 // StripedResultCache: same LRU+TTL semantics as ResultCache per stripe, plus
 // the cross-shard guarantees the sharded daemon depends on — bounded total
-// size under any hash skew and integrity under concurrent put/get.
+// size under any hash skew and integrity under concurrent put/lookup_into.
 #include "core/striped_cache.h"
 
 #include <gtest/gtest.h>
@@ -31,10 +31,11 @@ TEST(StripedCacheTest, PutGetRoundTripAcrossManyKeys) {
   for (int i = 0; i < 100; ++i) {
     cache.put(nth("key-", i), nth("value-", i), 0.0);
   }
+  Arena scratch;
   for (int i = 0; i < 100; ++i) {
-    auto v = cache.get(nth("key-", i), 1.0);
-    ASSERT_TRUE(v.has_value()) << i;
-    EXPECT_EQ(*v, nth("value-", i));
+    LookupView v = cache.lookup_into(nth("key-", i), 1.0, scratch);
+    ASSERT_EQ(v.outcome, LookupOutcome::kHit) << i;
+    EXPECT_EQ(v.value, nth("value-", i));
   }
   EXPECT_EQ(cache.size(), 100u);
   EXPECT_EQ(cache.hits(), 100u);
@@ -67,8 +68,13 @@ TEST(StripedCacheTest, StripeCountClampedToCapacity) {
 TEST(StripedCacheTest, TtlExpiryAndStaleLookup) {
   StripedResultCache cache(32, 1.0, 4);
   cache.put("k", "fresh", 0.0);
-  EXPECT_TRUE(cache.get("k", 0.5).has_value());
-  EXPECT_FALSE(cache.get("k", 2.0).has_value());  // expired
+  Arena scratch;
+  LookupView hit = cache.lookup_into("k", 0.5, scratch);
+  EXPECT_EQ(hit.outcome, LookupOutcome::kHit);
+  EXPECT_EQ(hit.value, "fresh");
+  LookupView expired = cache.lookup_into("k", 2.0, scratch);
+  EXPECT_EQ(expired.outcome, LookupOutcome::kMiss);
+  EXPECT_TRUE(expired.value.empty());
   EXPECT_EQ(cache.expired(), 1u);
   // Stale path still serves the value for low-fidelity drop replies.
   auto stale = cache.get_stale("k");
@@ -101,6 +107,7 @@ TEST(StripedCacheTest, ConcurrentPutGetKeepsValueIntegrity) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t]() {
+      Arena scratch;
       uint64_t rng = 1234567ULL * (t + 1);
       for (int op = 0; op < kOpsPerThread; ++op) {
         rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
@@ -110,8 +117,11 @@ TEST(StripedCacheTest, ConcurrentPutGetKeepsValueIntegrity) {
           cache.put(key, nth("v", k), 0.0);
         } else {
           probes.fetch_add(1, std::memory_order_relaxed);
-          auto v = cache.get(key, 1.0);
-          if (v && *v != nth("v", k)) {
+          scratch.reset();
+          LookupView v = cache.lookup_into(key, 1.0, scratch);
+          bool hit = v.outcome == LookupOutcome::kHit;
+          if ((hit && v.value != nth("v", k)) ||
+              (!hit && v.outcome != LookupOutcome::kMiss)) {
             mismatches.fetch_add(1, std::memory_order_relaxed);
           }
         }
@@ -136,6 +146,7 @@ TEST(StripedCacheTest, TtlExpiryUnderConcurrentPutGet) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t]() {
+      Arena scratch;
       for (int op = 0; op < kOps; ++op) {
         std::string key = nth("k", op % 32);
         double now = static_cast<double>(op) * 0.01;
@@ -144,7 +155,8 @@ TEST(StripedCacheTest, TtlExpiryUnderConcurrentPutGet) {
         } else {
           probes.fetch_add(1, std::memory_order_relaxed);
           // Probe 10 virtual seconds ahead: usually expired.
-          (void)cache.get(key, now + 10.0);
+          scratch.reset();
+          (void)cache.lookup_into(key, now + 10.0, scratch);
         }
       }
     });
@@ -245,7 +257,9 @@ TEST(StripedCacheTest, GetStaleServesExpiredButNotEvictedEntries) {
   StripedResultCache cache(32, 1.0, kStripes);  // 8 entries per stripe
 
   cache.put(keys[0], "survivor", 0.0);
-  EXPECT_FALSE(cache.get(keys[0], 5.0).has_value());  // expired...
+  Arena scratch;
+  EXPECT_EQ(cache.lookup_into(keys[0], 5.0, scratch).outcome,
+            LookupOutcome::kMiss);                     // expired...
   EXPECT_EQ(cache.get_stale(keys[0]), "survivor");    // ...but servable
 
   // Fill the victim's stripe past capacity: keys[0] is the LRU entry there.
@@ -271,7 +285,8 @@ TEST(StripedCacheTest, ConcurrentStaleProbesElectOneRefresher) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&]() {
-      LookupResult r = cache.lookup("hot", 1.5);  // in the grace window
+      Arena scratch;
+      LookupView r = cache.lookup_into("hot", 1.5, scratch);  // in the grace window
       if (r.outcome == LookupOutcome::kStaleRefresh) ++refreshers;
       if (r.outcome == LookupOutcome::kStaleServe) ++stale_serves;
       EXPECT_EQ(r.value, "v1");

@@ -33,6 +33,7 @@ TEST(Properties, CacheAgreesWithReferenceModel) {
   core::ResultCache cache(kCapacity, kTtl);
   std::map<std::string, std::pair<std::string, double>> model;
   util::Rng rng(1234);
+  core::Arena scratch;
   double now = 0.0;
 
   for (int op = 0; op < 20000; ++op) {
@@ -43,13 +44,17 @@ TEST(Properties, CacheAgreesWithReferenceModel) {
       cache.put(key, value, now);
       model[key] = {value, now};
     } else {
-      auto hit = cache.get(key, now);
+      scratch.reset();
+      core::LookupView looked = cache.lookup_into(key, now, scratch);
       ASSERT_LE(cache.size(), kCapacity);
-      if (hit) {
+      // No grace window and no negatives: every probe is a hit or a miss.
+      ASSERT_TRUE(looked.outcome == core::LookupOutcome::kHit ||
+                  looked.outcome == core::LookupOutcome::kMiss);
+      if (looked.outcome == core::LookupOutcome::kHit) {
         // Anything returned must match the latest model write and be fresh.
         auto it = model.find(key);
         ASSERT_NE(it, model.end()) << "cache invented a value for " << key;
-        EXPECT_EQ(*hit, it->second.first);
+        EXPECT_EQ(looked.value, it->second.first);
         EXPECT_LE(now - it->second.second, kTtl);
       } else if (model.count(key) && now - model[key].second <= kTtl) {
         // A fresh model entry may be missing only via capacity eviction;

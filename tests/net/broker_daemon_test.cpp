@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <future>
 #include <thread>
 
 #include "db/dataset.h"
@@ -46,6 +47,14 @@ class BrokerDaemonTest : public ::testing::Test {
   void TearDown() override {
     reactor_.stop();
     thread_.join();
+  }
+
+  /// The broker's counters over all classes, read on the reactor thread
+  /// that owns them.
+  core::BrokerMetrics::ClassCounters totals() {
+    std::promise<core::BrokerMetrics::ClassCounters> result;
+    reactor_.post([&]() { result.set_value(daemon_->broker().metrics().total()); });
+    return result.get_future().get();
   }
 
   Reactor reactor_;
@@ -196,6 +205,55 @@ TEST_F(BrokerDaemonTest, HttpOnMainPortIsSniffedAndServed) {
   ASSERT_TRUE(resp.has_value());
   EXPECT_EQ(resp->status, 200);
   EXPECT_EQ(resp->body, "content of /sniffed-page");
+  EXPECT_EQ(resp->headers.get_view(http::kFidelityHeader).value_or(""), "full");
+  // The repeat is a cache hit, served through the same probe as a frame's.
+  auto again = http_fetch(daemon_->port(), req, 2000);
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(again->status, 200);
+  EXPECT_EQ(again->body, "content of /sniffed-page");
+  EXPECT_EQ(again->headers.get_view(http::kFidelityHeader).value_or(""), "cached");
+  core::BrokerMetrics::ClassCounters total = totals();
+  EXPECT_EQ(total.cache_hits, 1u);
+  EXPECT_EQ(total.issued, 2u);
+  EXPECT_EQ(total.completed, 2u);
+}
+
+TEST(BrokerDaemonHttp, NegativeCacheHitMapsToBadGateway) {
+  // A failed fetch is cached as a negative entry; the repeat is answered
+  // from it as an error, which HTTP maps to 502 like the failure itself.
+  struct Failing : core::Backend {
+    Reactor* reactor = nullptr;
+    int calls = 0;
+    void invoke(const Call&, Completion done) override {
+      ++calls;
+      done(reactor->now(), false, "backend down");
+    }
+  };
+  Reactor reactor;
+  auto backend = std::make_shared<Failing>();
+  backend->reactor = &reactor;
+  BrokerDaemonConfig cfg;
+  cfg.broker.enable_cache = true;
+  cfg.broker.cache_ttl = 30.0;
+  cfg.broker.cache_tuning.negative_ttl = 30.0;
+  cfg.broker.lifecycle.max_attempts = 1;
+  BrokerDaemon daemon(reactor, "failing-broker", cfg);
+  daemon.add_backend(backend);
+  std::thread t([&] { reactor.run(); });
+  http::Request req;
+  req.target = "/broken";
+  auto first = http_fetch(daemon.port(), req, 2000);
+  auto again = http_fetch(daemon.port(), req, 2000);
+  reactor.stop();
+  t.join();
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->status, 502);
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(again->status, 502);
+  EXPECT_EQ(again->body, "backend down");
+  EXPECT_EQ(again->headers.get_view(http::kFidelityHeader).value_or(""), "error");
+  EXPECT_EQ(backend->calls, 1);
+  EXPECT_EQ(daemon.broker().metrics().flight.negative_hits, 1u);
 }
 
 TEST_F(BrokerDaemonTest, InprocDbBackendServesSql) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <future>
 #include <thread>
 
 #include "net/broker_daemon.h"
@@ -74,6 +75,14 @@ class UdpDaemonTest : public ::testing::Test {
     thread_.join();
   }
 
+  /// The broker's counters over all classes, read on the reactor thread
+  /// that owns them.
+  core::BrokerMetrics::ClassCounters totals() {
+    std::promise<core::BrokerMetrics::ClassCounters> result;
+    reactor_.post([&]() { result.set_value(daemon_->broker().metrics().total()); });
+    return result.get_future().get();
+  }
+
   /// Sends one request frame as a datagram and parses the one reply frame.
   std::optional<FrameReply> call(uint64_t id, uint8_t qos, std::string_view target) {
     std::string datagram;
@@ -112,6 +121,12 @@ TEST_F(UdpDaemonTest, CacheWorksOverUdp) {
   auto second = call(2, 3, "/cached");
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(second->fidelity, http::Fidelity::kCached);
+  EXPECT_EQ(second->payload, "udp-served /cached");
+  EXPECT_NE(second->flags & frame::kFlagCacheServed, 0);
+  core::BrokerMetrics::ClassCounters total = totals();
+  EXPECT_EQ(total.issued, 2u);
+  EXPECT_EQ(total.issued, total.completed);
+  EXPECT_EQ(total.cache_hits, 1u);
 }
 
 TEST_F(UdpDaemonTest, GarbageDatagramIsDroppedSilently) {
