@@ -37,8 +37,8 @@ namespace sbroker::core {
 /// Anti-stampede knobs; the all-zero default reproduces the plain LRU+TTL
 /// behaviour exactly.
 struct CacheTuning {
-  /// Seconds past expiry during which lookup_into() still serves the stale value
-  /// (kStaleRefresh/kStaleServe). 0 disables stale-while-revalidate.
+  /// Seconds past expiry during which lookup_into() still serves the stale
+  /// value (kStaleRefresh/kStaleServe). 0 disables stale-while-revalidate.
   double swr_grace = 0.0;
   /// Fractional ±jitter applied to each entry's TTL, keyed by a hash of the
   /// entry key so it is deterministic per key. 0.1 = ±10%. 0 disables.
@@ -177,8 +177,8 @@ class ResultCache final : public ResultCacheBase {
   };
   using Slot = std::list<Entry>::iterator;
 
-  // Transparent hash/equal: lookup_into()/get_stale() probe with the request payload
-  // as a string_view without materializing a temporary std::string.
+  // Transparent hash/equal: lookup_into()/get_stale() probe with the request
+  // payload as a string_view without materializing a temporary std::string.
   struct KeyHash {
     using is_transparent = void;
     size_t operator()(std::string_view s) const {
