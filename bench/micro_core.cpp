@@ -125,7 +125,7 @@ void BM_AdmissionDecide(benchmark::State& state) {
   core::AdmissionController ctl(core::QosRules{3, 20.0});
   double load = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ctl.decide(2, load, 0.0));
+    benchmark::DoNotOptimize(ctl.decide(2, load));
     load = load > 25 ? 0 : load + 0.1;
   }
 }

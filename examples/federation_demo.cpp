@@ -93,9 +93,11 @@ uint16_t reserve_port() {
   return port;
 }
 
-/// Child body: one federation member. Never returns to the caller's main —
-/// _Exit avoids re-flushing stdio buffers duplicated by fork and skips
-/// static destructors that belong to the parent's lifetime.
+/// Child body: one federation member. Never returns to the caller's main:
+/// it leaves through std::exit, which skips the caller's stack (the
+/// Children guard) but runs exit handlers, so a coverage build writes the
+/// member's counts. The parent flushes stdio before fork, so the exit flush
+/// duplicates no output.
 [[noreturn]] void run_node(size_t node, const std::vector<uint16_t>& ports,
                            const std::vector<uint16_t>& admin_ports,
                            uint16_t backend_port, int ready_fd,
@@ -138,7 +140,7 @@ uint16_t reserve_port() {
   }
   while (g_term == 0) pause();
   daemon.stop();
-  std::_Exit(0);
+  std::exit(0);
 }
 
 /// Owns the forked member processes; SIGKILLs whatever is still alive on

@@ -24,6 +24,12 @@
 #                              # from REF and from the working tree and fails
 #                              # on any byte of stdout that differs; not part
 #                              # of `all` (REF is any commit, e.g. HEAD~1)
+#   scripts/check.sh reach     # report: which src/ lines and functions the
+#                              # shipping programs (example and bench smokes,
+#                              # simulator harnesses, perfbench --smoke) run,
+#                              # and which only the tests run; --coverage -O0
+#                              # tree in build-reach/, perfbench's in
+#                              # build-reach-bench/; not part of `all`
 set -eu
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -154,6 +160,38 @@ run_simdiff() {
   echo "simdiff: every simulator program prints the same bytes as $1"
 }
 
+run_reach() {
+  echo "== reach: src/ lines and functions the shipping programs run"
+  start=$(date +%s)
+  tree="$repo_root/build-reach"
+  bench="$repo_root/build-reach-bench"
+  # Counts left by an earlier run would not match rebuilt objects.
+  grep -qs -- "--coverage -O0" "$bench/perfbench/CMakeCache.txt" || rm -rf "$bench"
+  find "$tree" "$bench" -name '*.gcda' -delete 2>/dev/null || true
+  cmake -B "$tree" -S "$repo_root" -DCMAKE_BUILD_TYPE=Debug \
+    -DCMAKE_CXX_FLAGS="--coverage -O0" >/dev/null
+  cmake --build "$tree" -j "$jobs" >/dev/null
+  # gtest_discover_tests runs every test binary during the build: drop those
+  # counts so only the programs below count.
+  find "$tree" -name '*.gcda' -delete
+  failed=""
+  ctest --test-dir "$tree" -R 'bench_|example_' -j "$jobs" >/dev/null ||
+    failed="$failed smokes"
+  for p in $sim_bench; do "$tree/bench/$p" >/dev/null || failed="$failed $p"; done
+  # perfbench is the only program that runs some broker paths (refresh,
+  # metrics merge, ShardedBrokerDaemon::dispatch_accepted); it builds
+  # unmodified into its own tree.
+  (cd "$repo_root" && CARGO_TARGET_DIR="$bench" CXXFLAGS="--coverage -O0" \
+    python3 perfbench/run.py --smoke >/dev/null 2>&1) || failed="$failed perfbench"
+  python3 "$repo_root/scripts/reach.py" collect "$tree/reach-shipped.json" "$tree" "$bench"
+  ctest --test-dir "$tree" -E 'bench_|example_' -j "$jobs" >/dev/null ||
+    failed="$failed tests"
+  python3 "$repo_root/scripts/reach.py" collect "$tree/reach-all.json" "$tree"
+  python3 "$repo_root/scripts/reach.py" report "$tree/reach-shipped.json" "$tree/reach-all.json"
+  [ -z "$failed" ] || echo "reach: these runs failed (their counts are partial):$failed"
+  echo "reach: $(( $(date +%s) - start )) s"
+}
+
 [ $# -gt 0 ] || set -- all
 while [ $# -gt 0 ]; do
   what=$1
@@ -170,8 +208,9 @@ while [ $# -gt 0 ]; do
       run_simdiff "$1"
       shift
       ;;
+    reach) run_reach ;;
     all) run_plain; run_tsan; run_asan; run_ubsan; run_release; run_perfbench ;;
-    *) echo "usage: scripts/check.sh [plain|tsan|asan|ubsan|release|perfbench|simdiff REF|all]..." >&2; exit 2 ;;
+    *) echo "usage: scripts/check.sh [plain|tsan|asan|ubsan|release|perfbench|simdiff REF|reach|all]..." >&2; exit 2 ;;
   esac
 done
 

@@ -10,8 +10,6 @@ const char* admission_decision_name(AdmissionDecision d) {
       return "forward";
     case AdmissionDecision::kDropOverLimit:
       return "drop-over-limit";
-    case AdmissionDecision::kDropContract:
-      return "drop-contract";
   }
   std::abort();  // exhaustive switch above (-Wswitch keeps it that way)
 }
@@ -19,25 +17,13 @@ const char* admission_decision_name(AdmissionDecision d) {
 AdmissionController::AdmissionController(QosRules rules,
                                          const OverloadConfig& overload)
     : rules_(rules),
-      overload_(make_overload_controller(overload, rules)),
-      contracts_(static_cast<size_t>(rules.num_levels)) {}
+      overload_(make_overload_controller(overload, rules)) {}
 
-void AdmissionController::set_contract(QosLevel level, double rate, double burst) {
-  level = rules_.clamp_level(level);
-  contracts_[static_cast<size_t>(level) - 1].emplace(rate, burst);
-}
-
-AdmissionDecision AdmissionController::decide(QosLevel level, double outstanding,
-                                              double now) {
+AdmissionDecision AdmissionController::decide(QosLevel level, double outstanding) {
   level = rules_.clamp_level(level);
   if (!overload_->admit(level, outstanding)) {
     ++dropped_over_limit_;
     return AdmissionDecision::kDropOverLimit;
-  }
-  auto& contract = contracts_[static_cast<size_t>(level) - 1];
-  if (contract && !contract->try_acquire(now)) {
-    ++dropped_contract_;
-    return AdmissionDecision::kDropContract;
   }
   ++forwarded_;
   return AdmissionDecision::kForward;

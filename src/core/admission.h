@@ -1,28 +1,21 @@
 // Admission control: the broker-side overload gate.
 //
-// Combines the paper's threshold rule — delegated to the pluggable
-// OverloadController (overload.h), which owns the live effective
-// threshold — with optional per-class traffic contracts: "When traffic
-// intensity of QoS classes exceed their limits, their requests are dropped
-// and other classes are not affected" (Section III). Contracts are token
-// buckets per class; a request must pass both its class contract and the
-// controller's outstanding-threshold rule to be forwarded.
+// Applies the paper's threshold rule, delegated to the pluggable
+// OverloadController (overload.h), which owns the live effective threshold:
+// a request is forwarded only while the broker's outstanding count is below
+// its class's share of that threshold.
 #pragma once
 
 #include <memory>
-#include <optional>
-#include <vector>
 
 #include "core/overload.h"
 #include "core/qos.h"
-#include "util/token_bucket.h"
 
 namespace sbroker::core {
 
 enum class AdmissionDecision {
   kForward,          ///< send to the backend
   kDropOverLimit,    ///< outstanding count exceeded the class bound
-  kDropContract,     ///< class exceeded its contracted rate
 };
 
 const char* admission_decision_name(AdmissionDecision d);
@@ -33,14 +26,9 @@ class AdmissionController {
   /// feedback) reproduces the paper's fixed rule exactly.
   explicit AdmissionController(QosRules rules, const OverloadConfig& overload = {});
 
-  /// Installs a rate contract for `level`: `rate` requests/second with
-  /// `burst` burst capacity. Levels without contracts are unconstrained.
-  void set_contract(QosLevel level, double rate, double burst);
-
   /// Decides for one request of class `level`, given the broker's current
-  /// outstanding count, at time `now` (seconds). A kForward decision debits
-  /// the class contract.
-  AdmissionDecision decide(QosLevel level, double outstanding, double now);
+  /// outstanding count.
+  AdmissionDecision decide(QosLevel level, double outstanding);
 
   const QosRules& rules() const { return rules_; }
 
@@ -51,15 +39,12 @@ class AdmissionController {
 
   uint64_t forwarded() const { return forwarded_; }
   uint64_t dropped_over_limit() const { return dropped_over_limit_; }
-  uint64_t dropped_contract() const { return dropped_contract_; }
 
  private:
   QosRules rules_;
   std::unique_ptr<OverloadController> overload_;
-  std::vector<std::optional<util::TokenBucket>> contracts_;  // index: level-1
   uint64_t forwarded_ = 0;
   uint64_t dropped_over_limit_ = 0;
-  uint64_t dropped_contract_ = 0;
 };
 
 }  // namespace sbroker::core

@@ -152,7 +152,7 @@ void ServiceBroker::submit_miss(double now, const http::BrokerRequest& request,
   //    floored by the federation's gossiped tier pressure when installed.
   double admission_load = load_->load();
   if (tier_load_) admission_load = std::max(admission_load, tier_load_());
-  AdmissionDecision decision = admission_.decide(effective, admission_load, now);
+  AdmissionDecision decision = admission_.decide(effective, admission_load);
   if (decision != AdmissionDecision::kForward) {
     reply_drop(now, request, base_level, reply);
     return;

@@ -107,8 +107,6 @@ class ResultCacheBase {
   virtual void clear() = 0;
 
   virtual size_t size() const = 0;
-  virtual size_t capacity() const = 0;
-  virtual double ttl() const = 0;
 
   virtual uint64_t hits() const = 0;
   virtual uint64_t misses() const = 0;
@@ -146,8 +144,6 @@ class ResultCache final : public ResultCacheBase {
   void clear() override;
 
   size_t size() const override { return map_.size(); }
-  size_t capacity() const override { return capacity_; }
-  double ttl() const override { return ttl_; }
   const CacheTuning& tuning() const { return tuning_; }
 
   uint64_t hits() const override { return hits_; }

@@ -8,8 +8,7 @@ StripedResultCache::StripedResultCache(size_t capacity, double ttl, size_t strip
     : StripedResultCache(capacity, ttl, stripes, CacheTuning{}) {}
 
 StripedResultCache::StripedResultCache(size_t capacity, double ttl,
-                                       size_t stripes, CacheTuning tuning)
-    : capacity_(capacity), ttl_(ttl) {
+                                       size_t stripes, CacheTuning tuning) {
   assert(capacity > 0);
   if (stripes == 0) stripes = 1;
   if (stripes > capacity) stripes = capacity;

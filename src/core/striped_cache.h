@@ -50,8 +50,6 @@ class StripedResultCache final : public ResultCacheBase {
   void clear() override;
 
   size_t size() const override;
-  size_t capacity() const override { return capacity_; }
-  double ttl() const override { return ttl_; }
 
   uint64_t hits() const override;
   uint64_t misses() const override;
@@ -81,9 +79,7 @@ class StripedResultCache final : public ResultCacheBase {
     return *stripes_[std::hash<std::string_view>{}(key) % stripes_.size()];
   }
 
-  size_t capacity_;
   size_t per_stripe_capacity_;
-  double ttl_;
   std::vector<std::unique_ptr<Stripe>> stripes_;
 };
 

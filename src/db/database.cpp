@@ -33,6 +33,4 @@ const Table& Database::table(const std::string& name) const {
   return *t;
 }
 
-bool Database::drop_table(const std::string& name) { return tables_.erase(name) > 0; }
-
 }  // namespace sbroker::db

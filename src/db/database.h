@@ -25,8 +25,6 @@ class Database {
   /// Returns the table or throws std::invalid_argument.
   Table& table(const std::string& name);
   const Table& table(const std::string& name) const;
-
-  bool drop_table(const std::string& name);
   size_t table_count() const { return tables_.size(); }
 
  private:

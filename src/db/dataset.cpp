@@ -44,25 +44,4 @@ void load_movie_schedule(Database& db, util::Rng& rng, int64_t movies,
   t.create_hash_index("movie_id");
 }
 
-void load_vendor_catalog(Database& db, util::Rng& rng, int64_t skus) {
-  Table& t = db.create_table("catalog", Schema({{"sku", Type::kInt},
-                                                {"vendor", Type::kText},
-                                                {"kind", Type::kText},
-                                                {"price", Type::kReal},
-                                                {"stock", Type::kInt}}));
-  const char* vendors[] = {"acme-monitors", "visionworks", "pixelcraft"};
-  const char* kinds[] = {"monitor", "video_card", "cable"};
-  for (int64_t i = 0; i < skus; ++i) {
-    Row row;
-    row.emplace_back(i);
-    row.emplace_back(std::string(vendors[rng.uniform_int(0, 2)]));
-    row.emplace_back(std::string(kinds[rng.uniform_int(0, 2)]));
-    row.emplace_back(rng.uniform_real(20.0, 900.0));
-    row.emplace_back(rng.uniform_int(0, 200));
-    t.insert(std::move(row));
-  }
-  t.create_hash_index("sku");
-  t.create_ordered_index("price");
-}
-
 }  // namespace sbroker::db

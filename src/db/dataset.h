@@ -21,8 +21,4 @@ void load_benchmark_table(Database& db, util::Rng& rng, uint64_t records = 42000
 void load_movie_schedule(Database& db, util::Rng& rng, int64_t movies = 50,
                          int64_t theaters = 12, int64_t shows_per_day = 5);
 
-/// Product catalog used by the supply-chain transaction example:
-/// (sku INT, vendor TEXT, kind TEXT, price REAL, stock INT).
-void load_vendor_catalog(Database& db, util::Rng& rng, int64_t skus = 500);
-
 }  // namespace sbroker::db

@@ -13,34 +13,13 @@ RowId Table::insert(Row row) {
   }
   RowId id = rows_.size();
   rows_.push_back(std::move(row));
-  alive_.push_back(true);
-  ++live_rows_;
   index_insert(id, rows_.back());
   return id;
 }
 
 const Row* Table::get(RowId id) const {
-  if (id >= rows_.size() || !alive_[id]) return nullptr;
+  if (id >= rows_.size()) return nullptr;
   return &rows_[id];
-}
-
-bool Table::update(RowId id, Row row) {
-  if (id >= rows_.size() || !alive_[id]) return false;
-  if (!schema_.matches(row)) {
-    throw std::invalid_argument("row does not match schema of table " + name_);
-  }
-  index_erase(id, rows_[id]);
-  rows_[id] = std::move(row);
-  index_insert(id, rows_[id]);
-  return true;
-}
-
-bool Table::erase(RowId id) {
-  if (id >= rows_.size() || !alive_[id]) return false;
-  index_erase(id, rows_[id]);
-  alive_[id] = false;
-  --live_rows_;
-  return true;
 }
 
 void Table::create_hash_index(const std::string& column) {
@@ -103,27 +82,6 @@ std::vector<RowId> Table::range_lookup(size_t column, const Value* lo, bool lo_i
 void Table::index_insert(RowId id, const Row& row) {
   for (auto& [col, index] : hash_indexes_) index.emplace(row[col], id);
   for (auto& [col, index] : ordered_indexes_) index.emplace(row[col], id);
-}
-
-void Table::index_erase(RowId id, const Row& row) {
-  for (auto& [col, index] : hash_indexes_) {
-    auto [lo, hi] = index.equal_range(row[col]);
-    for (auto e = lo; e != hi; ++e) {
-      if (e->second == id) {
-        index.erase(e);
-        break;
-      }
-    }
-  }
-  for (auto& [col, index] : ordered_indexes_) {
-    auto [lo, hi] = index.equal_range(row[col]);
-    for (auto e = lo; e != hi; ++e) {
-      if (e->second == id) {
-        index.erase(e);
-        break;
-      }
-    }
-  }
 }
 
 }  // namespace sbroker::db

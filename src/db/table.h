@@ -4,7 +4,7 @@
 // index flavours are supported per column:
 //   * hash index    — equality lookups, O(1) average
 //   * ordered index — range scans, O(log n + k)
-// Index maintenance happens on insert/update/delete; the executor picks an
+// Tables are append-only; inserts maintain the indexes. The executor picks an
 // index when a predicate allows it and falls back to a full scan otherwise
 // (the scan-vs-index equivalence is covered by property tests).
 #pragma once
@@ -29,19 +29,13 @@ class Table {
 
   const std::string& name() const { return name_; }
   const Schema& schema() const { return schema_; }
-  size_t row_count() const { return live_rows_; }
+  size_t row_count() const { return rows_.size(); }
 
   /// Inserts a row; throws std::invalid_argument on schema mismatch.
   RowId insert(Row row);
 
-  /// Returns nullptr for deleted/unknown ids.
+  /// Returns nullptr for unknown ids.
   const Row* get(RowId id) const;
-
-  /// Replaces a live row; returns false if the id is dead/unknown.
-  bool update(RowId id, Row row);
-
-  /// Tombstones a row; returns false if already dead/unknown.
-  bool erase(RowId id);
 
   /// Builds a hash (equality) index on `column`. Idempotent.
   void create_hash_index(const std::string& column);
@@ -60,11 +54,10 @@ class Table {
   std::vector<RowId> range_lookup(size_t column, const Value* lo, bool lo_inclusive,
                                   const Value* hi, bool hi_inclusive) const;
 
-  /// Visits every live row in insertion order; `fn` returns false to stop.
+  /// Visits every row in insertion order; `fn` returns false to stop.
   template <typename Fn>
   void scan(Fn&& fn) const {
     for (RowId id = 0; id < rows_.size(); ++id) {
-      if (!alive_[id]) continue;
       if (!fn(id, rows_[id])) return;
     }
   }
@@ -88,13 +81,10 @@ class Table {
   using OrderedIndex = std::multimap<Value, RowId, ValueLess>;
 
   void index_insert(RowId id, const Row& row);
-  void index_erase(RowId id, const Row& row);
 
   std::string name_;
   Schema schema_;
   std::vector<Row> rows_;
-  std::vector<bool> alive_;
-  size_t live_rows_ = 0;
   std::unordered_map<size_t, HashIndex> hash_indexes_;      // column -> index
   std::unordered_map<size_t, OrderedIndex> ordered_indexes_;
 };

@@ -10,10 +10,6 @@ std::optional<std::string> Entry::attribute(const std::string& name) const {
   return it->second;
 }
 
-bool Entry::has_attribute(const std::string& name) const {
-  return attributes.count(name) > 0;
-}
-
 bool Filter::matches(const Entry& entry) const {
   auto [lo, hi] = entry.attributes.equal_range(attribute);
   switch (kind) {
@@ -82,22 +78,6 @@ bool Directory::add(Entry entry) {
   children_.emplace(parent, entry.dn);
   std::string dn = entry.dn;
   entries_.emplace(std::move(dn), std::move(entry));
-  return true;
-}
-
-bool Directory::remove(const std::string& dn) {
-  auto it = entries_.find(dn);
-  if (it == entries_.end()) return false;
-  if (children_.count(dn)) return false;  // not a leaf
-  std::string parent = parent_dn(dn);
-  auto [lo, hi] = children_.equal_range(parent);
-  for (auto child = lo; child != hi; ++child) {
-    if (child->second == dn) {
-      children_.erase(child);
-      break;
-    }
-  }
-  entries_.erase(it);
   return true;
 }
 

@@ -28,7 +28,6 @@ struct Entry {
 
   /// First value of `name`, or nullopt.
   std::optional<std::string> attribute(const std::string& name) const;
-  bool has_attribute(const std::string& name) const;
 };
 
 enum class Scope {
@@ -64,9 +63,6 @@ class Directory {
   /// Inserts an entry. Returns false (and changes nothing) when the DN
   /// already exists or its parent is absent (roots — depth 1 — excepted).
   bool add(Entry entry);
-
-  /// Removes a leaf entry; false when absent or still has children.
-  bool remove(const std::string& dn);
 
   const Entry* find(const std::string& dn) const;
   size_t size() const { return entries_.size(); }

@@ -45,48 +45,4 @@ void BoundedStation::finish() {
   }
 }
 
-PriorityStation::PriorityStation(Simulation& sim, size_t capacity, size_t queue_limit)
-    : sim_(sim), capacity_(capacity), queue_limit_(queue_limit) {
-  assert(capacity > 0);
-}
-
-bool PriorityStation::submit(int priority, Duration service_time, Completion on_complete) {
-  Pending job{service_time, std::move(on_complete)};
-  if (busy_ < capacity_) {
-    start(std::move(job));
-    return true;
-  }
-  if (queued_ >= queue_limit_) {
-    ++rejections_;
-    return false;
-  }
-  queues_[-priority].push_back(std::move(job));
-  ++queued_;
-  return true;
-}
-
-void PriorityStation::start(Pending job) {
-  ++busy_;
-  Completion on_complete = std::move(job.on_complete);
-  sim_.after(job.service_time, [this, cb = std::move(on_complete)]() mutable {
-    finish();
-    if (cb) cb();
-  });
-}
-
-void PriorityStation::finish() {
-  assert(busy_ > 0);
-  --busy_;
-  ++completions_;
-  if (queued_ > 0 && busy_ < capacity_) {
-    auto it = queues_.begin();
-    assert(it != queues_.end() && !it->second.empty());
-    Pending next = std::move(it->second.front());
-    it->second.pop_front();
-    if (it->second.empty()) queues_.erase(it);
-    --queued_;
-    start(std::move(next));
-  }
-}
-
 }  // namespace sbroker::sim

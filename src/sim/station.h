@@ -4,16 +4,13 @@
 // `BoundedStation` models a pool of `capacity` identical workers in front of
 // a FIFO queue with an optional length limit — exactly the shape of an
 // Apache-style process pool (`MaxClients` workers) or a database server's
-// connection/thread cap. `PriorityStation` orders the queue by priority
-// (higher first, FIFO within a class), which the broker scheduler uses to
-// avoid priority inversion.
+// connection/thread cap.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <limits>
-#include <map>
 
 #include "sim/simulation.h"
 #include "util/stats.h"
@@ -67,43 +64,6 @@ class BoundedStation {
   uint64_t completions_ = 0;
   uint64_t rejections_ = 0;
   util::Summary queue_wait_;
-};
-
-/// A worker pool with a priority queue: higher `priority` is served first,
-/// FIFO within equal priorities.
-class PriorityStation {
- public:
-  using Completion = std::function<void()>;
-
-  PriorityStation(Simulation& sim, size_t capacity,
-                  size_t queue_limit = std::numeric_limits<size_t>::max());
-
-  bool submit(int priority, Duration service_time, Completion on_complete);
-
-  size_t busy() const { return busy_; }
-  size_t queued() const { return queued_; }
-  size_t outstanding() const { return busy_ + queued_; }
-  uint64_t completions() const { return completions_; }
-  uint64_t rejections() const { return rejections_; }
-
- private:
-  struct Pending {
-    Duration service_time;
-    Completion on_complete;
-  };
-
-  void start(Pending job);
-  void finish();
-
-  Simulation& sim_;
-  size_t capacity_;
-  size_t queue_limit_;
-  size_t busy_ = 0;
-  size_t queued_ = 0;
-  // Key: -priority so begin() is the highest priority; FIFO via deque.
-  std::map<int, std::deque<Pending>> queues_;
-  uint64_t completions_ = 0;
-  uint64_t rejections_ = 0;
 };
 
 }  // namespace sbroker::sim

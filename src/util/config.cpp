@@ -21,22 +21,6 @@ Config Config::from_args(int argc, const char* const* argv,
   return cfg;
 }
 
-Config Config::from_string(std::string_view text) {
-  Config cfg;
-  for (auto line : split(text, '\n')) {
-    size_t hash = line.find('#');
-    if (hash != std::string_view::npos) line = line.substr(0, hash);
-    line = trim(line);
-    if (line.empty()) continue;
-    size_t eq = line.find('=');
-    if (eq == std::string_view::npos) {
-      throw std::invalid_argument("config line missing '=': " + std::string(line));
-    }
-    cfg.set(std::string(trim(line.substr(0, eq))), std::string(trim(line.substr(eq + 1))));
-  }
-  return cfg;
-}
-
 void Config::set(std::string key, std::string value) {
   entries_[std::move(key)] = std::move(value);
 }

@@ -1,16 +1,14 @@
 // Tiny key=value configuration store.
 //
-// Experiments and example binaries take "key=value" pairs from argv (and
-// optionally a file with one pair per line, '#' comments). Typed getters
-// return defaults when a key is absent and throw std::invalid_argument when
-// a present value fails to parse — silently ignoring a typo'd experiment
-// parameter would invalidate a whole run.
+// Experiments and example binaries take "key=value" pairs from argv. Typed
+// getters return defaults when a key is absent and throw
+// std::invalid_argument when a present value fails to parse — silently
+// ignoring a typo'd experiment parameter would invalidate a whole run.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace sbroker::util {
@@ -23,9 +21,6 @@ class Config {
   /// as positional arguments untouched.
   static Config from_args(int argc, const char* const* argv,
                           std::vector<std::string>* positional = nullptr);
-
-  /// Parses file contents: one key=value per line, '#' starts a comment.
-  static Config from_string(std::string_view text);
 
   void set(std::string key, std::string value);
   bool has(const std::string& key) const;

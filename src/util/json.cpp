@@ -133,33 +133,12 @@ JsonWriter& JsonWriter::field(std::string_view name, uint64_t value) {
   return *this;
 }
 
-JsonWriter& JsonWriter::field(std::string_view name, int64_t value) {
-  comma_if_needed();
-  out_ += '"';
-  out_ += escape(name);
-  out_ += "\":";
-  out_ += std::to_string(value);
-  return *this;
-}
-
-JsonWriter& JsonWriter::field(std::string_view name, int value) {
-  return field(name, static_cast<int64_t>(value));
-}
-
 JsonWriter& JsonWriter::field(std::string_view name, bool value) {
   comma_if_needed();
   out_ += '"';
   out_ += escape(name);
   out_ += "\":";
   out_ += value ? "true" : "false";
-  return *this;
-}
-
-JsonWriter& JsonWriter::value(std::string_view v) {
-  comma_if_needed();
-  out_ += '"';
-  out_ += escape(v);
-  out_ += '"';
   return *this;
 }
 
@@ -172,12 +151,6 @@ JsonWriter& JsonWriter::value(double v) {
 JsonWriter& JsonWriter::value(uint64_t v) {
   comma_if_needed();
   out_ += std::to_string(v);
-  return *this;
-}
-
-JsonWriter& JsonWriter::value(bool v) {
-  comma_if_needed();
-  out_ += v ? "true" : "false";
   return *this;
 }
 

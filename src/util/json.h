@@ -42,15 +42,11 @@ class JsonWriter {
   JsonWriter& field(std::string_view name, const char* value);
   JsonWriter& field(std::string_view name, double value);
   JsonWriter& field(std::string_view name, uint64_t value);
-  JsonWriter& field(std::string_view name, int64_t value);
-  JsonWriter& field(std::string_view name, int value);
   JsonWriter& field(std::string_view name, bool value);
 
   /// Array-element scalar forms.
-  JsonWriter& value(std::string_view v);
   JsonWriter& value(double v);
   JsonWriter& value(uint64_t v);
-  JsonWriter& value(bool v);
 
   /// The document accumulated so far.
   const std::string& str() const { return out_; }

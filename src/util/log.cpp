@@ -1,13 +1,12 @@
 #include "util/log.h"
 
-#include <atomic>
 #include <cstdio>
 #include <mutex>
 
 namespace sbroker::util {
 namespace {
 
-std::atomic<LogLevel> g_level{LogLevel::kWarn};
+constexpr LogLevel kMinLevel = LogLevel::kWarn;
 std::mutex g_sink_mutex;
 
 const char* level_name(LogLevel level) {
@@ -28,9 +27,7 @@ const char* level_name(LogLevel level) {
 
 }  // namespace
 
-void set_log_level(LogLevel level) { g_level.store(level, std::memory_order_relaxed); }
-
-LogLevel log_level() { return g_level.load(std::memory_order_relaxed); }
+LogLevel log_level() { return kMinLevel; }
 
 void log_line(LogLevel level, std::string_view component, std::string_view message) {
   std::lock_guard<std::mutex> lock(g_sink_mutex);

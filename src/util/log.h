@@ -13,8 +13,8 @@ namespace sbroker::util {
 
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
 
-/// Global minimum level; messages below it are dropped before formatting.
-void set_log_level(LogLevel level);
+/// Global minimum level (kWarn); messages below it are dropped before
+/// formatting.
 LogLevel log_level();
 
 /// Emits one line: "[LEVEL] <component>: <message>\n" to stderr.

@@ -72,31 +72,6 @@ double Rng::exponential(double mean) {
   return -mean * std::log(u);
 }
 
-bool Rng::bernoulli(double p) {
-  if (p <= 0) return false;
-  if (p >= 1) return true;
-  return next_double() < p;
-}
-
-double Rng::normal(double mean, double stddev) {
-  double u1;
-  do {
-    u1 = next_double();
-  } while (u1 <= 0.0);
-  double u2 = next_double();
-  double z = std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
-  return mean + stddev * z;
-}
-
-double Rng::bounded_pareto(double min, double max, double alpha) {
-  assert(alpha > 0 && min > 0 && max > min);
-  double u = next_double();
-  double x = min * std::pow(1.0 - u, -1.0 / alpha);
-  return x > max ? max : x;
-}
-
-Rng Rng::fork() { return Rng(next_u64()); }
-
 ZipfGenerator::ZipfGenerator(uint64_t n, double theta) : n_(n), theta_(theta) {
   assert(n > 0);
   cdf_.reserve(n);

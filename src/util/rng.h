@@ -41,19 +41,6 @@ class Rng {
   /// Exponentially distributed with the given mean (= 1/rate). mean > 0.
   double exponential(double mean);
 
-  /// True with probability p (clamped to [0,1]).
-  bool bernoulli(double p);
-
-  /// Normal via Box–Muller; mean/stddev parameters.
-  double normal(double mean, double stddev);
-
-  /// Bounded Pareto-ish heavy tail used for service-time jitter experiments:
-  /// x = min * (1-u)^(-1/alpha), clipped at max. alpha > 0.
-  double bounded_pareto(double min, double max, double alpha);
-
-  /// Derives an independent stream (for per-actor RNGs).
-  Rng fork();
-
  private:
   uint64_t s_[4];
 };

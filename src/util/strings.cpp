@@ -75,13 +75,4 @@ std::optional<double> parse_double(std::string_view s) {
   return value;
 }
 
-std::string join(const std::vector<std::string>& parts, std::string_view sep) {
-  std::string out;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i) out.append(sep);
-    out.append(parts[i]);
-  }
-  return out;
-}
-
 }  // namespace sbroker::util

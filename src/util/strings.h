@@ -39,7 +39,4 @@ std::optional<int64_t> parse_int(std::string_view s);
 /// Parses a floating point number; returns nullopt on any syntax error.
 std::optional<double> parse_double(std::string_view s);
 
-/// Joins `parts` with `sep`.
-std::string join(const std::vector<std::string>& parts, std::string_view sep);
-
 }  // namespace sbroker::util

@@ -48,18 +48,4 @@ std::string TablePrinter::render() const {
   return out;
 }
 
-std::string TablePrinter::render_csv() const {
-  std::string out;
-  auto append_row = [&](const std::vector<std::string>& row) {
-    for (size_t c = 0; c < headers_.size(); ++c) {
-      if (c) out += ',';
-      if (c < row.size()) out += row[c];
-    }
-    out += '\n';
-  };
-  append_row(headers_);
-  for (const auto& row : rows_) append_row(row);
-  return out;
-}
-
 }  // namespace sbroker::util

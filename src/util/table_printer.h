@@ -23,9 +23,6 @@ class TablePrinter {
   /// Renders with a header rule, columns padded to the widest cell.
   std::string render() const;
 
-  /// Renders as comma-separated values (for plotting pipelines).
-  std::string render_csv() const;
-
   size_t row_count() const { return rows_.size(); }
 
  private:

@@ -5,9 +5,9 @@
 // completes, so a stalled server stops receiving load exactly when it is
 // slowest — coordinated omission, which systematically under-reports tail
 // latency. An `ArrivalSchedule` decouples offered load from completions: it
-// is a deterministic (per-seed) stream of *intended* send times that both the
-// simulated clients (`wl::OpenLoopClients`) and the real-socket loadgen
-// (`bench/daemon_loadgen arrivals=`) consume. Correct accounting then
+// is a deterministic (per-seed) stream of *intended* send times that the
+// real-socket loadgen (`bench/daemon_loadgen arrivals=`) and perfbench's open
+// loop consume. Correct accounting then
 // measures each request's latency from its intended send time, and records
 // requests that could not be sent on schedule as queued-behind instead of
 // silently eliding them.

@@ -7,58 +7,27 @@ namespace {
 
 TEST(Admission, ForwardsUnderBound) {
   AdmissionController ctl(QosRules{3, 20.0});
-  EXPECT_EQ(ctl.decide(1, 0.0, 0.0), AdmissionDecision::kForward);
+  EXPECT_EQ(ctl.decide(1, 0.0), AdmissionDecision::kForward);
   EXPECT_EQ(ctl.forwarded(), 1u);
 }
 
 TEST(Admission, DropsOverBound) {
   AdmissionController ctl(QosRules{3, 20.0});
-  EXPECT_EQ(ctl.decide(1, 7.0, 0.0), AdmissionDecision::kDropOverLimit);
-  EXPECT_EQ(ctl.decide(3, 7.0, 0.0), AdmissionDecision::kForward);
+  EXPECT_EQ(ctl.decide(1, 7.0), AdmissionDecision::kDropOverLimit);
+  EXPECT_EQ(ctl.decide(3, 7.0), AdmissionDecision::kForward);
   EXPECT_EQ(ctl.dropped_over_limit(), 1u);
-}
-
-TEST(Admission, ContractLimitsClassRate) {
-  AdmissionController ctl(QosRules{3, 100.0});
-  ctl.set_contract(2, /*rate=*/1.0, /*burst=*/2.0);
-  // Burst of 2 passes, third is over the contract.
-  EXPECT_EQ(ctl.decide(2, 0.0, 0.0), AdmissionDecision::kForward);
-  EXPECT_EQ(ctl.decide(2, 0.0, 0.0), AdmissionDecision::kForward);
-  EXPECT_EQ(ctl.decide(2, 0.0, 0.0), AdmissionDecision::kDropContract);
-  EXPECT_EQ(ctl.dropped_contract(), 1u);
-  // Refills with time.
-  EXPECT_EQ(ctl.decide(2, 0.0, 1.5), AdmissionDecision::kForward);
-}
-
-TEST(Admission, ContractIsolatesOtherClasses) {
-  AdmissionController ctl(QosRules{3, 100.0});
-  ctl.set_contract(1, 1.0, 1.0);
-  EXPECT_EQ(ctl.decide(1, 0.0, 0.0), AdmissionDecision::kForward);
-  EXPECT_EQ(ctl.decide(1, 0.0, 0.0), AdmissionDecision::kDropContract);
-  // Class 2 has no contract and is unaffected.
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(ctl.decide(2, 0.0, 0.0), AdmissionDecision::kForward);
-  }
-}
-
-TEST(Admission, ThresholdCheckedBeforeContract) {
-  AdmissionController ctl(QosRules{3, 20.0});
-  ctl.set_contract(1, 1000.0, 1000.0);
-  EXPECT_EQ(ctl.decide(1, 19.0, 0.0), AdmissionDecision::kDropOverLimit);
 }
 
 TEST(Admission, LevelsOutsideRangeClamp) {
   AdmissionController ctl(QosRules{3, 20.0});
-  EXPECT_EQ(ctl.decide(99, 19.0, 0.0), AdmissionDecision::kForward);   // clamps to 3
-  EXPECT_EQ(ctl.decide(-1, 7.0, 0.0), AdmissionDecision::kDropOverLimit);  // clamps to 1
+  EXPECT_EQ(ctl.decide(99, 19.0), AdmissionDecision::kForward);   // clamps to 3
+  EXPECT_EQ(ctl.decide(-1, 7.0), AdmissionDecision::kDropOverLimit);  // clamps to 1
 }
 
 TEST(Admission, DecisionNames) {
   EXPECT_STREQ(admission_decision_name(AdmissionDecision::kForward), "forward");
   EXPECT_STREQ(admission_decision_name(AdmissionDecision::kDropOverLimit),
                "drop-over-limit");
-  EXPECT_STREQ(admission_decision_name(AdmissionDecision::kDropContract),
-               "drop-contract");
 }
 
 // Property sweep: drop ratio ordering across classes for rising load.
@@ -68,9 +37,9 @@ TEST_P(AdmissionSweep, HigherClassNeverDroppedMoreAtSameLoad) {
   double threshold = GetParam();
   AdmissionController ctl(QosRules{3, threshold});
   for (double load = 0; load < threshold + 5; load += 0.25) {
-    bool admit1 = ctl.decide(1, load, 0.0) == AdmissionDecision::kForward;
-    bool admit2 = ctl.decide(2, load, 0.0) == AdmissionDecision::kForward;
-    bool admit3 = ctl.decide(3, load, 0.0) == AdmissionDecision::kForward;
+    bool admit1 = ctl.decide(1, load) == AdmissionDecision::kForward;
+    bool admit2 = ctl.decide(2, load) == AdmissionDecision::kForward;
+    bool admit3 = ctl.decide(3, load) == AdmissionDecision::kForward;
     EXPECT_LE(admit1, admit2);
     EXPECT_LE(admit2, admit3);
   }

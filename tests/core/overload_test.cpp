@@ -247,7 +247,7 @@ TEST(OverloadGates, AbsoluteTargetOverridesBudget) {
 // makes previously-admitted loads drop.
 TEST(AdmissionRouting, DecideFollowsTheLiveThreshold) {
   AdmissionController admission(kRules, aimd_config());
-  EXPECT_EQ(admission.decide(3, 15.0, 0.0), AdmissionDecision::kForward);
+  EXPECT_EQ(admission.decide(3, 15.0), AdmissionDecision::kForward);
   // Feed hopeless breaches until the threshold drops under 15.
   double now = 0.0;
   OverloadController& ctl = admission.overload();
@@ -255,8 +255,8 @@ TEST(AdmissionRouting, DecideFollowsTheLiveThreshold) {
     ctl.observe(signal(1.0), now);
     now += 0.05;
   }
-  EXPECT_EQ(admission.decide(3, 15.0, now), AdmissionDecision::kDropOverLimit);
-  EXPECT_EQ(admission.decide(3, 1.0, now), AdmissionDecision::kForward);
+  EXPECT_EQ(admission.decide(3, 15.0), AdmissionDecision::kDropOverLimit);
+  EXPECT_EQ(admission.decide(3, 1.0), AdmissionDecision::kForward);
 }
 
 TEST(AdmissionRouting, CentralizedAdmitUsesAController) {

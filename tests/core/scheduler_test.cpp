@@ -145,7 +145,7 @@ TEST(Scheduler, NeverInvertsPriorityUnderRandomWorkload) {
   util::Rng rng(77);
   QosScheduler<int> s;
   for (int step = 0; step < 10000; ++step) {
-    if (s.empty() || rng.bernoulli(0.6)) {
+    if (s.empty() || rng.next_double() < 0.6) {
       int level = static_cast<int>(rng.uniform_int(1, 4));
       s.push(level, level);
     } else {

@@ -80,6 +80,17 @@ TEST(StripedCacheTest, TtlExpiryAndStaleLookup) {
   auto stale = cache.get_stale("k");
   ASSERT_TRUE(stale.has_value());
   EXPECT_EQ(*stale, "fresh");
+
+  // A negative (cached error) entry answers kNegative with its value until
+  // the negative TTL passes.
+  CacheTuning tuning;
+  tuning.negative_ttl = 0.5;
+  StripedResultCache negatives(32, 1.0, 4, tuning);
+  negatives.put_negative("bad", "backend error", 0.0);
+  LookupView negative = negatives.lookup_into("bad", 0.25, scratch);
+  EXPECT_EQ(negative.outcome, LookupOutcome::kNegative);
+  EXPECT_EQ(negative.value, "backend error");
+  EXPECT_EQ(negatives.lookup_into("bad", 1.0, scratch).outcome, LookupOutcome::kMiss);
 }
 
 TEST(StripedCacheTest, InvalidateAndClear) {

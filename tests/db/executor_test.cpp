@@ -137,8 +137,6 @@ TEST(Database, CatalogOperations) {
   EXPECT_EQ(db.find_table("b"), nullptr);
   EXPECT_THROW(db.table("b"), std::invalid_argument);
   EXPECT_EQ(db.table_count(), 1u);
-  EXPECT_TRUE(db.drop_table("a"));
-  EXPECT_FALSE(db.drop_table("a"));
 }
 
 TEST(Dataset, BenchmarkTableShape) {
@@ -164,15 +162,6 @@ TEST(Dataset, MovieScheduleShape) {
   ResultSet rs = execute_sql(db, "SELECT title FROM schedule WHERE movie_id = 5");
   EXPECT_EQ(rs.rows.size(), 6u);
   for (const Row& row : rs.rows) EXPECT_EQ(row[0].as_text(), "Movie #5");
-}
-
-TEST(Dataset, VendorCatalogShape) {
-  Database db;
-  util::Rng rng(3);
-  load_vendor_catalog(db, rng, 100);
-  EXPECT_EQ(db.table("catalog").row_count(), 100u);
-  ResultSet rs = execute_sql(db, "SELECT * FROM catalog WHERE price <= 900.0");
-  EXPECT_EQ(rs.rows.size(), 100u);
 }
 
 }  // namespace

@@ -45,29 +45,6 @@ TEST(Table, InsertRejectsSchemaMismatch) {
   EXPECT_THROW(t.insert({Value("x"), Value("a"), Value(0.1)}), std::invalid_argument);
 }
 
-TEST(Table, EraseTombstones) {
-  Table t = make_table();
-  EXPECT_TRUE(t.erase(1));
-  EXPECT_FALSE(t.erase(1));  // already dead
-  EXPECT_EQ(t.row_count(), 2u);
-  EXPECT_EQ(t.get(1), nullptr);
-  size_t visited = 0;
-  t.scan([&](RowId, const Row&) {
-    ++visited;
-    return true;
-  });
-  EXPECT_EQ(visited, 2u);
-}
-
-TEST(Table, UpdateReplacesRowAndIndexes) {
-  Table t = make_table();
-  t.create_hash_index("name");
-  EXPECT_TRUE(t.update(0, {Value(1), Value("z"), Value(0.5)}));
-  EXPECT_EQ(t.hash_lookup(1, Value("z")).size(), 1u);
-  EXPECT_EQ(t.hash_lookup(1, Value("a")).size(), 1u);  // row 2 remains
-  EXPECT_FALSE(t.update(99, {Value(1), Value("q"), Value(0.0)}));
-}
-
 TEST(Table, HashIndexLookup) {
   Table t = make_table();
   t.create_hash_index("name");
@@ -77,13 +54,11 @@ TEST(Table, HashIndexLookup) {
   EXPECT_TRUE(t.hash_lookup(1, Value("nope")).empty());
 }
 
-TEST(Table, HashIndexMaintainedOnInsertAndErase) {
+TEST(Table, HashIndexMaintainedOnInsert) {
   Table t = make_table();
   t.create_hash_index("name");
   t.insert({Value(4), Value("a"), Value(0.1)});
   EXPECT_EQ(t.hash_lookup(1, Value("a")).size(), 3u);
-  t.erase(0);
-  EXPECT_EQ(t.hash_lookup(1, Value("a")).size(), 2u);
 }
 
 TEST(Table, OrderedIndexRangeLookup) {

@@ -39,7 +39,7 @@ TEST(Properties, CacheAgreesWithReferenceModel) {
   for (int op = 0; op < 20000; ++op) {
     now += rng.uniform_real(0.0, 0.5);
     std::string key = nth("k", rng.uniform_int(0, 39));
-    if (rng.bernoulli(0.5)) {
+    if (rng.next_double() < 0.5) {
       std::string value = nth("v", op);
       cache.put(key, value, now);
       model[key] = {value, now};
@@ -191,7 +191,7 @@ TEST(Properties, CancelledEventsNeverFireUnderStress) {
   int cancelled_fired = 0;
   std::vector<sim::EventId> to_cancel;
   for (int i = 0; i < 1000; ++i) {
-    bool will_cancel = rng.bernoulli(0.5);
+    bool will_cancel = rng.next_double() < 0.5;
     sim::EventId id = sim.at(rng.uniform_real(0.0, 10.0), [&, will_cancel]() {
       if (will_cancel) ++cancelled_fired;
     });

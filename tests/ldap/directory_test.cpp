@@ -102,15 +102,6 @@ TEST(Directory, FindByDn) {
   EXPECT_EQ(dir.find("cn=nobody,o=acme"), nullptr);
 }
 
-TEST(Directory, RemoveOnlyLeaves) {
-  Directory dir = org();
-  EXPECT_FALSE(dir.remove("ou=eng,o=acme"));  // has children
-  EXPECT_TRUE(dir.remove("cn=joe,ou=eng,o=acme"));
-  EXPECT_FALSE(dir.remove("cn=joe,ou=eng,o=acme"));
-  EXPECT_TRUE(dir.remove("cn=jane,ou=eng,o=acme"));
-  EXPECT_TRUE(dir.remove("ou=eng,o=acme"));  // now a leaf
-}
-
 TEST(Directory, BaseScopeSearch) {
   Directory dir = org();
   auto hits = dir.search("cn=joe,ou=eng,o=acme", Scope::kBase, *Filter::parse("(cn=*)"));

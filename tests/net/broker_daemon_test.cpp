@@ -13,12 +13,10 @@
 #include <future>
 #include <thread>
 
-#include "db/dataset.h"
 #include "http/parser.h"
 #include "net/http_client.h"
 #include "net/http_server.h"
 #include "net/pipelined_backend.h"
-#include "srv/inproc_backend.h"
 
 namespace sbroker::net {
 namespace {
@@ -254,26 +252,6 @@ TEST(BrokerDaemonHttp, NegativeCacheHitMapsToBadGateway) {
   EXPECT_EQ(again->headers.get_view(http::kFidelityHeader).value_or(""), "error");
   EXPECT_EQ(backend->calls, 1);
   EXPECT_EQ(daemon.broker().metrics().flight.negative_hits, 1u);
-}
-
-TEST_F(BrokerDaemonTest, InprocDbBackendServesSql) {
-  Reactor reactor2;
-  db::Database db;
-  util::Rng rng(1);
-  db::load_benchmark_table(db, rng, 200, 5);
-  BrokerDaemonConfig cfg;
-  cfg.broker.enable_cache = false;
-  BrokerDaemon daemon(reactor2, "db-broker", cfg);
-  daemon.add_backend(std::make_shared<srv::InprocDbBackend>(
-      db, [&reactor2] { return reactor2.now(); }));
-  std::thread t([&] { reactor2.run(); });
-  FrameClient client(daemon.port());
-  auto reply = client.call(1, "SELECT id FROM records WHERE id = 42", 3);
-  reactor2.stop();
-  t.join();
-  ASSERT_TRUE(reply.has_value());
-  EXPECT_EQ(reply->fidelity, http::Fidelity::kFull);
-  EXPECT_EQ(reply->payload, "id\n42\n");
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // PipelinedBackend over real sockets: FIFO response matching across
-// interleaved completions, write coalescing, backpressure at the channel
-// cap, and exactly-once recovery from mid-pipeline connection loss.
+// interleaved completions, write coalescing, the clustered MGET exchange,
+// backpressure at the channel cap, and exactly-once recovery from
+// mid-pipeline connection loss.
 #include "net/pipelined_backend.h"
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/cluster.h"
 #include "net/http_client.h"
 #include "net/http_server.h"
 #include "net/sharded_daemon.h"
@@ -113,6 +115,68 @@ TEST_F(PipelinedBackendTest, FifoMatchingAcrossInterleavedConnections) {
     EXPECT_LE(stats.flushes, 2u);
     EXPECT_GE(stats.peak_in_flight, 2u);
   });
+}
+
+// Clustered exchange: a multi-record payload leaves as one MGET request, the
+// server's MGET fan-out answers each target, and the reply splits back into
+// one body per record, in record order. A reply that is not MGET-framed
+// fails the exchange rather than handing the whole body to every record.
+TEST_F(PipelinedBackendTest, MultiRecordPayloadIsOneMgetExchange) {
+  server_ = std::make_unique<HttpServer>(
+      reactor_, 0, [](const http::Request& req, HttpServer::Responder respond) {
+        respond(http::make_response(200, "content of " + req.target));
+      });
+  backend_ = std::make_shared<PipelinedBackend>(reactor_, server_->port());
+  run_reactor();
+
+  std::atomic<int> completions{0};
+  std::pair<bool, std::string> result;
+  auto exchange = [&](std::string payload) {
+    on_reactor([&]() {
+      core::Backend::Call call;
+      call.payload = std::move(payload);
+      backend_->invoke(call, [&](double, bool ok, const std::string& body) {
+        result = {ok, body};
+        ++completions;  // publishes result to the waiting test thread
+      });
+    });
+  };
+
+  exchange("/a\x1e/b\x1e/c");
+  ASSERT_TRUE(wait_for([&] { return completions.load() == 1; }));
+  EXPECT_TRUE(result.first);
+  EXPECT_EQ(core::ClusterEngine::split_records(result.second),
+            (std::vector<std::string>{"content of /a", "content of /b",
+                                      "content of /c"}));
+  on_reactor([&]() {
+    EXPECT_EQ(backend_->channel_stats().requests_written, 1u);
+    EXPECT_EQ(server_->requests_served(), 1u);
+  });
+
+  // A server that answers every request with one plain body.
+  on_reactor([&]() {
+    listener_ = std::make_unique<TcpListener>(reactor_, 0, [this](int fd) {
+      size_t index = conns_.size();
+      conns_.push_back(TcpConn::adopt(reactor_, fd));
+      inboxes_.emplace_back();
+      conns_[index]->start(
+          [this, index](std::string_view bytes) {
+            std::string& inbox = inboxes_[index];
+            inbox.append(bytes);
+            size_t terminator;
+            while ((terminator = inbox.find("\r\n\r\n")) != std::string::npos) {
+              inbox.erase(0, terminator + 4);
+              conns_[index]->send(http_ok("pong"));
+            }
+          },
+          []() {});
+    });
+    backend_ = std::make_shared<PipelinedBackend>(reactor_, listener_->port());
+  });
+  exchange("/a\x1e/b");
+  ASSERT_TRUE(wait_for([&] { return completions.load() == 2; }));
+  EXPECT_FALSE(result.first);
+  EXPECT_EQ(result.second, "bad MGET framing from backend");
 }
 
 TEST_F(PipelinedBackendTest, MidPipelineConnectionLossRequeuesExactlyOnce) {

@@ -73,41 +73,5 @@ TEST(BoundedStation, FifoOrderWithinQueue) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
-TEST(PriorityStation, HigherPriorityOvertakesQueue) {
-  Simulation sim;
-  PriorityStation station(sim, 1);
-  std::vector<int> order;
-  station.submit(1, 1.0, [&] { order.push_back(0); });  // starts immediately
-  station.submit(1, 1.0, [&] { order.push_back(1); });  // queued, low prio
-  station.submit(3, 1.0, [&] { order.push_back(3); });  // queued, high prio
-  station.submit(2, 1.0, [&] { order.push_back(2); });  // queued, mid prio
-  sim.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 3, 2, 1}));
-}
-
-TEST(PriorityStation, FifoWithinSamePriority) {
-  Simulation sim;
-  PriorityStation station(sim, 1);
-  std::vector<int> order;
-  station.submit(1, 1.0, [&] { order.push_back(-1); });
-  for (int i = 0; i < 3; ++i) {
-    station.submit(2, 1.0, [&, i] { order.push_back(i); });
-  }
-  sim.run();
-  EXPECT_EQ(order, (std::vector<int>{-1, 0, 1, 2}));
-}
-
-TEST(PriorityStation, QueueLimitCountsAllClasses) {
-  Simulation sim;
-  PriorityStation station(sim, 1, 2);
-  EXPECT_TRUE(station.submit(1, 1.0, [] {}));
-  EXPECT_TRUE(station.submit(1, 1.0, [] {}));
-  EXPECT_TRUE(station.submit(2, 1.0, [] {}));
-  EXPECT_FALSE(station.submit(3, 1.0, [] {}));
-  EXPECT_EQ(station.rejections(), 1u);
-  sim.run();
-  EXPECT_EQ(station.completions(), 3u);
-}
-
 }  // namespace
 }  // namespace sbroker::sim

@@ -4,7 +4,6 @@
 #include "db/dataset.h"
 #include "srv/cgi_backend.h"
 #include "srv/db_backend.h"
-#include "srv/inproc_backend.h"
 
 namespace sbroker::srv {
 namespace {
@@ -196,30 +195,6 @@ TEST(CgiBackend, BatchCostsPerRecord) {
   EXPECT_DOUBLE_EQ(r.at, 3.0);  // one worker, three records back to back
   auto parts = core::ClusterEngine::split_records(r.payload);
   EXPECT_EQ(parts.size(), 3u);
-}
-
-TEST(InprocBackend, ExecutesSynchronously) {
-  db::Database db;
-  util::Rng rng(1);
-  db::load_benchmark_table(db, rng, 100, 5);
-  double fake_now = 42.0;
-  InprocDbBackend backend(db, [&] { return fake_now; });
-  Reply r;
-  backend.invoke({"SELECT id FROM records WHERE id = 7", false}, capture(r));
-  ASSERT_TRUE(r.fired);  // re-entrant completion
-  EXPECT_TRUE(r.ok);
-  EXPECT_DOUBLE_EQ(r.at, 42.0);
-  EXPECT_EQ(r.payload, "id\n7\n");
-}
-
-TEST(InprocBackend, ReportsQueryErrors) {
-  db::Database db;
-  double t = 0;
-  InprocDbBackend backend(db, [&] { return t; });
-  Reply r;
-  backend.invoke({"SELECT * FROM missing", false}, capture(r));
-  ASSERT_TRUE(r.fired);
-  EXPECT_FALSE(r.ok);
 }
 
 }  // namespace

@@ -16,16 +16,6 @@ TEST(Config, FromArgs) {
   EXPECT_EQ(positional[0], "positional");
 }
 
-TEST(Config, FromStringWithComments) {
-  Config cfg = Config::from_string("a = 1\n# comment\nb = two # trailing\n\n");
-  EXPECT_EQ(cfg.get_int("a", 0), 1);
-  EXPECT_EQ(cfg.get_string("b"), "two");
-}
-
-TEST(Config, FromStringRejectsBadLine) {
-  EXPECT_THROW(Config::from_string("novalue\n"), std::invalid_argument);
-}
-
 TEST(Config, DefaultsWhenAbsent) {
   Config cfg;
   EXPECT_EQ(cfg.get_int("missing", 7), 7);

@@ -4,8 +4,6 @@
 
 #include <set>
 
-#include "util/stats.h"
-
 namespace sbroker::util {
 namespace {
 
@@ -52,48 +50,6 @@ TEST(Rng, ExponentialMean) {
   const int n = 200000;
   for (int i = 0; i < n; ++i) sum += rng.exponential(2.0);
   EXPECT_NEAR(sum / n, 2.0, 0.05);
-}
-
-TEST(Rng, BernoulliEdges) {
-  Rng rng(13);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_FALSE(rng.bernoulli(0.0));
-    EXPECT_TRUE(rng.bernoulli(1.0));
-  }
-}
-
-TEST(Rng, BernoulliFrequency) {
-  Rng rng(17);
-  int hits = 0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) hits += rng.bernoulli(0.3);
-  EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.02);
-}
-
-TEST(Rng, NormalMoments) {
-  Rng rng(19);
-  Summary s;
-  for (int i = 0; i < 100000; ++i) s.add(rng.normal(10.0, 2.0));
-  EXPECT_NEAR(s.mean(), 10.0, 0.05);
-  EXPECT_NEAR(s.stddev(), 2.0, 0.05);
-}
-
-TEST(Rng, BoundedParetoWithinBounds) {
-  Rng rng(23);
-  for (int i = 0; i < 10000; ++i) {
-    double x = rng.bounded_pareto(1.0, 100.0, 1.2);
-    EXPECT_GE(x, 1.0);
-    EXPECT_LE(x, 100.0);
-  }
-}
-
-TEST(Rng, ForkIndependentStreams) {
-  Rng a(31);
-  Rng b = a.fork();
-  // Streams diverge.
-  bool differ = false;
-  for (int i = 0; i < 10 && !differ; ++i) differ = a.next_u64() != b.next_u64();
-  EXPECT_TRUE(differ);
 }
 
 TEST(DeriveSeed, DeterministicAndDistinct) {

@@ -81,11 +81,5 @@ TEST(ParseDouble, Invalid) {
   EXPECT_FALSE(parse_double("1.2.3").has_value());
 }
 
-TEST(Join, Basic) {
-  EXPECT_EQ(join({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(join({}, ","), "");
-  EXPECT_EQ(join({"solo"}, ","), "solo");
-}
-
 }  // namespace
 }  // namespace sbroker::util

@@ -28,12 +28,6 @@ TEST(TablePrinter, TooManyCellsThrows) {
   EXPECT_THROW(t.add_row({"1", "2"}), std::invalid_argument);
 }
 
-TEST(TablePrinter, Csv) {
-  TablePrinter t({"h1", "h2"});
-  t.add_row({"a", "b"});
-  EXPECT_EQ(t.render_csv(), "h1,h2\na,b\n");
-}
-
 TEST(TablePrinter, FmtPrecision) {
   EXPECT_EQ(TablePrinter::fmt(3.14159, 2), "3.14");
   EXPECT_EQ(TablePrinter::fmt(2.0, 0), "2");

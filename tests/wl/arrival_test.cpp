@@ -5,9 +5,7 @@
 #include <cmath>
 #include <vector>
 
-#include "sim/simulation.h"
 #include "util/stats.h"
-#include "wl/open_loop.h"
 
 namespace sbroker::wl {
 namespace {
@@ -109,68 +107,6 @@ TEST(ArrivalSchedule, ParseKindRoundTrips) {
   EXPECT_EQ(ArrivalSchedule::parse_kind("diurnal"), ArrivalKind::kDiurnal);
   EXPECT_FALSE(ArrivalSchedule::parse_kind("closed").has_value());
   EXPECT_STREQ(ArrivalSchedule::kind_name(ArrivalKind::kBursty), "bursty");
-}
-
-// The coordinated-omission test: one sender, one long stall. A closed-loop
-// client would emit ONE slow sample and silently not offer the load that was
-// due during the stall. The open-loop clients must (a) still send every
-// scheduled request, and (b) charge the stall's queueing delay to the
-// requests that were due while it lasted — latency from scheduled time, not
-// from the (late) actual send.
-TEST(OpenLoopClients, StalledSenderReportsScheduledTimeLatency) {
-  sim::Simulation sim;
-  OpenLoopConfig cfg;
-  cfg.arrivals.kind = ArrivalKind::kPoisson;
-  cfg.arrivals.rate = 100.0;
-  cfg.seed = 21;
-  cfg.duration = 2.0;
-  cfg.max_outstanding = 1;  // a single connection: stalls serialize everything
-  int issued = 0;
-  OpenLoopClients clients(sim, cfg, [&](int, std::function<void()> done) {
-    // First request stalls for 0.5 s; everything after is 1 ms.
-    double service = (issued++ == 0) ? 0.5 : 0.001;
-    sim.after(service, std::move(done));
-  });
-  clients.start();
-  sim.run();
-
-  // Conservation: open-loop load is never elided.
-  EXPECT_GT(clients.scheduled(), 100u);
-  EXPECT_EQ(clients.sent(), clients.scheduled());
-  EXPECT_EQ(clients.completed(), clients.scheduled());
-  // ~50 arrivals were due during the stall and queued behind it.
-  EXPECT_GT(clients.queued_behind(), 20u);
-  EXPECT_GT(clients.max_lag(), 0.3);
-
-  // The corrected view sees the stall smeared over the queued requests; the
-  // biased from-actual-send view sees mostly 1 ms services and hides it.
-  EXPECT_GT(clients.response_times().p99(), 0.1);
-  EXPECT_LT(clients.service_times().p50(), 0.01);
-  EXPECT_GE(clients.response_times().p99(),
-            clients.service_times().p99() - 1e-12);
-  EXPECT_GT(clients.response_times().mean_seconds(),
-            clients.service_times().mean_seconds());
-}
-
-TEST(OpenLoopClients, UnboundedSendersNeverLag) {
-  sim::Simulation sim;
-  OpenLoopConfig cfg;
-  cfg.arrivals.kind = ArrivalKind::kPoisson;
-  cfg.arrivals.rate = 200.0;
-  cfg.seed = 3;
-  cfg.duration = 1.0;
-  cfg.max_outstanding = 0;  // unbounded: every arrival sends on schedule
-  OpenLoopClients clients(sim, cfg, [&](int, std::function<void()> done) {
-    sim.after(0.05, std::move(done));
-  });
-  clients.start();
-  sim.run();
-  EXPECT_EQ(clients.sent(), clients.scheduled());
-  EXPECT_EQ(clients.queued_behind(), 0u);
-  EXPECT_DOUBLE_EQ(clients.max_lag(), 0.0);
-  // With no queueing, corrected and biased views coincide.
-  EXPECT_NEAR(clients.response_times().mean_seconds(),
-              clients.service_times().mean_seconds(), 1e-9);
 }
 
 }  // namespace
