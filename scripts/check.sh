@@ -24,6 +24,10 @@
 #                              # from REF and from the working tree and fails
 #                              # on any byte of stdout that differs; not part
 #                              # of `all` (REF is any commit, e.g. HEAD~1)
+#   scripts/check.sh lines REF # added, removed and net lines per top-level
+#                              # directory from REF to the working tree
+#                              # (git diff --numstat; stage new files first);
+#                              # not part of `all`
 #   scripts/check.sh reach     # report: which src/ lines and functions the
 #                              # shipping programs (example and bench smokes,
 #                              # simulator harnesses, perfbench --smoke) run,
@@ -160,6 +164,25 @@ run_simdiff() {
   echo "simdiff: every simulator program prints the same bytes as $1"
 }
 
+line_dirs="src tests bench examples scripts perfbench"
+
+run_lines() {
+  echo "== lines: added, removed and net lines per directory, $1 -> working tree"
+  git -C "$repo_root" diff --numstat --no-renames "$1" -- $line_dirs |
+    awk -v dirs="$line_dirs" '
+      { split($3, path, "/"); added[path[1]] += $1; removed[path[1]] += $2 }
+      END {
+        printf "%-10s %8s %8s %8s\n", "dir", "added", "removed", "net"
+        n = split(dirs, dir, " ")
+        for (i = 1; i <= n; i++) {
+          a = added[dir[i]]; r = removed[dir[i]]
+          printf "%-10s %8d %8d %+8d\n", dir[i], a, r, a - r
+          total_a += a; total_r += r
+        }
+        printf "%-10s %8d %8d %+8d\n", "total", total_a, total_r, total_a - total_r
+      }'
+}
+
 run_reach() {
   echo "== reach: src/ lines and functions the shipping programs run"
   start=$(date +%s)
@@ -208,9 +231,14 @@ while [ $# -gt 0 ]; do
       run_simdiff "$1"
       shift
       ;;
+    lines)
+      [ $# -gt 0 ] || { echo "usage: scripts/check.sh lines REF" >&2; exit 2; }
+      run_lines "$1"
+      shift
+      ;;
     reach) run_reach ;;
     all) run_plain; run_tsan; run_asan; run_ubsan; run_release; run_perfbench ;;
-    *) echo "usage: scripts/check.sh [plain|tsan|asan|ubsan|release|perfbench|simdiff REF|reach|all]..." >&2; exit 2 ;;
+    *) echo "usage: scripts/check.sh [plain|tsan|asan|ubsan|release|perfbench|simdiff REF|lines REF|reach|all]..." >&2; exit 2 ;;
   esac
 done
 

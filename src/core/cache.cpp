@@ -123,17 +123,4 @@ void ResultCache::put_negative(std::string_view key, std::string value,
   store(key, std::move(value), now, /*negative=*/true, tuning_.negative_ttl);
 }
 
-bool ResultCache::invalidate(std::string_view key) {
-  auto it = map_.find(key);
-  if (it == map_.end()) return false;
-  lru_.erase(it->second);
-  map_.erase(it);
-  return true;
-}
-
-void ResultCache::clear() {
-  lru_.clear();
-  map_.clear();
-}
-
 }  // namespace sbroker::core

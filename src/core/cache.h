@@ -102,10 +102,6 @@ class ResultCacheBase {
   virtual void put_negative(std::string_view key, std::string value,
                             double now) = 0;
 
-  /// Removes a key; returns true when something was erased.
-  virtual bool invalidate(std::string_view key) = 0;
-  virtual void clear() = 0;
-
   virtual size_t size() const = 0;
 
   virtual uint64_t hits() const = 0;
@@ -140,8 +136,6 @@ class ResultCache final : public ResultCacheBase {
   std::optional<std::string> get_stale(std::string_view key) const override;
   void put(std::string_view key, std::string value, double now) override;
   void put_negative(std::string_view key, std::string value, double now) override;
-  bool invalidate(std::string_view key) override;
-  void clear() override;
 
   size_t size() const override { return map_.size(); }
   const CacheTuning& tuning() const { return tuning_; }

@@ -56,16 +56,8 @@ LoadState HotSpotDetector::observe(double outstanding) {
 }
 
 void HotSpotDetector::move_to(LoadState next) {
-  LoadState prev = state_;
   state_ = next;
   ++transitions_;
-  if (on_transition_) on_transition_(prev, next);
-}
-
-void HotSpotDetector::reset() {
-  state_ = LoadState::kNormal;
-  ewma_ = 0.0;
-  primed_ = false;
 }
 
 }  // namespace sbroker::core

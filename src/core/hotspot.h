@@ -10,12 +10,11 @@
 // broker's outstanding count (sampled at every observation) and classifies
 // the backend as NORMAL / WARM / HOT against two thresholds, with hysteresis
 // (a band below each threshold must be crossed to de-escalate) so the state
-// does not flap at the boundary. Transitions invoke a registered callback —
-// the hook the centralized model's load reports and the rewrite rules use.
+// does not flap at the boundary. The query rewriter reads state();
+// transitions() counts the state changes.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 namespace sbroker::core {
 
@@ -32,9 +31,6 @@ struct HotSpotConfig {
 
 class HotSpotDetector {
  public:
-  /// (previous state, new state) on every transition.
-  using TransitionFn = std::function<void(LoadState, LoadState)>;
-
   explicit HotSpotDetector(HotSpotConfig config);
 
   /// Feeds one sample of the instantaneous outstanding count.
@@ -45,11 +41,6 @@ class HotSpotDetector {
   double ewma() const { return ewma_; }
   uint64_t transitions() const { return transitions_; }
 
-  void set_on_transition(TransitionFn fn) { on_transition_ = std::move(fn); }
-
-  /// Resets to NORMAL with an empty average.
-  void reset();
-
  private:
   void move_to(LoadState next);
 
@@ -58,7 +49,6 @@ class HotSpotDetector {
   double ewma_ = 0.0;
   bool primed_ = false;
   uint64_t transitions_ = 0;
-  TransitionFn on_transition_;
 };
 
 }  // namespace sbroker::core

@@ -104,14 +104,6 @@ class BrokerMetrics {
     }
   };
 
-  void reset() {
-    for (auto& c : per_class_) c = ClassCounters{};
-    transport = ChannelStats{};
-    lifecycle = LifecycleStats{};
-    flight = FlightStats{};
-    overload = OverloadStats{};
-  }
-
   /// Wire-level channel counters, filled in by the owner of the transport
   /// (the real-socket daemon folds its backends' ChannelStats in when it
   /// snapshots metrics). Always zero for pure-simulation brokers.

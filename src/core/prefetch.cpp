@@ -31,12 +31,4 @@ std::optional<double> Prefetcher::next_due() const {
   return best;
 }
 
-bool Prefetcher::remove(const std::string& cache_key) {
-  auto it = std::find_if(entries_.begin(), entries_.end(),
-                         [&](const PrefetchEntry& e) { return e.cache_key == cache_key; });
-  if (it == entries_.end()) return false;
-  entries_.erase(it);
-  return true;
-}
-
 }  // namespace sbroker::core

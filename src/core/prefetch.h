@@ -52,7 +52,6 @@ class Prefetcher {
 
   size_t size() const { return entries_.size(); }
   uint64_t issued() const { return issued_; }
-  bool remove(const std::string& cache_key);
 
  private:
   double idle_threshold_;

@@ -46,19 +46,6 @@ void StripedResultCache::put_negative(std::string_view key, std::string value,
   s.cache.put_negative(key, std::move(value), now);
 }
 
-bool StripedResultCache::invalidate(std::string_view key) {
-  Stripe& s = stripe_for(key);
-  std::lock_guard<std::mutex> lock(s.mu);
-  return s.cache.invalidate(key);
-}
-
-void StripedResultCache::clear() {
-  for (auto& s : stripes_) {
-    std::lock_guard<std::mutex> lock(s->mu);
-    s->cache.clear();
-  }
-}
-
 size_t StripedResultCache::size() const {
   size_t total = 0;
   for (const auto& s : stripes_) {

@@ -46,8 +46,6 @@ class StripedResultCache final : public ResultCacheBase {
   std::optional<std::string> get_stale(std::string_view key) const override;
   void put(std::string_view key, std::string value, double now) override;
   void put_negative(std::string_view key, std::string value, double now) override;
-  bool invalidate(std::string_view key) override;
-  void clear() override;
 
   size_t size() const override;
 

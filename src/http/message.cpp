@@ -34,15 +34,6 @@ std::optional<std::string_view> Headers::get_view(std::string_view name) const {
   return std::string_view(entry->second);
 }
 
-void Headers::remove(std::string_view name) {
-  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    if (util::iequals(it->first, name)) {
-      entries_.erase(it);
-      return;
-    }
-  }
-}
-
 namespace {
 
 void serialize_headers(const Headers& headers, const std::string& body, std::string& out) {

@@ -28,7 +28,6 @@ class Headers {
   /// Zero-copy lookup; the view is invalidated by any later mutation.
   std::optional<std::string_view> get_view(std::string_view name) const;
   bool has(std::string_view name) const { return find(name) != nullptr; }
-  void remove(std::string_view name);
   size_t size() const { return entries_.size(); }
 
   /// Iteration in insertion order.

@@ -2,7 +2,6 @@
 
 #include "core/cluster.h"
 #include "util/strings.h"
-#include "util/rng.h"
 
 namespace sbroker::ldap {
 
@@ -67,80 +66,33 @@ std::string render_entries(const std::vector<const Entry*>& entries) {
 
 SimLdapBackend::SimLdapBackend(sim::Simulation& sim, Directory& dir,
                                LdapBackendConfig config)
-    : sim_(sim),
+    : SimServer(sim, config.capacity, config.queue_limit, config.link,
+                config.connection_setup, config.link_seed),
       dir_(dir),
-      config_(config),
-      station_(sim, config.capacity, config.queue_limit),
-      request_link_(sim, config.link,
-                    util::Rng(util::derive_seed(config.link_seed, 0))),
-      response_link_(sim, config.link,
-                     util::Rng(util::derive_seed(config.link_seed, 1))) {}
+      config_(config) {}
 
-void SimLdapBackend::invoke(const Call& call, Completion done) {
-  ++calls_;
-  double setup = call.needs_connection_setup ? config_.connection_setup : 0.0;
-  std::string payload = call.payload;
-
-  if (request_link_.is_down()) {
-    ++failures_;
-    sim_.after(0.0,
-               [this, done = std::move(done)]() { done(sim_.now(), false, "link down"); });
-    return;
+SimLdapBackend::Execution SimLdapBackend::execute(const std::string& payload) {
+  // Execute every record of the (possibly batched) payload.
+  Execution exec;
+  exec.ok = true;
+  uint64_t examined = 0;
+  uint64_t records = 0;
+  for (const std::string& record : core::ClusterEngine::split_records(payload)) {
+    if (++records > 1) exec.reply += core::kRecordSep;
+    std::string error;
+    auto cmd = parse_search(record, &error);
+    if (!cmd) {
+      exec.ok = false;
+      exec.reply += "search error: " + error;
+    } else {
+      Directory::SearchStats stats;
+      exec.reply += render_entries(dir_.search(cmd->base, cmd->scope, cmd->filter, &stats));
+      examined += stats.entries_examined;
+    }
   }
-
-  request_link_.deliver([this, payload = std::move(payload), setup,
-                         done = std::move(done)]() mutable {
-    // Execute every record of the (possibly batched) payload.
-    bool ok = true;
-    std::string reply;
-    uint64_t examined = 0;
-    uint64_t records = 0;
-    bool first = true;
-    for (const std::string& record : core::ClusterEngine::split_records(payload)) {
-      ++records;
-      std::string error;
-      auto cmd = parse_search(record, &error);
-      std::string chunk;
-      if (!cmd) {
-        ok = false;
-        chunk = "search error: " + error;
-      } else {
-        Directory::SearchStats stats;
-        chunk = render_entries(dir_.search(cmd->base, cmd->scope, cmd->filter, &stats));
-        examined += stats.entries_examined;
-      }
-      if (!first) reply += core::kRecordSep;
-      reply += chunk;
-      first = false;
-    }
-
-    double service_time = setup + config_.fixed_seconds * static_cast<double>(records) +
-                          config_.per_entry_examined * static_cast<double>(examined);
-
-    auto respond = [this](bool good, std::string body, Completion cb) {
-      if (response_link_.is_down()) {
-        sim_.after(0.0, [this, cb = std::move(cb)]() {
-          cb(sim_.now(), false, "response link down");
-        });
-        return;
-      }
-      response_link_.deliver([this, good, body = std::move(body),
-                              cb = std::move(cb)]() mutable {
-        cb(sim_.now(), good, body);
-      });
-    };
-
-    if (!station_.would_accept()) {
-      ++failures_;
-      respond(false, "backend queue full", std::move(done));
-      return;
-    }
-    if (!ok) ++failures_;
-    station_.submit(service_time, [respond, ok, reply = std::move(reply),
-                                   done = std::move(done)]() mutable {
-      respond(ok, std::move(reply), std::move(done));
-    });
-  });
+  exec.service_time = config_.fixed_seconds * static_cast<double>(records) +
+                      config_.per_entry_examined * static_cast<double>(examined);
+  return exec;
 }
 
 }  // namespace sbroker::ldap

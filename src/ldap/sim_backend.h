@@ -6,19 +6,16 @@
 //
 // and answers one line per matched entry: "<dn>\t<attr>=<value>;...".
 // Record-separated batch payloads execute each search and join the results
-// with the cluster record separator, like the other Sim backends. Service
-// time is fixed overhead + per-entry-examined cost (directory servers are
-// traversal-bound).
+// with the cluster record separator, like the other Sim backends. The
+// server is the srv::SimServer skeleton; service time is fixed overhead +
+// per-entry-examined cost (directory servers are traversal-bound).
 #pragma once
 
 #include <memory>
 #include <string>
 
-#include "core/backend.h"
 #include "ldap/directory.h"
-#include "sim/link.h"
-#include "sim/simulation.h"
-#include "sim/station.h"
+#include "srv/sim_server.h"
 
 namespace sbroker::ldap {
 
@@ -45,27 +42,16 @@ std::optional<SearchCommand> parse_search(const std::string& payload,
 /// Renders matched entries one per line: dn\tattr=value;attr=value...
 std::string render_entries(const std::vector<const Entry*>& entries);
 
-class SimLdapBackend : public core::Backend {
+class SimLdapBackend : public srv::SimServer {
  public:
   /// `dir` must outlive the backend.
   SimLdapBackend(sim::Simulation& sim, Directory& dir, LdapBackendConfig config);
 
-  void invoke(const Call& call, Completion done) override;
-
-  uint64_t calls() const { return calls_; }
-  uint64_t failures() const { return failures_; }
-  sim::Link& request_link() { return request_link_; }
-  sim::Link& response_link() { return response_link_; }
-
  private:
-  sim::Simulation& sim_;
+  Execution execute(const std::string& payload) override;
+
   Directory& dir_;
   LdapBackendConfig config_;
-  sim::BoundedStation station_;
-  sim::Link request_link_;
-  sim::Link response_link_;
-  uint64_t calls_ = 0;
-  uint64_t failures_ = 0;
 };
 
 }  // namespace sbroker::ldap

@@ -2,7 +2,6 @@
 
 #include "core/cluster.h"
 #include "util/strings.h"
-#include "util/rng.h"
 
 namespace sbroker::mail {
 
@@ -47,74 +46,29 @@ std::pair<bool, std::string> execute_command(MailStore& store,
 
 SimMailBackend::SimMailBackend(sim::Simulation& sim, MailStore& store,
                                MailBackendConfig config)
-    : sim_(sim),
+    : SimServer(sim, config.capacity, config.queue_limit, config.link,
+                config.connection_setup, config.link_seed),
       store_(store),
-      config_(config),
-      station_(sim, config.capacity, config.queue_limit),
-      request_link_(sim, config.link,
-                    util::Rng(util::derive_seed(config.link_seed, 0))),
-      response_link_(sim, config.link,
-                     util::Rng(util::derive_seed(config.link_seed, 1))) {}
+      config_(config) {}
 
-void SimMailBackend::invoke(const Call& call, Completion done) {
-  ++calls_;
-  double setup = call.needs_connection_setup ? config_.connection_setup : 0.0;
-  std::string payload = call.payload;
-
-  if (request_link_.is_down()) {
-    ++failures_;
-    sim_.after(0.0,
-               [this, done = std::move(done)]() { done(sim_.now(), false, "link down"); });
-    return;
+SimMailBackend::Execution SimMailBackend::execute(const std::string& payload) {
+  Execution exec;
+  exec.ok = true;
+  uint64_t records = 0;
+  uint64_t headers = 0;
+  for (const std::string& record : core::ClusterEngine::split_records(payload)) {
+    if (++records > 1) exec.reply += core::kRecordSep;
+    auto [record_ok, text] = execute_command(store_, record);
+    if (!record_ok) exec.ok = false;
+    // LIST cost scales with headers rendered (one per line).
+    for (char c : text) {
+      if (c == '\n') ++headers;
+    }
+    exec.reply += text;
   }
-
-  request_link_.deliver([this, payload = std::move(payload), setup,
-                         done = std::move(done)]() mutable {
-    bool ok = true;
-    std::string reply;
-    uint64_t records = 0;
-    uint64_t headers = 0;
-    bool first = true;
-    for (const std::string& record : core::ClusterEngine::split_records(payload)) {
-      ++records;
-      auto [record_ok, text] = execute_command(store_, record);
-      if (!record_ok) ok = false;
-      // LIST cost scales with headers rendered (one per line).
-      for (char c : text) {
-        if (c == '\n') ++headers;
-      }
-      if (!first) reply += core::kRecordSep;
-      reply += text;
-      first = false;
-    }
-
-    double service_time = setup + config_.fixed_seconds * static_cast<double>(records) +
-                          config_.per_header_listed * static_cast<double>(headers);
-
-    auto respond = [this](bool good, std::string body, Completion cb) {
-      if (response_link_.is_down()) {
-        sim_.after(0.0, [this, cb = std::move(cb)]() {
-          cb(sim_.now(), false, "response link down");
-        });
-        return;
-      }
-      response_link_.deliver([this, good, body = std::move(body),
-                              cb = std::move(cb)]() mutable {
-        cb(sim_.now(), good, body);
-      });
-    };
-
-    if (!station_.would_accept()) {
-      ++failures_;
-      respond(false, "backend queue full", std::move(done));
-      return;
-    }
-    if (!ok) ++failures_;
-    station_.submit(service_time, [respond, ok, reply = std::move(reply),
-                                   done = std::move(done)]() mutable {
-      respond(ok, std::move(reply), std::move(done));
-    });
-  });
+  exec.service_time = config_.fixed_seconds * static_cast<double>(records) +
+                      config_.per_header_listed * static_cast<double>(headers);
+  return exec;
 }
 
 }  // namespace sbroker::mail

@@ -9,16 +9,14 @@
 //   DELETE|<user>|<id>                     -> "deleted"
 //
 // Unknown commands or missing messages fail the record; a failed record
-// fails the whole call, matching the other Sim backends.
+// fails the whole call, matching the other Sim backends. The server is the
+// srv::SimServer skeleton, so a command refused by a full queue never runs.
 #pragma once
 
 #include <string>
 
-#include "core/backend.h"
 #include "mail/store.h"
-#include "sim/link.h"
-#include "sim/simulation.h"
-#include "sim/station.h"
+#include "srv/sim_server.h"
 
 namespace sbroker::mail {
 
@@ -36,27 +34,16 @@ struct MailBackendConfig {
 /// Returns {ok, reply text}.
 std::pair<bool, std::string> execute_command(MailStore& store, const std::string& command);
 
-class SimMailBackend : public core::Backend {
+class SimMailBackend : public srv::SimServer {
  public:
   /// `store` must outlive the backend.
   SimMailBackend(sim::Simulation& sim, MailStore& store, MailBackendConfig config);
 
-  void invoke(const Call& call, Completion done) override;
-
-  uint64_t calls() const { return calls_; }
-  uint64_t failures() const { return failures_; }
-  sim::Link& request_link() { return request_link_; }
-  sim::Link& response_link() { return response_link_; }
-
  private:
-  sim::Simulation& sim_;
+  Execution execute(const std::string& payload) override;
+
   MailStore& store_;
   MailBackendConfig config_;
-  sim::BoundedStation station_;
-  sim::Link request_link_;
-  sim::Link response_link_;
-  uint64_t calls_ = 0;
-  uint64_t failures_ = 0;
 };
 
 }  // namespace sbroker::mail

@@ -8,8 +8,8 @@
 // typed samples, and every sbroker_* family is named there and nowhere else.
 // The AdminServer runs its own Reactor on a dedicated thread, so scrapes
 // never compete with broker admission for a shard reactor's attention; its
-// handlers snapshot shard state by posting onto each shard reactor and
-// waiting, the same pattern ShardedBrokerDaemon::aggregate_metrics uses.
+// handlers snapshot shard state through ShardedBrokerDaemon::shard_status,
+// which posts onto each shard reactor and waits.
 #pragma once
 
 #include <cstdint>

@@ -152,20 +152,27 @@ void ShardedBrokerDaemon::stop() {
   running_ = false;
 }
 
+void ShardedBrokerDaemon::read_shards(
+    const std::function<void(BrokerDaemon& daemon, size_t shard)>& read) {
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    BrokerDaemon& daemon = *shards_[i]->daemon;
+    if (!running_) {
+      read(daemon, i);
+      continue;
+    }
+    std::promise<void> finished;
+    auto done = finished.get_future();
+    shards_[i]->reactor->post([&read, &finished, &daemon, i]() {
+      read(daemon, i);
+      finished.set_value();
+    });
+    done.get();
+  }
+}
+
 WireStats ShardedBrokerDaemon::aggregate_wire_stats() {
   WireStats total;
-  if (!running_) {
-    for (auto& shard : shards_) total.merge(shard->daemon->wire_stats());
-    return total;
-  }
-  for (auto& shard : shards_) {
-    std::promise<WireStats> snapshot;
-    auto done = snapshot.get_future();
-    shard->reactor->post([&snapshot, daemon = shard->daemon.get()]() {
-      snapshot.set_value(daemon->wire_stats());
-    });
-    total.merge(done.get());
-  }
+  read_shards([&](BrokerDaemon& daemon, size_t) { total.merge(daemon.wire_stats()); });
   return total;
 }
 
@@ -173,65 +180,29 @@ core::BrokerMetrics ShardedBrokerDaemon::aggregate_metrics() {
   core::BrokerMetrics total(config_.broker.rules.num_levels);
   // Each snapshot folds the shard's wire-level ChannelStats (connections
   // opened, coalesced flushes, pipeline depth) into metrics.transport.
-  if (!running_) {
-    for (auto& shard : shards_) {
-      core::BrokerMetrics m = shard->daemon->broker().metrics();
-      m.transport.merge(shard->daemon->broker().channel_stats());
-      total.merge(m);
-    }
-    return total;
-  }
-  for (auto& shard : shards_) {
-    std::promise<core::BrokerMetrics> snapshot;
-    auto done = snapshot.get_future();
-    shard->reactor->post([&snapshot, daemon = shard->daemon.get()]() {
-      core::BrokerMetrics m = daemon->broker().metrics();
-      m.transport.merge(daemon->broker().channel_stats());
-      snapshot.set_value(std::move(m));
-    });
-    total.merge(done.get());
-  }
+  read_shards([&](BrokerDaemon& daemon, size_t) {
+    core::BrokerMetrics m = daemon.broker().metrics();
+    m.transport.merge(daemon.broker().channel_stats());
+    total.merge(m);
+  });
   return total;
 }
 
 std::vector<ShardStatus> ShardedBrokerDaemon::shard_status() {
   std::vector<ShardStatus> out;
   out.reserve(shards_.size());
-  if (!running_) {
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      out.push_back(snapshot_shard(shards_[i]->daemon->broker(), i));
-    }
-    return out;
-  }
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    std::promise<ShardStatus> snapshot;
-    auto done = snapshot.get_future();
-    shards_[i]->reactor->post([&snapshot, daemon = shards_[i]->daemon.get(), i]() {
-      snapshot.set_value(snapshot_shard(daemon->broker(), i));
-    });
-    out.push_back(done.get());
-  }
+  read_shards([&](BrokerDaemon& daemon, size_t i) {
+    out.push_back(snapshot_shard(daemon.broker(), i));
+  });
   return out;
 }
 
 std::vector<obs::TraceEvent> ShardedBrokerDaemon::dump_trace() {
   std::vector<obs::TraceEvent> all;
-  if (!running_) {
-    for (auto& shard : shards_) {
-      auto events = shard->daemon->broker().observer().recorder().dump();
-      all.insert(all.end(), events.begin(), events.end());
-    }
-  } else {
-    for (auto& shard : shards_) {
-      std::promise<std::vector<obs::TraceEvent>> snapshot;
-      auto done = snapshot.get_future();
-      shard->reactor->post([&snapshot, daemon = shard->daemon.get()]() {
-        snapshot.set_value(daemon->broker().observer().recorder().dump());
-      });
-      auto events = done.get();
-      all.insert(all.end(), events.begin(), events.end());
-    }
-  }
+  read_shards([&](BrokerDaemon& daemon, size_t) {
+    auto events = daemon.broker().observer().recorder().dump();
+    all.insert(all.end(), events.begin(), events.end());
+  });
   std::sort(all.begin(), all.end(),
             [](const obs::TraceEvent& a, const obs::TraceEvent& b) {
               if (a.t != b.t) return a.t < b.t;

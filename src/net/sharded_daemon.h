@@ -132,6 +132,10 @@ class ShardedBrokerDaemon {
   std::vector<obs::TraceEvent> dump_trace();
 
  private:
+  /// Calls `read` once per shard, in shard order: directly when stopped,
+  /// else on that shard's reactor thread, waiting for each call to finish.
+  void read_shards(const std::function<void(BrokerDaemon& daemon, size_t shard)>& read);
+
   struct Shard {
     std::unique_ptr<Reactor> reactor;
     std::unique_ptr<BrokerDaemon> daemon;

@@ -1,68 +1,27 @@
 #include "srv/cgi_backend.h"
 
 #include "core/cluster.h"
-#include "util/rng.h"
 
 namespace sbroker::srv {
 
 SimCgiBackend::SimCgiBackend(sim::Simulation& sim, std::string name,
                              CgiBackendConfig config)
-    : sim_(sim),
+    : SimServer(sim, config.capacity, config.queue_limit, config.link,
+                config.connection_setup, config.link_seed),
       name_(std::move(name)),
-      config_(config),
-      station_(sim, config.capacity, config.queue_limit),
-      request_link_(sim, config.link,
-                    util::Rng(util::derive_seed(config.link_seed, 0))),
-      response_link_(sim, config.link,
-                     util::Rng(util::derive_seed(config.link_seed, 1))) {}
+      processing_time_(config.processing_time) {}
 
-void SimCgiBackend::invoke(const Call& call, Completion done) {
-  ++calls_;
-  double setup = call.needs_connection_setup ? config_.connection_setup : 0.0;
-  std::string payload = call.payload;
-
-  if (request_link_.is_down()) {
-    ++failures_;
-    sim_.after(0.0,
-               [this, done = std::move(done)]() { done(sim_.now(), false, "link down"); });
-    return;
+SimCgiBackend::Execution SimCgiBackend::execute(const std::string& payload) {
+  auto records = core::ClusterEngine::split_records(payload);
+  Execution exec;
+  exec.ok = true;
+  for (size_t i = 0; i < records.size(); ++i) {
+    if (i) exec.reply += core::kRecordSep;
+    exec.reply += "<html>" + name_ + " served " + records[i] + "</html>";
   }
-
-  request_link_.deliver([this, payload = std::move(payload), setup,
-                         done = std::move(done)]() mutable {
-    auto records = core::ClusterEngine::split_records(payload);
-    // One worker runs every record of the batch back to back.
-    double service_time = setup + config_.processing_time * static_cast<double>(records.size());
-
-    std::string reply;
-    for (size_t i = 0; i < records.size(); ++i) {
-      if (i) reply += core::kRecordSep;
-      reply += "<html>" + name_ + " served " + records[i] + "</html>";
-    }
-
-    auto respond = [this](bool ok, std::string body, Completion cb) {
-      if (response_link_.is_down()) {
-        sim_.after(0.0, [this, cb = std::move(cb)]() {
-          cb(sim_.now(), false, "response link down");
-        });
-        return;
-      }
-      response_link_.deliver(
-          [this, ok, body = std::move(body), cb = std::move(cb)]() mutable {
-            cb(sim_.now(), ok, body);
-          });
-    };
-
-    if (!station_.would_accept()) {
-      ++failures_;
-      respond(false, "backend queue full", std::move(done));
-      return;
-    }
-    station_.submit(service_time,
-                    [respond, reply = std::move(reply), done = std::move(done)]() mutable {
-                      respond(true, std::move(reply), std::move(done));
-                    });
-  });
+  // One worker runs every record of the batch back to back.
+  exec.service_time = processing_time_ * static_cast<double>(records.size());
+  return exec;
 }
 
 }  // namespace sbroker::srv

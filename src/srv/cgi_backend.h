@@ -7,17 +7,15 @@
 // in each of the backend Web servers is set to be 5, therefore only 5
 // requests can be processed simultaneously and the rests are queued."
 //
-// The reply body is a canned page derived from the payload. Batched payloads
-// (record-separated) cost `processing_time` per record, serialized in one
-// worker, mirroring the clustered-script behaviour.
+// The server is the SimServer skeleton; the reply body is a canned page
+// derived from the payload. Batched payloads (record-separated) cost
+// `processing_time` per record, serialized in one worker, mirroring the
+// clustered-script behaviour.
 #pragma once
 
 #include <string>
 
-#include "core/backend.h"
-#include "sim/link.h"
-#include "sim/simulation.h"
-#include "sim/station.h"
+#include "srv/sim_server.h"
 
 namespace sbroker::srv {
 
@@ -30,30 +28,15 @@ struct CgiBackendConfig {
   uint64_t link_seed = 21;
 };
 
-class SimCgiBackend : public core::Backend {
+class SimCgiBackend : public SimServer {
  public:
   SimCgiBackend(sim::Simulation& sim, std::string name, CgiBackendConfig config);
 
-  void invoke(const Call& call, Completion done) override;
-
-  const sim::BoundedStation& station() const { return station_; }
-  uint64_t calls() const { return calls_; }
-  uint64_t failures() const { return failures_; }
-  const std::string& name() const { return name_; }
-
-  /// Failure injection: take the network paths up or down mid-run.
-  sim::Link& request_link() { return request_link_; }
-  sim::Link& response_link() { return response_link_; }
-
  private:
-  sim::Simulation& sim_;
+  Execution execute(const std::string& payload) override;
+
   std::string name_;
-  CgiBackendConfig config_;
-  sim::BoundedStation station_;
-  sim::Link request_link_;
-  sim::Link response_link_;
-  uint64_t calls_ = 0;
-  uint64_t failures_ = 0;
+  double processing_time_;
 };
 
 }  // namespace sbroker::srv

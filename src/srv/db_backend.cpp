@@ -9,17 +9,13 @@ namespace sbroker::srv {
 
 SimDbBackend::SimDbBackend(sim::Simulation& sim, db::Database& db,
                            DbBackendConfig config)
-    : sim_(sim),
+    : SimServer(sim, config.capacity, config.queue_limit, config.link,
+                config.connection_setup, config.link_seed),
       db_(db),
       config_(config),
-      station_(sim, config.capacity, config.queue_limit),
-      request_link_(sim, config.link,
-                    util::Rng(util::derive_seed(config.link_seed, 0))),
-      response_link_(sim, config.link,
-                     util::Rng(util::derive_seed(config.link_seed, 1))),
       profile_rng_(util::derive_seed(config.link_seed, 2)) {}
 
-SimDbBackend::Execution SimDbBackend::execute_payload(const std::string& payload) const {
+SimDbBackend::Execution SimDbBackend::execute(const std::string& payload) {
   Execution result;
   db::ExecStats total;
   total.repeats = 0;
@@ -45,17 +41,16 @@ SimDbBackend::Execution SimDbBackend::execute_payload(const std::string& payload
         append_chunk(rs.to_text());
       }
     }
+    result.ok = true;
+    result.reply = std::move(reply);
+    result.service_time = config_.cost.service_time(total);
   } catch (const std::exception& e) {
-    result.ok = false;
     result.reply = std::string("query error: ") + e.what();
     // Even a failed query consumed the fixed overhead.
     result.service_time = config_.cost.fixed_seconds;
-    return result;
   }
-
-  result.ok = true;
-  result.reply = std::move(reply);
-  result.service_time = config_.cost.service_time(total);
+  result.service_time =
+      config_.profile.sample(result.service_time, sim_.now(), profile_rng_);
   return result;
 }
 
@@ -90,58 +85,14 @@ void SimDbBackend::invoke(const Call& call, const core::CancelTokenPtr& token,
 }
 
 void SimDbBackend::invoke(const Call& call, Completion done) {
+  if (!stalled_) {
+    SimServer::invoke(call, std::move(done));
+    return;
+  }
+  // Half-open failure: the request is consumed and no reply ever comes.
+  // Only a deadline (and its cancel token) resolves the caller.
   ++calls_;
-  if (stalled_) {
-    // Half-open failure: the request is consumed and no reply ever comes.
-    // Only a deadline (and its cancel token) resolves the caller.
-    ++stalls_;
-    return;
-  }
-  double setup = call.needs_connection_setup ? config_.connection_setup : 0.0;
-  std::string payload = call.payload;
-
-  // A downed link loses the request; surface it as a failure so the broker
-  // can answer the client instead of leaking the pending entry.
-  if (request_link_.is_down()) {
-    ++failures_;
-    sim_.after(0.0, [this, done = std::move(done)]() { done(sim_.now(), false, "link down"); });
-    return;
-  }
-
-  request_link_.deliver([this, payload = std::move(payload), setup,
-                                     done = std::move(done)]() mutable {
-    Execution exec = execute_payload(payload);
-    auto respond = [this](bool ok, std::string reply, Completion cb) {
-      if (response_link_.is_down()) {
-        // The reply is lost on the wire; fail the call so the caller's
-        // pending state resolves instead of hanging forever.
-        sim_.after(0.0, [this, cb = std::move(cb)]() {
-          cb(sim_.now(), false, "response link down");
-        });
-        return;
-      }
-      response_link_.deliver([this, ok, reply = std::move(reply),
-                              cb = std::move(cb)]() mutable {
-        cb(sim_.now(), ok, reply);
-      });
-    };
-    if (!station_.would_accept()) {
-      ++failures_;
-      respond(false, "backend queue full", std::move(done));
-      return;
-    }
-    double service_time =
-        setup + config_.profile.sample(exec.service_time, sim_.now(),
-                                       profile_rng_);
-    bool exec_ok = exec.ok;
-    std::string reply = std::move(exec.reply);
-    station_.submit(service_time,
-                    [this, exec_ok, reply = std::move(reply), respond,
-                     done = std::move(done)]() mutable {
-                      if (!exec_ok) ++failures_;
-                      respond(exec_ok, std::move(reply), std::move(done));
-                    });
-  });
+  ++stalls_;
 }
 
 }  // namespace sbroker::srv

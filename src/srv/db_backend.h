@@ -1,10 +1,10 @@
 // Simulated database backend server.
 //
 // Models the clustering-experiment backend (paper Figure 6): an Apache-like
-// bounded worker pool in front of a MySQL-like database. A call travels the
-// link, waits for one of `capacity` workers, executes its payload against
-// the in-memory engine (service time from the cost model), and the reply
-// travels the link back.
+// bounded worker pool in front of a MySQL-like database (the SimServer
+// skeleton). An admitted call executes its payload against the in-memory
+// engine; the service time comes from the cost model, shaped by the
+// replica's ServiceProfile.
 //
 // Payload format: one or more SQL statements joined by the cluster record
 // separator (core::kRecordSep). A `... REPEAT n` statement is executed as n
@@ -16,13 +16,10 @@
 #include <memory>
 #include <string>
 
-#include "core/backend.h"
 #include "db/cost_model.h"
 #include "db/database.h"
-#include "sim/link.h"
-#include "sim/simulation.h"
-#include "sim/station.h"
 #include "srv/service_profile.h"
+#include "srv/sim_server.h"
 
 namespace sbroker::srv {
 
@@ -37,7 +34,7 @@ struct DbBackendConfig {
   ServiceProfile profile;
 };
 
-class SimDbBackend : public core::Backend {
+class SimDbBackend : public SimServer {
  public:
   /// `db` must outlive the backend.
   SimDbBackend(sim::Simulation& sim, db::Database& db, DbBackendConfig config);
@@ -46,39 +43,20 @@ class SimDbBackend : public core::Backend {
   void invoke(const Call& call, const core::CancelTokenPtr& token,
               Completion done) override;
 
-  const sim::BoundedStation& station() const { return station_; }
-  uint64_t calls() const { return calls_; }
-  uint64_t failures() const { return failures_; }
   uint64_t stalls() const { return stalls_; }
   uint64_t cancels() const { return cancels_; }
 
-  /// Failure injection: take the network paths up or down mid-run.
-  sim::Link& request_link() { return request_link_; }
-  sim::Link& response_link() { return response_link_; }
   /// Failure injection: a stalled backend consumes requests and never
   /// replies — the half-open failure mode deadlines and cancel tokens
   /// exist for (a downed link at least fails fast).
   void set_stalled(bool stalled) { stalled_ = stalled; }
 
  private:
-  struct Execution {
-    bool ok = false;
-    std::string reply;
-    double service_time = 0.0;
-  };
+  Execution execute(const std::string& payload) override;
 
-  /// Runs the payload against the engine, returning reply + service time.
-  Execution execute_payload(const std::string& payload) const;
-
-  sim::Simulation& sim_;
   db::Database& db_;
   DbBackendConfig config_;
-  sim::BoundedStation station_;
-  sim::Link request_link_;
-  sim::Link response_link_;
   util::Rng profile_rng_;
-  uint64_t calls_ = 0;
-  uint64_t failures_ = 0;
   uint64_t stalls_ = 0;
   uint64_t cancels_ = 0;
   bool stalled_ = false;

@@ -110,23 +110,6 @@ TEST(Cache, OverwriteDoesNotGrow) {
   EXPECT_EQ(probe(cache, "k", 1.0), (Probe{kHit, "2"}));
 }
 
-TEST(Cache, Invalidate) {
-  ResultCache cache(4, 0.0);
-  cache.put("k", "v", 0.0);
-  EXPECT_TRUE(cache.invalidate("k"));
-  EXPECT_FALSE(cache.invalidate("k"));
-  EXPECT_EQ(probe(cache, "k", 0.0), Probe{});
-}
-
-TEST(Cache, Clear) {
-  ResultCache cache(4, 0.0);
-  cache.put("a", "1", 0.0);
-  cache.put("b", "2", 0.0);
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_FALSE(cache.get_stale("a").has_value());
-}
-
 TEST(Cache, HitRatio) {
   ResultCache cache(4, 0.0);
   cache.put("k", "v", 0.0);

@@ -72,26 +72,13 @@ TEST(HotSpot, EwmaSmoothsSpikes) {
 }
 
 TEST(HotSpot, TransitionCallbackFires) {
+  // Normal -> Warm -> Hot -> Normal, read from observe()'s return values.
   HotSpotDetector d(fast_config());
-  std::vector<std::pair<LoadState, LoadState>> seen;
-  d.set_on_transition([&](LoadState from, LoadState to) { seen.emplace_back(from, to); });
-  d.observe(12.0);
-  d.observe(20.0);
-  d.observe(0.0);
-  ASSERT_EQ(seen.size(), 3u);
-  EXPECT_EQ(seen[0], std::make_pair(LoadState::kNormal, LoadState::kWarm));
-  EXPECT_EQ(seen[1], std::make_pair(LoadState::kWarm, LoadState::kHot));
-  EXPECT_EQ(seen[2], std::make_pair(LoadState::kHot, LoadState::kNormal));
-  EXPECT_EQ(d.transitions(), 3u);
-}
-
-TEST(HotSpot, ResetReturnsToNormal) {
-  HotSpotDetector d(fast_config());
-  d.observe(25.0);
-  d.reset();
   EXPECT_EQ(d.state(), LoadState::kNormal);
-  EXPECT_EQ(d.observe(1.0), LoadState::kNormal);
-  EXPECT_DOUBLE_EQ(d.ewma(), 1.0);  // re-primed
+  EXPECT_EQ(d.observe(12.0), LoadState::kWarm);
+  EXPECT_EQ(d.observe(20.0), LoadState::kHot);
+  EXPECT_EQ(d.observe(0.0), LoadState::kNormal);
+  EXPECT_EQ(d.transitions(), 3u);
 }
 
 TEST(HotSpot, StateNames) {

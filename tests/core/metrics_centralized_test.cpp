@@ -46,13 +46,6 @@ TEST(Metrics, TotalAggregates) {
   EXPECT_EQ(total.retries, 2u);
 }
 
-TEST(Metrics, Reset) {
-  BrokerMetrics m(2);
-  m.at(1).issued = 3;
-  m.reset();
-  EXPECT_EQ(m.at(1).issued, 0u);
-}
-
 // --------------------------------------------------------------------------
 // CentralizedController
 

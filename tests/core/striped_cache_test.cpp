@@ -93,17 +93,6 @@ TEST(StripedCacheTest, TtlExpiryAndStaleLookup) {
   EXPECT_EQ(negatives.lookup_into("bad", 1.0, scratch).outcome, LookupOutcome::kMiss);
 }
 
-TEST(StripedCacheTest, InvalidateAndClear) {
-  StripedResultCache cache(32, 0.0, 4);
-  cache.put("gone", "v", 0.0);
-  EXPECT_TRUE(cache.invalidate("gone"));
-  EXPECT_FALSE(cache.invalidate("gone"));
-  cache.put("a", "1", 0.0);
-  cache.put("b", "2", 0.0);
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
-}
-
 TEST(StripedCacheTest, ConcurrentPutGetKeepsValueIntegrity) {
   // 4 writer/reader threads over a shared keyspace: every observed value
   // must match its key (no torn entries, no cross-key bleed), and the

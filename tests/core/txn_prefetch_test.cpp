@@ -122,14 +122,6 @@ TEST(Prefetch, MultipleEntriesIndependentSchedules) {
   ASSERT_EQ(due5.size(), 2u);  // a due again at 4, b at 5
 }
 
-TEST(Prefetch, Remove) {
-  Prefetcher p(1.0);
-  p.add("k", "q", 1.0);
-  EXPECT_TRUE(p.remove("k"));
-  EXPECT_FALSE(p.remove("k"));
-  EXPECT_TRUE(p.due(100.0, 0.0).empty());
-}
-
 TEST(Prefetch, BurstCapStaggersOverdueBacklogAcrossCalls) {
   // After a long busy spell every entry is overdue at once; max_issues must
   // trickle the backlog out instead of firing the whole registry in one

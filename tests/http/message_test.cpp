@@ -21,13 +21,6 @@ TEST(Headers, SetOverwrites) {
   EXPECT_EQ(h.size(), 1u);
 }
 
-TEST(Headers, Remove) {
-  Headers h;
-  h.set("X", "1");
-  h.remove("x");
-  EXPECT_FALSE(h.has("X"));
-}
-
 TEST(Request, SerializeAddsContentLength) {
   Request req;
   req.method = "POST";

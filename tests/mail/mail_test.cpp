@@ -166,6 +166,27 @@ TEST(SimMailBackend, BadCommandFailsCall) {
   EXPECT_EQ(backend.failures(), 1u);
 }
 
+TEST(SimMailBackend, RejectedCommandDoesNotRun) {
+  // One worker and no queue: the second SEND arrives while the first is in
+  // service, is refused, and must leave the store untouched.
+  sim::Simulation sim;
+  MailStore store;
+  MailBackendConfig cfg;
+  cfg.capacity = 1;
+  cfg.queue_limit = 0;
+  SimMailBackend backend(sim, store, cfg);
+  Reply first, second;
+  backend.invoke({"SEND|joe|jane|one|a", false}, capture(first));
+  backend.invoke({"SEND|joe|jane|two|b", false}, capture(second));
+  sim.run();
+  ASSERT_TRUE(first.fired && second.fired);
+  EXPECT_TRUE(first.ok);
+  EXPECT_FALSE(second.ok);
+  EXPECT_EQ(second.payload, "backend queue full");
+  EXPECT_EQ(store.mailbox_size("joe"), 1u);
+  EXPECT_EQ(backend.failures(), 1u);
+}
+
 TEST(SimMailBackend, LinkDownFailsFast) {
   sim::Simulation sim;
   MailStore store;
