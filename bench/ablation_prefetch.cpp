@@ -37,11 +37,10 @@ RunResult run_once(bool prefetch, double duration, size_t clients) {
   broker_cfg.rules = core::QosRules{3, 1e9};
   broker_cfg.enable_cache = true;
   broker_cfg.cache_ttl = 10.0;  // headlines refresh period
-  broker_cfg.prefetch_idle_threshold = 4.0;
   srv::BrokerHost host(sim, "news-broker", broker_cfg);
   host.broker().add_backend(backend);
   if (prefetch) {
-    host.broker().prefetcher().add("/headlines", "/headlines", 9.0);
+    host.broker().prefetcher().add("/headlines", 9.0);
     host.kick();
   }
 

@@ -40,7 +40,6 @@ int main(int argc, char** argv) {
     broker_cfg.rules = core::QosRules{3, 50.0};
     broker_cfg.enable_cache = cache;
     broker_cfg.cache_ttl = 15.0;
-    broker_cfg.prefetch_idle_threshold = 8.0;
     panel.host = std::make_unique<srv::BrokerHost>(sim, name + "-broker", broker_cfg,
                                                    sim::ipc_profile(), seed + 1);
     panel.host->broker().add_backend(panel.backend);
@@ -53,7 +52,7 @@ int main(int argc, char** argv) {
 
   // The provider updates headlines every ~12s; the broker prefetches on the
   // same cadence so user requests never wait on the WAN.
-  headlines.host->broker().prefetcher().add("/headlines", "/headlines", 12.0);
+  headlines.host->broker().prefetcher().add("/headlines", 12.0);
   headlines.host->kick();
 
   obs::LatencyHistogram page_latency;

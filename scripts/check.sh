@@ -28,6 +28,10 @@
 #                              # directory from REF to the working tree
 #                              # (git diff --numstat; stage new files first);
 #                              # not part of `all`
+#   scripts/check.sh knobs     # report: every BrokerConfig/BrokerDaemonConfig
+#                              # field (nested config structs included) and
+#                              # the shipping programs and tests that assign
+#                              # it; not part of `all`
 #   scripts/check.sh reach     # report: which src/ lines and functions the
 #                              # shipping programs (example and bench smokes,
 #                              # simulator harnesses, perfbench --smoke) run,
@@ -236,9 +240,10 @@ while [ $# -gt 0 ]; do
       run_lines "$1"
       shift
       ;;
+    knobs) python3 "$repo_root/scripts/knobs.py" "$repo_root" ;;
     reach) run_reach ;;
     all) run_plain; run_tsan; run_asan; run_ubsan; run_release; run_perfbench ;;
-    *) echo "usage: scripts/check.sh [plain|tsan|asan|ubsan|release|perfbench|simdiff REF|lines REF|reach|all]..." >&2; exit 2 ;;
+    *) echo "usage: scripts/check.sh [plain|tsan|asan|ubsan|release|perfbench|simdiff REF|lines REF|knobs|reach|all]..." >&2; exit 2 ;;
   esac
 done
 

@@ -49,11 +49,8 @@ std::optional<BalancePolicy> parse_balance_policy(std::string_view name) {
 }
 
 LoadBalancer::LoadBalancer(BalancePolicy policy, util::Rng rng,
-                           HealthConfig health, double ewma_tau)
-    : policy_(policy),
-      rng_(rng),
-      health_config_(health),
-      ewma_tau_(std::max(ewma_tau, 1e-3)) {}
+                           HealthConfig health)
+    : policy_(policy), rng_(rng), health_config_(health) {}
 
 size_t LoadBalancer::add_backend(double weight) {
   outstanding_.push_back(0);
@@ -96,7 +93,7 @@ double LoadBalancer::ewma_seconds(size_t backend, double now) const {
   if (e.value <= 0.0) return 0.0;
   double dt = now - e.stamp;
   if (dt <= 0.0) return e.value;
-  return e.value * std::exp(-dt / ewma_tau_);
+  return e.value * std::exp(-dt / kDefaultEwmaTau);
 }
 
 double LoadBalancer::ewma_score(size_t i, double now) const {

@@ -73,8 +73,7 @@ inline constexpr double kDefaultEwmaTau = 0.5;
 class LoadBalancer {
  public:
   explicit LoadBalancer(BalancePolicy policy, util::Rng rng = util::Rng(7),
-                        HealthConfig health = {},
-                        double ewma_tau = kDefaultEwmaTau);
+                        HealthConfig health = {});
 
   /// Registers a backend with a relative capacity weight (>= minimum 0.01).
   /// Returns its index.
@@ -155,7 +154,6 @@ class LoadBalancer {
   BalancePolicy policy_;
   util::Rng rng_;
   HealthConfig health_config_;
-  double ewma_tau_;
   std::vector<size_t> outstanding_;
   std::vector<double> weights_;
   std::vector<uint64_t> picks_;

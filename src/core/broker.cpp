@@ -32,10 +32,8 @@ ServiceBroker::ServiceBroker(std::string name, BrokerConfig config)
       load_(std::make_shared<LoadTracker>()),
       cluster_(config.cluster),
       pool_(config.pool),
-      balancer_(config.balance, util::Rng(config.rng_seed), config.health,
-                config.balance_ewma_tau),
+      balancer_(config.balance, util::Rng(config.rng_seed), config.health),
       txn_(std::make_shared<TransactionTracker>(config.rules, config.txn)),
-      prefetcher_(config.prefetch_idle_threshold),
       hotspot_(config.hotspot),
       rewriter_(config.rewrite, config.rules),
       metrics_(config.rules.num_levels),
@@ -84,6 +82,15 @@ double ServiceBroker::compute_deadline(double now, uint32_t deadline_ms) const {
   if (budget <= 0.0) return kNoDeadline;
   if (lc.max_deadline > 0.0) budget = std::min(budget, lc.max_deadline);
   return now + budget;
+}
+
+double ServiceBroker::admission_load() const {
+  double load = load_->load();
+  return tier_load_ ? std::max(load, tier_load_()) : load;
+}
+
+bool ServiceBroker::background_admitted() const {
+  return !backends_.empty() && admission_.overload().admit(1, admission_load());
 }
 
 void ServiceBroker::submit(double now, const http::BrokerRequest& request,
@@ -135,8 +142,9 @@ bool ServiceBroker::try_submit_fast(double now, const http::BrokerRequest& reque
   obs_.trace(now, request.request_id, obs::TraceEventKind::kCacheHit,
              static_cast<uint8_t>(base_level));
   reply(ReplyView{request.request_id, http::Fidelity::kCached, looked.value});
-  if (looked.outcome == LookupOutcome::kStaleRefresh) {
-    issue_refresh(request.payload, now);
+  if (looked.outcome == LookupOutcome::kStaleRefresh &&
+      submit_background(request.payload, now)) {
+    metrics_.flight.refreshes += 1;
   }
   return true;
 }
@@ -150,9 +158,7 @@ void ServiceBroker::submit_miss(double now, const http::BrokerRequest& request,
 
   // 2. Admission, against the (possibly cross-shard) outstanding count —
   //    floored by the federation's gossiped tier pressure when installed.
-  double admission_load = load_->load();
-  if (tier_load_) admission_load = std::max(admission_load, tier_load_());
-  AdmissionDecision decision = admission_.decide(effective, admission_load);
+  AdmissionDecision decision = admission_.decide(effective, admission_load());
   if (decision != AdmissionDecision::kForward) {
     reply_drop(now, request, base_level, reply);
     return;
@@ -175,6 +181,41 @@ void ServiceBroker::submit_miss(double now, const http::BrokerRequest& request,
   //    open the request's lifecycle context and feed the cluster engine.
   RewriteOutcome rewritten =
       rewriter_.apply(request.payload, effective, hotspot_.state());
+  RequestContext init;
+  init.request_id = request.request_id;
+  init.base_level = base_level;
+  init.effective_level = effective;
+  init.deadline = compute_deadline(now, request.deadline_ms);
+  init.degraded = rewritten.degraded;
+  init.reply = std::move(reply);
+  if (init.deadline != kNoDeadline) {
+    // Track the budget in force so the overload controller can derive its
+    // latency target from what the traffic actually demands.
+    double budget = init.deadline - now;
+    deadline_budget_ewma_ = deadline_budget_ewma_ > 0.0
+                                ? 0.9 * deadline_budget_ewma_ + 0.1 * budget
+                                : budget;
+  }
+  open_fetch(now, std::move(init), std::move(rewritten.payload));
+}
+
+bool ServiceBroker::submit_background(std::string_view payload, double now) {
+  // A live flight for the key already carries a fetch that lands a fresher
+  // value; a second one would be the stampede this layer exists to prevent.
+  if (single_flight_enabled() && flights_.count(payload)) return false;
+  metrics_.background.issued += 1;
+  if (!background_admitted()) {
+    metrics_.background.dropped += 1;
+    return false;
+  }
+  RequestContext init;  // lowest class, no reply sink
+  init.deadline = now + kBackgroundDeadline;
+  init.background = true;
+  open_fetch(now, std::move(init), std::string(payload));
+  return true;
+}
+
+void ServiceBroker::open_fetch(double now, RequestContext init, std::string payload) {
   ++outstanding_;
   load_->inc();
   hotspot_.observe(load_->load());
@@ -182,29 +223,17 @@ void ServiceBroker::submit_miss(double now, const http::BrokerRequest& request,
   // The context and its canonical payload bytes share one pooled arena,
   // freed in a single step by the exactly-once terminal (destroy_context).
   std::unique_ptr<Arena> arena = arena_pool_.acquire();
-  RequestContext* ctx = arena->create<RequestContext>();
+  RequestContext* ctx = arena->create<RequestContext>(std::move(init));
   ctx->arena = arena.release();
-  ctx->id = request.request_id;
-  ctx->base_level = base_level;
-  ctx->effective_level = effective;
+  ctx->id = next_context_++;
   ctx->submitted_at = now;
-  ctx->deadline = compute_deadline(now, request.deadline_ms);
   ctx->attempt_budget = std::max(1, config_.lifecycle.max_attempts);
-  ctx->payload = ctx->arena->store(rewritten.payload);
-  ctx->degraded = rewritten.degraded;
-  ctx->reply = std::move(reply);
-  if (ctx->deadline != kNoDeadline) {
-    deadlines_.emplace(ctx->deadline, ctx->id);
-    // Track the budget in force so the overload controller can derive its
-    // latency target from what the traffic actually demands.
-    double budget = ctx->deadline - now;
-    deadline_budget_ewma_ = deadline_budget_ewma_ > 0.0
-                                ? 0.9 * deadline_budget_ewma_ + 0.1 * budget
-                                : budget;
-  }
-  contexts_[request.request_id] = ctx;
-  obs_.trace(now, request.request_id, obs::TraceEventKind::kAdmit,
-             static_cast<uint8_t>(base_level), static_cast<uint16_t>(effective));
+  ctx->payload = ctx->arena->store(payload);
+  if (ctx->deadline != kNoDeadline) deadlines_.emplace(ctx->deadline, ctx->id);
+  contexts_[ctx->id] = ctx;
+  obs_.trace(now, ctx->request_id, obs::TraceEventKind::kAdmit,
+             static_cast<uint8_t>(ctx->base_level),
+             static_cast<uint16_t>(ctx->effective_level));
 
   // 4. Single-flight coalescing, keyed by the canonical (post-rewrite)
   //    query. The first miss leads the one backend fetch; identical misses
@@ -217,26 +246,21 @@ void ServiceBroker::submit_miss(double now, const http::BrokerRequest& request,
     std::string_view key = ctx->payload;
     auto fit = flights_.find(key);
     if (fit == flights_.end() && !claim_flight(key)) {
-      Flight flight;
-      flight.owner = false;
-      fit = flights_.emplace(key, std::move(flight)).first;
+      fit = flights_.emplace(key, Flight{}).first;
     }
     if (fit != flights_.end()) {
-      fit->second.waiters.push_back(request.request_id);
+      fit->second.waiters.push_back(ctx->id);
       metrics_.flight.coalesced_waiters += 1;
-      obs_.trace(now, request.request_id, obs::TraceEventKind::kCoalesce,
-                 static_cast<uint8_t>(base_level),
+      obs_.trace(now, ctx->request_id, obs::TraceEventKind::kCoalesce,
+                 static_cast<uint8_t>(ctx->base_level),
                  static_cast<uint16_t>(
                      std::min<size_t>(fit->second.waiters.size(), UINT16_MAX)));
       return;
     }
-    Flight flight;
-    flight.leader = request.request_id;
-    flight.owner = true;
-    flights_.emplace(key, std::move(flight));
+    flights_.emplace(key, Flight{ctx->id, {}});
   }
 
-  if (auto batch = cluster_.add(request.request_id, std::move(rewritten.payload), now)) {
+  if (auto batch = cluster_.add(ctx->id, std::move(payload), now)) {
     enqueue_batch(std::move(*batch), now);
   }
   pump(now);
@@ -273,7 +297,7 @@ void ServiceBroker::enqueue_batch(Batch batch, double now) {
       ready.priority = std::max(ready.priority, ctx.effective_level);
       ctx.batched_at = now;
       obs_.record(ctx.base_level, obs::Stage::kBatchWait, now - ctx.submitted_at);
-      obs_.trace(now, id, obs::TraceEventKind::kCluster,
+      obs_.trace(now, ctx.request_id, obs::TraceEventKind::kCluster,
                  static_cast<uint8_t>(ctx.base_level), size);
     }
   }
@@ -368,7 +392,7 @@ void ServiceBroker::dispatch(ReadyBatch ready, double now) {
       double queued_since = ctx.batched_at > 0.0 ? ctx.batched_at : ctx.submitted_at;
       obs_.record(ctx.base_level, obs::Stage::kQueueWait, now - queued_since);
     }
-    obs_.trace(now, id, obs::TraceEventKind::kDispatch,
+    obs_.trace(now, ctx.request_id, obs::TraceEventKind::kDispatch,
                static_cast<uint8_t>(ctx.base_level),
                static_cast<uint16_t>(*backend_index));
     ctx.exchange = exchange_id;
@@ -409,13 +433,17 @@ void ServiceBroker::on_exchange_complete(uint64_t exchange_id, double now, bool 
   if (ok) {
     std::vector<std::string> parts = ClusterEngine::split_reply(batch, payload);
     for (size_t i = 0; i < batch.member_ids.size(); ++i) {
+      auto ctx_it = contexts_.find(batch.member_ids[i]);
+      bool live = ctx_it != contexts_.end() && ctx_it->second->exchange == exchange_id;
       // Cache before replying: once the reply is on the wire, another shard
       // may already be looking the repeat up in the shared cache. A fresh
-      // result is worth caching even when its member already expired.
-      if (config_.enable_cache) cache_->put(batch.member_payloads[i], parts[i], now);
-      uint64_t id = batch.member_ids[i];
-      auto ctx_it = contexts_.find(id);
-      if (ctx_it != contexts_.end() && ctx_it->second->exchange == exchange_id) {
+      // result is worth caching even when its member already expired. A
+      // background write is stamped with its dispatch time: a demand fetch
+      // that completed meanwhile stored a newer result, which must win.
+      bool background = live && ctx_it->second->background;
+      double stamp = background ? exchange.dispatched_at : now;
+      if (config_.enable_cache) cache_->put(batch.member_payloads[i], parts[i], stamp);
+      if (live) {
         RequestContext* ctx = ctx_it->second;
         contexts_.erase(ctx_it);
         obs_.record(ctx->base_level, obs::Stage::kChannelRtt,
@@ -449,8 +477,8 @@ void ServiceBroker::on_exchange_complete(uint64_t exchange_id, double now, bool 
       if (may_retry(ctx, now)) {
         // The flight (if any) stays with this member: its chain continues.
         retries_.emplace(now + config_.lifecycle.retry_backoff * ctx.attempts, id);
-        metrics_.at(ctx.base_level).retries += 1;
-        obs_.trace(now, id, obs::TraceEventKind::kRetry,
+        if (!ctx.background) metrics_.at(ctx.base_level).retries += 1;
+        obs_.trace(now, ctx.request_id, obs::TraceEventKind::kRetry,
                    static_cast<uint8_t>(ctx.base_level),
                    static_cast<uint16_t>(ctx.attempts));
         scheduled_retry = true;
@@ -497,6 +525,14 @@ void ServiceBroker::finish_context(RequestContext* ctx, double now,
   if (ctx->degraded && fidelity == http::Fidelity::kFull) {
     fidelity = http::Fidelity::kDegraded;
   }
+  obs_.trace(now, ctx->request_id, obs::TraceEventKind::kComplete,
+             static_cast<uint8_t>(ctx->base_level),
+             static_cast<uint16_t>(fidelity));
+  if (ctx->background) {
+    (count_error ? metrics_.background.failed : metrics_.background.completed) += 1;
+    destroy_context(ctx);
+    return;
+  }
   auto& c = metrics_.at(ctx->base_level);
   if (fidelity == http::Fidelity::kFull || fidelity == http::Fidelity::kCached ||
       fidelity == http::Fidelity::kDegraded) {
@@ -505,10 +541,7 @@ void ServiceBroker::finish_context(RequestContext* ctx, double now,
   if (count_error) c.errors += 1;
   c.completed += 1;
   obs_.record(ctx->base_level, obs::Stage::kTotal, now - ctx->submitted_at);
-  obs_.trace(now, ctx->id, obs::TraceEventKind::kComplete,
-             static_cast<uint8_t>(ctx->base_level),
-             static_cast<uint16_t>(fidelity));
-  ctx->reply(http::BrokerReply{ctx->id, fidelity, std::string(payload)});
+  ctx->reply(http::BrokerReply{ctx->request_id, fidelity, std::string(payload)});
   destroy_context(ctx);
 }
 
@@ -518,6 +551,17 @@ void ServiceBroker::shed_context(RequestContext* ctx, double now, bool deadline_
   load_->dec();
   hotspot_.observe(load_->load());
 
+  obs_.trace(now, ctx->request_id,
+             deadline_miss ? obs::TraceEventKind::kDeadline
+                           : obs::TraceEventKind::kDrop,
+             static_cast<uint8_t>(ctx->base_level),
+             deadline_miss ? static_cast<uint16_t>(ctx->attempts)
+                           : /*pool saturated=*/static_cast<uint16_t>(2));
+  if (ctx->background) {
+    metrics_.background.dropped += 1;
+    destroy_context(ctx);
+    return;
+  }
   auto& c = metrics_.at(ctx->base_level);
   c.dropped += 1;
   if (deadline_miss) {
@@ -528,21 +572,15 @@ void ServiceBroker::shed_context(RequestContext* ctx, double now, bool deadline_
   }
   c.completed += 1;
   obs_.record(ctx->base_level, obs::Stage::kTotal, now - ctx->submitted_at);
-  obs_.trace(now, ctx->id,
-             deadline_miss ? obs::TraceEventKind::kDeadline
-                           : obs::TraceEventKind::kDrop,
-             static_cast<uint8_t>(ctx->base_level),
-             deadline_miss ? static_cast<uint16_t>(ctx->attempts)
-                           : /*pool saturated=*/static_cast<uint16_t>(2));
   if (config_.serve_stale_on_drop) {
     if (auto stale = cache_->get_stale(ctx->payload)) {
-      ctx->reply(http::BrokerReply{ctx->id, http::Fidelity::kCached, *stale});
+      ctx->reply(http::BrokerReply{ctx->request_id, http::Fidelity::kCached, *stale});
       destroy_context(ctx);
       return;
     }
   }
   ctx->reply(http::BrokerReply{
-      ctx->id, http::Fidelity::kBusy,
+      ctx->request_id, http::Fidelity::kBusy,
       deadline_miss ? std::string(kDeadlineExceeded) : "system is busy"});
   destroy_context(ctx);
 }
@@ -558,9 +596,8 @@ void ServiceBroker::expire_deadlines(double now) {
     uint64_t id = deadlines_.top().second;
     deadlines_.pop();
     auto it = contexts_.find(id);
-    // Skip lazily-deleted entries (request already answered) and entries
-    // stale against a later re-submitted deadline for the same id.
-    if (it == contexts_.end() || !it->second->expired(now)) continue;
+    // Skip lazily-deleted entries (request already answered).
+    if (it == contexts_.end()) continue;
     uint64_t exchange_id = it->second->exchange;
     RequestContext* ctx = it->second;
     contexts_.erase(it);
@@ -572,7 +609,7 @@ void ServiceBroker::expire_deadlines(double now) {
           // continues for whoever remains.
           auto& w = fit->second.waiters;
           w.erase(std::remove(w.begin(), w.end(), ctx->id), w.end());
-          if (w.empty() && fit->second.leader == 0 && !fit->second.owner) {
+          if (w.empty() && fit->second.leader == 0) {
             flights_.erase(fit);  // parked on a remote fetch, nobody left
           }
         } else if (exchange_id == 0) {
@@ -669,12 +706,13 @@ void ServiceBroker::tick(double now) {
   pump(now);
   txn_->expire(now);
 
-  if (!backends_.empty()) {
-    for (const PrefetchEntry& entry :
-         prefetcher_.due(now, static_cast<double>(outstanding_),
-                         config_.prefetch_burst)) {
-      issue_prefetch(entry, now);
-    }
+  // Each admitted prefetch counts in the load the gate reads, so the
+  // lowest class's bound caps how many are in flight; an entry the gate
+  // refuses stays overdue and goes out on the first tick that admits it.
+  while (background_admitted()) {
+    std::optional<std::string> payload = prefetcher_.take_due(now);
+    if (!payload) break;
+    submit_background(*payload, now);
   }
 }
 
@@ -716,105 +754,6 @@ void ServiceBroker::evaluate_overload(double now) {
   }
 }
 
-void ServiceBroker::issue_prefetch(const PrefetchEntry& entry, double now) {
-  // A prefetch is just a speculative flight: it registers in the
-  // single-flight machinery so a demand miss arriving while it is on the
-  // wire parks as a waiter instead of duplicating the fetch — and so two
-  // shards never prefetch the same key at once.
-  bool track = single_flight_enabled();
-  if (track && flights_.count(entry.cache_key)) return;
-  if (track && !claim_flight(entry.cache_key)) return;
-  auto backend_index = balancer_.pick(now);
-  if (!backend_index) {
-    if (track) flight_table_->resolve(entry.cache_key);
-    return;
-  }
-  ConnectionPool::Lease lease = pool_.acquire();
-  if (!lease.granted) {
-    balancer_.complete(*backend_index);
-    if (track) flight_table_->resolve(entry.cache_key);
-    return;  // pool saturated — skip this cycle, the schedule already advanced
-  }
-  if (track) {
-    Flight flight;  // leaderless: no request context carries this fetch
-    flight.owner = true;
-    flights_.emplace(entry.cache_key, std::move(flight));
-  }
-  Backend::Call call{entry.payload, lease.fresh};
-  std::shared_ptr<Backend> backend = backends_[*backend_index];
-  size_t backend_idx = *backend_index;
-  size_t connection = lease.connection;
-  std::string cache_key = entry.cache_key;
-  double issued_at = now;
-  backend->invoke(call, [this, backend_idx, connection, cache_key, issued_at,
-                         track](double done_now, bool ok,
-                                const std::string& payload) {
-    pool_.release(connection);
-    balancer_.complete(backend_idx);
-    if (ok) {
-      // Stamp with the issue time, not the completion time: a demand fetch
-      // that completed while this prefetch was on the wire stored a newer
-      // result, and the cache's last-write-wins rule must keep it.
-      cache_->put(cache_key, payload, issued_at);
-      if (track) resolve_flight(cache_key, done_now, /*ok=*/true, payload);
-    } else if (track) {
-      // Speculative work does not poison the negative cache; just fail any
-      // demand waiters that attached while the prefetch was out.
-      resolve_flight(cache_key, done_now, /*ok=*/false, payload);
-    }
-  });
-}
-
-void ServiceBroker::issue_refresh(std::string_view key, double now) {
-  if (backends_.empty()) return;
-  bool track = single_flight_enabled();
-  // A live flight for the key already carries a fetch that will land a
-  // fresher value; a second revalidation would be the stampede this layer
-  // exists to prevent.
-  if (track && flights_.count(key)) return;
-  if (track && !claim_flight(key)) return;  // another shard is refreshing
-  auto backend_index = balancer_.pick(now);
-  if (!backend_index) {
-    if (track) flight_table_->resolve(std::string(key));
-    return;
-  }
-  ConnectionPool::Lease lease = pool_.acquire();
-  if (!lease.granted) {
-    balancer_.complete(*backend_index);
-    if (track) flight_table_->resolve(std::string(key));
-    return;
-  }
-  if (track) {
-    Flight flight;  // leaderless background fetch, like a prefetch
-    flight.owner = true;
-    flights_.emplace(key, std::move(flight));
-  }
-  metrics_.flight.refreshes += 1;
-  Backend::Call call{std::string(key), lease.fresh};
-  // Background refreshes carry no request deadline; the transport timeout is
-  // the only bound on the exchange.
-  call.timeout = config_.refresh_timeout;
-  std::shared_ptr<Backend> backend = backends_[*backend_index];
-  size_t backend_idx = *backend_index;
-  size_t connection = lease.connection;
-  std::string cache_key(key);
-  backend->invoke(call, [this, backend_idx, connection, cache_key, track](
-                            double done_now, bool ok, const std::string& payload) {
-    pool_.release(connection);
-    balancer_.complete(backend_idx);
-    if (ok) {
-      cache_->put(cache_key, payload, done_now);
-      if (track) resolve_flight(cache_key, done_now, /*ok=*/true, payload);
-    } else {
-      // The stale value stays servable: put_negative never overwrites a
-      // resident positive entry, and the entry's refresh claim self-heals
-      // one grace window after it was taken.
-      cache_->put_negative(cache_key, payload, done_now);
-      if (track) resolve_flight(cache_key, done_now, /*ok=*/false, payload);
-    }
-  });
-}
-
 bool ServiceBroker::claim_flight(std::string_view key) {
   return flight_table_->claim(std::string(key), [this](const std::string& resolved) {
     // Runs on the resolving shard's thread: enqueue and poke, nothing else.
@@ -844,7 +783,7 @@ void ServiceBroker::resolve_flight(std::string_view key, double now, bool ok,
   }
   // Release the cross-shard claim last: parked shards re-probe the cache on
   // wake-up, and the value (or negative entry) is already published.
-  if (flight.owner) flight_table_->resolve(std::string(key));
+  if (flight.leader != 0) flight_table_->resolve(std::string(key));
 }
 
 void ServiceBroker::settle_abandoned_flight(std::string_view key,
@@ -866,20 +805,14 @@ void ServiceBroker::promote_or_drop(std::string_view key, double now) {
                                }),
                 waiters.end());
   if (waiters.empty()) {
-    bool owner = flight.owner;
+    bool owner = flight.leader != 0;
     flights_.erase(fit);
     if (owner) flight_table_->resolve(std::string(key));
     return;
   }
-  if (!flight.owner) {
-    // Try to take over the cross-shard claim; if another shard still holds
-    // it, stay parked — its resolution (or death) wakes us again.
-    if (!claim_flight(key)) {
-      flight.leader = 0;
-      return;
-    }
-    flight.owner = true;
-  }
+  // Try to take over the cross-shard claim; if another shard still holds
+  // it, stay parked — its resolution (or death) wakes us again.
+  if (flight.leader == 0 && !claim_flight(key)) return;
   uint64_t next_leader = waiters.front();
   waiters.erase(waiters.begin());
   flight.leader = next_leader;
@@ -907,11 +840,9 @@ void ServiceBroker::drain_flight_wakeups(double now) {
   std::unique_ptr<Arena> scratch = arena_pool_.acquire();
   for (const std::string& key : keys) {
     auto fit = flights_.find(key);
-    // Only leaderless, unowned flights are waiting on a remote resolution;
+    // Only leaderless flights are waiting on a remote resolution;
     // anything else was settled (or re-claimed) locally in the meantime.
-    if (fit == flights_.end() || fit->second.owner || fit->second.leader != 0) {
-      continue;
-    }
+    if (fit == flights_.end() || fit->second.leader != 0) continue;
     scratch->reset();
     LookupView looked = cache_->lookup_into(key, now, *scratch);
     switch (looked.outcome) {
@@ -919,8 +850,9 @@ void ServiceBroker::drain_flight_wakeups(double now) {
       case LookupOutcome::kStaleServe:
       case LookupOutcome::kStaleRefresh:
         resolve_flight(key, now, /*ok=*/true, looked.value);
-        if (looked.outcome == LookupOutcome::kStaleRefresh) {
-          issue_refresh(key, now);
+        if (looked.outcome == LookupOutcome::kStaleRefresh &&
+            submit_background(key, now)) {
+          metrics_.flight.refreshes += 1;
         }
         break;
       case LookupOutcome::kNegative:
@@ -947,14 +879,11 @@ std::optional<double> ServiceBroker::next_deadline() const {
   auto fold = [&next](std::optional<double> t) {
     if (t && (!next || *t < *next)) next = t;
   };
-  // Fold the prefetch schedule only while the broker is idle enough to
-  // actually issue prefetches: Prefetcher::due() refuses to fire above the
-  // idle threshold, so arming a timer for an overdue entry while busy makes
-  // every tick re-arm at `now` — a zero-delay wakeup spin that pins the
-  // owner's event loop until load drains.
-  if (static_cast<double>(outstanding_) <= config_.prefetch_idle_threshold) {
-    fold(prefetcher_.next_due());
-  }
+  // Fold the prefetch schedule only while the gate would admit a prefetch:
+  // tick() takes no entry while it refuses, so arming a timer for an overdue
+  // entry while busy makes every tick re-arm at `now` — a zero-delay wakeup
+  // spin that pins the owner's event loop until load drains.
+  if (background_admitted()) fold(prefetcher_.next_due());
   // Fold the overload-feedback cadence only while requests are in flight:
   // an idle broker has nothing to measure, and folding unconditionally
   // would re-arm a discrete-event owner's timer forever (the sim would

@@ -15,8 +15,9 @@
 // threshold/contract rules; admitted requests join the ClusterEngine, whose
 // batches wait in a QosScheduler (highest class first) for a dispatch-window
 // slot; the LoadBalancer picks a backend replica and the ConnectionPool
-// decides whether the call pays connection setup. The Prefetcher refreshes
-// registered keys from tick() while the broker is idle.
+// decides whether the call pays connection setup. Prefetches (from tick())
+// and stale refreshes are demand misses with no reply sink at the lowest
+// class: the same admission rule, load count, queues and dispatch().
 //
 // Every admitted request lives in a RequestContext from admission until its
 // single reply: it records the QoS classification, the absolute deadline and
@@ -70,6 +71,9 @@
 
 namespace sbroker::core {
 
+/// Seconds a background fetch (prefetch or stale refresh) may take.
+inline constexpr double kBackgroundDeadline = 1.0;
+
 struct BrokerConfig {
   QosRules rules;                  ///< levels + outstanding threshold
   /// Threshold policy (static vs AIMD feedback) and LIFO-under-overload
@@ -88,26 +92,15 @@ struct BrokerConfig {
   /// jitter, negative-result TTL); applies to the broker-private cache.
   /// Shared caches installed via share_cache() carry their own tuning.
   CacheTuning cache_tuning;
-  /// Transport timeout for background revalidation fetches, seconds
-  /// (0 = unbounded). They carry no request deadline, so this is the only
-  /// bound on a stale-refresh exchange.
-  double refresh_timeout = 1.0;
   ClusterConfig cluster;           ///< degree 1 = no clustering
   PoolConfig pool;
   BalancePolicy balance = BalancePolicy::kLeastOutstanding;
-  /// Decay time constant of the balancer's per-replica latency EWMA
-  /// (kEwma / kP2c policies), seconds.
-  double balance_ewma_tau = kDefaultEwmaTau;
   TxnConfig txn;
   HotSpotConfig hotspot;    ///< thresholds for WARM/HOT load classification
   RewriteConfig rewrite;    ///< fidelity-variation rules (disabled by default)
   /// Max batches in flight to backends; 0 = unbounded (paper's distributed
   /// model lets the backend queue; bound it to exercise the QoS scheduler).
   size_t dispatch_window = 0;
-  double prefetch_idle_threshold = 1.0;
-  /// Max prefetch fetches issued per tick (0 = unbounded): after a busy
-  /// spell the overdue backlog trickles out instead of bursting at once.
-  size_t prefetch_burst = 4;
   uint64_t rng_seed = 42;          ///< seeds the balancer's random policy
   LifecycleConfig lifecycle;       ///< deadlines, attempt budget, backoff
   HealthConfig health;             ///< replica ejection / half-open recovery
@@ -160,8 +153,8 @@ class ServiceBroker {
   /// outstanding-request units comparable to the LoadTracker). Admission
   /// then decides against max(local load, tier load): a node with local
   /// headroom sheds for the tier when its peers report overload. The
-  /// callback runs on this broker's thread, once per non-cache-served
-  /// submission; it must synchronize internally. Call before traffic flows.
+  /// callback runs on this broker's thread, once per admission check; it
+  /// must synchronize internally. Call before traffic flows.
   void set_tier_load(std::function<double()> tier_load) {
     tier_load_ = std::move(tier_load);
   }
@@ -193,8 +186,8 @@ class ServiceBroker {
   void tick(double now);
 
   /// Earliest time at which tick() has work (cluster flush, request
-  /// deadline, pending retry, or prefetch refresh); nullopt when nothing is
-  /// pending.
+  /// deadline, pending retry, or a prefetch the admission gate would let
+  /// out); nullopt when nothing is pending.
   std::optional<double> next_deadline() const;
 
   /// Registers a callback fired when the broker's schedule gains an entry
@@ -203,10 +196,10 @@ class ServiceBroker {
   /// it; pure-pull users (tests driving tick() manually) can ignore it.
   void set_wakeup(std::function<void()> wakeup) { wakeup_ = std::move(wakeup); }
 
-  /// Requests forwarded to backends (or buffered for batching) and not yet
-  /// answered *by this broker*. The admission threshold compares against the
-  /// LoadTracker's count, which equals this unless share_load() installed a
-  /// cross-shard counter.
+  /// Requests (background fetches included) forwarded to backends or buffered
+  /// and not yet answered *by this broker*. The admission threshold compares
+  /// against the LoadTracker's count, which equals this unless share_load()
+  /// installed a cross-shard counter.
   size_t outstanding() const { return outstanding_; }
 
   const std::string& name() const { return name_; }
@@ -266,24 +259,31 @@ class ServiceBroker {
     CancelTokenPtr cancel;
   };
 
-  /// Min-heap of (time, request id); entries are lazily deleted — validity
+  /// Min-heap of (time, context id); entries are lazily deleted — validity
   /// is re-checked against contexts_ when they surface.
   using TimeHeap = std::priority_queue<std::pair<double, uint64_t>,
                                        std::vector<std::pair<double, uint64_t>>,
                                        std::greater<>>;
 
-  /// One key's local single-flight record. `leader` is the request id whose
-  /// fetch chain carries the flight (0 for a background refresh/prefetch or
-  /// a fetch owned by another shard); `owner` says whether this broker holds
-  /// the FlightTable claim; `waiters` are admitted requests parked for the
-  /// resolution, each still subject to its own deadline.
+  /// One key's local single-flight record. `leader` is the context id whose
+  /// fetch chain carries the flight; a flight with a leader holds this
+  /// broker's FlightTable claim, and 0 means another shard owns the fetch.
+  /// `waiters` are admitted requests parked for the resolution, each still
+  /// subject to its own deadline.
   struct Flight {
     uint64_t leader = 0;
-    bool owner = false;
     std::vector<uint64_t> waiters;
   };
 
   double compute_deadline(double now, uint32_t deadline_ms) const;
+  double admission_load() const;
+  /// The background gate: the admission rule admits the lowest class.
+  bool background_admitted() const;
+  /// Prefetch or stale refresh; true when the gate admitted it.
+  bool submit_background(std::string_view payload, double now);
+  /// submit_miss's tail: opens the context, then single-flight, cluster
+  /// engine and dispatch.
+  void open_fetch(double now, RequestContext init, std::string payload);
   void enqueue_batch(Batch batch, double now);
   void pump(double now);
   void dispatch(ReadyBatch ready, double now);
@@ -309,7 +309,6 @@ class ServiceBroker {
                      double latency = -1.0);
   void reply_drop(double now, const http::BrokerRequest& request, QosLevel base_level,
                   ReplyFn& reply);
-  void issue_prefetch(const PrefetchEntry& entry, double now);
 
   bool single_flight_enabled() const {
     return config_.enable_cache && config_.single_flight;
@@ -332,8 +331,6 @@ class ServiceBroker {
   /// shared cache and answers the parked waiters (or promotes a new leader
   /// when the remote fetch died).
   void drain_flight_wakeups(double now);
-  /// Issues the single background revalidation for a stale-served key.
-  void issue_refresh(std::string_view key, double now);
 
   std::string name_;
   BrokerConfig config_;
@@ -362,7 +359,8 @@ class ServiceBroker {
 
   std::vector<std::shared_ptr<Backend>> backends_;
   /// Contexts live in their own arenas (ctx->arena); the map holds raw
-  /// pointers. Erase + destroy_context() happen together at the terminal.
+  /// pointers, keyed by context id. Erase + destroy_context() happen
+  /// together at the terminal.
   std::unordered_map<uint64_t, RequestContext*> contexts_;
   /// Per-request arenas recycled across requests: steady state allocates
   /// nothing for context + payload + response scratch.
@@ -379,9 +377,10 @@ class ServiceBroker {
   std::atomic<bool> flight_wakeups_pending_{false};
   std::function<void()> flight_notifier_;
   uint64_t next_exchange_ = 1;
+  uint64_t next_context_ = 1;  ///< 0 is the leaderless-flight sentinel
   /// Lazily-pruned from the const next_deadline(); logical state unchanged.
-  mutable TimeHeap deadlines_;  ///< (absolute deadline, request id)
-  mutable TimeHeap retries_;    ///< (earliest re-dispatch time, request id)
+  mutable TimeHeap deadlines_;  ///< (absolute deadline, context id)
+  mutable TimeHeap retries_;    ///< (earliest re-dispatch time, context id)
   std::function<void()> wakeup_;
   std::function<double()> tier_load_;  ///< federation gossip pressure; may be null
   size_t outstanding_ = 0;

@@ -104,6 +104,22 @@ class BrokerMetrics {
     }
   };
 
+  /// Prefetches and stale refreshes, outside the per-class client counters.
+  /// Drained, issued = completed + dropped (gate refusals and sheds) + failed.
+  struct BackgroundStats {
+    uint64_t issued = 0;
+    uint64_t completed = 0;
+    uint64_t dropped = 0;
+    uint64_t failed = 0;
+
+    void merge(const BackgroundStats& other) {
+      issued += other.issued;
+      completed += other.completed;
+      dropped += other.dropped;
+      failed += other.failed;
+    }
+  };
+
   /// Wire-level channel counters, filled in by the owner of the transport
   /// (the real-socket daemon folds its backends' ChannelStats in when it
   /// snapshots metrics). Always zero for pure-simulation brokers.
@@ -112,6 +128,8 @@ class BrokerMetrics {
   LifecycleStats lifecycle;
 
   FlightStats flight;
+
+  BackgroundStats background;
 
   /// Overload-control feedback counters (overload.h), copied out of the
   /// shard's OverloadController at each evaluation.
@@ -129,6 +147,7 @@ class BrokerMetrics {
     transport.merge(other.transport);
     lifecycle.merge(other.lifecycle);
     flight.merge(other.flight);
+    background.merge(other.background);
     overload.merge(other.overload);
   }
 

@@ -5,11 +5,13 @@
 // is not high. So the requests for the news can be served immediately
 // without accessing the backend servers" (Section III).
 //
-// The prefetcher holds a registry of (cache key, query, period) entries.
-// The broker's tick() asks for due entries; an entry is issued only when the
-// broker's current load is below the idle threshold, and its next due time
-// advances whether or not the fetch succeeded (periodic refresh, not retry
-// storm).
+// The prefetcher holds a registry of (query, period) entries; a prefetched
+// query is its own cache key, as every demand request is. The broker's
+// tick() takes due entries only while its admission rule at the lowest QoS
+// class admits background work (the "server load is not high" condition),
+// so an entry that falls due during a busy spell is deferred, not skipped.
+// Taking an entry advances its next due time whether or not the fetch then
+// succeeds (periodic refresh, not retry storm).
 #pragma once
 
 #include <cstdint>
@@ -20,32 +22,20 @@
 namespace sbroker::core {
 
 struct PrefetchEntry {
-  std::string cache_key;  ///< where the result is stored
-  std::string payload;    ///< query sent to the backend
+  std::string payload;    ///< query sent to the backend, and its cache key
   double period;          ///< refresh interval, seconds
   double next_due = 0.0;
 };
 
 class Prefetcher {
  public:
-  /// `idle_threshold`: maximum broker outstanding count at which prefetch
-  /// traffic may be issued (the "server load is not high" condition).
-  explicit Prefetcher(double idle_threshold = 1.0) : idle_threshold_(idle_threshold) {}
-
   /// Registers a periodic prefetch; first fetch is due immediately.
-  void add(std::string cache_key, std::string payload, double period);
+  void add(std::string payload, double period);
 
-  /// Entries due at `now` given current load; advances the schedules of the
-  /// entries returned. Empty when the broker is not idle enough.
-  ///
-  /// `max_issues` caps how many entries one call may return (0 = unbounded).
-  /// After a long busy period every entry is overdue at once; the cap
-  /// staggers the backlog across ticks — entries beyond it keep their past
-  /// next_due and surface on subsequent calls — instead of firing the whole
-  /// registry in one burst (exactly the "retry storm" this header promises
-  /// to avoid).
-  std::vector<PrefetchEntry> due(double now, double current_load,
-                                 size_t max_issues = 0);
+  /// The query of the first entry due at `now`, advancing that entry's
+  /// schedule to `now + period`; nullopt when nothing is due. Calling it
+  /// until nullopt takes every overdue entry exactly once.
+  std::optional<std::string> take_due(double now);
 
   /// Earliest next_due across entries; nullopt when none registered.
   std::optional<double> next_due() const;
@@ -54,7 +44,6 @@ class Prefetcher {
   uint64_t issued() const { return issued_; }
 
  private:
-  double idle_threshold_;
   std::vector<PrefetchEntry> entries_;
   uint64_t issued_ = 0;
 };

@@ -101,7 +101,11 @@ struct LifecycleConfig {
 /// exactly-once terminal (finish/shed) can free everything in one step. The
 /// broker owns construction and destruction — see destroy_context().
 struct RequestContext {
+  /// Broker-assigned and unique for the broker's lifetime: it keys contexts,
+  /// flights, batches and the deadline/retry heaps, because a client may
+  /// reuse its own id while the first request is still in flight.
   uint64_t id = 0;
+  uint64_t request_id = 0;       ///< the client's id, echoed in reply + trace
   QosLevel base_level = 1;       ///< as classified at submit (metrics key)
   QosLevel effective_level = 1;  ///< after transaction escalation
   double submitted_at = 0.0;
@@ -115,10 +119,12 @@ struct RequestContext {
   /// Post-rewrite payload sent to backends; bytes live in `arena`.
   std::string_view payload;
   bool degraded = false;         ///< rewritten to lower fidelity
+  /// A prefetch or stale refresh: lowest class, no reply sink, counted in
+  /// BrokerMetrics::background instead of the per-class client counters.
+  bool background = false;
   Arena* arena = nullptr;        ///< owns this context and its payload bytes
   ReplyFn reply;
 
-  bool expired(double now) const { return deadline <= now; }
   /// Seconds of deadline budget left; kNoDeadline when none was set.
   double remaining(double now) const {
     return deadline == kNoDeadline ? kNoDeadline : deadline - now;

@@ -309,6 +309,15 @@ std::vector<MetricSample> collect_metrics(
            "Waiters promoted to fetch leader after a dead fetch.",
            flight.promotions);
 
+  const core::BrokerMetrics::BackgroundStats& bg = metrics.background;
+  c.family("sbroker_background_fetches_total", kCounter,
+           "Prefetches and stale refreshes, by outcome (issued = completed + "
+           "dropped + failed).");
+  c.sample({{"outcome", "issued"}}, bg.issued);
+  c.sample({{"outcome", "completed"}}, bg.completed);
+  c.sample({{"outcome", "dropped"}}, bg.dropped);
+  c.sample({{"outcome", "failed"}}, bg.failed);
+
   const core::OverloadStats& overload = metrics.overload;
   c.scalar("sbroker_overload_evals_total", kCounter,
            "Overload-feedback intervals that carried enough samples.",

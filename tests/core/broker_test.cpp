@@ -314,13 +314,13 @@ TEST(Broker, PrefetchPopulatesCacheViaTick) {
   ServiceBroker broker("b", cfg);
   auto backend = std::make_shared<FakeBackend>();
   broker.add_backend(backend);
-  broker.prefetcher().add("headlines-key", "GET /headlines", 60.0);
+  broker.prefetcher().add("GET /headlines", 60.0);
   broker.tick(0.0);
   ASSERT_EQ(backend->invocations.size(), 1u);
   EXPECT_EQ(backend->invocations[0].payload, "GET /headlines");
   backend->complete(0, 0.2, true, "today's news");
   Capture cap;
-  broker.submit(1.0, make_request(1, 2, "headlines-key"), cap.fn());
+  broker.submit(1.0, make_request(1, 2, "GET /headlines"), cap.fn());
   ASSERT_EQ(cap.replies.size(), 1u);
   EXPECT_EQ(cap.replies[0].fidelity, http::Fidelity::kCached);
   EXPECT_EQ(cap.replies[0].payload, "today's news");
@@ -329,15 +329,71 @@ TEST(Broker, PrefetchPopulatesCacheViaTick) {
 
 TEST(Broker, PrefetchSkippedWhenBusy) {
   BrokerConfig cfg = basic_config();
-  cfg.prefetch_idle_threshold = 0.5;
+  cfg.rules = QosRules{3, 3.0};  // class-1 bound 1: the prefetch gate
   ServiceBroker broker("b", cfg);
   auto backend = std::make_shared<FakeBackend>();
   broker.add_backend(backend);
-  broker.prefetcher().add("k", "q", 60.0);
+  broker.prefetcher().add("q", 60.0);
   Capture cap;
   broker.submit(0.0, make_request(1, 3, "work"), cap.fn());  // outstanding = 1
   broker.tick(0.0);
   EXPECT_EQ(backend->invocations.size(), 1u);  // only the real request
+}
+
+TEST(Broker, BackgroundFetchesAtTheClassOneBoundDropLowestClassDemand) {
+  // Background fetches count in the outstanding load: two prefetches in
+  // flight hold the class-1 bound (threshold 6 over 3 levels = 2), so a
+  // class-1 demand miss is dropped until one of them lands.
+  BrokerConfig cfg = basic_config();
+  cfg.enable_cache = true;
+  cfg.rules = QosRules{3, 6.0};
+  ServiceBroker broker("b", cfg);
+  auto backend = std::make_shared<FakeBackend>();
+  broker.add_backend(backend);
+  for (int i = 0; i < 3; ++i) broker.prefetcher().add(nth("pre", i), 60.0);
+  broker.tick(0.0);
+  ASSERT_EQ(backend->invocations.size(), 2u);  // the third waits for the gate
+  EXPECT_EQ(broker.outstanding(), 2u);
+  EXPECT_EQ(broker.load_tracker().load(), 2.0);
+
+  Capture low;
+  broker.submit(0.1, make_request(1, 1, "demand"), low.fn());
+  ASSERT_EQ(low.replies.size(), 1u);
+  EXPECT_EQ(low.replies[0].fidelity, http::Fidelity::kBusy);
+  EXPECT_EQ(broker.metrics().at(1).dropped, 1u);
+
+  backend->complete(0, 0.2);
+  Capture admitted;
+  broker.submit(0.3, make_request(2, 1, "demand"), admitted.fn());
+  EXPECT_EQ(backend->invocations.size(), 3u);
+  EXPECT_TRUE(admitted.replies.empty());
+  EXPECT_EQ(broker.metrics().background.issued, 2u);
+  EXPECT_EQ(broker.metrics().background.completed, 1u);
+}
+
+TEST(Broker, DuplicateInFlightIdsEachGetOneReply) {
+  // Clients choose their own request ids; two in flight at once with the
+  // same id are still two requests, each answered once, and neither leaks
+  // a context or a load unit.
+  ServiceBroker broker("b", basic_config());
+  auto backend = std::make_shared<FakeBackend>();
+  broker.add_backend(backend);
+  Capture a, b;
+  broker.submit(0.0, make_request(7, 3, "/a"), a.fn());
+  broker.submit(0.0, make_request(7, 3, "/b"), b.fn());
+  ASSERT_EQ(backend->invocations.size(), 2u);
+  EXPECT_EQ(broker.outstanding(), 2u);
+  backend->complete(0, 0.1, true, "for a");
+  backend->complete(1, 0.2, true, "for b");
+  for (int t = 1; t <= 100; ++t) broker.tick(t);
+  ASSERT_EQ(a.replies.size(), 1u);
+  EXPECT_EQ(a.replies[0].request_id, 7u);
+  EXPECT_EQ(a.replies[0].payload, "for a");
+  ASSERT_EQ(b.replies.size(), 1u);
+  EXPECT_EQ(b.replies[0].request_id, 7u);
+  EXPECT_EQ(b.replies[0].payload, "for b");
+  EXPECT_EQ(broker.outstanding(), 0u);
+  EXPECT_EQ(broker.load_tracker().load(), 0.0);
 }
 
 TEST(Broker, SharedTransactionsEscalateAcrossBrokers) {

@@ -351,10 +351,13 @@ TEST(StaleWhileRevalidate, ServesStaleAndIssuesExactlyOneRefresh) {
   EXPECT_EQ(broker.metrics().flight.refreshes, 1u);
   ASSERT_EQ(backend->invocations.size(), 2u);  // seed + one refresh
   EXPECT_EQ(backend->invocations[1].payload, "news");
-  EXPECT_EQ(broker.outstanding(), 0u);  // background work is not a request
+  // The refresh is a background request context: it counts in the load the
+  // admission rule reads until it lands.
+  EXPECT_EQ(broker.outstanding(), 1u);
 
   // The refresh lands and the next request sees the fresh value.
   backend->complete(1, 1.6, true, "v2");
+  EXPECT_EQ(broker.outstanding(), 0u);
   Capture fresh;
   broker.submit(1.7, make_request(4, 3, "news"), fresh.fn());
   ASSERT_EQ(fresh.replies.size(), 1u);
@@ -430,7 +433,7 @@ TEST(PrefetchRace, DemandMissCoalescesWithInFlightPrefetch) {
   ServiceBroker broker("b", cache_config());
   auto backend = std::make_shared<FakeBackend>();
   broker.add_backend(backend);
-  broker.prefetcher().add("k", "k", 10.0);
+  broker.prefetcher().add("k", 10.0);
 
   broker.tick(0.0);
   ASSERT_EQ(backend->invocations.size(), 1u);  // the prefetch fetch
@@ -460,7 +463,7 @@ TEST(PrefetchRace, SlowPrefetchDoesNotClobberNewerDemandResult) {
   ServiceBroker broker("b", cfg);
   auto backend = std::make_shared<FakeBackend>();
   broker.add_backend(backend);
-  broker.prefetcher().add("k", "k", 10.0);
+  broker.prefetcher().add("k", 10.0);
 
   broker.tick(0.0);                                    // prefetch issued at 0
   Capture demand;
@@ -483,13 +486,14 @@ TEST(PrefetchRace, BusyBrokerDoesNotArmZeroDelayPrefetchWakeups) {
   // Regression for the wakeup spin: an overdue prefetch entry used to fold
   // into next_deadline() even when the broker was too loaded to issue it,
   // so the owner armed a timer for `now`, ticked, issued nothing, and asked
-  // again — a zero-delay spin until load drained.
+  // again — a zero-delay spin until load drained. The gate is the admission
+  // rule at the lowest class.
   BrokerConfig cfg = cache_config();
-  cfg.prefetch_idle_threshold = 0.0;  // any outstanding request suppresses
+  cfg.rules = QosRules{3, 3.0};  // class-1 bound 1: any outstanding request
   ServiceBroker broker("b", cfg);
   auto backend = std::make_shared<FakeBackend>();
   broker.add_backend(backend);
-  broker.prefetcher().add("k", "k", 0.001);
+  broker.prefetcher().add("k", 0.001);
 
   Capture busy;
   broker.submit(0.0, make_request(1, 3, "other"), busy.fn());

@@ -205,8 +205,7 @@ TEST(Balance, ParsePolicyNamesAndAliases) {
 // Latency-aware policies: peak-decaying EWMA and power-of-two-choices
 
 TEST(Ewma, PeakJumpsUpGlidesDownAndDecays) {
-  LoadBalancer lb(BalancePolicy::kEwma, util::Rng(7), HealthConfig{},
-                  /*ewma_tau=*/0.5);
+  LoadBalancer lb(BalancePolicy::kEwma, util::Rng(7));  // tau = kDefaultEwmaTau
   lb.add_backend();
   EXPECT_DOUBLE_EQ(lb.ewma_seconds(0, 1.0), 0.0);  // no sample yet
   lb.report(0, true, 0.0, 0.010);
@@ -259,8 +258,7 @@ TEST(Ewma, PrefersFasterReplicaAndExploresColdOnes) {
 TEST(Ewma, DecayRecoversReplicaThatWasSlowThenGotFast) {
   // Replica 1 was slow (100ms) and stopped being picked; once its estimate
   // ages out it must be retried, and fresh fast samples keep it preferred.
-  LoadBalancer lb(BalancePolicy::kEwma, util::Rng(7), HealthConfig{},
-                  /*ewma_tau=*/0.5);
+  LoadBalancer lb(BalancePolicy::kEwma, util::Rng(7));  // tau = kDefaultEwmaTau
   lb.add_backend();
   lb.add_backend();
   lb.report(0, true, 0.0, 0.010);

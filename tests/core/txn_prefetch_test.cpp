@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "core/broker.h"
 #include "core/prefetch.h"
 #include "core/txn.h"
 
@@ -77,88 +78,134 @@ TEST(Txn, DistinctTransactionsIndependent) {
 // Prefetcher
 
 TEST(Prefetch, FirstFetchDueImmediately) {
-  Prefetcher p(1.0);
-  p.add("headlines", "GET /headlines", 10.0);
-  auto due = p.due(0.0, 0.0);
-  ASSERT_EQ(due.size(), 1u);
-  EXPECT_EQ(due[0].cache_key, "headlines");
+  Prefetcher p;
+  p.add("GET /headlines", 10.0);
+  auto due = p.take_due(0.0);
+  ASSERT_TRUE(due.has_value());
+  EXPECT_EQ(*due, "GET /headlines");
   EXPECT_EQ(p.issued(), 1u);
+  EXPECT_FALSE(p.take_due(0.0).has_value());
 }
 
 TEST(Prefetch, RespectsPeriod) {
-  Prefetcher p(1.0);
-  p.add("k", "q", 10.0);
-  p.due(0.0, 0.0);
-  EXPECT_TRUE(p.due(5.0, 0.0).empty());
-  EXPECT_EQ(p.due(10.0, 0.0).size(), 1u);
-}
-
-TEST(Prefetch, SkipsWhenBusy) {
-  Prefetcher p(/*idle_threshold=*/2.0);
-  p.add("k", "q", 10.0);
-  EXPECT_TRUE(p.due(0.0, /*current_load=*/5.0).empty());
-  // Still due once idle again.
-  EXPECT_EQ(p.due(1.0, 0.0).size(), 1u);
+  Prefetcher p;
+  p.add("q", 10.0);
+  p.take_due(0.0);
+  EXPECT_FALSE(p.take_due(5.0).has_value());
+  EXPECT_TRUE(p.take_due(10.0).has_value());
 }
 
 TEST(Prefetch, NextDueTracksEarliest) {
-  Prefetcher p(1.0);
+  Prefetcher p;
   EXPECT_FALSE(p.next_due().has_value());
-  p.add("a", "qa", 10.0);
-  p.add("b", "qb", 3.0);
-  p.due(0.0, 0.0);  // both fetched; next dues 10 and 3
+  p.add("qa", 10.0);
+  p.add("qb", 3.0);
+  p.take_due(0.0);  // both fetched; next dues 10 and 3
+  p.take_due(0.0);
   EXPECT_DOUBLE_EQ(p.next_due().value(), 3.0);
 }
 
 TEST(Prefetch, MultipleEntriesIndependentSchedules) {
-  Prefetcher p(1.0);
-  p.add("a", "qa", 2.0);
-  p.add("b", "qb", 5.0);
-  p.due(0.0, 0.0);
-  auto due2 = p.due(2.0, 0.0);
-  ASSERT_EQ(due2.size(), 1u);
-  EXPECT_EQ(due2[0].cache_key, "a");
-  auto due5 = p.due(5.0, 0.0);
-  ASSERT_EQ(due5.size(), 2u);  // a due again at 4, b at 5
-}
-
-TEST(Prefetch, BurstCapStaggersOverdueBacklogAcrossCalls) {
-  // After a long busy spell every entry is overdue at once; max_issues must
-  // trickle the backlog out instead of firing the whole registry in one
-  // burst. Entries beyond the cap keep their past next_due and surface on
-  // the next call.
-  Prefetcher p(1.0);
-  for (int i = 0; i < 5; ++i) {
-    p.add(nth("k", i), nth("q", i), 1.0);
-  }
-  EXPECT_EQ(p.due(10.0, /*current_load=*/5.0).size(), 0u);  // busy: backlog grows
-
-  EXPECT_EQ(p.due(10.0, 0.0, /*max_issues=*/2).size(), 2u);
-  EXPECT_EQ(p.due(10.0, 0.0, /*max_issues=*/2).size(), 2u);
-  EXPECT_EQ(p.due(10.0, 0.0, /*max_issues=*/2).size(), 1u);  // backlog drained
-  EXPECT_EQ(p.due(10.0, 0.0, /*max_issues=*/2).size(), 0u);
-  EXPECT_EQ(p.issued(), 5u);
-  // Each issued entry advanced by its period from `now`, not from its
-  // overdue slot: no catch-up burst accrues for the next window.
-  EXPECT_DOUBLE_EQ(p.next_due().value(), 11.0);
-}
-
-TEST(Prefetch, ZeroBurstCapMeansUnbounded) {
-  Prefetcher p(1.0);
-  for (int i = 0; i < 8; ++i) {
-    p.add(nth("k", i), "q", 1.0);
-  }
-  EXPECT_EQ(p.due(5.0, 0.0, /*max_issues=*/0).size(), 8u);
+  Prefetcher p;
+  p.add("qa", 2.0);
+  p.add("qb", 5.0);
+  p.take_due(0.0);
+  p.take_due(0.0);
+  auto due2 = p.take_due(2.0);
+  ASSERT_TRUE(due2.has_value());
+  EXPECT_EQ(*due2, "qa");
+  EXPECT_FALSE(p.take_due(2.0).has_value());
+  // At 5 both are due again: a at 4, b at 5.
+  EXPECT_TRUE(p.take_due(5.0).has_value());
+  EXPECT_TRUE(p.take_due(5.0).has_value());
+  EXPECT_FALSE(p.take_due(5.0).has_value());
 }
 
 TEST(Prefetch, ScheduleAdvancesEvenWhenFetchSkippedByCaller) {
-  // due() advancing next_due regardless of fetch outcome prevents retry
+  // take_due() advancing next_due regardless of fetch outcome prevents retry
   // storms: the contract is periodic refresh, not guaranteed delivery.
-  Prefetcher p(1.0);
-  p.add("k", "q", 10.0);
-  auto first = p.due(0.0, 0.0);
-  ASSERT_EQ(first.size(), 1u);
-  EXPECT_TRUE(p.due(0.5, 0.0).empty());
+  Prefetcher p;
+  p.add("q", 10.0);
+  ASSERT_TRUE(p.take_due(0.0).has_value());
+  EXPECT_FALSE(p.take_due(0.5).has_value());
+}
+
+// The broker takes due entries only while the admission rule admits the
+// lowest class, and every admitted prefetch counts in the load it reads.
+
+/// Holds every backend call until the test completes it.
+class HeldBackend : public Backend {
+ public:
+  void invoke(const Call& call, Completion done) override {
+    payloads.push_back(call.payload);
+    pending.push_back(std::move(done));
+  }
+  void complete(size_t i, double now) { std::move(pending.at(i))(now, true, "r"); }
+
+  std::vector<std::string> payloads;
+  std::vector<Completion> pending;
+};
+
+http::BrokerRequest class3(uint64_t id, std::string payload) {
+  http::BrokerRequest req;
+  req.request_id = id;
+  req.qos_level = 3;
+  req.payload = std::move(payload);
+  return req;
+}
+
+TEST(Prefetch, SkipsWhenBusy) {
+  BrokerConfig cfg;
+  cfg.rules = QosRules{3, 3.0};  // class-1 bound 1: any outstanding request
+  ServiceBroker broker("b", cfg);
+  auto backend = std::make_shared<HeldBackend>();
+  broker.add_backend(backend);
+  broker.prefetcher().add("q", 10.0);
+  broker.submit(0.0, class3(1, "work"), [](const http::BrokerReply&) {});
+  broker.tick(0.0);
+  EXPECT_EQ(backend->payloads.size(), 1u);  // only the demand request
+  EXPECT_EQ(broker.prefetcher().issued(), 0u);
+  // Still due once idle again.
+  backend->complete(0, 0.5);
+  broker.tick(1.0);
+  ASSERT_EQ(backend->payloads.size(), 2u);
+  EXPECT_EQ(backend->payloads[1], "q");
+}
+
+TEST(Prefetch, GateStaggersOverdueBacklogAsFetchesComplete) {
+  // After a busy spell every entry is overdue at once. The class-1 bound
+  // (threshold 6 over 3 levels = 2) caps the prefetches in flight; the rest
+  // go out as earlier ones complete, each entry exactly once.
+  BrokerConfig cfg;
+  cfg.rules = QosRules{3, 6.0};
+  ServiceBroker broker("b", cfg);
+  auto backend = std::make_shared<HeldBackend>();
+  broker.add_backend(backend);
+  for (int i = 0; i < 5; ++i) broker.prefetcher().add(nth("q", i), 1.0);
+
+  broker.submit(0.0, class3(1, "a"), [](const http::BrokerReply&) {});
+  broker.submit(0.0, class3(2, "b"), [](const http::BrokerReply&) {});
+  broker.tick(0.0);
+  broker.tick(5.0);
+  EXPECT_EQ(broker.prefetcher().issued(), 0u);  // busy: the backlog grows
+  backend->complete(0, 10.0);
+  backend->complete(1, 10.0);
+
+  size_t completed = 2;
+  for (int round = 0; round < 10 && broker.prefetcher().issued() < 5; ++round) {
+    broker.tick(10.0);
+    EXPECT_LE(broker.outstanding(), 2u);
+    backend->complete(completed++, 10.0);
+  }
+  EXPECT_EQ(broker.prefetcher().issued(), 5u);
+  ASSERT_EQ(backend->payloads.size(), 7u);
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(backend->payloads[2 + static_cast<size_t>(i)], nth("q", i));
+  }
+  // Each entry advanced by its period from when it went out: no catch-up
+  // burst accrues for the next window.
+  EXPECT_DOUBLE_EQ(broker.prefetcher().next_due().value(), 11.0);
+  EXPECT_EQ(broker.metrics().background.issued, 5u);
 }
 
 }  // namespace

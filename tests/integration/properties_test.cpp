@@ -89,6 +89,9 @@ struct ConservationCase {
   size_t cluster_degree;
   bool cache;
   size_t dispatch_window;
+  /// Prefetch entries and stale-while-revalidate: background fetches share
+  /// the broker's load, queues and pool with the demand traffic.
+  bool background = false;
 };
 
 // Names the case in --gtest_list_tests; without a printer gtest dumps the
@@ -96,6 +99,7 @@ struct ConservationCase {
 void PrintTo(const ConservationCase& c, std::ostream* os) {
   *os << "threshold=" << c.threshold << ",cluster_degree=" << c.cluster_degree
       << ",cache=" << c.cache << ",window=" << c.dispatch_window;
+  if (c.background) *os << ",background=1";
 }
 
 class ConservationSweep : public ::testing::TestWithParam<ConservationCase> {};
@@ -109,8 +113,12 @@ TEST_P(ConservationSweep, EveryRequestAnsweredExactlyOnce) {
   cfg.cache_ttl = 0.5;
   cfg.cluster = core::ClusterConfig{param.cluster_degree, 0.01};
   cfg.dispatch_window = param.dispatch_window;
+  if (param.background) cfg.cache_tuning.swr_grace = 0.5;
   core::ServiceBroker broker("b", cfg);
   broker.add_backend(std::make_shared<SlowFakeBackend>(sim, 0.05));
+  if (param.background) {
+    for (uint64_t k = 0; k < 17; k += 4) broker.prefetcher().add(nth("q", k), 0.3);
+  }
 
   util::Rng rng(99);
   const uint64_t kRequests = 500;
@@ -146,6 +154,17 @@ TEST_P(ConservationSweep, EveryRequestAnsweredExactlyOnce) {
   EXPECT_EQ(total.completed, kRequests);
   EXPECT_EQ(total.forwarded + total.dropped + total.cache_hits + total.errors,
             total.issued);
+
+  // Background fetches settle too, and every resource they held is back.
+  const auto& bg = broker.metrics().background;
+  if (param.background) {
+    EXPECT_GT(bg.completed, 0u);
+    EXPECT_GT(broker.metrics().flight.refreshes, 0u);
+  }
+  EXPECT_EQ(bg.issued, bg.completed + bg.dropped + bg.failed);
+  EXPECT_EQ(broker.load_tracker().load(), 0.0);
+  EXPECT_EQ(broker.connection_pool().in_flight_total(), 0u);
+  EXPECT_EQ(broker.balancer().outstanding(0), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -154,9 +173,9 @@ INSTANTIATE_TEST_SUITE_P(
                       ConservationCase{1e9, 4, false, 0},   // clustering
                       ConservationCase{1e9, 4, true, 0},    // clustering + cache
                       ConservationCase{5.0, 1, false, 0},   // heavy dropping
-                      ConservationCase{5.0, 3, true, 2},    // everything at once
+                      ConservationCase{5.0, 3, true, 2, true},  // everything at once
                       ConservationCase{1e9, 1, false, 1},   // tight window
-                      ConservationCase{20.0, 8, true, 4}));
+                      ConservationCase{20.0, 8, true, 4, true}));
 
 // --------------------------------------------------------------------------
 // Simulator stress: a large randomized event soup preserves time order.

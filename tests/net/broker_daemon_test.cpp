@@ -25,9 +25,21 @@ class BrokerDaemonTest : public ::testing::Test {
  protected:
   void SetUp() override {
     // Backend HTTP server: /page-N answers with a body naming the target.
+    // Targets under /held/ wait for a second one, so two requests overlap at
+    // the broker; both are then answered.
     backend_server_ = std::make_unique<HttpServer>(
-        reactor_, 0, [](const http::Request& req, HttpServer::Responder respond) {
-          respond(http::make_response(200, "content of " + req.target));
+        reactor_, 0, [this](const http::Request& req, HttpServer::Responder respond) {
+          auto body = "content of " + req.target;
+          if (req.target.rfind("/held/", 0) != 0) {
+            respond(http::make_response(200, body));
+            return;
+          }
+          held_.emplace_back(std::move(body), std::move(respond));
+          if (held_.size() < 2) return;
+          for (auto& [held_body, responder] : held_) {
+            responder(http::make_response(200, held_body));
+          }
+          held_.clear();
         });
 
     BrokerDaemonConfig cfg;
@@ -56,6 +68,7 @@ class BrokerDaemonTest : public ::testing::Test {
   }
 
   Reactor reactor_;
+  std::vector<std::pair<std::string, HttpServer::Responder>> held_;
   std::unique_ptr<HttpServer> backend_server_;
   std::unique_ptr<BrokerDaemon> daemon_;
   std::thread thread_;
@@ -106,6 +119,29 @@ TEST_F(BrokerDaemonTest, ConcurrentClients) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(ok, 20);
+}
+
+TEST_F(BrokerDaemonTest, ConnectionsReusingOneRequestIdEachGetTheirReply) {
+  // Request ids are the client's own: two connections may both send id 1
+  // at once. Each must get its own answer, and no load unit may leak.
+  std::optional<FrameReply> replies[2];
+  std::vector<std::thread> threads;
+  for (int c = 0; c < 2; ++c) {
+    threads.emplace_back([&, c] {
+      FrameClient client(daemon_->port(), /*timeout_ms=*/3000);
+      replies[c] = client.call(1, c == 0 ? "/held/a" : "/held/b", 3);
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (int c = 0; c < 2; ++c) {
+    ASSERT_TRUE(replies[c].has_value()) << "connection " << c << " got no reply";
+    EXPECT_EQ(replies[c]->request_id, 1u);
+    EXPECT_EQ(replies[c]->fidelity, http::Fidelity::kFull);
+    EXPECT_EQ(replies[c]->payload, c == 0 ? "content of /held/a" : "content of /held/b");
+  }
+  std::promise<int64_t> load;
+  reactor_.post([&]() { load.set_value(daemon_->broker().load_tracker().outstanding()); });
+  EXPECT_EQ(load.get_future().get(), 0);
 }
 
 TEST_F(BrokerDaemonTest, UnreachableBackendYieldsError) {

@@ -201,9 +201,9 @@ TEST(DaemonStampede, OverduePrefetchDoesNotSpinTheTickTimerWhileBusy) {
       });
 
   BrokerDaemonConfig cfg;
-  cfg.broker.rules = core::QosRules{3, 20.0};
+  // Class-1 bound 1, the prefetch gate: any outstanding request is busy.
+  cfg.broker.rules = core::QosRules{3, 3.0};
   cfg.broker.enable_cache = true;
-  cfg.broker.prefetch_idle_threshold = 0.0;  // any outstanding request: busy
   cfg.tick_interval = 5.0;  // only deadline/prefetch schedules arm the timer
   BrokerDaemon daemon(reactor, "spin", cfg);
   daemon.add_backend(std::make_shared<PipelinedBackend>(reactor, backend_server.port()));
@@ -222,7 +222,7 @@ TEST(DaemonStampede, OverduePrefetchDoesNotSpinTheTickTimerWhileBusy) {
   // Register an overdue prefetch entry behind the busy broker and force a
   // re-arm, exactly what a completion-driven poke does.
   on_reactor(reactor, [&]() {
-    daemon.broker().prefetcher().add("/hot", "/hot", 10.0);
+    daemon.broker().prefetcher().add("/hot", 10.0);
     daemon.poke();
     return 0;
   });

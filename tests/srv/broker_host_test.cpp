@@ -79,8 +79,7 @@ TEST_F(BrokerHostTest, PrefetchRunsFromKick) {
   cfg.cache_ttl = 1000.0;
   BrokerHost host(sim_, "db-broker", cfg);
   host.broker().add_backend(backend_);
-  host.broker().prefetcher().add("SELECT id FROM records WHERE id = 4",
-                                 "SELECT id FROM records WHERE id = 4", 30.0);
+  host.broker().prefetcher().add("SELECT id FROM records WHERE id = 4", 30.0);
   host.kick();
   sim_.run_until(1.0);
   std::optional<http::BrokerReply> reply;
