@@ -4,12 +4,12 @@
 #include <string>
 #include <vector>
 
-#include "core/admission.h"
 #include "core/arena.h"
 #include "core/balance.h"
 #include "core/cache.h"
 #include "core/request.h"
 #include "core/cluster.h"
+#include "core/overload.h"
 #include "core/scheduler.h"
 #include "core/striped_cache.h"
 #include "http/parser.h"
@@ -122,10 +122,10 @@ void BM_SchedulerPushPop(benchmark::State& state) {
 BENCHMARK(BM_SchedulerPushPop);
 
 void BM_AdmissionDecide(benchmark::State& state) {
-  core::AdmissionController ctl(core::QosRules{3, 20.0});
+  core::OverloadController ctl(core::QosRules{3, 20.0});
   double load = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ctl.decide(2, load));
+    benchmark::DoNotOptimize(ctl.admit(2, load));
     load = load > 25 ? 0 : load + 0.1;
   }
 }

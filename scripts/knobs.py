@@ -8,10 +8,12 @@ them (field types that are structs declared under ROOT/src); a root nested
 in another is listed once, under its own name. For each field
 it prints the shipping programs (bench/, examples/, perfbench/) and the test
 files that assign it: `.field =` or `->field =`, designated initializers
-included; a positional aggregate (`ClusterConfig{4, 0.01}`) is credited to
-the enclosing field only. A field name that more than one src/ struct
-declares is marked with `~`: its matches may belong to the other struct. A
-knob no shipping program sets is a candidate for a named constant.
+included; a positional aggregate (`ClusterConfig{4, 0.01}` or
+`ClusterConfig c{4, 0.01}`) credits its fields in declaration order, one
+per argument. A field name that more than one src/ struct declares is
+marked with `~`: its matches may belong to the other struct. A knob no
+shipping program sets is a candidate for a named constant. The last line
+counts the fields, those nothing assigns and those only tests assign.
 """
 
 import os
@@ -66,10 +68,43 @@ def struct_fields(root):
     return structs
 
 
+def aggregate_args(text, start):
+    """Top-level comma-separated arguments of the brace list opening before
+    `start`; None when the braces do not balance."""
+    args, depth, arg = [], 0, ""
+    for ch in text[start:]:
+        if ch in "({[":
+            depth += 1
+        elif ch in ")}]":
+            if depth == 0:
+                args.append(arg.strip())
+                return [a for a in args if a]
+            depth -= 1
+        elif ch == "," and depth == 0:
+            args.append(arg.strip())
+            arg = ""
+            continue
+        arg += ch
+    return None
+
+
+def positional(structs, text):
+    """(struct, field) pairs that positional aggregates in `text` assign."""
+    names = "|".join(sorted(structs, key=len, reverse=True))
+    credited = set()
+    for m in re.finditer(r"\b(" + names + r")(?:\s+\w+)?\s*\{", text):
+        args = aggregate_args(text, m.end())
+        if not args or args[0].startswith("."):  # empty or designated
+            continue
+        for _, field in structs[m.group(1)][:len(args)]:
+            credited.add((m.group(1), field))
+    return credited
+
+
 def knobs(structs, name, prefix):
     for ftype, field in structs.get(name, []):
         path = prefix + "." + field
-        yield path, field
+        yield path, name, field
         # A nested root (BrokerDaemonConfig.broker) is listed on its own.
         if ftype in structs and ftype != name and ftype not in ROOTS:
             yield from knobs(structs, ftype, path)
@@ -82,28 +117,32 @@ def main():
     for fields in structs.values():
         for _, field in fields:
             declared[field] = declared.get(field, 0) + 1
-    texts = {}
+    texts, credits = {}, {}
     for top in SHIPPING + ("tests",):
         for path in sources(root, top):
-            texts[os.path.relpath(path, root)] = strip_comments(
-                open(path, encoding="utf-8").read())
+            rel = os.path.relpath(path, root)
+            texts[rel] = strip_comments(open(path, encoding="utf-8").read())
+            credits[rel] = positional(structs, texts[rel])
 
-    def setters(field, tops):
+    def setters(owner, field, tops):
         pattern = re.compile(r"(\.|->)" + field + r"\s*=(?!=)")
         return sorted(os.path.splitext(os.path.basename(p))[0]
                       for p, t in texts.items()
-                      if p.split(os.sep)[0] in tops and pattern.search(t))
+                      if p.split(os.sep)[0] in tops and (
+                          pattern.search(t) or (owner, field) in credits[p]))
 
-    count = 0
+    count = unset = tests_only = 0
     for name in ROOTS:
-        for path, field in knobs(structs, name, name):
+        for path, owner, field in knobs(structs, name, name):
             count += 1
             mark = "~" if declared.get(field, 0) > 1 else " "
-            ship = setters(field, SHIPPING)
-            tests = setters(field, ("tests",))
+            ship = setters(owner, field, SHIPPING)
+            tests = setters(owner, field, ("tests",))
+            unset += not ship and not tests
+            tests_only += not ship and bool(tests)
             print(f"{mark}{path}\n    shipping: {' '.join(ship) or '-'}"
                   f"\n    tests:    {' '.join(tests) or '-'}")
-    print(f"knobs: {count} fields")
+    print(f"knobs: {count} fields, {unset} unset, {tests_only} tests-only")
 
 
 if __name__ == "__main__":

@@ -8,27 +8,14 @@
 #include "util/rng.h"
 
 namespace sbroker::core {
-namespace {
-
-/// Fills in the TTL-jitter salt from the broker's run seed when the caller
-/// left it unset, so sibling brokers de-synchronize their expiries while
-/// staying reproducible from rng_seed alone.
-CacheTuning salted(CacheTuning tuning, uint64_t rng_seed) {
-  if (tuning.jitter_salt == 0) {
-    tuning.jitter_salt = util::derive_seed(rng_seed, 0x7711);
-  }
-  return tuning;
-}
-
-}  // namespace
 
 ServiceBroker::ServiceBroker(std::string name, BrokerConfig config)
     : name_(std::move(name)),
       config_(config),
-      admission_(config.rules, config.overload),
+      overload_(config.rules, config.overload),
       cache_(std::make_shared<ResultCache>(
           config.cache_capacity, config.cache_ttl,
-          salted(config.cache_tuning, config.rng_seed))),
+          config.cache_tuning, ttl_salt(config.rng_seed))),
       load_(std::make_shared<LoadTracker>()),
       cluster_(config.cluster),
       pool_(config.pool),
@@ -90,7 +77,7 @@ double ServiceBroker::admission_load() const {
 }
 
 bool ServiceBroker::background_admitted() const {
-  return !backends_.empty() && admission_.overload().admit(1, admission_load());
+  return !backends_.empty() && overload_.admit(1, admission_load());
 }
 
 void ServiceBroker::submit(double now, const http::BrokerRequest& request,
@@ -158,8 +145,7 @@ void ServiceBroker::submit_miss(double now, const http::BrokerRequest& request,
 
   // 2. Admission, against the (possibly cross-shard) outstanding count —
   //    floored by the federation's gossiped tier pressure when installed.
-  AdmissionDecision decision = admission_.decide(effective, admission_load());
-  if (decision != AdmissionDecision::kForward) {
+  if (!overload_.admit(effective, admission_load())) {
     reply_drop(now, request, base_level, reply);
     return;
   }
@@ -372,9 +358,7 @@ void ServiceBroker::dispatch(ReadyBatch ready, double now) {
   // shorter members expire individually out of the broker's deadline queue.
   // The slack keeps the transport's own timer strictly behind the broker's
   // deadline expiry, so the deadline path always claims the completion.
-  call.timeout = unbounded
-                     ? 0.0
-                     : longest_remaining + config_.lifecycle.transport_slack;
+  call.timeout = unbounded ? 0.0 : longest_remaining + kTransportSlack;
 
   Exchange exchange;
   exchange.backend = *backend_index;
@@ -568,7 +552,7 @@ void ServiceBroker::shed_context(RequestContext* ctx, double now, bool deadline_
     c.deadline_misses += 1;
     // Under LIFO discipline the aged-out entries shed here *are* the queue
     // tail the discipline sacrificed; count them so the win is observable.
-    if (admission_.overload().lifo_active()) c.lifo_sheds += 1;
+    if (overload_.lifo_active()) c.lifo_sheds += 1;
   }
   c.completed += 1;
   obs_.record(ctx->base_level, obs::Stage::kTotal, now - ctx->submitted_at);
@@ -717,9 +701,8 @@ void ServiceBroker::tick(double now) {
 }
 
 void ServiceBroker::evaluate_overload(double now) {
-  OverloadController& ctl = admission_.overload();
   // Static-without-lifo never reads the signal.
-  if (!ctl.wants_feedback()) return;
+  if (!overload_.wants_feedback()) return;
   if (now < next_overload_eval_) return;
   next_overload_eval_ = now + config_.overload.eval_interval;
 
@@ -737,20 +720,20 @@ void ServiceBroker::evaluate_overload(double now) {
                queue.quantile_since(overload_queue_base_, 0.95, kMinSignal));
   signal.budget = deadline_budget_ewma_;
 
-  bool was_overloaded = ctl.overloaded();
-  bool was_lifo = ctl.lifo_active();
-  ctl.observe(signal, now);
+  bool was_overloaded = overload_.overloaded();
+  bool was_lifo = overload_.lifo_active();
+  overload_.observe(signal);
   overload_total_base_ = std::move(total);
   overload_queue_base_ = std::move(queue);
-  metrics_.overload = ctl.stats();
+  metrics_.overload = overload_.stats();
 
-  if (ctl.overloaded() != was_overloaded) {
+  if (overload_.overloaded() != was_overloaded) {
     obs_.trace(now, /*request_id=*/0, obs::TraceEventKind::kOverload,
-               static_cast<uint8_t>(std::min(ctl.threshold(), 255.0)),
-               ctl.overloaded() ? 1 : 0);
+               static_cast<uint8_t>(std::min(overload_.threshold(), 255.0)),
+               overload_.overloaded() ? 1 : 0);
   }
-  if (ctl.lifo_active() != was_lifo) {
-    dispatch_queue_.set_lifo(ctl.lifo_active());
+  if (overload_.lifo_active() != was_lifo) {
+    dispatch_queue_.set_lifo(overload_.lifo_active());
   }
 }
 
@@ -889,7 +872,7 @@ std::optional<double> ServiceBroker::next_deadline() const {
   // would re-arm a discrete-event owner's timer forever (the sim would
   // never drain). An overload mode latched at drain time simply waits for
   // traffic to resume before its exit evaluations run.
-  if (outstanding_ > 0 && admission_.overload().wants_feedback()) {
+  if (outstanding_ > 0 && overload_.wants_feedback()) {
     fold(next_overload_eval_);
   }
   while (!deadlines_.empty() && !contexts_.count(deadlines_.top().second)) {

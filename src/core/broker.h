@@ -11,7 +11,7 @@
 //   kError   — backend failure
 //
 // Internally: TransactionTracker computes the effective QoS level; the
-// ResultCache short-circuits repeats; the AdmissionController applies the
+// ResultCache short-circuits repeats; the OverloadController applies the
 // threshold/contract rules; admitted requests join the ClusterEngine, whose
 // batches wait in a QosScheduler (highest class first) for a dispatch-window
 // slot; the LoadBalancer picks a backend replica and the ConnectionPool
@@ -49,7 +49,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/admission.h"
 #include "core/arena.h"
 #include "core/backend.h"
 #include "core/balance.h"
@@ -58,6 +57,7 @@
 #include "core/flight.h"
 #include "core/load.h"
 #include "core/metrics.h"
+#include "core/overload.h"
 #include "core/pool.h"
 #include "core/hotspot.h"
 #include "core/prefetch.h"
@@ -73,6 +73,13 @@ namespace sbroker::core {
 
 /// Seconds a background fetch (prefetch or stale refresh) may take.
 inline constexpr double kBackgroundDeadline = 1.0;
+/// Headroom added to the transport timeout handed to backends on top of the
+/// longest remaining member deadline. The broker cancels the exchange itself
+/// when the deadline expires, so the transport bound is only a backstop —
+/// the slack makes it lose any race against the deadline tick (a
+/// transport-timeout win would burn the attempt and turn a clean deadline
+/// shed into an error completion).
+inline constexpr double kTransportSlack = 0.05;
 
 struct BrokerConfig {
   QosRules rules;                  ///< levels + outstanding threshold
@@ -223,13 +230,9 @@ class ServiceBroker {
   const ResultCacheBase& cache() const { return *cache_; }
   LoadTracker& load_tracker() { return *load_; }
   Prefetcher& prefetcher() { return prefetcher_; }
-  AdmissionController& admission() { return admission_; }
   /// The overload controller every admission decision routes through: live
   /// effective threshold, overload mode, feedback stats.
-  OverloadController& overload_control() { return admission_.overload(); }
-  const OverloadController& overload_control() const {
-    return admission_.overload();
-  }
+  const OverloadController& overload_control() const { return overload_; }
   TransactionTracker& transactions() { return *txn_; }
   HotSpotDetector& hotspot() { return hotspot_; }
   /// Current load classification of this broker's backend service.
@@ -334,7 +337,7 @@ class ServiceBroker {
 
   std::string name_;
   BrokerConfig config_;
-  AdmissionController admission_;
+  OverloadController overload_;
   std::shared_ptr<ResultCacheBase> cache_;  ///< possibly shared across shards
   std::shared_ptr<LoadTracker> load_;       ///< possibly shared across shards
   ClusterEngine cluster_;
@@ -389,7 +392,7 @@ class ServiceBroker {
   /// Overload-feedback state: next evaluation time, the previous evaluation's
   /// histogram snapshots (the histograms are cumulative; the controller
   /// judges per-interval deltas) and an EWMA of the deadline budgets seen at
-  /// admission — the latency yardstick when no explicit target is set.
+  /// admission — the latency yardstick the controller derives its target from.
   double next_overload_eval_ = 0.0;
   double deadline_budget_ewma_ = 0.0;
   obs::LatencyHistogram overload_total_base_;

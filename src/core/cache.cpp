@@ -2,16 +2,24 @@
 
 #include <cassert>
 
+#include "util/rng.h"
+
 namespace sbroker::core {
+
+uint64_t ttl_salt(uint64_t rng_seed) {
+  return util::derive_seed(rng_seed, 0x7711);
+}
 
 ResultCache::ResultCache(size_t capacity, double ttl)
     : ResultCache(capacity, ttl, CacheTuning{}) {}
 
-ResultCache::ResultCache(size_t capacity, double ttl, CacheTuning tuning)
+ResultCache::ResultCache(size_t capacity, double ttl, CacheTuning tuning,
+                         uint64_t salt)
     : capacity_(capacity),
       front_window_(capacity / 4 > 0 ? capacity / 4 : 1),
       ttl_(ttl),
-      tuning_(tuning) {
+      tuning_(tuning),
+      salt_(salt) {
   assert(capacity > 0);
   assert(tuning_.ttl_jitter >= 0.0 && tuning_.ttl_jitter < 1.0);
 }
@@ -22,7 +30,7 @@ double ResultCache::effective_ttl(std::string_view key) const {
   // Deterministic per-key jitter in [-ttl_jitter, +ttl_jitter]: a second
   // hash pass (golden-ratio mix) decorrelates it from the stripe selector,
   // and the per-instance salt decorrelates it across broker instances.
-  uint64_t h = (std::hash<std::string_view>{}(key) ^ tuning_.jitter_salt) *
+  uint64_t h = (std::hash<std::string_view>{}(key) ^ salt_) *
                0x9e3779b97f4a7c15ULL;
   double u = static_cast<double>(h >> 11) / static_cast<double>(1ULL << 53);
   return ttl_ * (1.0 + tuning_.ttl_jitter * (2.0 * u - 1.0));

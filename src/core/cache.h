@@ -46,12 +46,14 @@ struct CacheTuning {
   /// TTL for negative (error-reply) entries, seconds. 0 disables negative
   /// caching entirely (put_negative becomes a no-op).
   double negative_ttl = 0.0;
-  /// Salt mixed into the per-key jitter hash. Without it every cache
-  /// instance jitters identically (same key -> same effective TTL on every
-  /// broker), so a federation's members still expire a hot key in lockstep.
-  /// 0 = unsalted; brokers fill it from their rng_seed via derive_seed.
-  uint64_t jitter_salt = 0;
 };
+
+/// Salt for a cache's per-key TTL-jitter hash, derived from the owner's run
+/// seed. Without it every cache instance jitters identically (same key ->
+/// same effective TTL on every broker), so a federation's members would
+/// still expire a hot key in lockstep; with it they de-synchronize while
+/// staying reproducible from the seed alone.
+uint64_t ttl_salt(uint64_t rng_seed);
 
 /// Classified result of ResultCacheBase::lookup_into().
 enum class LookupOutcome {
@@ -130,7 +132,9 @@ class ResultCache final : public ResultCacheBase {
  public:
   /// `capacity` entries; `ttl` seconds of freshness (<=0 disables expiry).
   ResultCache(size_t capacity, double ttl);
-  ResultCache(size_t capacity, double ttl, CacheTuning tuning);
+  /// `salt` is mixed into the TTL-jitter hash (ttl_salt(); 0 = unsalted).
+  ResultCache(size_t capacity, double ttl, CacheTuning tuning,
+              uint64_t salt = 0);
 
   LookupView lookup_into(std::string_view key, double now, Arena& scratch) override;
   std::optional<std::string> get_stale(std::string_view key) const override;
@@ -199,6 +203,7 @@ class ResultCache final : public ResultCacheBase {
   uint64_t seq_ = 0;
   double ttl_;
   CacheTuning tuning_;
+  uint64_t salt_;
   std::list<Entry> lru_;  // front = most recent
   std::unordered_map<std::string, Slot, KeyHash, std::equal_to<>> map_;
 };

@@ -5,11 +5,8 @@
 namespace sbroker::core {
 
 CentralizedController::CentralizedController(QosRules rules,
-                                             double report_staleness_limit,
-                                             const OverloadConfig& overload)
-    : rules_(rules),
-      overload_(make_overload_controller(overload, rules)),
-      staleness_limit_(report_staleness_limit) {}
+                                             double report_staleness_limit)
+    : overload_(rules), staleness_limit_(report_staleness_limit) {}
 
 void CentralizedController::register_profile(std::string url, ResourceProfile profile) {
   profiles_[std::move(url)] = std::move(profile);
@@ -46,7 +43,7 @@ CentralizedController::Verdict CentralizedController::admit(const std::string& u
       ++rejects_;
       return Verdict::kRejectStale;
     }
-    if (!overload_->admit(level, entry.outstanding)) {
+    if (!overload_.admit(level, entry.outstanding)) {
       ++rejects_;
       return Verdict::kRejectOverload;
     }

@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -43,13 +42,13 @@ class CentralizedController {
     kRejectStale,      ///< a touched service has no fresh load report
   };
 
-  /// `rules`: the shared QoS thresholds. `report_staleness_limit`: maximum
-  /// age (seconds) of a load report before it is distrusted (<=0 disables
-  /// the staleness check). `overload` selects the threshold policy — the
-  /// same pluggable OverloadController the distributed brokers use, so the
+  /// `rules`: the shared QoS thresholds, applied by the same static
+  /// OverloadController rule the distributed brokers default to, so the
   /// ablation compares deployment models, not admission rules.
-  CentralizedController(QosRules rules, double report_staleness_limit = 0.0,
-                        const OverloadConfig& overload = {});
+  /// `report_staleness_limit`: maximum age (seconds) of a load report before
+  /// it is distrusted (<=0 disables the staleness check).
+  explicit CentralizedController(QosRules rules,
+                                 double report_staleness_limit = 0.0);
 
   void register_profile(std::string url, ResourceProfile profile);
 
@@ -69,21 +68,13 @@ class CentralizedController {
     return per_report_cost * static_cast<double>(reports_);
   }
 
-  const QosRules& rules() const { return rules_; }
-
-  /// The threshold policy behind admit(); a centralized deployment feeds it
-  /// front-end latency measurements the same way the brokers do.
-  OverloadController& overload() { return *overload_; }
-  const OverloadController& overload() const { return *overload_; }
-
  private:
   struct LoadEntry {
     double outstanding = 0.0;
     double reported_at = -1.0;
   };
 
-  QosRules rules_;
-  std::unique_ptr<OverloadController> overload_;
+  OverloadController overload_;
   double staleness_limit_;
   std::unordered_map<std::string, ResourceProfile> profiles_;
   std::unordered_map<std::string, LoadEntry> loads_;

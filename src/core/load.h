@@ -5,7 +5,7 @@
 // broker is sharded across N reactor threads, each shard seeing only its own
 // outstanding count would multiply every admission bound by N and let load
 // N times the configured threshold through. All shards therefore debit and
-// credit one atomic counter, and every shard's AdmissionController decides
+// credit one atomic counter, and every shard's OverloadController decides
 // against the *global* load.
 //
 // Relaxed ordering is sufficient: the counter is a load estimate feeding a

@@ -15,36 +15,31 @@ const char* overload_policy_name(OverloadPolicy policy) {
   std::abort();  // exhaustive switch above (-Wswitch keeps it that way)
 }
 
-std::optional<OverloadPolicy> parse_overload_policy(std::string_view name) {
-  if (name == "static") return OverloadPolicy::kStatic;
-  if (name == "aimd" || name == "aimd+lifo" || name == "lifo") {
-    return OverloadPolicy::kAimd;
-  }
-  if (name == "static+lifo") return OverloadPolicy::kStatic;
-  return std::nullopt;
-}
-
 std::optional<OverloadConfig> parse_overload_spec(std::string_view spec,
                                                   OverloadConfig base) {
-  std::optional<OverloadPolicy> policy = parse_overload_policy(spec);
-  if (!policy) return std::nullopt;
-  base.policy = *policy;
+  if (spec == "static" || spec == "static+lifo") {
+    base.policy = OverloadPolicy::kStatic;
+  } else if (spec == "aimd" || spec == "aimd+lifo" || spec == "lifo") {
+    base.policy = OverloadPolicy::kAimd;
+  } else {
+    return std::nullopt;
+  }
   base.lifo = spec == "aimd+lifo" || spec == "static+lifo" || spec == "lifo";
   return base;
 }
 
-OverloadController::OverloadController(const OverloadConfig& config,
-                                       QosRules rules)
-    : config_(config), rules_(rules), threshold_(rules.threshold) {}
+OverloadController::OverloadController(QosRules rules,
+                                       const OverloadConfig& config)
+    : config_(config),
+      rules_(rules),
+      threshold_(rules.threshold),
+      ceiling_(std::max(kCeilingFactor * rules.threshold, kFloor)) {}
 
-void OverloadController::observe(const OverloadSignal& signal, double now) {
-  (void)now;
-  double target = config_.target_p95 > 0.0
-                      ? config_.target_p95
-                      : config_.budget_fraction * signal.budget;
+void OverloadController::observe(const OverloadSignal& signal) {
+  double target = kBudgetFraction * signal.budget;
   // No evidence (too few fresh samples) or no yardstick (deadline-free
-  // traffic with no explicit target): the interval carries no signal.
-  if (signal.samples < config_.min_samples || target <= 0.0) return;
+  // traffic): the interval carries no signal.
+  if (signal.samples < kMinSamples || target <= 0.0) return;
 
   ++stats_.evals;
   bool breached = signal.p95 > target;
@@ -57,44 +52,29 @@ void OverloadController::observe(const OverloadSignal& signal, double now) {
     ++clear_streak_;
     breach_streak_ = 0;
   }
-  if (!overloaded_ && breach_streak_ >= config_.enter_breaches) {
+  if (!overloaded_ && breach_streak_ >= kEnterBreaches) {
     overloaded_ = true;
     ++stats_.enters;
-  } else if (overloaded_ && clear_streak_ >= config_.exit_clears) {
+  } else if (overloaded_ && clear_streak_ >= kExitClears) {
     overloaded_ = false;
     ++stats_.exits;
   }
 }
 
-AimdOverloadController::AimdOverloadController(const OverloadConfig& config,
-                                               QosRules rules)
-    : OverloadController(config, rules),
-      ceiling_(config.ceiling > 0.0 ? config.ceiling : 4.0 * rules.threshold) {
-  ceiling_ = std::max(ceiling_, config_.floor);
-}
-
-void AimdOverloadController::adjust(bool breached) {
+void OverloadController::adjust(bool breached) {
+  // The paper's fixed rule: the static threshold never moves (the mode
+  // tracking above still runs when lifo is requested).
+  if (config_.policy == OverloadPolicy::kStatic) return;
   if (breached) {
     // Pinned at the floor = no movement: don't count phantom decreases.
-    if (threshold_ > config_.floor) {
-      threshold_ = std::max(config_.floor, threshold_ * config_.decrease);
+    if (threshold_ > kFloor) {
+      threshold_ = std::max(kFloor, threshold_ * kDecrease);
       ++stats_.decreases;
     }
   } else if (threshold_ < ceiling_) {
-    threshold_ = std::min(ceiling_, threshold_ + config_.increase);
+    threshold_ = std::min(ceiling_, threshold_ + kIncrease);
     ++stats_.increases;
   }
-}
-
-std::unique_ptr<OverloadController> make_overload_controller(
-    const OverloadConfig& config, QosRules rules) {
-  switch (config.policy) {
-    case OverloadPolicy::kStatic:
-      return std::make_unique<StaticOverloadController>(config, rules);
-    case OverloadPolicy::kAimd:
-      return std::make_unique<AimdOverloadController>(config, rules);
-  }
-  std::abort();  // exhaustive switch above
 }
 
 }  // namespace sbroker::core

@@ -1,40 +1,39 @@
-// Pluggable overload control: the single home of the admission threshold.
+// Overload control: the single home of the admission threshold.
 //
 // The paper fixes the outstanding-request threshold at 20 per broker and
-// shares the forward-or-drop comparison between three call sites (the
-// broker's submit path, the AdmissionController, the CentralizedController).
-// This layer extracts that comparison into one OverloadController so every
-// admission decision routes through a single, live effective threshold —
-// and makes the threshold itself a policy:
+// forwards class `level` while `outstanding < threshold*level/levels`. One
+// OverloadController applies that comparison for every admission call site
+// (the broker's submit path, its background gate, the CentralizedController)
+// against a single, live effective threshold — and makes the threshold a
+// policy:
 //
 //   kStatic — the paper's rule verbatim: the effective threshold never
-//     moves. Zero feedback, zero overhead; bit-for-bit the old behavior.
+//     moves. Zero feedback, zero overhead.
 //
 //   kAimd — "Design of QoS-aware Provisioning Systems" (PAPERS.md):
 //     replace the hand-tuned constant with a measurement-driven feedback
 //     loop. Each evaluation interval the owner feeds the controller the
 //     p95 of the latencies it observed (queue wait / total, from
 //     obs::BrokerObserver) plus the deadline budget those requests carry.
-//     While p95 stays under `budget_fraction * budget` the threshold grows
-//     additively (+increase); the first breached interval cuts it
-//     multiplicatively (*decrease) — TCP's AIMD law, applied to admission.
-//     The threshold therefore converges to the largest backlog the backend
-//     can drain inside the latency target, instead of whatever constant was
-//     tuned for last year's traffic.
+//     While p95 stays under kBudgetFraction * budget the threshold grows
+//     additively (+kIncrease); a breached interval cuts it multiplicatively
+//     (*kDecrease) — TCP's AIMD law, applied to admission. The threshold
+//     therefore converges to the largest backlog the backend can drain
+//     inside the latency target, between kFloor and kCeilingFactor times the
+//     configured threshold.
 //
 // Independently of the threshold policy, the controller tracks an
-// *overload mode* with enter/exit hysteresis (`enter_breaches` consecutive
-// breached intervals to enter, `exit_clears` clear ones to leave, so a
-// single noisy interval cannot flap the mode). When `lifo` is set, owners
-// flip their per-class wait queues from FIFO to LIFO while the mode is on —
-// the "Combined LIFO-Priority Scheme" (PAPERS.md): under overload the
-// newest request is the one that can still meet its deadline, so serve it
-// first and let the oldest age out through the existing exactly-once
-// deadline-expiry path instead of everyone timing out in arrival order.
+// *overload mode* with enter/exit hysteresis (kEnterBreaches consecutive
+// breached intervals to enter, kExitClears clear ones to leave, so a single
+// noisy interval cannot flap the mode). When `lifo` is set, owners flip
+// their wait queues from FIFO to LIFO while the mode is on — the "Combined
+// LIFO-Priority Scheme" (PAPERS.md): under overload the newest request is
+// the one that can still meet its deadline, so serve it first and let the
+// oldest age out through the existing exactly-once deadline-expiry path
+// instead of everyone timing out in arrival order.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string_view>
 
@@ -48,36 +47,31 @@ enum class OverloadPolicy {
 };
 
 const char* overload_policy_name(OverloadPolicy policy);
-/// Accepts "static", "aimd", "aimd+lifo" / "lifo" (nullopt on anything else;
-/// the +lifo spelling also sets OverloadConfig::lifo at the call sites that
-/// use parse_overload_spec below).
-std::optional<OverloadPolicy> parse_overload_policy(std::string_view name);
+
+/// Latency target as a fraction of the deadline budget in force.
+inline constexpr double kBudgetFraction = 0.5;
+/// AIMD law: threshold += kIncrease per clear interval, threshold *=
+/// kDecrease per breached one.
+inline constexpr double kIncrease = 1.0;
+inline constexpr double kDecrease = 0.7;
+/// The AIMD walk stays within [kFloor, kCeilingFactor * QosRules::threshold]:
+/// feedback may find the backend holds more backlog than the tuned constant.
+inline constexpr double kFloor = 1.0;
+inline constexpr double kCeilingFactor = 4.0;
+/// Intervals with fewer fresh samples than this carry no signal: they leave
+/// the threshold, the mode and both hysteresis streaks untouched.
+inline constexpr uint64_t kMinSamples = 8;
+/// Consecutive breached intervals to enter overload mode, clear ones to
+/// leave it.
+inline constexpr int kEnterBreaches = 2;
+inline constexpr int kExitClears = 4;
 
 struct OverloadConfig {
   OverloadPolicy policy = OverloadPolicy::kStatic;
-  /// Flip per-class wait queues FIFO->LIFO while overload mode is on.
+  /// Flip wait queues FIFO->LIFO while overload mode is on.
   bool lifo = false;
-  /// Absolute p95 latency target, seconds. 0 = derive from the measured
-  /// deadline budget: target = budget_fraction * budget.
-  double target_p95 = 0.0;
-  double budget_fraction = 0.5;
-  /// AIMD law: threshold += increase per clear interval (up to ceiling),
-  /// threshold *= decrease on a breached interval (down to floor).
-  double increase = 1.0;
-  double decrease = 0.7;
-  double floor = 1.0;
-  /// 0 = 4x the configured QosRules threshold (feedback may discover the
-  /// backend can hold more backlog than the hand-tuned constant).
-  double ceiling = 0.0;
   /// Seconds between feedback evaluations on the owner's tick path.
   double eval_interval = 0.05;
-  /// Intervals with fewer fresh samples than this carry no signal: they
-  /// leave the threshold, the mode and both hysteresis streaks untouched.
-  uint64_t min_samples = 8;
-  /// Consecutive breached intervals to enter overload mode.
-  int enter_breaches = 2;
-  /// Consecutive clear intervals to leave it.
-  int exit_clears = 4;
 };
 
 /// One feedback interval's measurement, produced by the owner from its
@@ -107,8 +101,7 @@ struct OverloadStats {
 
 class OverloadController {
  public:
-  OverloadController(const OverloadConfig& config, QosRules rules);
-  virtual ~OverloadController() = default;
+  explicit OverloadController(QosRules rules, const OverloadConfig& config = {});
 
   /// The paper's binary forward-or-drop rule, against the *live* effective
   /// threshold. The only place this comparison exists.
@@ -116,18 +109,18 @@ class OverloadController {
     return outstanding < bound(level);
   }
 
-  /// Admission bound for `level`: per-level fraction of the effective
-  /// threshold (level/num_levels, as in QosRules::bound).
+  /// Admission bound for `level`: the per-level fraction level/num_levels of
+  /// the effective threshold.
   double bound(QosLevel level) const {
     level = rules_.clamp_level(level);
     return threshold_ * static_cast<double>(level) /
            static_cast<double>(rules_.num_levels);
   }
 
-  /// Feeds one interval's measurement. Applies the hysteresis state machine
-  /// and delegates threshold movement to the policy. Intervals below
-  /// min_samples (or with no usable target) are ignored entirely.
-  void observe(const OverloadSignal& signal, double now);
+  /// Feeds one interval's measurement: moves the threshold under kAimd and
+  /// runs the hysteresis state machine. Intervals below kMinSamples, or with
+  /// no deadline budget to derive a target from, are ignored entirely.
+  void observe(const OverloadSignal& signal);
 
   double threshold() const { return threshold_; }
   bool overloaded() const { return overloaded_; }
@@ -137,60 +130,28 @@ class OverloadController {
   /// Static without lifo never looks at the signal, so the owner can skip
   /// the histogram snapshots entirely.
   bool wants_feedback() const {
-    return policy() != OverloadPolicy::kStatic || config_.lifo;
+    return config_.policy != OverloadPolicy::kStatic || config_.lifo;
   }
-  virtual OverloadPolicy policy() const = 0;
-
-  const OverloadConfig& config() const { return config_; }
-  const QosRules& rules() const { return rules_; }
+  OverloadPolicy policy() const { return config_.policy; }
   const OverloadStats& stats() const { return stats_; }
 
- protected:
-  /// Policy hook: move threshold_ for one evaluated interval.
-  virtual void adjust(bool breached) = 0;
+ private:
+  /// Moves threshold_ for one evaluated interval (kAimd only).
+  void adjust(bool breached);
 
   OverloadConfig config_;
   QosRules rules_;
   double threshold_;
+  double ceiling_;
   OverloadStats stats_;
-
- private:
   bool overloaded_ = false;
   int breach_streak_ = 0;
   int clear_streak_ = 0;
 };
 
-/// The paper's fixed rule: adjust() is a no-op, so the threshold equals
-/// QosRules::threshold forever (overload-mode tracking still runs when
-/// lifo is requested).
-class StaticOverloadController : public OverloadController {
- public:
-  StaticOverloadController(const OverloadConfig& config, QosRules rules)
-      : OverloadController(config, rules) {}
-  OverloadPolicy policy() const override { return OverloadPolicy::kStatic; }
-
- protected:
-  void adjust(bool) override {}
-};
-
-/// AIMD feedback on the effective threshold.
-class AimdOverloadController : public OverloadController {
- public:
-  AimdOverloadController(const OverloadConfig& config, QosRules rules);
-  OverloadPolicy policy() const override { return OverloadPolicy::kAimd; }
-
- protected:
-  void adjust(bool breached) override;
-
- private:
-  double ceiling_;
-};
-
-std::unique_ptr<OverloadController> make_overload_controller(
-    const OverloadConfig& config, QosRules rules);
-
 /// Parses a bench/CLI spec — "static", "aimd", "aimd+lifo", "static+lifo",
-/// "lifo" (= aimd+lifo) — into policy + lifo flag on top of `base`.
+/// "lifo" (= aimd+lifo) — into policy + lifo flag on top of `base`; nullopt
+/// on anything else.
 std::optional<OverloadConfig> parse_overload_spec(std::string_view spec,
                                                   OverloadConfig base = {});
 

@@ -23,17 +23,10 @@ using QosLevel = int;
 struct QosRules {
   int num_levels = 3;
   /// Maximum outstanding (forwarded, uncompleted) requests per backend.
+  /// The forward-or-drop comparison against it lives in
+  /// core::OverloadController (overload.h), whose effective threshold may
+  /// move away from this constant under feedback control.
   double threshold = 20.0;
-
-  /// Admission bound for `level`: the outstanding count below which a
-  /// request of this class may be forwarded. The forward-or-drop comparison
-  /// itself lives in core::OverloadController (overload.h), the one place
-  /// every admission call site routes through — the effective threshold may
-  /// have moved away from the configured constant under feedback control.
-  double bound(QosLevel level) const {
-    level = clamp_level(level);
-    return threshold * static_cast<double>(level) / static_cast<double>(num_levels);
-  }
 
   QosLevel clamp_level(QosLevel level) const {
     return std::clamp(level, 1, num_levels);

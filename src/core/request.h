@@ -84,13 +84,6 @@ struct LifecycleConfig {
   int max_attempts = 1;
   /// Base pause before a retry is re-dispatched; attempt n waits n*backoff.
   double retry_backoff = 0.005;
-  /// Headroom added to the transport timeout handed to backends on top of
-  /// the longest remaining member deadline. The broker cancels the exchange
-  /// itself when the deadline expires, so the transport bound is only a
-  /// backstop — the slack makes it lose any race against the deadline tick
-  /// (a transport-timeout win would burn the attempt and turn a clean
-  /// deadline shed into an error completion).
-  double transport_slack = 0.05;
 };
 
 /// One admitted request, from admission until its single reply. Replaces the

@@ -8,7 +8,8 @@ StripedResultCache::StripedResultCache(size_t capacity, double ttl, size_t strip
     : StripedResultCache(capacity, ttl, stripes, CacheTuning{}) {}
 
 StripedResultCache::StripedResultCache(size_t capacity, double ttl,
-                                       size_t stripes, CacheTuning tuning) {
+                                       size_t stripes, CacheTuning tuning,
+                                       uint64_t salt) {
   assert(capacity > 0);
   if (stripes == 0) stripes = 1;
   if (stripes > capacity) stripes = capacity;
@@ -16,7 +17,7 @@ StripedResultCache::StripedResultCache(size_t capacity, double ttl,
   stripes_.reserve(stripes);
   for (size_t i = 0; i < stripes; ++i) {
     stripes_.push_back(
-        std::make_unique<Stripe>(per_stripe_capacity_, ttl, tuning));
+        std::make_unique<Stripe>(per_stripe_capacity_, ttl, tuning, salt));
   }
 }
 

@@ -34,8 +34,9 @@ class StripedResultCache final : public ResultCacheBase {
  public:
   /// `capacity` total entries split over `stripes` locks; `ttl` as ResultCache.
   StripedResultCache(size_t capacity, double ttl, size_t stripes = 8);
+  /// `salt` as ResultCache: every stripe jitters with the same salt.
   StripedResultCache(size_t capacity, double ttl, size_t stripes,
-                     CacheTuning tuning);
+                     CacheTuning tuning, uint64_t salt = 0);
 
   /// The stale-refresh claim is taken under the stripe lock, so exactly one
   /// shard per grace window wins kStaleRefresh for a key — the cross-shard
@@ -66,8 +67,8 @@ class StripedResultCache final : public ResultCacheBase {
   struct alignas(kCacheLine) Stripe {
     mutable std::mutex mu;
     ResultCache cache;
-    Stripe(size_t cap, double ttl, CacheTuning tuning)
-        : cache(cap, ttl, tuning) {}
+    Stripe(size_t cap, double ttl, CacheTuning tuning, uint64_t salt)
+        : cache(cap, ttl, tuning, salt) {}
   };
   // mutex + ResultCache's vtable pointer + hits_ + misses_ fit in one line.
   static_assert(sizeof(std::mutex) + sizeof(void*) + 2 * sizeof(uint64_t) <=

@@ -213,7 +213,7 @@ std::vector<MetricSample> collect_metrics(
     num_levels = std::max(num_levels, s.metrics.num_levels());
   }
   core::BrokerMetrics metrics(num_levels);
-  obs::BrokerObserver observer(obs::ObsConfig{false, 0}, num_levels);
+  obs::BrokerObserver observer(obs::ObsConfig{false}, num_levels);
   size_t outstanding = 0;
   for (const auto& s : shards) {
     metrics.merge(s.metrics);

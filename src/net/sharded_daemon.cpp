@@ -34,14 +34,11 @@ ShardedBrokerDaemon::ShardedBrokerDaemon(std::string name,
   if (config_.shards == 0) config_.shards = 1;
   // Salt the shared cache's TTL jitter from this daemon's run seed: two
   // daemon instances (federation members) must not expire the same hot key
-  // in lockstep. The salted tuning also flows into every shard broker below.
-  if (config_.broker.cache_tuning.jitter_salt == 0) {
-    config_.broker.cache_tuning.jitter_salt =
-        util::derive_seed(config_.broker.rng_seed, 0x7711);
-  }
+  // in lockstep.
   cache_ = std::make_shared<core::StripedResultCache>(
       config_.broker.cache_capacity, config_.broker.cache_ttl,
-      config_.cache_stripes, config_.broker.cache_tuning);
+      config_.cache_stripes, config_.broker.cache_tuning,
+      core::ttl_salt(config_.broker.rng_seed));
   load_ = std::make_shared<core::LoadTracker>();
   flights_ = std::make_shared<core::FlightTable>(config_.cache_stripes);
 

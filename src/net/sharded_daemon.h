@@ -9,7 +9,7 @@
 //     result fetched through shard A serves the identical request arriving
 //     at shard B (otherwise sharding divides the hit rate by N);
 //   * the outstanding-request count is a shared atomic LoadTracker, so each
-//     shard's AdmissionController enforces the QoS thresholds against the
+//     shard's OverloadController enforces the QoS thresholds against the
 //     *global* load rather than 1/N of it.
 //
 // Connection distribution: every shard opens its own listening socket on

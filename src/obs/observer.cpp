@@ -16,7 +16,7 @@ BrokerObserver::BrokerObserver(const ObsConfig& config, int num_levels)
     : config_(config),
       num_levels_(num_levels < 1 ? 1 : num_levels),
       histograms_(static_cast<size_t>(num_levels_) * kNumStages),
-      recorder_(config.trace ? config.trace_capacity : 0) {}
+      recorder_(config.trace ? kTraceCapacity : 0) {}
 
 LatencyHistogram BrokerObserver::merged_histogram(Stage stage) const {
   LatencyHistogram out;

@@ -35,9 +35,11 @@ inline constexpr size_t kNumStages = 4;
 
 const char* stage_name(Stage stage);
 
+/// Flight-recorder ring slots (a power of 2) when tracing is on.
+inline constexpr size_t kTraceCapacity = 4096;
+
 struct ObsConfig {
-  bool trace = true;            ///< request-event flight recorder
-  size_t trace_capacity = 4096; ///< ring slots (rounded up to a power of 2)
+  bool trace = true;  ///< request-event flight recorder
 };
 
 class BrokerObserver {

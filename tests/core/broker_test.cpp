@@ -547,7 +547,7 @@ TEST(Lifecycle, DeadlineExpiryAnswersBusyExactlyOnce) {
   // Remaining deadline plus the transport slack: the channel's own timer
   // must stay behind the broker's deadline expiry.
   EXPECT_NEAR(backend->invocations[0].timeout,
-              0.1 + cfg.lifecycle.transport_slack, 1e-9);
+              0.1 + kTransportSlack, 1e-9);
   EXPECT_TRUE(cap.replies.empty());
   ASSERT_TRUE(broker.next_deadline().has_value());
   EXPECT_NEAR(*broker.next_deadline(), 0.1, 1e-9);
@@ -726,7 +726,7 @@ TEST(Lifecycle, BatchMembersExpireIndividually) {
   ASSERT_EQ(backend->invocations.size(), 1u);  // clustered into one exchange
   // Call timeout covers the longest-lived member, plus the transport slack.
   EXPECT_NEAR(backend->invocations[0].timeout,
-              10.0 + cfg.lifecycle.transport_slack, 1e-9);
+              10.0 + kTransportSlack, 1e-9);
   broker.tick(0.2);  // member 1 expires; the exchange stays alive for member 2
   ASSERT_EQ(shortlived.replies.size(), 1u);
   EXPECT_EQ(shortlived.replies[0].fidelity, http::Fidelity::kBusy);

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/admission.h"
 #include "core/centralized.h"
 
 namespace sbroker::core {
@@ -13,8 +12,6 @@ constexpr QosRules kRules{3, 20.0};
 OverloadConfig aimd_config() {
   OverloadConfig config;
   config.policy = OverloadPolicy::kAimd;
-  config.eval_interval = 0.05;
-  config.min_samples = 8;
   return config;
 }
 
@@ -31,10 +28,11 @@ OverloadSignal signal(double p95, uint64_t samples = 100,
 TEST(OverloadPolicyNames, RoundTrip) {
   EXPECT_STREQ(overload_policy_name(OverloadPolicy::kStatic), "static");
   EXPECT_STREQ(overload_policy_name(OverloadPolicy::kAimd), "aimd");
-  EXPECT_EQ(parse_overload_policy("static"), OverloadPolicy::kStatic);
-  EXPECT_EQ(parse_overload_policy("aimd"), OverloadPolicy::kAimd);
-  EXPECT_EQ(parse_overload_policy("aimd+lifo"), OverloadPolicy::kAimd);
-  EXPECT_FALSE(parse_overload_policy("bogus").has_value());
+  EXPECT_EQ(parse_overload_spec("static")->policy, OverloadPolicy::kStatic);
+  EXPECT_EQ(parse_overload_spec("aimd")->policy, OverloadPolicy::kAimd);
+  EXPECT_EQ(parse_overload_spec("aimd+lifo")->policy, OverloadPolicy::kAimd);
+  EXPECT_EQ(parse_overload_spec("lifo")->policy, OverloadPolicy::kAimd);
+  EXPECT_FALSE(parse_overload_spec("bogus").has_value());
 }
 
 TEST(OverloadSpec, ParsesPolicyAndLifoFlag) {
@@ -57,23 +55,21 @@ TEST(OverloadSpec, ParsesPolicyAndLifoFlag) {
 }
 
 TEST(OverloadFactory, BuildsTheRequestedPolicy) {
-  auto ctl = make_overload_controller(OverloadConfig{}, kRules);
-  EXPECT_EQ(ctl->policy(), OverloadPolicy::kStatic);
-  EXPECT_FALSE(ctl->wants_feedback());
+  OverloadController ctl(kRules);
+  EXPECT_EQ(ctl.policy(), OverloadPolicy::kStatic);
+  EXPECT_FALSE(ctl.wants_feedback());
 
-  auto aimd = make_overload_controller(aimd_config(), kRules);
-  EXPECT_EQ(aimd->policy(), OverloadPolicy::kAimd);
-  EXPECT_TRUE(aimd->wants_feedback());
+  OverloadController aimd(kRules, aimd_config());
+  EXPECT_EQ(aimd.policy(), OverloadPolicy::kAimd);
+  EXPECT_TRUE(aimd.wants_feedback());
 }
 
 TEST(StaticController, ThresholdNeverMovesUnderAnySignal) {
   OverloadConfig config;
   config.lifo = true;  // feedback runs for the mode, not the threshold
-  StaticOverloadController ctl(config, kRules);
-  double now = 0.0;
+  OverloadController ctl(kRules, config);
   for (int i = 0; i < 50; ++i) {
-    ctl.observe(signal(10.0), now);  // hopeless breach every interval
-    now += config.eval_interval;
+    ctl.observe(signal(10.0));  // hopeless breach every interval
   }
   EXPECT_DOUBLE_EQ(ctl.threshold(), kRules.threshold);
   EXPECT_TRUE(ctl.overloaded());  // the mode still reacted
@@ -82,66 +78,54 @@ TEST(StaticController, ThresholdNeverMovesUnderAnySignal) {
 }
 
 TEST(AimdController, MultiplicativeDecreaseOnBreach) {
-  OverloadConfig config = aimd_config();
-  AimdOverloadController ctl(config, kRules);
+  OverloadController ctl(kRules, aimd_config());
   EXPECT_DOUBLE_EQ(ctl.threshold(), 20.0);
-  ctl.observe(signal(1.0), 0.0);  // p95 1s >> target 50ms
-  EXPECT_DOUBLE_EQ(ctl.threshold(), 20.0 * config.decrease);
+  ctl.observe(signal(1.0));  // p95 1s >> target 50ms
+  EXPECT_DOUBLE_EQ(ctl.threshold(), 20.0 * kDecrease);
   EXPECT_EQ(ctl.stats().decreases, 1u);
-  ctl.observe(signal(1.0), 0.05);
-  EXPECT_DOUBLE_EQ(ctl.threshold(), 20.0 * config.decrease * config.decrease);
+  ctl.observe(signal(1.0));
+  EXPECT_DOUBLE_EQ(ctl.threshold(), 20.0 * kDecrease * kDecrease);
 }
 
 TEST(AimdController, DecreaseStopsAtFloor) {
-  OverloadConfig config = aimd_config();
-  config.floor = 2.0;
-  AimdOverloadController ctl(config, kRules);
-  double now = 0.0;
+  OverloadController ctl(kRules, aimd_config());
   for (int i = 0; i < 100; ++i) {
-    ctl.observe(signal(1.0), now);
-    now += config.eval_interval;
+    ctl.observe(signal(1.0));
   }
-  EXPECT_DOUBLE_EQ(ctl.threshold(), 2.0);
+  EXPECT_DOUBLE_EQ(ctl.threshold(), 1.0);  // kFloor
   // Cuts already at the floor are not counted as decreases.
   EXPECT_LT(ctl.stats().decreases, 100u);
 }
 
 TEST(AimdController, AdditiveIncreaseUpToCeiling) {
-  OverloadConfig config = aimd_config();
-  config.ceiling = 25.0;
-  AimdOverloadController ctl(config, kRules);
-  double now = 0.0;
+  // Threshold 5: the ceiling 4 x 5 = 20 is reached after 15 raises.
+  OverloadController ctl(QosRules{3, 5.0}, aimd_config());
   for (int i = 0; i < 100; ++i) {
-    ctl.observe(signal(0.001), now);  // far under target: clear interval
-    now += config.eval_interval;
+    ctl.observe(signal(0.001));  // far under target: clear interval
   }
-  EXPECT_DOUBLE_EQ(ctl.threshold(), 25.0);
-  EXPECT_GT(ctl.stats().increases, 0u);
+  EXPECT_DOUBLE_EQ(ctl.threshold(), 20.0);
+  EXPECT_EQ(ctl.stats().increases, 15u);
   EXPECT_EQ(ctl.stats().decreases, 0u);
 }
 
 TEST(AimdController, DefaultCeilingIsFourTimesRulesThreshold) {
-  AimdOverloadController ctl(aimd_config(), kRules);
-  double now = 0.0;
+  OverloadController ctl(kRules, aimd_config());
   for (int i = 0; i < 200; ++i) {
-    ctl.observe(signal(0.001), now);
-    now += 0.05;
+    ctl.observe(signal(0.001));
   }
   EXPECT_DOUBLE_EQ(ctl.threshold(), 80.0);
 }
 
 // Closed-loop model: queue wait is proportional to the backlog the
 // threshold lets in (p95 ~= threshold * 10ms per queued request). With a
-// 150ms budget and the default 0.5 budget fraction the target is 75ms, so
+// 150ms budget and the 0.5 budget fraction the target is 75ms, so
 // the controller must converge into a band around threshold ~= 7.5 and
 // oscillate there — the AIMD sawtooth — instead of pinning to an extreme.
 TEST(AimdController, ConvergesToTheLatencyTarget) {
-  AimdOverloadController ctl(aimd_config(), kRules);
-  double now = 0.0;
+  OverloadController ctl(kRules, aimd_config());
   for (int i = 0; i < 400; ++i) {
     double modeled_p95 = ctl.threshold() * 0.010;
-    ctl.observe(signal(modeled_p95, 100, 0.150), now);
-    now += 0.05;
+    ctl.observe(signal(modeled_p95, 100, 0.150));
   }
   EXPECT_GT(ctl.threshold(), 3.0);
   EXPECT_LT(ctl.threshold(), 12.0);
@@ -152,28 +136,20 @@ TEST(AimdController, ConvergesToTheLatencyTarget) {
 }
 
 TEST(Hysteresis, EntersOnlyAfterConsecutiveBreaches) {
-  OverloadConfig config = aimd_config();
-  config.enter_breaches = 2;
-  config.exit_clears = 4;
-  AimdOverloadController ctl(config, kRules);
-  ctl.observe(signal(1.0), 0.0);
+  OverloadController ctl(kRules, aimd_config());
+  ctl.observe(signal(1.0));
   EXPECT_FALSE(ctl.overloaded());  // one breach is not a streak
-  ctl.observe(signal(1.0), 0.05);
+  ctl.observe(signal(1.0));
   EXPECT_TRUE(ctl.overloaded());
   EXPECT_EQ(ctl.stats().enters, 1u);
 }
 
 TEST(Hysteresis, AlternatingSignalNeverOscillatesTheMode) {
-  OverloadConfig config = aimd_config();
-  config.enter_breaches = 2;
-  config.exit_clears = 4;
-  AimdOverloadController ctl(config, kRules);
-  double now = 0.0;
+  OverloadController ctl(kRules, aimd_config());
   for (int i = 0; i < 100; ++i) {
     // breach, clear, breach, clear ... — no streak ever reaches 2 breaches
     // or 4 clears, so the mode must never engage and never flap.
-    ctl.observe(signal(i % 2 == 0 ? 1.0 : 0.001), now);
-    now += 0.05;
+    ctl.observe(signal(i % 2 == 0 ? 1.0 : 0.001));
   }
   EXPECT_FALSE(ctl.overloaded());
   EXPECT_EQ(ctl.stats().enters, 0u);
@@ -183,22 +159,17 @@ TEST(Hysteresis, AlternatingSignalNeverOscillatesTheMode) {
 TEST(Hysteresis, ExitNeedsTheFullClearStreak) {
   OverloadConfig config = aimd_config();
   config.lifo = true;
-  config.enter_breaches = 2;
-  config.exit_clears = 4;
-  AimdOverloadController ctl(config, kRules);
-  double now = 0.0;
+  OverloadController ctl(kRules, config);
   for (int i = 0; i < 3; ++i) {
-    ctl.observe(signal(1.0), now);
-    now += 0.05;
+    ctl.observe(signal(1.0));
   }
   ASSERT_TRUE(ctl.overloaded());
   EXPECT_TRUE(ctl.lifo_active());
   for (int i = 0; i < 3; ++i) {
-    ctl.observe(signal(0.001), now);
-    now += 0.05;
+    ctl.observe(signal(0.001));
     EXPECT_TRUE(ctl.overloaded()) << "left after only " << i + 1 << " clears";
   }
-  ctl.observe(signal(0.001), now);
+  ctl.observe(signal(0.001));
   EXPECT_FALSE(ctl.overloaded());
   EXPECT_FALSE(ctl.lifo_active());
   EXPECT_EQ(ctl.stats().enters, 1u);
@@ -206,62 +177,61 @@ TEST(Hysteresis, ExitNeedsTheFullClearStreak) {
 }
 
 TEST(OverloadGates, ThinIntervalsCarryNoSignal) {
-  OverloadConfig config = aimd_config();
-  config.min_samples = 8;
-  config.enter_breaches = 2;
-  AimdOverloadController ctl(config, kRules);
-  double now = 0.0;
+  OverloadController ctl(kRules, aimd_config());
   // Breach with too few samples: threshold, mode and streaks all untouched.
-  ctl.observe(signal(1.0, 100), now);
-  now += 0.05;
-  ctl.observe(signal(1.0, 7), now);  // below min_samples — must be a no-op
-  now += 0.05;
-  EXPECT_DOUBLE_EQ(ctl.threshold(), 20.0 * config.decrease);
+  ctl.observe(signal(1.0, 100));
+  ctl.observe(signal(1.0, kMinSamples - 1));  // must be a no-op
+  EXPECT_DOUBLE_EQ(ctl.threshold(), 20.0 * kDecrease);
   EXPECT_FALSE(ctl.overloaded());
   EXPECT_EQ(ctl.stats().evals, 1u);
   // The thin interval must not have reset the breach streak either: the
-  // next full breach completes enter_breaches = 2.
-  ctl.observe(signal(1.0, 100), now);
+  // next full breach completes the two-breach entry streak.
+  ctl.observe(signal(1.0, 100));
   EXPECT_TRUE(ctl.overloaded());
 }
 
 TEST(OverloadGates, NoDeadlineMeansNoTarget) {
-  AimdOverloadController ctl(aimd_config(), kRules);
-  // budget 0 and no configured target_p95: nothing to compare p95 against.
-  ctl.observe(signal(10.0, 100, 0.0), 0.0);
+  OverloadController ctl(kRules, aimd_config());
+  // budget 0: nothing to derive a target from, nothing to compare p95 to.
+  ctl.observe(signal(10.0, 100, 0.0));
   EXPECT_DOUBLE_EQ(ctl.threshold(), 20.0);
   EXPECT_EQ(ctl.stats().evals, 0u);
 }
 
-TEST(OverloadGates, AbsoluteTargetOverridesBudget) {
-  OverloadConfig config = aimd_config();
-  config.target_p95 = 0.02;
-  AimdOverloadController ctl(config, kRules);
-  // p95 30ms breaches the absolute 20ms target even with no budget at all.
-  ctl.observe(signal(0.030, 100, 0.0), 0.0);
-  EXPECT_DOUBLE_EQ(ctl.threshold(), 20.0 * config.decrease);
+TEST(OverloadGates, TargetIsAFractionOfTheBudget) {
+  OverloadController ctl(kRules, aimd_config());
+  // A 40ms budget sets a 20ms target: p95 30ms breaches it...
+  ctl.observe(signal(0.030, 100, 0.040));
+  EXPECT_DOUBLE_EQ(ctl.threshold(), 20.0 * kDecrease);
+  // ...and p95 15ms clears it.
+  ctl.observe(signal(0.015, 100, 0.040));
+  EXPECT_DOUBLE_EQ(ctl.threshold(), 20.0 * kDecrease + kIncrease);
 }
 
-// The refactor's point: AdmissionController routes decide() through the
-// controller's live threshold, so feedback that shrinks the threshold
-// makes previously-admitted loads drop.
+// admit() compares against the live threshold, so feedback that shrinks the
+// threshold makes previously-admitted loads drop.
 TEST(AdmissionRouting, DecideFollowsTheLiveThreshold) {
-  AdmissionController admission(kRules, aimd_config());
-  EXPECT_EQ(admission.decide(3, 15.0), AdmissionDecision::kForward);
+  OverloadController ctl(kRules, aimd_config());
+  EXPECT_TRUE(ctl.admit(3, 15.0));
   // Feed hopeless breaches until the threshold drops under 15.
-  double now = 0.0;
-  OverloadController& ctl = admission.overload();
   while (ctl.threshold() > 15.0) {
-    ctl.observe(signal(1.0), now);
-    now += 0.05;
+    ctl.observe(signal(1.0));
   }
-  EXPECT_EQ(admission.decide(3, 15.0), AdmissionDecision::kDropOverLimit);
-  EXPECT_EQ(admission.decide(3, 1.0), AdmissionDecision::kForward);
+  EXPECT_FALSE(ctl.admit(3, 15.0));
+  EXPECT_TRUE(ctl.admit(3, 1.0));
 }
 
+// The centralized front door applies the same static rule as a broker: the
+// top class is admitted strictly below the threshold.
 TEST(AdmissionRouting, CentralizedAdmitUsesAController) {
-  CentralizedController central(kRules, 0.0, aimd_config());
-  EXPECT_DOUBLE_EQ(central.overload().threshold(), kRules.threshold);
+  CentralizedController central(kRules);
+  central.register_profile("/app", ResourceProfile{{"db"}});
+  central.on_load_report("db", 19.0, 0.0);
+  EXPECT_EQ(central.admit("/app", 3, 0.0),
+            CentralizedController::Verdict::kAdmit);
+  central.on_load_report("db", 20.0, 0.0);
+  EXPECT_EQ(central.admit("/app", 3, 0.0),
+            CentralizedController::Verdict::kRejectOverload);
 }
 
 }  // namespace

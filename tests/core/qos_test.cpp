@@ -7,30 +7,25 @@
 namespace sbroker::core {
 namespace {
 
-// The admit comparison itself lives in OverloadController (core/overload.h);
-// QosRules only carries the per-level bound shape. A static controller over
-// the rules must reproduce the paper's rule exactly.
-OverloadConfig static_config() {
-  OverloadConfig config;
-  config.policy = OverloadPolicy::kStatic;
-  return config;
-}
+// The admit comparison lives in OverloadController (core/overload.h);
+// QosRules only carries the levels and the threshold. A static controller
+// over the rules must reproduce the paper's rule exactly.
 
 TEST(QosRules, BoundsScaleWithLevel) {
-  QosRules rules{3, 20.0};
-  EXPECT_NEAR(rules.bound(1), 20.0 / 3.0, 1e-9);
-  EXPECT_NEAR(rules.bound(2), 40.0 / 3.0, 1e-9);
-  EXPECT_NEAR(rules.bound(3), 20.0, 1e-9);
+  OverloadController ctl(QosRules{3, 20.0});
+  EXPECT_NEAR(ctl.bound(1), 20.0 / 3.0, 1e-9);
+  EXPECT_NEAR(ctl.bound(2), 40.0 / 3.0, 1e-9);
+  EXPECT_NEAR(ctl.bound(3), 20.0, 1e-9);
 }
 
 TEST(QosRules, TopClassAdmittedUpToThreshold) {
-  StaticOverloadController ctl(static_config(), QosRules{3, 20.0});
+  OverloadController ctl(QosRules{3, 20.0});
   EXPECT_TRUE(ctl.admit(3, 19.0));
   EXPECT_FALSE(ctl.admit(3, 20.0));
 }
 
 TEST(QosRules, LowClassShedFirst) {
-  StaticOverloadController ctl(static_config(), QosRules{3, 20.0});
+  OverloadController ctl(QosRules{3, 20.0});
   double outstanding = 10.0;
   EXPECT_FALSE(ctl.admit(1, outstanding));  // bound 6.67
   EXPECT_TRUE(ctl.admit(2, outstanding));   // bound 13.33
@@ -38,7 +33,7 @@ TEST(QosRules, LowClassShedFirst) {
 }
 
 TEST(QosRules, ZeroOutstandingAdmitsEveryone) {
-  StaticOverloadController ctl(static_config(), QosRules{3, 20.0});
+  OverloadController ctl(QosRules{3, 20.0});
   for (int level = 1; level <= 3; ++level) EXPECT_TRUE(ctl.admit(level, 0.0));
 }
 
@@ -51,22 +46,41 @@ TEST(QosRules, ClampLevel) {
 }
 
 TEST(QosRules, OutOfRangeLevelUsesClampedBound) {
-  QosRules rules{3, 20.0};
-  EXPECT_DOUBLE_EQ(rules.bound(99), rules.bound(3));
-  EXPECT_DOUBLE_EQ(rules.bound(-1), rules.bound(1));
-
-  StaticOverloadController ctl(static_config(), QosRules{3, 20.0});
+  OverloadController ctl(QosRules{3, 20.0});
   EXPECT_DOUBLE_EQ(ctl.bound(99), ctl.bound(3));
   EXPECT_DOUBLE_EQ(ctl.bound(-1), ctl.bound(1));
 }
 
+// The static controller's top-class bound is the configured threshold, and
+// each class below it gets an equal step less.
 TEST(QosRules, StaticControllerMatchesRulesBound) {
-  QosRules rules{3, 20.0};
-  StaticOverloadController ctl(static_config(), rules);
-  for (int level = 1; level <= 3; ++level) {
-    EXPECT_DOUBLE_EQ(ctl.bound(level), rules.bound(level));
+  for (int levels : {2, 3, 4, 8}) {
+    QosRules rules{levels, 20.0};
+    OverloadController ctl(rules);
+    EXPECT_DOUBLE_EQ(ctl.threshold(), rules.threshold);
+    EXPECT_DOUBLE_EQ(ctl.bound(levels), rules.threshold);
+    for (int level = 1; level < levels; ++level) {
+      EXPECT_NEAR(ctl.bound(level + 1) - ctl.bound(level), 20.0 / levels,
+                  1e-9);
+    }
   }
-  EXPECT_DOUBLE_EQ(ctl.threshold(), rules.threshold);
+}
+
+TEST(Admission, ForwardsUnderBound) {
+  OverloadController ctl(QosRules{3, 20.0});
+  EXPECT_TRUE(ctl.admit(1, 0.0));
+}
+
+TEST(Admission, DropsOverBound) {
+  OverloadController ctl(QosRules{3, 20.0});
+  EXPECT_FALSE(ctl.admit(1, 7.0));
+  EXPECT_TRUE(ctl.admit(3, 7.0));
+}
+
+TEST(Admission, LevelsOutsideRangeClamp) {
+  OverloadController ctl(QosRules{3, 20.0});
+  EXPECT_TRUE(ctl.admit(99, 19.0));  // clamps to 3
+  EXPECT_FALSE(ctl.admit(-1, 7.0));  // clamps to 1
 }
 
 // Property: admission is monotone — if a level admits at load x, every
@@ -75,7 +89,7 @@ class QosMonotonicity : public ::testing::TestWithParam<int> {};
 
 TEST_P(QosMonotonicity, MonotoneInLevelAndLoad) {
   int levels = GetParam();
-  StaticOverloadController ctl(static_config(), QosRules{levels, 20.0});
+  OverloadController ctl(QosRules{levels, 20.0});
   for (double load = 0; load <= 25.0; load += 0.5) {
     for (int level = 1; level < levels; ++level) {
       if (ctl.admit(level, load)) {
@@ -92,6 +106,24 @@ TEST_P(QosMonotonicity, MonotoneInLevelAndLoad) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Levels, QosMonotonicity, ::testing::Values(2, 3, 4, 8));
+
+// Property sweep: drop ratio ordering across classes for rising load.
+class AdmissionSweep : public ::testing::TestWithParam<double> {};
+
+TEST_P(AdmissionSweep, HigherClassNeverDroppedMoreAtSameLoad) {
+  double threshold = GetParam();
+  OverloadController ctl(QosRules{3, threshold});
+  for (double load = 0; load < threshold + 5; load += 0.25) {
+    bool admit1 = ctl.admit(1, load);
+    bool admit2 = ctl.admit(2, load);
+    bool admit3 = ctl.admit(3, load);
+    EXPECT_LE(admit1, admit2);
+    EXPECT_LE(admit2, admit3);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Thresholds, AdmissionSweep,
+                         ::testing::Values(5.0, 20.0, 100.0));
 
 }  // namespace
 }  // namespace sbroker::core

@@ -119,7 +119,6 @@ TEST_F(OverloadDaemonTest, AimdPullsTheThresholdDownOnTheTickPath) {
   core::OverloadConfig overload;
   overload.policy = core::OverloadPolicy::kAimd;
   overload.eval_interval = 0.05;
-  overload.min_samples = 4;
   auto daemon = make_daemon(overload);
   drive(*daemon, 24, 1.0);
 
@@ -155,8 +154,6 @@ TEST_F(OverloadDaemonTest, StaticLifoShedsThroughTheDeadlinePath) {
   overload.policy = core::OverloadPolicy::kStatic;
   overload.lifo = true;
   overload.eval_interval = 0.05;
-  overload.min_samples = 4;
-  overload.enter_breaches = 2;
   auto daemon = make_daemon(overload);
   drive(*daemon, 24, 1.0);
 

@@ -93,7 +93,7 @@ TEST_F(BrokerHostTest, PrefetchRunsFromKick) {
   EXPECT_EQ(reply->payload, "id\n4\n");
 }
 
-// Overload control on the sim substrate: an open-loop flash crowd (200/s
+// Overload control on the sim substrate: an open-loop flash crowd (400/s
 // against a serial ~33/s backend) must drive the AIMD loop on the host's
 // tick path — the effective threshold drops below the configured constant,
 // the LIFO flip engages, and the aged-out entries leave through the
@@ -105,7 +105,6 @@ TEST_F(BrokerHostTest, AimdLifoRunsOnTheSimTickPath) {
   cfg.overload.policy = core::OverloadPolicy::kAimd;
   cfg.overload.lifo = true;
   cfg.overload.eval_interval = 0.05;
-  cfg.overload.min_samples = 4;
   DbBackendConfig slow;
   slow.capacity = 1;
   slow.profile.base = 0.03;
@@ -113,10 +112,10 @@ TEST_F(BrokerHostTest, AimdLifoRunsOnTheSimTickPath) {
   BrokerHost host(sim_, "db-broker", cfg);
   host.broker().add_backend(backend);
 
-  constexpr int kRequests = 400;
+  constexpr int kRequests = 800;
   int replies = 0;
   for (int i = 0; i < kRequests; ++i) {
-    sim_.at(i * 0.005, [this, &host, &replies, i]() {
+    sim_.at(i * 0.0025, [this, &host, &replies, i]() {
       http::BrokerRequest req =
           request(static_cast<uint64_t>(i + 1), 1 + (i % 3),
                   "SELECT id FROM records WHERE id = " + std::to_string(i % 50));
