@@ -46,9 +46,7 @@ RunResult run_once(bool rewrite, size_t clients, double duration) {
   broker_cfg.serve_stale_on_drop = false;
   broker_cfg.hotspot.warm_threshold = 8.0;
   broker_cfg.hotspot.hot_threshold = 20.0;
-  broker_cfg.rewrite.enabled = rewrite;
-  broker_cfg.rewrite.warm_limit = 50;
-  broker_cfg.rewrite.hot_limit = 10;
+  broker_cfg.rewrite.enabled = rewrite;  // caps LIMIT at 50 (WARM) / 10 (HOT)
   srv::BrokerHost host(sim, "fidelity-broker", broker_cfg);
   host.broker().add_backend(backend);
 

@@ -28,10 +28,11 @@
 #                              # directory from REF to the working tree
 #                              # (git diff --numstat; stage new files first);
 #                              # not part of `all`
-#   scripts/check.sh knobs     # report: every BrokerConfig/BrokerDaemonConfig
-#                              # field (nested config structs included) and
-#                              # the shipping programs and tests that assign
-#                              # it; not part of `all`
+#   scripts/check.sh knobs     # report: every field of the broker, daemon,
+#                              # federation, backend-channel and admin
+#                              # configs (nested config structs included)
+#                              # and the shipping programs, src/ plumbing
+#                              # and tests that assign it; not part of `all`
 #   scripts/check.sh reach     # report: which src/ lines and functions the
 #                              # shipping programs (example and bench smokes,
 #                              # simulator harnesses, perfbench --smoke) run,

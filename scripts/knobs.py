@@ -3,14 +3,19 @@
 
   python3 scripts/knobs.py [ROOT]
 
-Walks BrokerConfig and BrokerDaemonConfig and every config struct nested in
-them (field types that are structs declared under ROOT/src); a root nested
-in another is listed once, under its own name. For each field
-it prints the shipping programs (bench/, examples/, perfbench/) and the test
-files that assign it: `.field =` or `->field =`, designated initializers
-included; a positional aggregate (`ClusterConfig{4, 0.01}` or
+Walks the config structs the broker, the daemons, the federation and the
+backend channel take (ROOTS) and every config struct nested in them (field
+types that are structs declared under ROOT/src); a root nested in another is
+listed once, under its own name, and a struct declared inside a class is
+named with its class (`PipelinedBackend::Config`). For each field it prints
+the shipping programs (bench/, examples/, perfbench/) and the test files
+that assign it: `.field =` or `->field =`, designated initializers included;
+a positional aggregate (`ClusterConfig{4, 0.01}` or
 `ClusterConfig c{4, 0.01}`) credits its fields in declaration order, one
-per argument. A field name that more than one src/ struct declares is
+per argument. An assignment inside src/ itself (plumbing such as the
+federation setting its daemon's listen port) is credited as `src` among the
+shipping setters, and an enclosing struct field is credited with every
+setter of its members. A field name that more than one src/ struct declares is
 marked with `~`: its matches may belong to the other struct. A knob no
 shipping program sets is a candidate for a named constant. The last line
 counts the fields, those nothing assigns and those only tests assign.
@@ -20,7 +25,8 @@ import os
 import re
 import sys
 
-ROOTS = ("BrokerConfig", "BrokerDaemonConfig")
+ROOTS = ("BrokerConfig", "BrokerDaemonConfig", "ShardedBrokerDaemonConfig",
+         "FedNodeConfig", "PipelinedBackend::Config", "AdminConfig")
 SHIPPING = ("bench", "examples", "perfbench")
 
 
@@ -36,16 +42,30 @@ def sources(root, top, exts=(".h", ".cpp")):
                 yield os.path.join(base, name)
 
 
+def body_end(text, start):
+    """Index just past the brace that closes the body opening before
+    `start`."""
+    depth, i = 1, start
+    while depth and i < len(text):
+        depth += {"{": 1, "}": -1}.get(text[i], 0)
+        i += 1
+    return i
+
+
 def struct_fields(root):
-    """Maps struct name -> [(type, field)] for every struct in src/ headers."""
+    """Maps struct name -> [(type, field)] for every struct in src/ headers;
+    a struct declared inside a class or struct is named `Outer::Inner`."""
     structs = {}
     for path in sources(root, "src", (".h",)):
         text = strip_comments(open(path, encoding="utf-8").read())
+        scopes = [(m.start(), body_end(text, m.end()), m.group(1))
+                  for m in re.finditer(
+                      r"\b(?:class|struct)\s+(\w+)[^;{()]*\{", text)]
         for m in re.finditer(r"\bstruct\s+(\w+)\s*\{", text):
-            depth, i = 1, m.end()
-            while depth and i < len(text):
-                depth += {"{": 1, "}": -1}.get(text[i], 0)
-                i += 1
+            i = body_end(text, m.end())
+            outer = [name for start, end, name in scopes
+                     if start < m.start() and m.end() < end]
+            name = "::".join(outer[-1:] + [m.group(1)])
             body, fields, level, stmt = text[m.end():i - 1], [], 0, ""
             for ch in body:
                 if ch == "{":
@@ -64,7 +84,7 @@ def struct_fields(root):
                     stmt = ""
                 elif level == 0:
                     stmt += ch
-            structs.setdefault(m.group(1), fields)
+            structs.setdefault(name, fields)
     return structs
 
 
@@ -90,9 +110,11 @@ def aggregate_args(text, start):
 
 def positional(structs, text):
     """(struct, field) pairs that positional aggregates in `text` assign."""
-    names = "|".join(sorted(structs, key=len, reverse=True))
+    names = "|".join(re.escape(n) for n in sorted(structs, key=len, reverse=True))
     credited = set()
     for m in re.finditer(r"\b(" + names + r")(?:\s+\w+)?\s*\{", text):
+        if re.search(r"\b(struct|class)\s+$", text[:m.start()]):
+            continue  # the declaration itself, not an aggregate
         args = aggregate_args(text, m.end())
         if not args or args[0].startswith("."):  # empty or designated
             continue
@@ -104,7 +126,7 @@ def positional(structs, text):
 def knobs(structs, name, prefix):
     for ftype, field in structs.get(name, []):
         path = prefix + "." + field
-        yield path, name, field
+        yield path, name, field, ftype
         # A nested root (BrokerDaemonConfig.broker) is listed on its own.
         if ftype in structs and ftype != name and ftype not in ROOTS:
             yield from knobs(structs, ftype, path)
@@ -118,7 +140,7 @@ def main():
         for _, field in fields:
             declared[field] = declared.get(field, 0) + 1
     texts, credits = {}, {}
-    for top in SHIPPING + ("tests",):
+    for top in SHIPPING + ("tests", "src"):
         for path in sources(root, top):
             rel = os.path.relpath(path, root)
             texts[rel] = strip_comments(open(path, encoding="utf-8").read())
@@ -131,18 +153,28 @@ def main():
                       if p.split(os.sep)[0] in tops and (
                           pattern.search(t) or (owner, field) in credits[p]))
 
-    count = unset = tests_only = 0
+    rows = []
     for name in ROOTS:
-        for path, owner, field in knobs(structs, name, name):
-            count += 1
-            mark = "~" if declared.get(field, 0) > 1 else " "
+        for path, owner, field, ftype in knobs(structs, name, name):
             ship = setters(owner, field, SHIPPING)
-            tests = setters(owner, field, ("tests",))
-            unset += not ship and not tests
-            tests_only += not ship and bool(tests)
-            print(f"{mark}{path}\n    shipping: {' '.join(ship) or '-'}"
-                  f"\n    tests:    {' '.join(tests) or '-'}")
-    print(f"knobs: {count} fields, {unset} unset, {tests_only} tests-only")
+            ship += ["src"] if setters(owner, field, ("src",)) else []
+            rows.append((path, field, ftype, ship,
+                         setters(owner, field, ("tests",))))
+    unset = tests_only = 0
+    for path, field, ftype, ship, tests in rows:
+        # An enclosing struct is set wherever one of its members is (a
+        # nested root's members are listed under the root's own name).
+        inner = (ftype if ftype in ROOTS else path) + "."
+        for sub, _, _, sub_ship, sub_tests in rows:
+            if sub.startswith(inner):
+                ship = sorted(set(ship) | set(sub_ship))
+                tests = sorted(set(tests) | set(sub_tests))
+        mark = "~" if declared.get(field, 0) > 1 else " "
+        unset += not ship and not tests
+        tests_only += not ship and bool(tests)
+        print(f"{mark}{path}\n    shipping: {' '.join(ship) or '-'}"
+              f"\n    tests:    {' '.join(tests) or '-'}")
+    print(f"knobs: {len(rows)} fields, {unset} unset, {tests_only} tests-only")
 
 
 if __name__ == "__main__":

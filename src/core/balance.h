@@ -52,6 +52,8 @@ const char* balance_policy_name(BalancePolicy p);
 std::optional<BalancePolicy> parse_balance_policy(std::string_view name);
 
 /// Replica-health policy knobs. eject_after = 0 disables health tracking.
+/// Set them for a pool where one replica can die while the others serve:
+/// the shipped programs run replicas that stay up, so none sets them.
 struct HealthConfig {
   int eject_after = 0;          ///< consecutive failures that eject a replica
   double eject_duration = 1.0;  ///< seconds ejected before a half-open probe

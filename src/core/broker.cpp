@@ -341,7 +341,7 @@ void ServiceBroker::dispatch(ReadyBatch ready, double now) {
       // dispatch queue and, while the pool stays saturated, is shed in turn
       // until the waiter list drains — the loop terminates).
       if (single_flight_enabled()) {
-        settle_abandoned_flight(ready.batch.member_payloads[i], id, now);
+        settle_abandoned_flight(ready.batch.member_payloads[i], id);
       }
     }
     return;
@@ -452,7 +452,7 @@ void ServiceBroker::on_exchange_complete(uint64_t exchange_id, double now, bool 
       if (ctx_it == contexts_.end() || ctx_it->second->exchange != exchange_id) {
         // The member expired (or moved on) mid-exchange; its fetch chain
         // ends here, so a flight it still leads must be re-led or dropped.
-        if (single_flight_enabled()) settle_abandoned_flight(key, id, now);
+        if (single_flight_enabled()) settle_abandoned_flight(key, id);
         continue;
       }
       RequestContext& ctx = *ctx_it->second;
@@ -460,7 +460,7 @@ void ServiceBroker::on_exchange_complete(uint64_t exchange_id, double now, bool 
       obs_.record(ctx.base_level, obs::Stage::kChannelRtt, now - ctx.dispatched_at);
       if (may_retry(ctx, now)) {
         // The flight (if any) stays with this member: its chain continues.
-        retries_.emplace(now + config_.lifecycle.retry_backoff * ctx.attempts, id);
+        retries_.emplace(now + kRetryBackoff * ctx.attempts, id);
         if (!ctx.background) metrics_.at(ctx.base_level).retries += 1;
         obs_.trace(now, ctx.request_id, obs::TraceEventKind::kRetry,
                    static_cast<uint8_t>(ctx.base_level),
@@ -571,7 +571,7 @@ void ServiceBroker::shed_context(RequestContext* ctx, double now, bool deadline_
 
 bool ServiceBroker::may_retry(const RequestContext& ctx, double now) const {
   if (ctx.attempts >= ctx.attempt_budget) return false;
-  double ready_at = now + config_.lifecycle.retry_backoff * ctx.attempts;
+  double ready_at = now + kRetryBackoff * ctx.attempts;
   return ctx.deadline == kNoDeadline || ready_at < ctx.deadline;
 }
 
@@ -601,7 +601,7 @@ void ServiceBroker::expire_deadlines(double now) {
           // parked for a retry slot that now never fires): promote a waiter
           // or drop the flight. A leader with a live exchange keeps it —
           // the completion or the harvest settles the flight.
-          settle_abandoned_flight(ctx->payload, ctx->id, now);
+          settle_abandoned_flight(ctx->payload, ctx->id);
         }
       }
     }
@@ -637,7 +637,7 @@ void ServiceBroker::harvest_exchange(uint64_t exchange_id, double now) {
   if (single_flight_enabled()) {
     for (size_t i = 0; i < exchange.batch.member_ids.size(); ++i) {
       settle_abandoned_flight(exchange.batch.member_payloads[i],
-                              exchange.batch.member_ids[i], now);
+                              exchange.batch.member_ids[i]);
     }
   }
 }
@@ -667,14 +667,7 @@ void ServiceBroker::drain_retries(double now) {
         it->second->attempts == 0) {
       continue;
     }
-    const RequestContext& ctx = *it->second;
-    ReadyBatch ready;
-    ready.batch.member_ids = {id};
-    ready.batch.member_payloads = {std::string(ctx.payload)};
-    ready.batch.combined_payload = std::string(ctx.payload);
-    ready.priority = ctx.effective_level;
-    ready.avoid = ctx.last_backend;
-    dispatch_queue_.push(ready.priority, std::move(ready));
+    requeue_single(*it->second);
   }
 }
 
@@ -715,6 +708,11 @@ void ServiceBroker::evaluate_overload(double now) {
   OverloadSignal signal;
   signal.samples = std::max(total.count_since(overload_total_base_, kMinSignal),
                             queue.count_since(overload_queue_base_, kMinSignal));
+  // A thin interval carries no signal. Keep the previous snapshots, so the
+  // window stretches until it does: at a cut threshold the admitted backlog,
+  // and with it the samples per interval, shrinks, and a fixed window would
+  // freeze the threshold where it stands.
+  if (signal.samples < kMinSamples) return;
   signal.p95 =
       std::max(total.quantile_since(overload_total_base_, 0.95, kMinSignal),
                queue.quantile_since(overload_queue_base_, 0.95, kMinSignal));
@@ -770,14 +768,14 @@ void ServiceBroker::resolve_flight(std::string_view key, double now, bool ok,
 }
 
 void ServiceBroker::settle_abandoned_flight(std::string_view key,
-                                            uint64_t member_id, double now) {
+                                            uint64_t member_id) {
   auto fit = flights_.find(key);
   if (fit == flights_.end() || fit->second.leader != member_id) return;
   if (contexts_.count(member_id)) return;  // chain still alive (retry pending)
-  promote_or_drop(key, now);
+  promote_or_drop(key);
 }
 
-void ServiceBroker::promote_or_drop(std::string_view key, double now) {
+void ServiceBroker::promote_or_drop(std::string_view key) {
   auto fit = flights_.find(key);
   if (fit == flights_.end()) return;
   Flight& flight = fit->second;
@@ -800,16 +798,20 @@ void ServiceBroker::promote_or_drop(std::string_view key, double now) {
   waiters.erase(waiters.begin());
   flight.leader = next_leader;
   metrics_.flight.promotions += 1;
-  // Re-enter the dispatch path as a single-member batch, exactly like a
-  // retry; every caller reaches pump() before returning to the event loop.
-  const RequestContext& ctx = *contexts_.at(next_leader);
+  // Re-enter the dispatch path exactly like a retry (a waiter was never
+  // dispatched, so it has no replica to avoid); every caller reaches pump()
+  // before returning to the event loop.
+  requeue_single(*contexts_.at(next_leader));
+}
+
+void ServiceBroker::requeue_single(const RequestContext& ctx) {
   ReadyBatch ready;
-  ready.batch.member_ids = {next_leader};
+  ready.batch.member_ids = {ctx.id};
   ready.batch.member_payloads = {std::string(ctx.payload)};
   ready.batch.combined_payload = std::string(ctx.payload);
   ready.priority = ctx.effective_level;
+  ready.avoid = ctx.last_backend;
   dispatch_queue_.push(ready.priority, std::move(ready));
-  (void)now;
 }
 
 void ServiceBroker::drain_flight_wakeups(double now) {
@@ -844,7 +846,7 @@ void ServiceBroker::drain_flight_wakeups(double now) {
       case LookupOutcome::kMiss:
         // The remote fetch died without publishing anything: promote a
         // local waiter to lead a fresh fetch (re-claiming the table entry).
-        promote_or_drop(key, now);
+        promote_or_drop(key);
         break;
     }
   }

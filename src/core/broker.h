@@ -80,6 +80,9 @@ inline constexpr double kBackgroundDeadline = 1.0;
 /// transport-timeout win would burn the attempt and turn a clean deadline
 /// shed into an error completion).
 inline constexpr double kTransportSlack = 0.05;
+/// Base pause before a retry is re-dispatched; attempt n waits
+/// n * kRetryBackoff seconds.
+inline constexpr double kRetryBackoff = 0.005;
 
 struct BrokerConfig {
   QosRules rules;                  ///< levels + outstanding threshold
@@ -303,10 +306,15 @@ class ServiceBroker {
   /// total/queue-wait histograms, feeds the interval's p95 + deadline budget
   /// to the OverloadController, and flips the dispatch queue's LIFO
   /// discipline when the overload mode changed. No-op off the evaluation
-  /// cadence and for static-without-lifo policies.
+  /// cadence, for static-without-lifo policies, and for an interval with
+  /// fewer than kMinSamples fresh samples (its window then stretches).
   void evaluate_overload(double now);
   void expire_deadlines(double now);
   void drain_retries(double now);
+  /// Queues `ctx` alone as a single-member batch at its effective class,
+  /// steering off the replica of its last attempt: a retry, or a waiter
+  /// promoted to lead its flight.
+  void requeue_single(const RequestContext& ctx);
   void harvest_exchange(uint64_t exchange_id, double now);
   void report_health(size_t backend, bool ok, double now,
                      double latency = -1.0);
@@ -327,9 +335,8 @@ class ServiceBroker {
   /// (expired pre-dispatch, harvested, or failed with no retry budget while
   /// already shed): if it still leads the flight, promote a live waiter to
   /// leader or drop the flight.
-  void settle_abandoned_flight(std::string_view key, uint64_t member_id,
-                               double now);
-  void promote_or_drop(std::string_view key, double now);
+  void settle_abandoned_flight(std::string_view key, uint64_t member_id);
+  void promote_or_drop(std::string_view key);
   /// Processes keys whose flights resolved on other shards: re-probes the
   /// shared cache and answers the parked waiters (or promotes a new leader
   /// when the remote fetch died).

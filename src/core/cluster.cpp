@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "db/parser.h"
-
 namespace sbroker::core {
 
 ClusterEngine::ClusterEngine(ClusterConfig config) : config_(config) {
@@ -38,30 +36,7 @@ Batch ClusterEngine::build_batch() {
   pending_payloads_.clear();
   ++batches_emitted_;
 
-  if (config_.strategy == RewriteStrategy::kSqlRepeat && batch.member_ids.size() > 1) {
-    bool homogeneous = true;
-    for (size_t i = 1; i < batch.member_payloads.size(); ++i) {
-      if (batch.member_payloads[i] != batch.member_payloads[0]) {
-        homogeneous = false;
-        break;
-      }
-    }
-    if (homogeneous) {
-      // Rewrite "Q" x n as "Q REPEAT n" when Q parses as our SQL subset.
-      try {
-        db::SelectQuery q = db::parse_select(batch.member_payloads[0]);
-        q.repeat *= batch.member_ids.size();
-        batch.combined_payload = q.to_string();
-        batch.used_strategy = RewriteStrategy::kSqlRepeat;
-        return batch;
-      } catch (const db::ParseError&) {
-        // Not SQL; fall through to record separation.
-      }
-    }
-  }
-
   batch.combined_payload = join_payloads(batch.member_payloads);
-  batch.used_strategy = RewriteStrategy::kRecordSeparated;
   return batch;
 }
 
@@ -69,16 +44,6 @@ std::vector<std::string> ClusterEngine::split_reply(const Batch& batch,
                                                     const std::string& combined_reply) {
   size_t n = batch.member_ids.size();
   if (n == 1) return {combined_reply};
-
-  if (batch.used_strategy == RewriteStrategy::kSqlRepeat) {
-    // The REPEAT result concatenates n identical result sets; every member
-    // asked the identical query, so each gets one copy. The backend joins
-    // per-repeat chunks with the record separator (see srv/db_backend);
-    // if it did not, fall through to the degraded path below.
-    auto records = split_records(combined_reply);
-    if (records.size() == n) return records;
-    return std::vector<std::string>(n, combined_reply);
-  }
 
   auto records = split_records(combined_reply);
   if (records.size() == n) return records;

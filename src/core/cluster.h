@@ -7,14 +7,12 @@
 // configured degree is reached or the oldest member has waited past the
 // flush deadline. One batch maps to one backend access.
 //
-// Two rewrite strategies are provided:
-//   * kRecordSeparated — member payloads joined with the ASCII record
-//     separator (0x1e). Backends in this repo execute each record and join
-//     the per-record results the same way, so splitting is exact.
-//   * kSqlRepeat — when all member payloads are the identical SQL text, the
-//     batch is rewritten as a single `... REPEAT n` statement, reproducing
-//     the paper's script-repeats-workload trick. Falls back to
-//     kRecordSeparated for heterogeneous members.
+// The batch is rewritten by joining the member payloads with the ASCII
+// record separator (0x1e). Backends in this repo execute each record and
+// join the per-record results the same way, so splitting is exact.
+// Identical misses never share a batch (single-flight parks the repeats on
+// the first fetch), so the paper's script-repeats-workload form
+// (`... REPEAT n`) has nothing to batch; the db layer still executes it.
 //
 // MGET batching for plain HTTP targets lives in http/mget.h; the broker
 // picks it when payloads look like URI targets.
@@ -30,12 +28,9 @@ namespace sbroker::core {
 /// ASCII record separator joining batched payloads and batched results.
 inline constexpr char kRecordSep = '\x1e';
 
-enum class RewriteStrategy { kRecordSeparated, kSqlRepeat };
-
 struct ClusterConfig {
   size_t degree = 1;        ///< members per batch; 1 disables clustering
   double max_wait = 0.05;   ///< seconds the oldest member may wait
-  RewriteStrategy strategy = RewriteStrategy::kRecordSeparated;
 };
 
 /// One flushed batch.
@@ -43,7 +38,6 @@ struct Batch {
   std::vector<uint64_t> member_ids;       ///< request ids, arrival order
   std::vector<std::string> member_payloads;
   std::string combined_payload;           ///< what goes to the backend
-  RewriteStrategy used_strategy = RewriteStrategy::kRecordSeparated;
 };
 
 class ClusterEngine {

@@ -21,13 +21,13 @@ LoadState HotSpotDetector::observe(double outstanding) {
     ewma_ = outstanding;
     primed_ = true;
   } else {
-    ewma_ = config_.alpha * outstanding + (1.0 - config_.alpha) * ewma_;
+    ewma_ = kHotSpotAlpha * outstanding + (1.0 - kHotSpotAlpha) * ewma_;
   }
 
   double warm_up = config_.warm_threshold;
   double hot_up = config_.hot_threshold;
-  double warm_down = warm_up * (1.0 - config_.hysteresis);
-  double hot_down = hot_up * (1.0 - config_.hysteresis);
+  double warm_down = warm_up * (1.0 - kHotSpotHysteresis);
+  double hot_down = hot_up * (1.0 - kHotSpotHysteresis);
 
   switch (state_) {
     case LoadState::kNormal:

@@ -22,11 +22,14 @@ enum class LoadState { kNormal = 0, kWarm = 1, kHot = 2 };
 
 const char* load_state_name(LoadState s);
 
+/// EWMA weight of the newest outstanding-count sample.
+inline constexpr double kHotSpotAlpha = 0.2;
+/// Fractional band below each threshold that must be crossed to de-escalate.
+inline constexpr double kHotSpotHysteresis = 0.1;
+
 struct HotSpotConfig {
   double warm_threshold = 10.0;  ///< EWMA outstanding at which WARM begins
   double hot_threshold = 18.0;   ///< EWMA outstanding at which HOT begins
-  double alpha = 0.2;            ///< EWMA weight of the newest sample
-  double hysteresis = 0.1;       ///< fractional band for de-escalation
 };
 
 class HotSpotDetector {

@@ -72,18 +72,19 @@ class ReplyViewFn {
   void (*call_)(void*, const ReplyView&);
 };
 
-/// Deadline / retry policy knobs, part of BrokerConfig.
+/// Deadline / retry policy knobs, part of BrokerConfig. Retries back off by
+/// kRetryBackoff (core/broker.h).
 struct LifecycleConfig {
   /// Deadline applied to requests that do not carry their own, in seconds
-  /// after submit. 0 = no implicit deadline.
+  /// after submit. 0 = no implicit deadline. Set it for a deployment whose
+  /// HTTP clients send no X-Deadline-Ms, so their requests still shed.
   double default_deadline = 0.0;
-  /// Upper clamp on client-supplied deadlines, seconds. 0 = no clamp.
+  /// Upper clamp on client-supplied deadlines, seconds. 0 = no clamp. Set it
+  /// for a deployment whose clients may send an unbounded X-Deadline-Ms.
   double max_deadline = 0.0;
   /// Backend exchanges one request may consume (first attempt included).
   /// 1 = no broker-level retry, the pre-lifecycle behaviour.
   int max_attempts = 1;
-  /// Base pause before a retry is re-dispatched; attempt n waits n*backoff.
-  double retry_backoff = 0.005;
 };
 
 /// One admitted request, from admission until its single reply. Replaces the

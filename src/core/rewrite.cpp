@@ -17,9 +17,9 @@ RewriteOutcome QueryRewriter::apply(const std::string& payload, QosLevel level,
   level = rules_.clamp_level(level);
   std::optional<uint64_t> cap;
   if (load == LoadState::kHot && level < rules_.num_levels) {
-    cap = config_.hot_limit;
-  } else if (load == LoadState::kWarm && level <= config_.warm_degrade_below) {
-    cap = config_.warm_limit;
+    cap = kHotLimit;
+  } else if (load == LoadState::kWarm && level <= kWarmDegradeBelow) {
+    cap = kWarmLimit;
   }
   if (!cap) return out;
 

@@ -23,13 +23,15 @@
 
 namespace sbroker::core {
 
+/// Classes <= this are degraded under WARM load.
+inline constexpr QosLevel kWarmDegradeBelow = 2;
+/// LIMIT cap applied under WARM.
+inline constexpr uint64_t kWarmLimit = 50;
+/// LIMIT cap applied under HOT, to every class below the top one.
+inline constexpr uint64_t kHotLimit = 10;
+
 struct RewriteConfig {
   bool enabled = false;
-  /// Classes <= this are degraded under WARM load.
-  QosLevel warm_degrade_below = 2;
-  uint64_t warm_limit = 50;   ///< LIMIT cap applied under WARM
-  /// Classes < the top class are degraded under HOT load.
-  uint64_t hot_limit = 10;    ///< LIMIT cap applied under HOT
 };
 
 struct RewriteOutcome {

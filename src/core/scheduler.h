@@ -14,9 +14,8 @@
 // never affected — LIFO applies strictly within one class's queue.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <deque>
-#include <functional>
 #include <map>
 #include <optional>
 
@@ -27,19 +26,10 @@ namespace sbroker::core {
 template <typename T>
 class QosScheduler {
  public:
-  explicit QosScheduler(size_t per_class_limit = SIZE_MAX)
-      : per_class_limit_(per_class_limit) {}
-
-  /// Enqueues `item` at `level`. Returns false when the class queue is full.
-  bool push(QosLevel level, T item) {
-    auto& q = queues_[-level];
-    if (q.size() >= per_class_limit_) {
-      ++rejected_;
-      return false;
-    }
-    q.push_back(std::move(item));
+  /// Enqueues `item` at `level`.
+  void push(QosLevel level, T item) {
+    queues_[-level].push_back(std::move(item));
     ++size_;
-    return true;
   }
 
   /// Removes and returns the highest-priority item (FIFO within class, or
@@ -64,49 +54,13 @@ class QosScheduler {
   /// Flips the within-class pop order; queued items keep their positions, so
   /// flipping back mid-stream resumes FIFO over the surviving entries.
   void set_lifo(bool lifo) { lifo_ = lifo; }
-  bool lifo() const { return lifo_; }
 
-  /// Level of the item pop() would return; nullopt when empty.
-  std::optional<QosLevel> front_level() const {
-    for (const auto& [neg_level, q] : queues_) {
-      if (!q.empty()) return -neg_level;
-    }
-    return std::nullopt;
-  }
-
-  /// Drops up to `n` items from the *lowest* class upward (load shedding).
-  /// `on_drop` is invoked for each victim. Returns the number dropped.
-  size_t shed_lowest(size_t n, const std::function<void(QosLevel, T&)>& on_drop) {
-    size_t dropped = 0;
-    while (dropped < n && size_ > 0) {
-      auto it = queues_.rbegin();
-      while (it != queues_.rend() && it->second.empty()) ++it;
-      if (it == queues_.rend()) break;
-      QosLevel level = -it->first;
-      T item = std::move(it->second.front());
-      it->second.pop_front();
-      --size_;
-      on_drop(level, item);
-      ++dropped;
-    }
-    return dropped;
-  }
-
-  size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
-  uint64_t rejected() const { return rejected_; }
-
-  size_t size_at(QosLevel level) const {
-    auto it = queues_.find(-level);
-    return it == queues_.end() ? 0 : it->second.size();
-  }
 
  private:
   // Key is -level so begin() is the highest class.
   std::map<int, std::deque<T>> queues_;
-  size_t per_class_limit_;
   size_t size_ = 0;
-  uint64_t rejected_ = 0;
   bool lifo_ = false;
 };
 

@@ -51,7 +51,6 @@ bool ShardPeering::acting_owner(std::string_view key) const {
 
 bool ShardPeering::try_forward(const http::BrokerRequest& request,
                                ForwardDone done) {
-  if (!config_.forward_misses) return false;
   // Ownership among live peers only: a down owner's range falls to its ring
   // successor, and when that successor is us we fetch locally instead.
   size_t owner = ring_.owner_if(request.payload, [this](size_t member) {
@@ -87,7 +86,6 @@ bool ShardPeering::try_forward(const http::BrokerRequest& request,
 
 void ShardPeering::on_served(std::string_view key, std::string_view value,
                              http::Fidelity fidelity) {
-  if (!config_.replicate_hot) return;
   // Only real answers replicate; busy notices and errors are not results.
   if (fidelity != http::Fidelity::kFull && fidelity != http::Fidelity::kCached) {
     return;
@@ -100,13 +98,13 @@ void ShardPeering::on_served(std::string_view key, std::string_view value,
   double now = reactor_.now();
   auto [it, inserted] = hot_.try_emplace(std::string(key));
   HotEntry& entry = it->second;
-  if (inserted || now - entry.window_start > config_.hot_window) {
+  if (inserted || now - entry.window_start > kHotWindow) {
     entry.window_start = now;
     entry.count = 0;
     entry.pushed = false;
   }
   ++entry.count;
-  if (!entry.pushed && entry.count >= config_.hot_threshold) {
+  if (!entry.pushed && entry.count >= kHotThreshold) {
     entry.pushed = true;  // once per window, not once per access past it
     push_to_peers(key, value);
   }
@@ -156,11 +154,8 @@ FederatedDaemon::FederatedDaemon(std::string name,
                                  FedNodeConfig fed_config)
     : name_(std::move(name)),
       fed_config_(std::move(fed_config)),
-      ring_(member_identities(fed_config_.peer_ports), fed_config_.vnodes),
-      view_(fed_config_.peer_ports.size(),
-            fed_config_.stale_after > 0.0
-                ? fed_config_.stale_after
-                : 3.0 * fed_config_.gossip_interval),
+      ring_(member_identities(fed_config_.peer_ports)),
+      view_(fed_config_.peer_ports.size(), 3.0 * fed_config_.gossip_interval),
       daemon_(name_,
               [&]() {
                 daemon_config.listen_port =
@@ -188,7 +183,7 @@ void FederatedDaemon::add_backend(
 
 void FederatedDaemon::start() {
   daemon_.start();
-  if (fed_config_.gossip && fed_config_.peer_ports.size() > 1) {
+  if (fed_config_.peer_ports.size() > 1) {
     gossip_stop_.store(false, std::memory_order_relaxed);
     arm_gossip();
   }

@@ -15,14 +15,15 @@
 //     (it answers a kPeerFetch locally by construction), so forwarding
 //     loops are impossible.
 //
-//   * Replication. A key whose owner serves it more than `hot_threshold`
-//     times within `hot_window` seconds is pushed (kPeerPush) to every
+//   * Replication. A key whose owner serves it kHotThreshold times within
+//     kHotWindow seconds is pushed (kPeerPush) to every
 //     peer's cache, converting the tier back to local-hit behaviour for
 //     the keys where forwarding latency would actually be paid often.
 //
 //   * Global view. Every `gossip_interval` seconds each node broadcasts a
 //     kGossip frame (outstanding count, effective admission threshold,
-//     overload flag). Receivers fold these into a GlobalView whose
+//     overload flag). Receivers fold these into a GlobalView (a report
+//     older than three intervals is stale) whose
 //     remote_pressure() feeds each broker's admission decision as a tier
 //     load floor — a node with local headroom sheds for the tier when its
 //     peers are drowning (PAPER.md's "global view" overload control).
@@ -49,21 +50,18 @@
 
 namespace sbroker::fed {
 
+/// Owner-side serves of one key per window that make it hot (replicated).
+inline constexpr uint32_t kHotThreshold = 8;
+/// Seconds per hotness window.
+inline constexpr double kHotWindow = 1.0;
+
 struct FedNodeConfig {
   uint32_t node_id = 0;              ///< this node's index into `peer_ports`
   std::vector<uint16_t> peer_ports;  ///< every member's main port, self included
-  size_t vnodes = 128;               ///< ring virtual nodes per member
-
-  bool forward_misses = true;   ///< kPeerFetch misses to their ring owner
-  bool replicate_hot = true;    ///< kPeerPush keys crossing the hot threshold
-  bool gossip = true;           ///< broadcast kGossip load reports
-
-  uint32_t hot_threshold = 8;   ///< owner-side serves per window to go hot
-  double hot_window = 1.0;      ///< seconds per hotness window
   double forward_timeout = 0.25;  ///< peer exchange deadline, seconds
   double dial_backoff = 0.3;    ///< seconds between dials to a down peer
-  double gossip_interval = 0.1; ///< seconds between load broadcasts
-  double stale_after = 0.0;     ///< gossip freshness window; 0 = 3x interval
+  /// Seconds between load broadcasts; a peer's report goes stale after three.
+  double gossip_interval = 0.1;
 };
 
 /// Node-wide federation counters, shared by every shard's peering (relaxed

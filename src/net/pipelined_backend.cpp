@@ -15,7 +15,6 @@ PipelinedBackend::PipelinedBackend(Reactor& reactor, uint16_t port, Config confi
     : reactor_(reactor), port_(port), config_(config) {
   if (config_.max_connections == 0) config_.max_connections = 1;
   if (config_.pipeline_depth == 0) config_.pipeline_depth = 1;
-  if (config_.max_attempts == 0) config_.max_attempts = 1;
 }
 
 size_t PipelinedBackend::in_flight() const {
@@ -219,7 +218,7 @@ void PipelinedBackend::handle_close(uint64_t channel_id) {
                          : "backend connection closed mid-response");
       continue;
     }
-    if (exchange->attempts >= config_.max_attempts) {
+    if (exchange->attempts >= kMaxAttempts) {
       complete(exchange, false, "backend connection closed");
       continue;
     }

@@ -28,7 +28,7 @@
 //     failed only if its response was partially received (re-issuing it
 //     could double-execute); every other queued exchange is re-issued on a
 //     surviving or fresh connection, each completing exactly once, with at
-//     most Config::max_attempts assignments before it fails;
+//     most kMaxAttempts assignments before it fails;
 //   * bounds half-stalled connections: an exchange that has not produced a
 //     full response within its deadline (Call::timeout when the broker set
 //     one, else Config::response_timeout) fails with a timeout, its
@@ -55,13 +55,18 @@ namespace sbroker::net {
 class PipelinedBackend : public core::Backend,
                          public std::enable_shared_from_this<PipelinedBackend> {
  public:
+  /// Connection assignments per exchange: one re-issue after a connection
+  /// loss, then the exchange fails.
+  static constexpr size_t kMaxAttempts = 2;
+
   struct Config {
     size_t max_connections = 4;  ///< physical connections to the backend
     size_t pipeline_depth = 64;  ///< in-flight exchanges per connection
-    size_t max_attempts = 2;     ///< connection assignments per exchange
     /// Fallback bound on how long one exchange may wait for its full
     /// response when the broker set no Call::timeout; 0 = wait forever
-    /// (pre-lifecycle behaviour).
+    /// (pre-lifecycle behaviour). Set it for a replica pool fronted without
+    /// broker deadlines, where a stalled replica must fail over (a broker
+    /// deadline would shed the request instead of retrying it elsewhere).
     double response_timeout = 30.0;
 
     /// Mirrors the broker's connection-pool accounting so the wire enforces

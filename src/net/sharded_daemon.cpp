@@ -37,10 +37,10 @@ ShardedBrokerDaemon::ShardedBrokerDaemon(std::string name,
   // in lockstep.
   cache_ = std::make_shared<core::StripedResultCache>(
       config_.broker.cache_capacity, config_.broker.cache_ttl,
-      config_.cache_stripes, config_.broker.cache_tuning,
+      kCacheStripes, config_.broker.cache_tuning,
       core::ttl_salt(config_.broker.rng_seed));
   load_ = std::make_shared<core::LoadTracker>();
-  flights_ = std::make_shared<core::FlightTable>(config_.cache_stripes);
+  flights_ = std::make_shared<core::FlightTable>(kCacheStripes);
 
   bool kernel_sharding =
       !config_.force_acceptor_fallback && reuseport_supported();

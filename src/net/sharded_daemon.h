@@ -39,6 +39,10 @@
 
 namespace sbroker::net {
 
+/// Lock stripes of the shared result cache and of the shared single-flight
+/// table.
+inline constexpr size_t kCacheStripes = 8;
+
 struct ShardedBrokerDaemonConfig {
   core::BrokerConfig broker;     ///< per-shard broker configuration
   size_t shards = 1;             ///< reactor threads; clamped to >= 1
@@ -46,7 +50,6 @@ struct ShardedBrokerDaemonConfig {
   bool enable_udp = true;        ///< shared UDP port (shard 0 only in fallback)
   uint16_t udp_port = 0;         ///< 0 = ephemeral
   double tick_interval = 0.02;   ///< per-shard housekeeping tick, seconds
-  size_t cache_stripes = 8;      ///< lock stripes of the shared result cache
   /// Skip SO_REUSEPORT and use the single-acceptor round-robin path even
   /// when the kernel supports accept sharding (used by tests).
   bool force_acceptor_fallback = false;

@@ -618,7 +618,6 @@ TEST(Lifecycle, PerRequestDeadlineOverridesAndClamps) {
 TEST(Lifecycle, RetryMovesToDifferentReplica) {
   BrokerConfig cfg = basic_config();
   cfg.lifecycle.max_attempts = 2;
-  cfg.lifecycle.retry_backoff = 0.01;
   cfg.balance = BalancePolicy::kRoundRobin;
   ServiceBroker broker("b", cfg);
   auto first = std::make_shared<TokenBackend>();
@@ -651,7 +650,6 @@ TEST(Lifecycle, RetryMovesToDifferentReplica) {
 TEST(Lifecycle, AttemptBudgetExhaustedYieldsError) {
   BrokerConfig cfg = basic_config();
   cfg.lifecycle.max_attempts = 2;
-  cfg.lifecycle.retry_backoff = 0.01;
   ServiceBroker broker("b", cfg);
   auto backend = std::make_shared<TokenBackend>();
   broker.add_backend(backend);
@@ -671,14 +669,14 @@ TEST(Lifecycle, AttemptBudgetExhaustedYieldsError) {
 TEST(Lifecycle, RetryNotScheduledPastDeadline) {
   BrokerConfig cfg = basic_config();
   cfg.lifecycle.max_attempts = 3;
-  cfg.lifecycle.retry_backoff = 0.2;  // backoff alone overshoots the deadline
   cfg.lifecycle.default_deadline = 0.1;
   ServiceBroker broker("b", cfg);
   auto backend = std::make_shared<TokenBackend>();
   broker.add_backend(backend);
   Capture cap;
   broker.submit(0.0, make_request(1, 3, "q"), cap.fn());
-  backend->complete(0, 0.05, false, "boom");
+  // Fails so close to the deadline that the backoff alone overshoots it.
+  backend->complete(0, 0.1 - kRetryBackoff / 2, false, "boom");
   // No budget left inside the deadline: fail now instead of retrying.
   ASSERT_EQ(cap.replies.size(), 1u);
   EXPECT_EQ(cap.replies[0].fidelity, http::Fidelity::kError);
@@ -712,6 +710,52 @@ TEST(Lifecycle, CompletionOutcomesDriveEjectionMetrics) {
   good->complete(0, 1.05, true, "ok");
   ASSERT_EQ(cap.replies.size(), 1u);
   EXPECT_EQ(cap.replies[0].fidelity, http::Fidelity::kFull);
+}
+
+TEST(Lifecycle, ProbeRefusedByASaturatedPoolIsIssuedAgain) {
+  BrokerConfig cfg = basic_config();
+  cfg.health = HealthConfig{1, 1.0};   // eject on the first failure, for 1 s
+  cfg.pool = PoolConfig{1, 1, true};   // room for one exchange in flight
+  ServiceBroker broker("b", cfg);
+  auto bad = std::make_shared<TokenBackend>();
+  auto good = std::make_shared<TokenBackend>();
+  broker.add_backend(bad);
+  broker.add_backend(good);
+
+  // Least-outstanding ties break toward replica 0: one failure ejects it.
+  Capture first;
+  broker.submit(0.0, make_request(1, 3, "q1"), first.fn());
+  bad->complete(0, 0.01, false, "down");
+  ASSERT_TRUE(broker.balancer().ejected(0));
+
+  // The healthy replica holds the pool's only lease.
+  Capture holder;
+  broker.submit(0.5, make_request(2, 3, "q2"), holder.fn());
+  ASSERT_EQ(good->invocations.size(), 1u);
+
+  // Past the eject window replica 0 is due its half-open probe, but the
+  // saturated pool refuses the carrier: the request is shed, the probe
+  // abandoned.
+  Capture refused;
+  broker.submit(1.5, make_request(3, 3, "q3"), refused.fn());
+  ASSERT_EQ(refused.replies.size(), 1u);
+  EXPECT_EQ(refused.replies[0].fidelity, http::Fidelity::kBusy);
+  EXPECT_EQ(broker.balancer().probes(), 1u);
+  EXPECT_EQ(bad->invocations.size(), 1u);
+  EXPECT_EQ(broker.metrics().lifecycle.probes, 0u);  // none reached the wire
+
+  // With the pool free again the next request carries a new probe, and its
+  // success ends the ejection.
+  good->complete(0, 1.6, true, "ok");
+  Capture probe;
+  broker.submit(1.7, make_request(4, 3, "q4"), probe.fn());
+  EXPECT_EQ(broker.balancer().probes(), 2u);
+  ASSERT_EQ(bad->invocations.size(), 2u);
+  bad->complete(1, 1.75, true, "back");
+  ASSERT_EQ(probe.replies.size(), 1u);
+  EXPECT_EQ(probe.replies[0].fidelity, http::Fidelity::kFull);
+  EXPECT_FALSE(broker.balancer().ejected(0));
+  EXPECT_EQ(broker.outstanding(), 0u);
 }
 
 TEST(Lifecycle, BatchMembersExpireIndividually) {
@@ -767,7 +811,6 @@ TEST(Lifecycle, ConservationHoldsWithDeadlinesAndRetries) {
   BrokerConfig cfg = basic_config();
   cfg.lifecycle.default_deadline = 0.1;
   cfg.lifecycle.max_attempts = 2;
-  cfg.lifecycle.retry_backoff = 0.01;
   ServiceBroker broker("b", cfg);
   auto backend = std::make_shared<TokenBackend>();
   broker.add_backend(backend);

@@ -68,47 +68,54 @@ TEST(Cluster, FlushOnEmptyIsNullopt) {
   EXPECT_FALSE(engine.flush(100.0, true).has_value());
 }
 
-TEST(Cluster, SqlRepeatRewriteForIdenticalQueries) {
-  ClusterEngine engine(ClusterConfig{3, 1.0, RewriteStrategy::kSqlRepeat});
+// A batch is always record-separated, SQL or not: single-flight keeps
+// identical misses out of one batch, so the paper's `... REPEAT n` rewrite
+// has nothing to collapse. Each member's own query text, a REPEAT clause
+// included, reaches the backend unchanged.
+TEST(Cluster, IdenticalQueriesAreRecordSeparated) {
+  ClusterEngine engine(ClusterConfig{3, 1.0});
   engine.add(1, "SELECT * FROM t WHERE id = 5", 0.0);
   engine.add(2, "SELECT * FROM t WHERE id = 5", 0.0);
   auto batch = engine.add(3, "SELECT * FROM t WHERE id = 5", 0.0);
   ASSERT_TRUE(batch.has_value());
-  EXPECT_EQ(batch->used_strategy, RewriteStrategy::kSqlRepeat);
-  db::SelectQuery rewritten = db::parse_select(batch->combined_payload);
-  EXPECT_EQ(rewritten.repeat, 3u);
+  EXPECT_EQ(ClusterEngine::split_records(batch->combined_payload),
+            std::vector<std::string>(3, "SELECT * FROM t WHERE id = 5"));
 }
 
-TEST(Cluster, SqlRepeatFallsBackForHeterogeneousMembers) {
-  ClusterEngine engine(ClusterConfig{2, 1.0, RewriteStrategy::kSqlRepeat});
+TEST(Cluster, HeterogeneousQueriesAreRecordSeparated) {
+  ClusterEngine engine(ClusterConfig{2, 1.0});
   engine.add(1, "SELECT * FROM t WHERE id = 5", 0.0);
   auto batch = engine.add(2, "SELECT * FROM t WHERE id = 6", 0.0);
   ASSERT_TRUE(batch.has_value());
-  EXPECT_EQ(batch->used_strategy, RewriteStrategy::kRecordSeparated);
+  EXPECT_EQ(batch->combined_payload, std::string("SELECT * FROM t WHERE id = 5") +
+                                         kRecordSep + "SELECT * FROM t WHERE id = 6");
 }
 
-TEST(Cluster, SqlRepeatFallsBackForNonSql) {
-  ClusterEngine engine(ClusterConfig{2, 1.0, RewriteStrategy::kSqlRepeat});
+TEST(Cluster, NonSqlPayloadsAreRecordSeparated) {
+  ClusterEngine engine(ClusterConfig{2, 1.0});
   engine.add(1, "/page1.html", 0.0);
   auto batch = engine.add(2, "/page1.html", 0.0);
   ASSERT_TRUE(batch.has_value());
-  EXPECT_EQ(batch->used_strategy, RewriteStrategy::kRecordSeparated);
+  EXPECT_EQ(batch->combined_payload,
+            std::string("/page1.html") + kRecordSep + "/page1.html");
 }
 
-TEST(Cluster, SqlRepeatMultipliesExistingRepeat) {
-  ClusterEngine engine(ClusterConfig{2, 1.0, RewriteStrategy::kSqlRepeat});
+TEST(Cluster, MemberRepeatClauseIsKept) {
+  ClusterEngine engine(ClusterConfig{2, 1.0});
   engine.add(1, "SELECT * FROM t REPEAT 2", 0.0);
   auto batch = engine.add(2, "SELECT * FROM t REPEAT 2", 0.0);
   ASSERT_TRUE(batch.has_value());
-  db::SelectQuery rewritten = db::parse_select(batch->combined_payload);
-  EXPECT_EQ(rewritten.repeat, 4u);
+  auto records = ClusterEngine::split_records(batch->combined_payload);
+  ASSERT_EQ(records.size(), 2u);
+  for (const auto& record : records) {
+    EXPECT_EQ(db::parse_select(record).repeat, 2u);
+  }
 }
 
 TEST(Cluster, SplitReplyExact) {
   Batch batch;
   batch.member_ids = {1, 2, 3};
   batch.member_payloads = {"a", "b", "c"};
-  batch.used_strategy = RewriteStrategy::kRecordSeparated;
   std::string reply = std::string("ra") + kRecordSep + "rb" + kRecordSep + "rc";
   auto parts = ClusterEngine::split_reply(batch, reply);
   EXPECT_EQ(parts, (std::vector<std::string>{"ra", "rb", "rc"}));
@@ -117,7 +124,6 @@ TEST(Cluster, SplitReplyExact) {
 TEST(Cluster, SplitReplyMismatchDegradesToFullCopy) {
   Batch batch;
   batch.member_ids = {1, 2, 3};
-  batch.used_strategy = RewriteStrategy::kRecordSeparated;
   auto parts = ClusterEngine::split_reply(batch, "single blob");
   ASSERT_EQ(parts.size(), 3u);
   for (const auto& p : parts) EXPECT_EQ(p, "single blob");

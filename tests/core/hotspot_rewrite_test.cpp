@@ -23,9 +23,15 @@ HotSpotConfig fast_config() {
   HotSpotConfig cfg;
   cfg.warm_threshold = 10.0;
   cfg.hot_threshold = 18.0;
-  cfg.alpha = 1.0;  // no smoothing: state follows the sample directly
-  cfg.hysteresis = 0.1;
   return cfg;
+}
+
+/// Feeds `sample` until the EWMA (weight kHotSpotAlpha = 0.2) has converged
+/// on it: 0.8^60 leaves under 2e-6 of the old value. The EWMA moves
+/// monotonically toward the sample, so every state on the way is visited.
+LoadState settle(HotSpotDetector& d, double sample) {
+  for (int i = 0; i < 60; ++i) d.observe(sample);
+  return d.state();
 }
 
 TEST(HotSpot, StartsNormal) {
@@ -36,8 +42,8 @@ TEST(HotSpot, StartsNormal) {
 
 TEST(HotSpot, EscalatesThroughWarmToHot) {
   HotSpotDetector d(fast_config());
-  EXPECT_EQ(d.observe(12.0), LoadState::kWarm);
-  EXPECT_EQ(d.observe(20.0), LoadState::kHot);
+  EXPECT_EQ(d.observe(12.0), LoadState::kWarm);  // the first sample primes
+  EXPECT_EQ(settle(d, 20.0), LoadState::kHot);
 }
 
 TEST(HotSpot, JumpsStraightToHot) {
@@ -48,37 +54,37 @@ TEST(HotSpot, JumpsStraightToHot) {
 TEST(HotSpot, HysteresisPreventsFlapping) {
   HotSpotDetector d(fast_config());
   d.observe(12.0);  // WARM
-  // Dipping just below the threshold but inside the hysteresis band stays WARM.
-  EXPECT_EQ(d.observe(9.5), LoadState::kWarm);
+  // Settling just below the threshold but inside the hysteresis band stays WARM.
+  EXPECT_EQ(settle(d, 9.5), LoadState::kWarm);
+  EXPECT_NEAR(d.ewma(), 9.5, 1e-4);
   // Falling below warm*0.9 = 9.0 de-escalates.
-  EXPECT_EQ(d.observe(8.5), LoadState::kNormal);
+  EXPECT_EQ(settle(d, 8.5), LoadState::kNormal);
 }
 
 TEST(HotSpot, HotDeescalatesToWarmThenNormal) {
   HotSpotDetector d(fast_config());
   d.observe(20.0);  // HOT
-  EXPECT_EQ(d.observe(15.0), LoadState::kWarm);  // below hot*0.9=16.2
-  EXPECT_EQ(d.observe(5.0), LoadState::kNormal);
+  EXPECT_EQ(settle(d, 15.0), LoadState::kWarm);  // below hot*0.9=16.2
+  EXPECT_EQ(settle(d, 5.0), LoadState::kNormal);
 }
 
 TEST(HotSpot, EwmaSmoothsSpikes) {
-  HotSpotConfig cfg = fast_config();
-  cfg.alpha = 0.1;
-  HotSpotDetector d(cfg);
+  HotSpotDetector d(fast_config());
   d.observe(0.0);
-  // One spike of 100 moves the EWMA only to 10 — exactly WARM, not HOT.
-  EXPECT_EQ(d.observe(100.0), LoadState::kWarm);
-  EXPECT_NEAR(d.ewma(), 10.0, 1e-9);
+  // One spike of 60 moves the EWMA only to 0.2 * 60 = 12 — WARM, not HOT.
+  EXPECT_EQ(d.observe(60.0), LoadState::kWarm);
+  EXPECT_NEAR(d.ewma(), 12.0, 1e-9);
 }
 
 TEST(HotSpot, TransitionCallbackFires) {
-  // Normal -> Warm -> Hot -> Normal, read from observe()'s return values.
+  // Normal -> Warm -> Hot -> Warm -> Normal: the EWMA walks down from HOT
+  // through the WARM band on its way to zero.
   HotSpotDetector d(fast_config());
   EXPECT_EQ(d.state(), LoadState::kNormal);
   EXPECT_EQ(d.observe(12.0), LoadState::kWarm);
-  EXPECT_EQ(d.observe(20.0), LoadState::kHot);
-  EXPECT_EQ(d.observe(0.0), LoadState::kNormal);
-  EXPECT_EQ(d.transitions(), 3u);
+  EXPECT_EQ(settle(d, 20.0), LoadState::kHot);
+  EXPECT_EQ(settle(d, 0.0), LoadState::kNormal);
+  EXPECT_EQ(d.transitions(), 4u);
 }
 
 TEST(HotSpot, StateNames) {
@@ -93,9 +99,6 @@ TEST(HotSpot, StateNames) {
 RewriteConfig rw_config() {
   RewriteConfig cfg;
   cfg.enabled = true;
-  cfg.warm_degrade_below = 2;
-  cfg.warm_limit = 50;
-  cfg.hot_limit = 10;
   return cfg;
 }
 
@@ -116,7 +119,7 @@ TEST(Rewrite, WarmCapsLowClassesOnly) {
   QueryRewriter rw(rw_config(), QosRules{3, 20});
   auto low = rw.apply("SELECT * FROM t", 1, LoadState::kWarm);
   EXPECT_TRUE(low.degraded);
-  EXPECT_EQ(db::parse_select(low.payload).limit, 50u);
+  EXPECT_EQ(db::parse_select(low.payload).limit, kWarmLimit);
   auto mid = rw.apply("SELECT * FROM t", 2, LoadState::kWarm);
   EXPECT_TRUE(mid.degraded);
   auto high = rw.apply("SELECT * FROM t", 3, LoadState::kWarm);
@@ -128,7 +131,7 @@ TEST(Rewrite, HotCapsEveryClassButTop) {
   for (int level = 1; level <= 2; ++level) {
     auto out = rw.apply("SELECT * FROM t", level, LoadState::kHot);
     EXPECT_TRUE(out.degraded) << level;
-    EXPECT_EQ(db::parse_select(out.payload).limit, 10u);
+    EXPECT_EQ(db::parse_select(out.payload).limit, kHotLimit);
   }
   EXPECT_FALSE(rw.apply("SELECT * FROM t", 3, LoadState::kHot).degraded);
 }
@@ -143,7 +146,7 @@ TEST(Rewrite, ExistingLooserLimitClamped) {
   QueryRewriter rw(rw_config(), QosRules{3, 20});
   auto out = rw.apply("SELECT * FROM t LIMIT 5000", 1, LoadState::kHot);
   EXPECT_TRUE(out.degraded);
-  EXPECT_EQ(db::parse_select(out.payload).limit, 10u);
+  EXPECT_EQ(db::parse_select(out.payload).limit, kHotLimit);
 }
 
 TEST(Rewrite, NonSqlPayloadUntouched) {
@@ -181,15 +184,13 @@ TEST(BrokerFidelity, HotLoadDegradesLowClassQueries) {
   cfg.rules = QosRules{3, 1000.0};  // no admission drops in this test
   cfg.enable_cache = false;
   cfg.rewrite.enabled = true;
-  cfg.rewrite.hot_limit = 7;
   cfg.hotspot.warm_threshold = 1.0;
   cfg.hotspot.hot_threshold = 2.0;
-  cfg.hotspot.alpha = 1.0;
   ServiceBroker broker("b", cfg);
   auto backend = std::make_shared<CountingBackend>();
   broker.add_backend(backend);
 
-  // Force the detector HOT.
+  // Force the detector HOT (the first sample primes the EWMA).
   broker.hotspot().observe(10.0);
   ASSERT_EQ(broker.load_state(), LoadState::kHot);
 
@@ -201,7 +202,7 @@ TEST(BrokerFidelity, HotLoadDegradesLowClassQueries) {
   broker.submit(0.0, req, [&](const http::BrokerReply& r) { reply = r; });
   EXPECT_EQ(reply.fidelity, http::Fidelity::kDegraded);
   ASSERT_EQ(backend->payloads.size(), 1u);
-  EXPECT_EQ(db::parse_select(backend->payloads[0]).limit, 7u);
+  EXPECT_EQ(db::parse_select(backend->payloads[0]).limit, kHotLimit);
   EXPECT_EQ(broker.rewriter().rewrites(), 1u);
 }
 
@@ -209,9 +210,11 @@ TEST(BrokerFidelity, LoadStateTracksOutstanding) {
   BrokerConfig cfg;
   cfg.rules = QosRules{3, 1000.0};
   cfg.enable_cache = false;
-  cfg.hotspot.warm_threshold = 2.0;
-  cfg.hotspot.hot_threshold = 4.0;
-  cfg.hotspot.alpha = 1.0;
+  // The five submits sample outstanding 1..5 and the drain 4..0. With
+  // kHotSpotAlpha = 0.2 the EWMA reaches 2.64 on the fifth submit (HOT),
+  // peaks at 2.93 and ends the drain at 1.92, below 0.9 * 2.2 (NORMAL).
+  cfg.hotspot.warm_threshold = 2.2;
+  cfg.hotspot.hot_threshold = 2.5;
   ServiceBroker broker("b", cfg);
 
   // Backend that never completes, so outstanding climbs.

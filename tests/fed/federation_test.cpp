@@ -56,10 +56,8 @@ class FederationTest : public ::testing::Test {
     backend_thread_.join();
   }
 
-  /// Builds and starts all nodes. `tune` may adjust each node's FedNodeConfig.
-  void start_nodes(const std::function<void(FedNodeConfig&)>& tune = nullptr,
-                   bool admin = false) {
-    bool gossip_on = true;
+  /// Builds and starts all nodes, with the admin plane when `admin`.
+  void start_nodes(bool admin = false) {
     for (size_t i = 0; i < kNodes; ++i) {
       net::ShardedBrokerDaemonConfig cfg;
       cfg.broker.rules = core::QosRules{3, 200.0};
@@ -75,8 +73,6 @@ class FederationTest : public ::testing::Test {
       fed.peer_ports = ports_;
       fed.gossip_interval = 0.02;
       fed.dial_backoff = 0.05;  // recover fast from startup-order refusals
-      if (tune) tune(fed);
-      gossip_on = fed.gossip;
 
       auto node = std::make_unique<FederatedDaemon>(
           "fed" + std::to_string(i), cfg, fed);
@@ -87,7 +83,6 @@ class FederationTest : public ::testing::Test {
       node->start();
       nodes_.push_back(std::move(node));
     }
-    if (!gossip_on) return;
     // Mesh barrier: nodes start one after another, so an early node's first
     // gossip tick can dial a peer that is not listening yet, parking that
     // channel in dial backoff — during which misses correctly fail over to
@@ -243,16 +238,14 @@ TEST_F(FederationTest, ForwardedMissCarriesTransactionTag) {
 }
 
 TEST_F(FederationTest, HotKeyIsReplicatedToEveryPeerCache) {
-  start_nodes([](FedNodeConfig& fed) {
-    fed.hot_threshold = 3;
-    fed.hot_window = 10.0;
-  });
+  start_nodes();
   // Hammer a node-0-owned key through node 1: every access funnels to the
   // owner (forwarded), so the owner's hotness counter sees the true rate
-  // and pushes the key to all peers once it crosses the threshold.
+  // and pushes the key to all peers once it crosses kHotThreshold serves
+  // within one kHotWindow (twice the threshold, well inside the window).
   std::string k = key_owned_by(0);
   FrameClient via1(nodes_[1]->port());
-  for (uint64_t id = 1; id <= 6; ++id) {
+  for (uint64_t id = 1; id <= 2 * kHotThreshold; ++id) {
     auto reply = via1.call(id, k);
     ASSERT_TRUE(reply.has_value());
   }
@@ -282,7 +275,7 @@ TEST_F(FederationTest, GossipPopulatesEveryGlobalView) {
   for (size_t i = 0; i < kNodes; ++i) {
     EXPECT_GE(nodes_[i]->counters().gossip_rounds.load(), 1u) << "node " << i;
     // At least one peer (not self) reporting fresh; wait_for because a
-    // scheduler stall longer than stale_after can blink freshness off
+    // scheduler stall longer than the staleness window can blink freshness off
     // between rounds.
     EXPECT_TRUE(wait_for([&] {
       for (const auto& peer : nodes_[i]->view().snapshot()) {
@@ -333,7 +326,7 @@ TEST_F(FederationTest, StoppedPeerFailsOverWithoutStrandingRequests) {
 }
 
 TEST_F(FederationTest, AdminPlaneExposesFederation) {
-  start_nodes(nullptr, /*admin=*/true);
+  start_nodes(/*admin=*/true);
   // Drive one forwarded request so the counters are non-trivial.
   std::string k = key_owned_by(1);
   FrameClient via0(nodes_[0]->port());
@@ -363,16 +356,6 @@ TEST_F(FederationTest, AdminPlaneExposesFederation) {
             std::string::npos);
   EXPECT_NE(metrics->body.find("sbroker_federation_peer_connected"),
             std::string::npos);
-}
-
-TEST_F(FederationTest, ForwardingDisabledFetchesLocally) {
-  start_nodes([](FedNodeConfig& fed) { fed.forward_misses = false; });
-  std::string k = key_owned_by(1);
-  FrameClient via0(nodes_[0]->port());
-  auto reply = via0.call(1, k);
-  ASSERT_TRUE(reply.has_value());
-  EXPECT_EQ(reply->fidelity, http::Fidelity::kFull);
-  EXPECT_EQ(nodes_[0]->counters().forwards_sent.load(), 0u);
 }
 
 }  // namespace

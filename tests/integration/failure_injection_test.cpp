@@ -239,7 +239,6 @@ TEST(FailureInjection, RetryFailsOverToHealthyReplicaAndEjects) {
   cfg.rules = core::QosRules{3, 100.0};
   cfg.enable_cache = false;
   cfg.lifecycle.max_attempts = 2;
-  cfg.lifecycle.retry_backoff = 0.001;
   cfg.lifecycle.default_deadline = 2.0;
   cfg.health = core::HealthConfig{1, 60.0};  // eject on first failure
   srv::BrokerHost host(sim, "b", cfg);

@@ -210,7 +210,6 @@ TEST_F(PipelinedBackendTest, MidPipelineConnectionLossRequeuesExactlyOnce) {
   PipelinedBackend::Config config;
   config.max_connections = 1;  // everything rides the flaky connection first
   config.pipeline_depth = 8;
-  config.max_attempts = 2;
   backend_ =
       std::make_shared<PipelinedBackend>(reactor_, listener_->port(), config);
   run_reactor();

@@ -174,7 +174,6 @@ TEST_F(RequestLifecycleTest, RetryFailsOverToHealthyReplicaOverPipelinedChannel)
   cfg.broker.rules = core::QosRules{3, 100.0};
   cfg.broker.enable_cache = false;
   cfg.broker.lifecycle.max_attempts = 2;
-  cfg.broker.lifecycle.retry_backoff = 0.005;
   cfg.broker.health = core::HealthConfig{1, 60.0};  // eject on first failure
   cfg.shards = 1;
   cfg.enable_udp = false;

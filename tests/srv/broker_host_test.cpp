@@ -143,6 +143,44 @@ TEST_F(BrokerHostTest, AimdLifoRunsOnTheSimTickPath) {
   EXPECT_LE(total.lifo_sheds, total.deadline_misses);
 }
 
+// The same crowd at half the rate (200/s, 2 s): the admitted backlog, and with
+// it the fresh samples per 50 ms interval, stays below kMinSamples. A thin
+// interval must not be judged, but its samples must count toward the next
+// one, so the loop still evaluates and walks the threshold down.
+TEST_F(BrokerHostTest, AimdEvaluatesWhenIntervalsAreThin) {
+  core::BrokerConfig cfg = config();
+  cfg.dispatch_window = 1;
+  cfg.overload.policy = core::OverloadPolicy::kAimd;
+  cfg.overload.lifo = true;
+  cfg.overload.eval_interval = 0.05;
+  DbBackendConfig slow;
+  slow.capacity = 1;
+  slow.profile.base = 0.03;
+  auto backend = std::make_shared<SimDbBackend>(sim_, db_, slow);
+  BrokerHost host(sim_, "db-broker", cfg);
+  host.broker().add_backend(backend);
+
+  constexpr int kRequests = 400;
+  int replies = 0;
+  for (int i = 0; i < kRequests; ++i) {
+    sim_.at(i * 0.005, [this, &host, &replies, i]() {
+      http::BrokerRequest req =
+          request(static_cast<uint64_t>(i + 1), 1 + (i % 3),
+                  "SELECT id FROM records WHERE id = " + std::to_string(i % 50));
+      req.deadline_ms = 100;
+      host.submit(std::move(req),
+                  [&replies](const http::BrokerReply&) { ++replies; });
+    });
+  }
+  sim_.run();
+
+  EXPECT_EQ(replies, kRequests);
+  core::BrokerMetrics metrics = host.broker().metrics();
+  EXPECT_GT(metrics.overload.evals, 0u);
+  EXPECT_GT(metrics.overload.decreases, 0u);
+  EXPECT_LT(host.broker().overload_control().threshold(), cfg.rules.threshold);
+}
+
 TEST_F(BrokerHostTest, DownInboundLinkLosesRequestSilently) {
   BrokerHost host(sim_, "db-broker", config());
   host.broker().add_backend(backend_);
