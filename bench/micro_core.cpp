@@ -11,7 +11,6 @@
 #include "core/cluster.h"
 #include "core/overload.h"
 #include "core/scheduler.h"
-#include "core/striped_cache.h"
 #include "http/parser.h"
 #include "http/wire.h"
 #include "net/frame.h"
@@ -31,10 +30,10 @@ std::vector<std::string> make_keys(size_t n) {
 }
 
 void BM_CacheLookupIntoHit(benchmark::State& state) {
-  // The broker's one classified read on the single-threaded cache: the hit
-  // value is copied into the request's arena. Probing with the payload the
-  // broker already holds must not allocate a temporary key. Compare with
-  // BM_StripedCacheLookupIntoHit/threads:1 for the stripe lock's cost.
+  // The broker's one classified read on its private, one-stripe cache: the
+  // hit value is copied into the request's arena under the stripe's
+  // (uncontended) lock. Probing with the payload the broker already holds
+  // must not allocate a temporary key.
   core::ResultCache cache(4096, 0.0);
   std::vector<std::string> keys = make_keys(1024);
   for (const std::string& k : keys) cache.put(k, "value", 0.0);
@@ -59,14 +58,15 @@ void BM_CachePutEvicting(benchmark::State& state) {
 BENCHMARK(BM_CachePutEvicting);
 
 void BM_StripedCacheLookupIntoHit(benchmark::State& state) {
-  // The daemon's hit probe: lookup_into copies the value into the request's
-  // arena under the stripe lock. Shared across shard threads;
-  // google-benchmark's ->Threads(N) runs N shards hitting one cache, which is
-  // where cache-line traffic on the stripes shows. Magic statics make
-  // initialization thread-safe; the instances live for the whole process.
+  // The daemon's hit probe on its shared cache of 8 stripes
+  // (net::kCacheStripes): the same class as BM_CacheLookupIntoHit, plus the
+  // key's hash to pick the stripe. google-benchmark's ->Threads(N) runs N
+  // shards hitting one cache, which is where lock and cache-line traffic on
+  // the stripes shows. Magic statics make initialization thread-safe; the
+  // instances live for the whole process.
   static const std::vector<std::string>& keys = *new std::vector<std::string>(make_keys(1024));
-  static core::StripedResultCache& cache = *[] {
-    auto* c = new core::StripedResultCache(4096, 0.0, 8);
+  static core::ResultCache& cache = *[] {
+    auto* c = new core::ResultCache(4096, 0.0, 8);
     for (const std::string& k : keys) c->put(k, "value", 0.0);
     return c;
   }();

@@ -5,6 +5,10 @@
 #
 #   bench/run_bench.sh [build-dir]           # default build dir: ./build
 #
+# Time an optimised tree (a Release build-dir): micro_core runs each
+# benchmark 5 times, and BENCH_core.json keeps every repetition (min and
+# max) beside the mean/median/stddev/cv aggregates.
+#
 # Environment knobs for the loadgen sweep:
 #   BENCH_SHARDS   comma list of shard counts   (default 1,2,4)
 #   BENCH_PIPELINE backend channel modes        (default 0,1)
@@ -114,6 +118,7 @@ fi
 
 echo "== micro benches -> BENCH_core.json"
 "$build_dir/bench/micro_core" \
+  --benchmark_repetitions=5 \
   --benchmark_format=json \
   --benchmark_out="$repo_root/BENCH_core.json" \
   --benchmark_out_format=json

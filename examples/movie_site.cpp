@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
   crowd.start();
   sim.run();
 
-  const core::ResultCacheBase& cache = host.broker().cache();
+  const core::ResultCache& cache = host.broker().cache();
   std::printf("movie site, %zu clients for %.0fs (virtual):\n", clients, duration);
   std::printf("  requests served:    %llu\n",
               static_cast<unsigned long long>(crowd.completed()));

@@ -10,6 +10,9 @@ listed once, under its own name, and a struct declared inside a class is
 named with its class (`PipelinedBackend::Config`). For each field it prints
 the shipping programs (bench/, examples/, perfbench/) and the test files
 that assign it: `.field =` or `->field =`, designated initializers included;
+an assignment through a variable declared as another struct or class
+(`ShardStatus s; s.obs = ...`) is not credited, nor is a class writing its
+own `config_` (a constructor's clamp normalises a knob, it does not set it);
 a positional aggregate (`ClusterConfig{4, 0.01}` or
 `ClusterConfig c{4, 0.01}`) credits its fields in declaration order, one
 per argument. An assignment inside src/ itself (plumbing such as the
@@ -108,6 +111,42 @@ def aggregate_args(text, start):
     return None
 
 
+# Words that precede an expression, not a declared variable (`return cfg;`).
+KEYWORDS = {"return", "else", "case", "delete", "new", "throw", "co_return"}
+
+
+def type_names(texts):
+    """Every struct and class name the scanned sources declare."""
+    return {m.group(1) for t in texts.values()
+            for m in re.finditer(r"\b(?:struct|class)\s+(\w+)", t)}
+
+
+def declarations(text, name):
+    """(offset, type) of each declaration of variable `name` in `text`."""
+    return [(m.start(), m.group(1)) for m in re.finditer(
+        r"([\w:]+)\s*[&*]?\s+" + name + r"\s*[;=({,)]", text)
+        if m.group(1) not in KEYWORDS]
+
+
+def credited(text, match, owner, known):
+    """Whether an assignment `recv.field =` at `match` sets `owner`'s field.
+    A designated initializer, a member chain (`cfg.broker.x =`) and a
+    receiver whose declaration is not found keep the credit."""
+    before = re.search(r"(\w+)\s*$", text[max(0, match.start() - 80):match.start()])
+    if not before:
+        return True
+    recv, start = before.group(1), match.start() - len(before.group(0))
+    if text[:start].rstrip().endswith((".", "->")):
+        return True
+    if recv == "config_":
+        return False  # the owner class normalising its own copy
+    decls = [t for at, t in declarations(text, recv) if at < start]
+    if not decls:
+        return True
+    declared = decls[-1].split("::")[-1]
+    return declared == owner.split("::")[-1] or declared not in known
+
+
 def positional(structs, text):
     """(struct, field) pairs that positional aggregates in `text` assign."""
     names = "|".join(re.escape(n) for n in sorted(structs, key=len, reverse=True))
@@ -145,13 +184,16 @@ def main():
             rel = os.path.relpath(path, root)
             texts[rel] = strip_comments(open(path, encoding="utf-8").read())
             credits[rel] = positional(structs, texts[rel])
+    known = type_names(texts)
 
     def setters(owner, field, tops):
         pattern = re.compile(r"(\.|->)" + field + r"\s*=(?!=)")
         return sorted(os.path.splitext(os.path.basename(p))[0]
                       for p, t in texts.items()
                       if p.split(os.sep)[0] in tops and (
-                          pattern.search(t) or (owner, field) in credits[p]))
+                          any(credited(t, m, owner, known)
+                              for m in pattern.finditer(t))
+                          or (owner, field) in credits[p]))
 
     rows = []
     for name in ROOTS:

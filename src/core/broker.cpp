@@ -14,7 +14,7 @@ ServiceBroker::ServiceBroker(std::string name, BrokerConfig config)
       config_(config),
       overload_(config.rules, config.overload),
       cache_(std::make_shared<ResultCache>(
-          config.cache_capacity, config.cache_ttl,
+          config.cache_capacity, config.cache_ttl, /*stripes=*/1,
           config.cache_tuning, ttl_salt(config.rng_seed))),
       load_(std::make_shared<LoadTracker>()),
       cluster_(config.cluster),
@@ -45,7 +45,7 @@ void ServiceBroker::share_transactions(std::shared_ptr<TransactionTracker> share
   txn_ = std::move(shared);
 }
 
-void ServiceBroker::share_cache(std::shared_ptr<ResultCacheBase> shared) {
+void ServiceBroker::share_cache(std::shared_ptr<ResultCache> shared) {
   assert(shared != nullptr);
   cache_ = std::move(shared);
 }

@@ -136,10 +136,10 @@ class ServiceBroker {
   /// protected". Call before traffic flows; replaces the private tracker.
   void share_transactions(std::shared_ptr<TransactionTracker> shared);
 
-  /// Replaces the private result cache with one shared across broker shards
-  /// (a thread-safe StripedResultCache), so a result fetched by one shard
-  /// serves repeats arriving at any other. Call before traffic flows.
-  void share_cache(std::shared_ptr<ResultCacheBase> shared);
+  /// Replaces the private one-stripe result cache with one shared across
+  /// broker shards, so a result fetched by one shard serves repeats arriving
+  /// at any other. Call before traffic flows.
+  void share_cache(std::shared_ptr<ResultCache> shared);
 
   /// Replaces the private outstanding-load counter with one shared across
   /// broker shards, so the admission threshold applies to the *global*
@@ -229,8 +229,8 @@ class ServiceBroker {
   /// (all-zero for simulated backends). The real-socket daemons fold this
   /// into their metrics snapshots.
   ChannelStats channel_stats() const;
-  ResultCacheBase& cache() { return *cache_; }
-  const ResultCacheBase& cache() const { return *cache_; }
+  ResultCache& cache() { return *cache_; }
+  const ResultCache& cache() const { return *cache_; }
   LoadTracker& load_tracker() { return *load_; }
   Prefetcher& prefetcher() { return prefetcher_; }
   /// The overload controller every admission decision routes through: live
@@ -345,7 +345,7 @@ class ServiceBroker {
   std::string name_;
   BrokerConfig config_;
   OverloadController overload_;
-  std::shared_ptr<ResultCacheBase> cache_;  ///< possibly shared across shards
+  std::shared_ptr<ResultCache> cache_;      ///< possibly shared across shards
   std::shared_ptr<LoadTracker> load_;       ///< possibly shared across shards
   ClusterEngine cluster_;
   QosScheduler<ReadyBatch> dispatch_queue_;

@@ -1,5 +1,6 @@
 #include "core/cache.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "util/rng.h"
@@ -10,13 +11,11 @@ uint64_t ttl_salt(uint64_t rng_seed) {
   return util::derive_seed(rng_seed, 0x7711);
 }
 
-ResultCache::ResultCache(size_t capacity, double ttl)
-    : ResultCache(capacity, ttl, CacheTuning{}) {}
-
-ResultCache::ResultCache(size_t capacity, double ttl, CacheTuning tuning,
-                         uint64_t salt)
-    : capacity_(capacity),
-      front_window_(capacity / 4 > 0 ? capacity / 4 : 1),
+ResultCache::ResultCache(size_t capacity, double ttl, size_t stripes,
+                         CacheTuning tuning, uint64_t salt)
+    : stripes_(std::clamp<size_t>(stripes, 1, std::max<size_t>(capacity, 1))),
+      per_stripe_capacity_((capacity + stripes_.size() - 1) / stripes_.size()),
+      front_window_(std::max<size_t>(per_stripe_capacity_ / 4, 1)),
       ttl_(ttl),
       tuning_(tuning),
       salt_(salt) {
@@ -36,30 +35,32 @@ double ResultCache::effective_ttl(std::string_view key) const {
   return ttl_ * (1.0 + tuning_.ttl_jitter * (2.0 * u - 1.0));
 }
 
-void ResultCache::move_to_front(Slot it) {
-  lru_.splice(lru_.begin(), lru_, it);
-  it->promoted_at = ++seq_;
+void ResultCache::move_to_front(Stripe& s, Slot it) {
+  s.lru.splice(s.lru.begin(), s.lru, it);
+  it->promoted_at = ++s.seq;
 }
 
-void ResultCache::touch(Slot it) {
-  ++hits_;
+void ResultCache::touch(Stripe& s, Slot it) {
+  ++s.hits;
   // Fewer than front_window_ moves since this entry's own means it is still
-  // within the front window; leave the list untouched. Under the striped
-  // cache this keeps a hot hit from writing list nodes other shards read.
-  if (seq_ - it->promoted_at < front_window_) return;
-  move_to_front(it);
+  // within the front window; leave the list untouched. This keeps a hot hit
+  // from writing list nodes other shards read.
+  if (s.seq - it->promoted_at < front_window_) return;
+  move_to_front(s, it);
 }
 
 LookupView ResultCache::lookup_into(std::string_view key, double now,
                                     Arena& scratch) {
-  auto it = map_.find(key);
-  if (it == map_.end()) {
-    ++misses_;
+  Stripe& s = stripes_[stripe_of(key)];
+  std::lock_guard<std::mutex> lock(s.mu);
+  auto it = s.map.find(key);
+  if (it == s.map.end()) {
+    ++s.misses;
     return {};
   }
   Entry& e = *it->second;
-  if (fresh(e, now)) {
-    touch(it->second);
+  if (now <= e.expires_at) {
+    touch(s, it->second);
     return {e.negative ? LookupOutcome::kNegative : LookupOutcome::kHit,
             scratch.store(e.value)};
   }
@@ -69,29 +70,31 @@ LookupView ResultCache::lookup_into(std::string_view key, double now,
   // put() refreshes it in place.
   if (!e.negative && tuning_.swr_grace > 0.0 &&
       now - e.expires_at <= tuning_.swr_grace) {
-    ++hits_;
+    ++s.hits;
     if (now - e.refresh_claimed_at > tuning_.swr_grace) {
       e.refresh_claimed_at = now;
       return {LookupOutcome::kStaleRefresh, scratch.store(e.value)};
     }
     return {LookupOutcome::kStaleServe, scratch.store(e.value)};
   }
-  ++expired_;
-  ++misses_;
+  ++s.expired;
+  ++s.misses;
   return {};
 }
 
 std::optional<std::string> ResultCache::get_stale(std::string_view key) const {
-  auto it = map_.find(key);
-  if (it == map_.end() || it->second->negative) return std::nullopt;
+  const Stripe& s = stripes_[stripe_of(key)];
+  std::lock_guard<std::mutex> lock(s.mu);
+  auto it = s.map.find(key);
+  if (it == s.map.end() || it->second->negative) return std::nullopt;
   return it->second->value;
 }
 
-void ResultCache::store(std::string_view key, std::string value, double now,
-                        bool negative, double ttl_for_entry) {
+void ResultCache::store(Stripe& s, std::string_view key, std::string value,
+                        double now, bool negative, double ttl_for_entry) {
   double expires_at = ttl_for_entry > 0.0 ? now + ttl_for_entry : kClaimInf;
-  auto it = map_.find(key);
-  if (it != map_.end()) {
+  auto it = s.map.find(key);
+  if (it != s.map.end()) {
     Entry& e = *it->second;
     // Last-write-wins on stored_at: a completion carrying an older origin
     // timestamp (a slow prefetch issued before the resident value's fetch)
@@ -102,33 +105,67 @@ void ResultCache::store(std::string_view key, std::string value, double now,
     e.expires_at = expires_at;
     e.negative = negative;
     e.refresh_claimed_at = -kClaimInf;
-    move_to_front(it->second);
+    move_to_front(s, it->second);
     return;
   }
-  if (map_.size() >= capacity_) {
-    // Evict the least recently used entry.
-    assert(!lru_.empty());
-    map_.erase(lru_.back().key);
-    lru_.pop_back();
-    ++evictions_;
+  if (s.map.size() >= per_stripe_capacity_) {
+    // Evict the stripe's least recently used entry.
+    assert(!s.lru.empty());
+    s.map.erase(s.lru.back().key);
+    s.lru.pop_back();
+    ++s.evictions;
   }
-  lru_.push_front(Entry{std::string(key), std::move(value), now, expires_at,
-                        negative, -kClaimInf, ++seq_});
-  map_[lru_.front().key] = lru_.begin();
+  s.lru.push_front(Entry{std::string(key), std::move(value), now, expires_at,
+                         negative, -kClaimInf, ++s.seq});
+  s.map[s.lru.front().key] = s.lru.begin();
 }
 
 void ResultCache::put(std::string_view key, std::string value, double now) {
-  store(key, std::move(value), now, /*negative=*/false, effective_ttl(key));
+  double ttl = effective_ttl(key);
+  Stripe& s = stripes_[stripe_of(key)];
+  std::lock_guard<std::mutex> lock(s.mu);
+  store(s, key, std::move(value), now, /*negative=*/false, ttl);
 }
 
 void ResultCache::put_negative(std::string_view key, std::string value,
                                double now) {
   if (tuning_.negative_ttl <= 0.0) return;
-  auto it = map_.find(key);
+  Stripe& s = stripes_[stripe_of(key)];
+  std::lock_guard<std::mutex> lock(s.mu);
+  auto it = s.map.find(key);
   // Never displace positive data, even stale positive data: get_stale can
   // still serve it at low fidelity, which beats re-serving the error.
-  if (it != map_.end() && !it->second->negative) return;
-  store(key, std::move(value), now, /*negative=*/true, tuning_.negative_ttl);
+  if (it != s.map.end() && !it->second->negative) return;
+  store(s, key, std::move(value), now, /*negative=*/true, tuning_.negative_ttl);
+}
+
+size_t ResultCache::size() const {
+  size_t total = 0;
+  for (const Stripe& s : stripes_) {
+    std::lock_guard<std::mutex> lock(s.mu);
+    total += s.map.size();
+  }
+  return total;
+}
+
+uint64_t ResultCache::sum(uint64_t Stripe::*counter) const {
+  uint64_t total = 0;
+  for (const Stripe& s : stripes_) {
+    std::lock_guard<std::mutex> lock(s.mu);
+    total += s.*counter;
+  }
+  return total;
+}
+
+uint64_t ResultCache::hits() const { return sum(&Stripe::hits); }
+uint64_t ResultCache::misses() const { return sum(&Stripe::misses); }
+uint64_t ResultCache::expired() const { return sum(&Stripe::expired); }
+uint64_t ResultCache::evictions() const { return sum(&Stripe::evictions); }
+
+double ResultCache::hit_ratio() const {
+  uint64_t hit = hits();
+  uint64_t total = hit + misses();
+  return total == 0 ? 0.0 : static_cast<double>(hit) / static_cast<double>(total);
 }
 
 }  // namespace sbroker::core

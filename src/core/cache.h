@@ -17,18 +17,22 @@
 //   * negative entries — backend error replies cached for a short TTL so a
 //     failing hot key cannot stampede the backend either.
 //
-// `ResultCacheBase` is the interface the broker programs against; the
-// single-threaded `ResultCache` here is the default implementation, and
-// `StripedResultCache` (striped_cache.h) is the thread-safe one shared by
-// the shards of a multi-threaded broker daemon.
+// One class serves both owners. A broker's private cache has one stripe: one
+// LRU order and one salt, which is what the simulator's outputs depend on.
+// The sharded broker daemon shares one cache of `net::kCacheStripes` stripes
+// among its shard threads: a result fetched through shard A must serve the
+// identical request arriving at shard B, or sharding divides the hit rate by
+// the shard count.
 #pragma once
 
 #include <cstdint>
 #include <list>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "core/arena.h"
 
@@ -55,7 +59,7 @@ struct CacheTuning {
 /// staying reproducible from the seed alone.
 uint64_t ttl_salt(uint64_t rng_seed);
 
-/// Classified result of ResultCacheBase::lookup_into().
+/// Classified result of ResultCache::lookup_into().
 enum class LookupOutcome {
   kMiss,          ///< nothing servable; caller must fetch
   kHit,           ///< fresh positive value
@@ -71,89 +75,79 @@ struct LookupView {
   std::string_view value;  ///< empty view on kMiss
 };
 
-/// Interface over the result cache: everything the broker data path and the
-/// benchmark harnesses touch. Keys are `string_view` so hot-path probes do
-/// not allocate. Implementations state their own thread-safety.
-class ResultCacheBase {
+/// Sentinel magnitude for "never claimed" / "never expires" times.
+inline constexpr double kClaimInf = 1e300;
+
+/// LRU+TTL cache over K independently locked stripes. A key maps to one
+/// stripe by hash, and every operation runs under that stripe's lock, so the
+/// cache is thread-safe and probes for different keys rarely contend. Keys
+/// are `string_view` so hot-path probes do not allocate.
+///
+/// Capacity is split across stripes (ceil(capacity / stripes) each), so the
+/// resident count stays within max_resident() under any hash skew. LRU order
+/// is per stripe, which is exact for one stripe and approximate with respect
+/// to the global access order for more.
+///
+/// Promotion on hit is gated: an entry still among the most recent
+/// `max(1, Cs/4)` moves to the front of its stripe (Cs = per-stripe
+/// capacity) stays where it is, so a hot working set that fits in the front
+/// quarter is served without writing the list. The eviction bound: an entry
+/// stays resident until more than `Cs - max(1, Cs/4)` distinct other keys of
+/// its stripe have been stored or fresh-hit since its own last store or hit.
+class ResultCache {
  public:
-  virtual ~ResultCacheBase() = default;
+  /// `capacity` entries in total over `stripes` locks (clamped to
+  /// [1, capacity]); `ttl` seconds of freshness (<=0 disables expiry);
+  /// `salt` is mixed into the TTL-jitter hash (ttl_salt(); 0 = unsalted),
+  /// the same for every stripe.
+  ResultCache(size_t capacity, double ttl, size_t stripes = 1,
+              CacheTuning tuning = {}, uint64_t salt = 0);
+  // Shard threads share one instance by address.
+  ResultCache(const ResultCache&) = delete;
+  ResultCache& operator=(const ResultCache&) = delete;
 
   /// The one classified read: distinguishes fresh hits, negative hits and
-  /// grace-window stale values, and atomically assigns the single refresh
-  /// claim for a stale entry (kStaleRefresh for exactly one caller per grace
-  /// window — under the striped cache this claim is cross-shard). A fresh
-  /// hit may refresh the entry's LRU position. The value is copied into
-  /// `scratch` (for the striped cache, under the stripe lock — a raw view
-  /// would race with eviction by other shards once the lock drops).
-  virtual LookupView lookup_into(std::string_view key, double now, Arena& scratch) = 0;
+  /// grace-window stale values, and assigns the single refresh claim for a
+  /// stale entry under the stripe lock (kStaleRefresh for exactly one caller
+  /// per grace window, whichever shard it runs on). A fresh hit may refresh
+  /// the entry's LRU position. The value is copied into `scratch` while the
+  /// lock is held: a raw view would race with eviction by other shards.
+  LookupView lookup_into(std::string_view key, double now, Arena& scratch);
 
   /// Stale-permitted lookup: returns the value even when expired (used for
   /// low-fidelity replies). Negative entries are never served stale. Does
   /// not count as a hit and does not refresh LRU.
-  virtual std::optional<std::string> get_stale(std::string_view key) const = 0;
+  std::optional<std::string> get_stale(std::string_view key) const;
 
-  /// Inserts/overwrites; evicts the LRU entry when full. Last-write-wins on
-  /// `now`: a put carrying an older timestamp than the resident entry's
-  /// stored_at is discarded (a slow prefetch response must not clobber a
-  /// newer demand-fetched value).
-  virtual void put(std::string_view key, std::string value, double now) = 0;
+  /// Inserts/overwrites; evicts the stripe's LRU entry when the stripe is
+  /// full. Last-write-wins on `now`: a put carrying an older timestamp than
+  /// the resident entry's stored_at is discarded (a slow prefetch response
+  /// must not clobber a newer demand-fetched value).
+  void put(std::string_view key, std::string value, double now);
 
   /// Caches a backend error reply with the (short) negative TTL. No-op when
   /// negative caching is disabled or when a positive entry holds the key —
   /// stale truth beats fresh failure.
-  virtual void put_negative(std::string_view key, std::string value,
-                            double now) = 0;
+  void put_negative(std::string_view key, std::string value, double now);
 
-  virtual size_t size() const = 0;
+  /// Totals over the stripes (each read under its stripe's lock).
+  size_t size() const;
+  uint64_t hits() const;
+  uint64_t misses() const;
+  uint64_t expired() const;
+  uint64_t evictions() const;
+  double hit_ratio() const;
 
-  virtual uint64_t hits() const = 0;
-  virtual uint64_t misses() const = 0;
-  virtual uint64_t expired() const = 0;
-  virtual uint64_t evictions() const = 0;
-
-  double hit_ratio() const {
-    uint64_t total = hits() + misses();
-    return total == 0 ? 0.0
-                      : static_cast<double>(hits()) / static_cast<double>(total);
-  }
-};
-
-/// Sentinel magnitude for "never claimed" / "never expires" times.
-inline constexpr double kClaimInf = 1e300;
-
-/// Single-threaded LRU+TTL cache. `final` so direct calls devirtualize.
-///
-/// Promotion on hit is gated: an entry still among the most recent
-/// `max(1, capacity/4)` moves to the front stays where it is, so a hot
-/// working set that fits in the front quarter is served without writing the
-/// list. Eviction order is exact LRU for entries outside that front quarter;
-/// inside it, recency is approximate (a hit there does not reorder).
-class ResultCache final : public ResultCacheBase {
- public:
-  /// `capacity` entries; `ttl` seconds of freshness (<=0 disables expiry).
-  ResultCache(size_t capacity, double ttl);
-  /// `salt` is mixed into the TTL-jitter hash (ttl_salt(); 0 = unsalted).
-  ResultCache(size_t capacity, double ttl, CacheTuning tuning,
-              uint64_t salt = 0);
-
-  LookupView lookup_into(std::string_view key, double now, Arena& scratch) override;
-  std::optional<std::string> get_stale(std::string_view key) const override;
-  void put(std::string_view key, std::string value, double now) override;
-  void put_negative(std::string_view key, std::string value, double now) override;
-
-  size_t size() const override { return map_.size(); }
-  const CacheTuning& tuning() const { return tuning_; }
-
-  uint64_t hits() const override { return hits_; }
-  uint64_t misses() const override { return misses_; }
-  uint64_t expired() const override { return expired_; }
-  uint64_t evictions() const override { return evictions_; }
+  /// Hard bound on size() regardless of hash skew.
+  size_t max_resident() const { return per_stripe_capacity_ * stripes_.size(); }
 
   /// Effective TTL for `key` after jitter: ttl * (1 ± ttl_jitter), keyed by
   /// a hash of the key so it is stable across refreshes. Exposed for tests.
   double effective_ttl(std::string_view key) const;
 
  private:
+  static constexpr size_t kCacheLine = 64;
+
   struct Entry {
     std::string key;
     std::string value;
@@ -164,9 +158,9 @@ class ResultCache final : public ResultCacheBase {
     /// has passed since the claim (a claimed refresh that never lands must
     /// not wedge the key). Cleared by put().
     double refresh_claimed_at = -kClaimInf;
-    /// Value of seq_ when this entry last moved to the front. At most
-    /// `seq_ - promoted_at` other entries have moved in front of it since,
-    /// which bounds its distance from the front.
+    /// Value of its stripe's `seq` when this entry last moved to the front.
+    /// At most `seq - promoted_at` other entries have moved in front of it
+    /// since, which bounds its distance from the front.
     uint64_t promoted_at = 0;
   };
   using Slot = std::list<Entry>::iterator;
@@ -180,32 +174,45 @@ class ResultCache final : public ResultCacheBase {
     }
   };
 
-  bool fresh(const Entry& e, double now) const { return now <= e.expires_at; }
+  /// One lock and the LRU+TTL state it guards. Line-aligned so no two
+  /// stripes share a line, with the mutex first and the hit and miss
+  /// counters right behind it: a fresh hit writes the line the lock already
+  /// owns, and gated promotion leaves the list alone for entries in the
+  /// front quarter, so shards hitting the same hot keys contend only on the
+  /// lock word.
+  struct alignas(kCacheLine) Stripe {
+    mutable std::mutex mu;
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+    uint64_t expired = 0;
+    uint64_t evictions = 0;
+    /// Moves to the front so far (inserts, overwrites, promotions).
+    uint64_t seq = 0;
+    std::list<Entry> lru;  // front = most recent
+    std::unordered_map<std::string, Slot, KeyHash, std::equal_to<>> map;
+  };
+  static_assert(sizeof(std::mutex) + 2 * sizeof(uint64_t) <= kCacheLine);
+
+  /// A private cache has one stripe and skips the hash.
+  size_t stripe_of(std::string_view key) const {
+    return stripes_.size() == 1 ? 0 : KeyHash{}(key) % stripes_.size();
+  }
+  uint64_t sum(uint64_t Stripe::*counter) const;
   /// Fresh-hit bookkeeping: counts the hit and promotes the entry only when
   /// it has left the front window.
-  void touch(Slot it);
-  void move_to_front(Slot it);
-  void store(std::string_view key, std::string value, double now,
+  void touch(Stripe& s, Slot it);
+  static void move_to_front(Stripe& s, Slot it);
+  void store(Stripe& s, std::string_view key, std::string value, double now,
              bool negative, double ttl_for_entry);
 
-  // Counters come first: StripedResultCache places its stripe mutex right
-  // before this object, so a hit's counter write lands on the cache line the
-  // lock already owns instead of dirtying a second one.
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
-  uint64_t expired_ = 0;
-  uint64_t evictions_ = 0;
-  size_t capacity_;
+  std::vector<Stripe> stripes_;
+  size_t per_stripe_capacity_;
   /// Moves to the front an entry may lag behind and still count as recent:
-  /// max(1, capacity/4).
+  /// max(1, per-stripe capacity / 4).
   uint64_t front_window_;
-  /// Moves to the front so far (inserts, overwrites, promotions).
-  uint64_t seq_ = 0;
   double ttl_;
   CacheTuning tuning_;
   uint64_t salt_;
-  std::list<Entry> lru_;  // front = most recent
-  std::unordered_map<std::string, Slot, KeyHash, std::equal_to<>> map_;
 };
 
 }  // namespace sbroker::core

@@ -10,9 +10,9 @@
 //
 // Single-threaded brokers use a private table (claims then always succeed,
 // and the same structure carries the local waiter bookkeeping); the sharded
-// daemon shares one table across shards the same way it shares the striped
-// cache. Mutex-striped by key hash like StripedResultCache: the table is
-// touched only on cache misses, never on the hit path.
+// daemon shares one table across shards the same way it shares the result
+// cache. Mutex-striped by key hash like ResultCache: the table is touched
+// only on cache misses, never on the hit path.
 #pragma once
 
 #include <atomic>

@@ -35,7 +35,7 @@ ShardedBrokerDaemon::ShardedBrokerDaemon(std::string name,
   // Salt the shared cache's TTL jitter from this daemon's run seed: two
   // daemon instances (federation members) must not expire the same hot key
   // in lockstep.
-  cache_ = std::make_shared<core::StripedResultCache>(
+  cache_ = std::make_shared<core::ResultCache>(
       config_.broker.cache_capacity, config_.broker.cache_ttl,
       kCacheStripes, config_.broker.cache_tuning,
       core::ttl_salt(config_.broker.rng_seed));

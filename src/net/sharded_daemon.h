@@ -5,9 +5,10 @@
 // invariant — no locks anywhere on a shard's data path — and two pieces of
 // state are deliberately global so the paper's semantics survive sharding:
 //
-//   * the result cache is a StripedResultCache shared by every shard, so a
-//     result fetched through shard A serves the identical request arriving
-//     at shard B (otherwise sharding divides the hit rate by N);
+//   * the result cache is one ResultCache of kCacheStripes stripes shared by
+//     every shard, so a result fetched through shard A serves the identical
+//     request arriving at shard B (otherwise sharding divides the hit rate
+//     by N);
 //   * the outstanding-request count is a shared atomic LoadTracker, so each
 //     shard's OverloadController enforces the QoS thresholds against the
 //     *global* load rather than 1/N of it.
@@ -29,9 +30,9 @@
 
 #include "core/backend.h"
 #include "core/broker.h"
+#include "core/cache.h"
 #include "core/flight.h"
 #include "core/load.h"
-#include "core/striped_cache.h"
 #include "net/admin.h"
 #include "net/broker_daemon.h"
 #include "net/reactor.h"
@@ -93,8 +94,8 @@ class ShardedBrokerDaemon {
   /// the round-robin acceptor fallback is in use.
   bool kernel_accept_sharding() const { return !acceptor_; }
 
-  core::StripedResultCache& shared_cache() { return *cache_; }
-  const core::StripedResultCache& shared_cache() const { return *cache_; }
+  core::ResultCache& shared_cache() { return *cache_; }
+  const core::ResultCache& shared_cache() const { return *cache_; }
   core::LoadTracker& shared_load() { return *load_; }
   /// Cross-shard single-flight registry: identical misses arriving at
   /// different shards collapse to one backend fetch.
@@ -149,7 +150,7 @@ class ShardedBrokerDaemon {
 
   std::string name_;
   ShardedBrokerDaemonConfig config_;
-  std::shared_ptr<core::StripedResultCache> cache_;
+  std::shared_ptr<core::ResultCache> cache_;
   std::shared_ptr<core::LoadTracker> load_;
   std::shared_ptr<core::FlightTable> flights_;
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ostream>
 #include <random>
 #include <string>
 
@@ -69,6 +70,13 @@ struct Case {
   OverloadPolicy policy;
   bool lifo;
 };
+
+// Names the case in --gtest_list_tests; without a printer gtest dumps the
+// struct's bytes, padding included, and the listing differs per build.
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << overload_policy_name(c.policy) << (c.lifo ? "+lifo" : "") << ", "
+      << c.levels << " levels, threshold " << c.threshold;
+}
 
 class AdmissionModel : public ::testing::TestWithParam<Case> {};
 

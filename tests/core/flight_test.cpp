@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "core/broker.h"
-#include "core/striped_cache.h"
+#include "core/cache.h"
 
 namespace sbroker::core {
 namespace {
@@ -526,7 +526,7 @@ TEST(PrefetchRace, BusyBrokerDoesNotArmZeroDelayPrefetchWakeups) {
 // notify path is exercised synchronously).
 
 struct BrokerPair {
-  std::shared_ptr<StripedResultCache> cache;
+  std::shared_ptr<ResultCache> cache;
   std::shared_ptr<FlightTable> flights;
   ServiceBroker a;
   ServiceBroker b;
@@ -535,8 +535,8 @@ struct BrokerPair {
   int b_notified = 0;
 
   explicit BrokerPair(const BrokerConfig& cfg)
-      : cache(std::make_shared<StripedResultCache>(1024, cfg.cache_ttl, 4,
-                                                   cfg.cache_tuning)),
+      : cache(std::make_shared<ResultCache>(1024, cfg.cache_ttl, 4,
+                                            cfg.cache_tuning)),
         flights(std::make_shared<FlightTable>(4)),
         a("shard-a", cfg),
         b("shard-b", cfg) {

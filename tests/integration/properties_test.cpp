@@ -2,8 +2,11 @@
 // conservation across randomized configurations, and event-loop stress.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <optional>
 #include <ostream>
+#include <vector>
 
 #include "core/broker.h"
 #include "core/cache.h"
@@ -22,49 +25,162 @@ std::string nth(const char* prefix, uint64_t n) {
 }
 
 // --------------------------------------------------------------------------
-// ResultCache vs a reference model: same behaviour under random operations.
-// The model tracks the full key->(value, stored_at) map without capacity
-// limits; the cache must agree with the model whenever it *does* return a
-// value, and must respect capacity and TTL always.
+// ResultCache against an executable spec. The model holds, per key, what the
+// cache promises: value, store time, expiry, negative flag and refresh claim.
+// It does not choose eviction victims. After an insert into a full stripe it
+// finds the one entry that left and checks the documented bound instead: an
+// entry stays resident until more than Cs - max(1, Cs/4) distinct other keys
+// of its stripe have been stored or fresh-hit since its own last store or
+// hit (Cs = per-stripe capacity). Every outcome and value, get_stale(),
+// size() and every counter must equal the model's.
 
-TEST(Properties, CacheAgreesWithReferenceModel) {
-  const size_t kCapacity = 16;
-  const double kTtl = 3.0;
-  core::ResultCache cache(kCapacity, kTtl);
-  std::map<std::string, std::pair<std::string, double>> model;
-  util::Rng rng(1234);
+struct ModelEntry {
+  std::string value;
+  double stored_at = 0.0;
+  double expires_at = 0.0;
+  bool negative = false;
+  bool resident = false;
+  double claimed_at = -core::kClaimInf;  ///< when kStaleRefresh was last handed out
+  uint64_t last_use = 0;                 ///< step of its last store or fresh hit
+};
+
+/// Past every expiry, kClaimInf (expiry disabled) included.
+constexpr double kPastEveryExpiry = 1e301;
+
+void check_cache_against_model(size_t stripes, size_t capacity, uint64_t seed) {
+  using enum core::LookupOutcome;
+  core::CacheTuning tuning;
+  tuning.swr_grace = 0.5;
+  tuning.ttl_jitter = 0.2;
+  tuning.negative_ttl = 0.3;
+  const double kTtl = 1.0;
+  core::ResultCache cache(capacity, kTtl, stripes, tuning, core::ttl_salt(seed));
+  const size_t per_stripe = (capacity + stripes - 1) / stripes;
+  const size_t survives = per_stripe - std::max<size_t>(1, per_stripe / 4);
+  auto stripe_of = [&](const std::string& key) {
+    return std::hash<std::string_view>{}(key) % stripes;
+  };
+  std::map<std::string, ModelEntry> model;
+  std::vector<size_t> resident(stripes, 0);
+  uint64_t uses = 0, hits = 0, misses = 0, expired = 0, evictions = 0;
+  std::map<core::LookupOutcome, int> outcomes;
+  util::Rng rng(seed);
   core::Arena scratch;
-  double now = 0.0;
 
-  for (int op = 0; op < 20000; ++op) {
-    now += rng.uniform_real(0.0, 0.5);
-    std::string key = nth("k", rng.uniform_int(0, 39));
-    if (rng.next_double() < 0.5) {
-      std::string value = nth("v", op);
-      cache.put(key, value, now);
-      model[key] = {value, now};
+  // Residency probe: a lookup past every expiry is a miss that counts in
+  // expired() exactly when the key is resident, and changes nothing else.
+  auto in_cache = [&](const std::string& key) {
+    uint64_t before = cache.expired();
+    scratch.reset();
+    EXPECT_EQ(cache.lookup_into(key, kPastEveryExpiry, scratch).outcome, kMiss);
+    ++misses;
+    bool found = cache.expired() != before;
+    expired += found;
+    return found;
+  };
+
+  auto store = [&](const std::string& key, const std::string& value, double at,
+                   bool negative, double ttl) {
+    ModelEntry& e = model[key];
+    if (e.resident && e.stored_at > at) return;  // last write wins
+    bool inserted = !e.resident;
+    e = ModelEntry{value, at, at + ttl, negative, true, -core::kClaimInf, ++uses};
+    size_t s = stripe_of(key);
+    if (!inserted) return;
+    if (resident[s] < per_stripe) {
+      ++resident[s];
+      return;
+    }
+    // A full stripe evicts exactly one other entry, and only one the bound
+    // lets go.
+    ++evictions;
+    const std::string* victim = nullptr;
+    for (const auto& [k, other] : model) {
+      if (!other.resident || k == key || stripe_of(k) != s || in_cache(k)) continue;
+      ASSERT_EQ(victim, nullptr) << "both " << *victim << " and " << k << " left";
+      victim = &k;
+    }
+    ASSERT_NE(victim, nullptr) << "stripe " << s << " holds more than " << per_stripe;
+    ModelEntry& gone = model[*victim];
+    size_t since = 0;
+    for (const auto& [k, other] : model) {
+      since += k != *victim && stripe_of(k) == s && other.last_use > gone.last_use;
+    }
+    EXPECT_GT(since, survives) << *victim << " evicted after " << since
+                               << " distinct keys of its stripe";
+    gone.resident = false;
+  };
+
+  double now = 0.0;
+  for (int step = 0; step < 20000 && !::testing::Test::HasFailure(); ++step) {
+    // A hot key comes back about once per TTL: fresh, stale and expired.
+    now += rng.uniform_real(0.0, 1.0 / static_cast<double>(capacity));
+    // Half the keys from a hot set the size of the cache, half from three
+    // times that, so entries are hit, expire and are evicted.
+    int64_t keys = static_cast<int64_t>(rng.next_double() < 0.5 ? capacity : 3 * capacity);
+    std::string key = nth("k", static_cast<uint64_t>(rng.uniform_int(0, keys - 1)));
+    std::string value = nth("v", static_cast<uint64_t>(step));
+    ModelEntry& e = model[key];
+    double op = rng.next_double();
+    if (op < 0.3) {
+      // One put in five carries an older stamp, as a slow prefetch does.
+      double at = rng.next_double() < 0.2 ? now - rng.uniform_real(0.0, 0.5) : now;
+      cache.put(key, value, at);
+      double ttl = cache.effective_ttl(key);
+      ASSERT_GE(ttl, kTtl * (1 - tuning.ttl_jitter));
+      ASSERT_LE(ttl, kTtl * (1 + tuning.ttl_jitter));
+      store(key, value, at, false, ttl);
+    } else if (op < 0.4) {
+      cache.put_negative(key, value, now);
+      // Stale truth beats a fresh failure.
+      if (!e.resident || e.negative) store(key, value, now, true, tuning.negative_ttl);
+    } else if (op < 0.45) {
+      std::optional<std::string> want;
+      if (e.resident && !e.negative) want = e.value;
+      ASSERT_EQ(cache.get_stale(key), want) << "step " << step << " key " << key;
     } else {
       scratch.reset();
-      core::LookupView looked = cache.lookup_into(key, now, scratch);
-      ASSERT_LE(cache.size(), kCapacity);
-      // No grace window and no negatives: every probe is a hit or a miss.
-      ASSERT_TRUE(looked.outcome == core::LookupOutcome::kHit ||
-                  looked.outcome == core::LookupOutcome::kMiss);
-      if (looked.outcome == core::LookupOutcome::kHit) {
-        // Anything returned must match the latest model write and be fresh.
-        auto it = model.find(key);
-        ASSERT_NE(it, model.end()) << "cache invented a value for " << key;
-        EXPECT_EQ(looked.value, it->second.first);
-        EXPECT_LE(now - it->second.second, kTtl);
-      } else if (model.count(key) && now - model[key].second <= kTtl) {
-        // A fresh model entry may be missing only via capacity eviction;
-        // with 40 keys over capacity 16 that's expected — nothing to assert.
+      core::LookupView got = cache.lookup_into(key, now, scratch);
+      core::LookupOutcome want = kMiss;
+      if (e.resident && now <= e.expires_at) {
+        want = e.negative ? kNegative : kHit;
+        e.last_use = ++uses;
+      } else if (e.resident && !e.negative && now - e.expires_at <= tuning.swr_grace) {
+        // One refresh claim per key per grace window.
+        want = now - e.claimed_at > tuning.swr_grace ? kStaleRefresh : kStaleServe;
+        if (want == kStaleRefresh) e.claimed_at = now;
+      } else {
+        expired += e.resident;
       }
-      // Stale lookups must also never invent values.
-      if (auto stale = cache.get_stale(key)) {
-        ASSERT_TRUE(model.count(key));
-        EXPECT_EQ(*stale, model[key].first);
-      }
+      (want == kMiss ? misses : hits) += 1;
+      ++outcomes[want];
+      ASSERT_EQ(got.outcome, want) << "step " << step << " key " << key;
+      ASSERT_EQ(got.value, want == kMiss ? "" : e.value) << "step " << step;
+    }
+    size_t total = 0;
+    for (size_t n : resident) total += n;
+    ASSERT_EQ(cache.size(), total) << "step " << step;
+    ASSERT_LE(cache.size(), cache.max_resident());
+    ASSERT_EQ(cache.hits(), hits) << "step " << step;
+    ASSERT_EQ(cache.misses(), misses) << "step " << step;
+    ASSERT_EQ(cache.expired(), expired) << "step " << step;
+    ASSERT_EQ(cache.evictions(), evictions) << "step " << step;
+  }
+  for (core::LookupOutcome o : {kMiss, kHit, kNegative, kStaleServe, kStaleRefresh}) {
+    EXPECT_GT(outcomes[o], 0) << "outcome " << static_cast<int>(o) << " never seen";
+  }
+  EXPECT_GT(evictions, 0u);
+}
+
+TEST(Properties, CacheAgreesWithReferenceModel) {
+  struct Shape { size_t stripes, capacity; };
+  for (Shape shape : {Shape{1, 4}, Shape{1, 8}, Shape{1, 16}, Shape{1, 33},
+                      Shape{8, 33}, Shape{8, 64}}) {
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE(testing::Message() << shape.stripes << " stripes, capacity "
+                                      << shape.capacity << ", seed " << seed);
+      check_cache_against_model(shape.stripes, shape.capacity, seed);
+      if (HasFailure()) return;
     }
   }
 }
