@@ -42,7 +42,7 @@ double run_once(core::BalancePolicy policy, uint64_t requests, size_t concurrenc
     backend_cfg.capacity = 4;
     backend_cfg.link_seed = util::derive_seed(100, static_cast<uint64_t>(i));
     backend_cfg.cost.fixed_seconds = 0.010;
-    backend_cfg.cost.per_repeat_seconds = 0.005;
+    backend_cfg.cost.per_statement_seconds = 0.005;
     if (i == 2) {
       // Replica 2 is 3x slower per access, with service-time jitter.
       backend_cfg.profile.multiplier = 3.0;

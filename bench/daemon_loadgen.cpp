@@ -156,6 +156,7 @@
 #include <chrono>
 #include <cstdio>
 #include <deque>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -1742,7 +1743,7 @@ int main(int argc, char** argv) {
   json.end_array().end_object();
 
   if (!out.empty()) {
-    if (json.write_file(out)) {
+    if (std::ofstream(out) << json.str() << '\n' << std::flush) {
       std::printf("\nwrote %s\n", out.c_str());
     } else {
       std::fprintf(stderr, "failed to write %s\n", out.c_str());

@@ -46,7 +46,7 @@ RunResult run_once(size_t degree, uint64_t total_requests, size_t concurrency,
   backend_cfg.connection_setup = 0.015;     // TCP + HTTP + DB handshake
   // Per-access overhead dominates small queries: CGI spawn + parse + plan.
   backend_cfg.cost.fixed_seconds = 0.025;
-  backend_cfg.cost.per_repeat_seconds = 0.010;  // the script's workload body
+  backend_cfg.cost.per_statement_seconds = 0.010;  // the script's workload body
   auto backend = std::make_shared<srv::SimDbBackend>(sim, db, backend_cfg);
 
   core::BrokerConfig broker_cfg;

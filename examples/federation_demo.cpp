@@ -49,6 +49,7 @@
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <memory>
 #include <optional>
 #include <string>
@@ -607,7 +608,7 @@ int main(int argc, char** argv) {
   for (const PhaseResult& r : runs) json_phase(json, r);
   json.end_array().end_object();
   if (!k.out.empty()) {
-    if (json.write_file(k.out)) {
+    if (std::ofstream(k.out) << json.str() << '\n' << std::flush) {
       std::printf("wrote %s\n", k.out.c_str());
     } else {
       std::fprintf(stderr, "failed to write %s\n", k.out.c_str());

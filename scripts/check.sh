@@ -38,7 +38,10 @@
 #                              # simulator harnesses, perfbench --smoke) run,
 #                              # and which only the tests run; --coverage -O0
 #                              # tree in build-reach/, perfbench's in
-#                              # build-reach-bench/; not part of `all`
+#                              # build-reach-bench/; ends with the
+#                              # `reach.py lines` command that lists each
+#                              # line no shipping program ran; not part of
+#                              # `all`
 set -eu
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -217,7 +220,8 @@ run_reach() {
   python3 "$repo_root/scripts/reach.py" collect "$tree/reach-all.json" "$tree"
   python3 "$repo_root/scripts/reach.py" report "$tree/reach-shipped.json" "$tree/reach-all.json"
   [ -z "$failed" ] || echo "reach: these runs failed (their counts are partial):$failed"
-  echo "reach: $(( $(date +%s) - start )) s"
+  echo "reach: $(( $(date +%s) - start )) s; the lines no shipping program ran:"
+  echo "  python3 scripts/reach.py lines $tree/reach-shipped.json $tree/reach-all.json [FILE...]"
 }
 
 [ $# -gt 0 ] || set -- all

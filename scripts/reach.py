@@ -10,6 +10,12 @@
                                  collected after the tests, minus SHIPPED) and
                                  how many nothing ran; then every src/ function
                                  no shipping program calls
+  reach.py lines SHIPPED ALL [FILE...]
+                                 prints every executable src/ line no shipping
+                                 program ran, marked T (a test ran it) or -
+                                 (nothing did), with its source text; FILEs
+                                 (paths under the repo, e.g. src/db/parser.cpp
+                                 or a directory src/db) narrow the list
 
 ALL defines which lines are executable: collect it from the -O0 tree only,
 since an optimised tree (perfbench's) folds lines together. `-p` keeps the
@@ -101,11 +107,32 @@ def report(shipped_path, all_path):
     print(f"reach: {len(idle)} functions")
 
 
+def lines(shipped_path, all_path, only):
+    shipped, every = load(shipped_path), load(all_path)
+    only = [os.path.normpath(p).rstrip(os.sep) for p in only]
+    for rel in sorted(every["lines"]):
+        if only and not any(rel == p or rel.startswith(p + os.sep) for p in only):
+            continue
+        ran = shipped["lines"].get(rel, {})
+        idle = sorted(int(n) for n, count in every["lines"][rel].items()
+                      if ran.get(n, 0) == 0)
+        if not idle:
+            continue
+        with open(os.path.join(ROOT, rel)) as f:
+            text = f.read().split("\n")
+        for n in idle:
+            mark = "T" if every["lines"][rel][str(n)] > 0 else "-"
+            source = text[n - 1] if n <= len(text) else ""
+            print(f"{rel}:{n}: {mark} {source}")
+
+
 def main(argv):
     if len(argv) >= 3 and argv[0] == "collect":
         collect(argv[1], argv[2:])
     elif len(argv) == 3 and argv[0] == "report":
         report(argv[1], argv[2])
+    elif len(argv) >= 3 and argv[0] == "lines":
+        lines(argv[1], argv[2], argv[3:])
     else:
         sys.exit(__doc__)
 

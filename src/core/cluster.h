@@ -9,10 +9,10 @@
 //
 // The batch is rewritten by joining the member payloads with the ASCII
 // record separator (0x1e). Backends in this repo execute each record and
-// join the per-record results the same way, so splitting is exact.
-// Identical misses never share a batch (single-flight parks the repeats on
-// the first fetch), so the paper's script-repeats-workload form
-// (`... REPEAT n`) has nothing to batch; the db layer still executes it.
+// join the per-record results the same way, so splitting is exact: the
+// backend script runs one statement per member, and the db cost model
+// charges per statement. Identical misses never share a batch
+// (single-flight parks the repeats on the first fetch).
 //
 // MGET batching for plain HTTP targets lives in http/mget.h; the broker
 // picks it when payloads look like URI targets.

@@ -1,157 +1,11 @@
 #include "db/executor.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "db/database.h"
 #include "db/parser.h"
 
 namespace sbroker::db {
-namespace {
-
-bool is_equality(CompareOp op) { return op == CompareOp::kEq; }
-
-bool is_range(CompareOp op) {
-  return op == CompareOp::kLt || op == CompareOp::kLe || op == CompareOp::kGt ||
-         op == CompareOp::kGe;
-}
-
-/// Runs the plan once, appending matches to `out`.
-void run_once(const Table& t, const SelectQuery& q,
-              const std::vector<size_t>& pred_cols,
-              const std::vector<size_t>& out_cols,
-              std::optional<size_t> order_col, ExecStats& stats,
-              std::vector<Row>& out) {
-  // COUNT(*) and ORDER BY must see every match, so the scan-time limit only
-  // applies to the plain streaming path.
-  bool materialize_all = q.count_only || order_col.has_value();
-  uint64_t limit = materialize_all ? UINT64_MAX : q.limit.value_or(UINT64_MAX);
-  uint64_t matched = 0;
-  uint64_t match_count = 0;
-  std::vector<const Row*> collected;  // ORDER BY path
-
-  auto emit = [&](const Row& row) {
-    ++matched;
-    if (q.count_only) {
-      ++match_count;
-      return;
-    }
-    if (order_col) {
-      collected.push_back(&row);
-      return;
-    }
-    Row projected;
-    projected.reserve(out_cols.size());
-    for (size_t c : out_cols) projected.push_back(row[c]);
-    out.push_back(std::move(projected));
-    ++stats.rows_returned;
-  };
-
-  auto matches_all = [&](const Row& row, size_t skip_pred) {
-    for (size_t i = 0; i < q.where.size(); ++i) {
-      if (i == skip_pred) continue;
-      if (!eval_compare(q.where[i].op, row[pred_cols[i]], q.where[i].literal)) {
-        return false;
-      }
-    }
-    return true;
-  };
-
-  // Plan selection: hash index on an equality predicate wins, then ordered
-  // index on a range or equality predicate, then full scan.
-  size_t chosen = q.where.size();
-  bool chosen_hash = false;
-  for (size_t i = 0; i < q.where.size(); ++i) {
-    if (is_equality(q.where[i].op) && t.has_hash_index(pred_cols[i])) {
-      chosen = i;
-      chosen_hash = true;
-      break;
-    }
-  }
-  if (chosen == q.where.size()) {
-    for (size_t i = 0; i < q.where.size(); ++i) {
-      if ((is_range(q.where[i].op) || is_equality(q.where[i].op)) &&
-          t.has_ordered_index(pred_cols[i])) {
-        chosen = i;
-        break;
-      }
-    }
-  }
-
-  if (chosen < q.where.size()) {
-    stats.used_index = true;
-    const Predicate& p = q.where[chosen];
-    std::vector<RowId> ids;
-    if (chosen_hash) {
-      ids = t.hash_lookup(pred_cols[chosen], p.literal);
-    } else {
-      switch (p.op) {
-        case CompareOp::kEq:
-          ids = t.range_lookup(pred_cols[chosen], &p.literal, true, &p.literal, true);
-          break;
-        case CompareOp::kLt:
-          ids = t.range_lookup(pred_cols[chosen], nullptr, false, &p.literal, false);
-          break;
-        case CompareOp::kLe:
-          ids = t.range_lookup(pred_cols[chosen], nullptr, false, &p.literal, true);
-          break;
-        case CompareOp::kGt:
-          ids = t.range_lookup(pred_cols[chosen], &p.literal, false, nullptr, false);
-          break;
-        case CompareOp::kGe:
-          ids = t.range_lookup(pred_cols[chosen], &p.literal, true, nullptr, false);
-          break;
-        case CompareOp::kNe:
-          // Not index-friendly; should not be chosen.
-          throw std::logic_error("!= predicate chose an index plan");
-      }
-    }
-    for (RowId id : ids) {
-      if (matched >= limit) break;
-      const Row* row = t.get(id);
-      if (!row) continue;
-      ++stats.rows_examined;
-      if (matches_all(*row, chosen)) emit(*row);
-    }
-  }
-
-  if (chosen == q.where.size()) {
-    t.scan([&](RowId, const Row& row) {
-      if (matched >= limit) return false;
-      ++stats.rows_examined;
-      if (matches_all(row, q.where.size())) emit(row);
-      return true;
-    });
-  }
-
-  if (q.count_only) {
-    out.push_back(Row{Value(static_cast<int64_t>(match_count))});
-    ++stats.rows_returned;
-    return;
-  }
-
-  if (order_col) {
-    // Stable sort keeps insertion order for equal keys (deterministic).
-    std::stable_sort(collected.begin(), collected.end(),
-                     [&](const Row* a, const Row* b) {
-                       int c = (*a)[*order_col].compare((*b)[*order_col]);
-                       return q.order_by->descending ? c > 0 : c < 0;
-                     });
-    uint64_t cap = q.limit.value_or(UINT64_MAX);
-    uint64_t emitted = 0;  // per-repeat, not across the whole result set
-    for (const Row* row : collected) {
-      if (emitted >= cap) break;
-      Row projected;
-      projected.reserve(out_cols.size());
-      for (size_t c : out_cols) projected.push_back((*row)[c]);
-      out.push_back(std::move(projected));
-      ++stats.rows_returned;
-      ++emitted;
-    }
-  }
-}
-
-}  // namespace
 
 std::string ResultSet::to_text() const {
   std::string out;
@@ -173,45 +27,56 @@ std::string ResultSet::to_text() const {
 ResultSet execute(const Database& db, const SelectQuery& q) {
   const Table& t = db.table(q.table);
   const Schema& schema = t.schema();
+  auto resolve = [&](const std::string& name) {
+    auto idx = schema.find(name);
+    if (!idx) throw std::invalid_argument("no such column: " + name);
+    return *idx;
+  };
 
-  // Resolve output columns.
-  std::vector<size_t> out_cols;
   ResultSet result;
-  if (q.count_only) {
-    result.columns.push_back("count");
-  } else if (q.columns.empty()) {
+  std::vector<size_t> out_cols;
+  if (q.columns.empty()) {
     for (size_t i = 0; i < schema.column_count(); ++i) {
       out_cols.push_back(i);
       result.columns.push_back(schema.column(i).name);
     }
   } else {
     for (const std::string& name : q.columns) {
-      auto idx = schema.find(name);
-      if (!idx) throw std::invalid_argument("no such column: " + name);
-      out_cols.push_back(*idx);
+      out_cols.push_back(resolve(name));
       result.columns.push_back(name);
     }
   }
+  size_t where_col = q.where ? resolve(q.where->column) : 0;
 
-  // Resolve predicate columns.
-  std::vector<size_t> pred_cols;
-  for (const Predicate& p : q.where) {
-    auto idx = schema.find(p.column);
-    if (!idx) throw std::invalid_argument("no such column: " + p.column);
-    pred_cols.push_back(*idx);
-  }
+  ExecStats& stats = result.stats;
+  const uint64_t limit = q.limit.value_or(UINT64_MAX);
+  auto emit = [&](const Row& row) {
+    Row projected;
+    projected.reserve(out_cols.size());
+    for (size_t c : out_cols) projected.push_back(row[c]);
+    result.rows.push_back(std::move(projected));
+    ++stats.rows_returned;
+  };
 
-  // Resolve the ORDER BY column.
-  std::optional<size_t> order_col;
-  if (q.order_by) {
-    auto idx = schema.find(q.order_by->column);
-    if (!idx) throw std::invalid_argument("no such column: " + q.order_by->column);
-    order_col = *idx;
-  }
-
-  result.stats.repeats = q.repeat;
-  for (uint64_t r = 0; r < q.repeat; ++r) {
-    run_once(t, q, pred_cols, out_cols, order_col, result.stats, result.rows);
+  if (q.where && (t.has_hash_index(where_col) || t.has_ordered_index(where_col))) {
+    // Every row an index probe yields matches the predicate.
+    stats.used_index = true;
+    const Value& key = q.where->literal;
+    std::vector<RowId> ids = t.has_hash_index(where_col)
+                                 ? t.hash_lookup(where_col, key)
+                                 : t.range_lookup(where_col, &key, true, &key, true);
+    for (RowId id : ids) {
+      if (stats.rows_returned >= limit) break;
+      ++stats.rows_examined;
+      emit(*t.get(id));
+    }
+  } else {
+    t.scan([&](RowId, const Row& row) {
+      if (stats.rows_returned >= limit) return false;
+      ++stats.rows_examined;
+      if (!q.where || row[where_col].compare(q.where->literal) == 0) emit(row);
+      return true;
+    });
   }
   return result;
 }

@@ -1,11 +1,13 @@
 // Query executor: runs a SelectQuery against a Database.
 //
 // Plan selection is deliberately simple (this stands in for MySQL, it does
-// not compete with it): the executor picks the first equality predicate on a
-// hash-indexed column, else the first range predicate on an ordered-indexed
-// column, else a full scan. Remaining predicates are applied as filters.
-// `ExecStats` records the work done; the cost model converts it into a
-// simulated service time for the DES testbeds.
+// not compete with it): an equality on a hash-indexed column probes the hash
+// index, else one on an ordered-indexed column probes the ordered index
+// (rows come back in index order), else the executor scans the table in
+// insertion order and filters. The LIMIT stops the probe or scan early, so
+// the rows under a LIMIT are a prefix of the unlimited result. `ExecStats`
+// records the work done; the cost model converts it into a simulated
+// service time for the DES testbeds.
 #pragma once
 
 #include <cstdint>
@@ -18,11 +20,11 @@
 
 namespace sbroker::db {
 
-/// Work accounting for one execution (summed over REPEAT iterations).
+/// Work accounting for one backend call.
 struct ExecStats {
   uint64_t rows_examined = 0;  ///< rows touched by scan or index probe
   uint64_t rows_returned = 0;
-  uint64_t repeats = 1;
+  uint64_t statements = 1;     ///< statements executed (records of a batch)
   bool used_index = false;
 };
 
@@ -39,9 +41,7 @@ struct ResultSet {
 class Database;  // defined in database.h
 
 /// Executes `q` against `db`. Throws std::invalid_argument for unknown
-/// tables/columns. REPEAT k runs the plan k times and concatenates results —
-/// this reproduces the paper's clustered-script behaviour where the backend
-/// "repeats the same workload multiple times".
+/// tables/columns.
 ResultSet execute(const Database& db, const SelectQuery& q);
 
 /// Parses `sql` then executes it.

@@ -7,7 +7,7 @@
 namespace sbroker::db {
 namespace {
 
-enum class TokKind { kIdent, kNumber, kString, kSymbol, kEnd };
+enum class TokKind { kIdent, kNumber, kSymbol, kEnd };
 
 struct Token {
   TokKind kind = TokKind::kEnd;
@@ -39,16 +39,13 @@ class Lexer {
     if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
       size_t start = pos_;
       while (pos_ < sql_.size() &&
-             (std::isalnum(static_cast<unsigned char>(sql_[pos_])) || sql_[pos_] == '_' ||
-              sql_[pos_] == '.')) {
+             (std::isalnum(static_cast<unsigned char>(sql_[pos_])) || sql_[pos_] == '_')) {
         ++pos_;
       }
       current_ = {TokKind::kIdent, std::string(sql_.substr(start, pos_ - start))};
       return;
     }
-    if (std::isdigit(static_cast<unsigned char>(c)) ||
-        (c == '-' && pos_ + 1 < sql_.size() &&
-         std::isdigit(static_cast<unsigned char>(sql_[pos_ + 1])))) {
+    if (std::isdigit(static_cast<unsigned char>(c))) {
       size_t start = pos_;
       ++pos_;
       bool seen_dot = false;
@@ -61,27 +58,7 @@ class Lexer {
       current_ = {TokKind::kNumber, std::string(sql_.substr(start, pos_ - start))};
       return;
     }
-    if (c == '\'') {
-      ++pos_;
-      std::string text;
-      while (pos_ < sql_.size() && sql_[pos_] != '\'') {
-        text += sql_[pos_++];
-      }
-      if (pos_ >= sql_.size()) throw ParseError("unterminated string literal");
-      ++pos_;  // closing quote
-      current_ = {TokKind::kString, std::move(text)};
-      return;
-    }
-    // Multi-char operators first.
-    for (std::string_view op : {"<=", ">=", "!=", "<>"}) {
-      if (sql_.substr(pos_).substr(0, 2) == op) {
-        pos_ += 2;
-        current_ = {TokKind::kSymbol, std::string(op == "<>" ? "!=" : op)};
-        return;
-      }
-    }
-    if (c == '=' || c == '<' || c == '>' || c == ',' || c == '*' || c == ';' ||
-        c == '(' || c == ')') {
+    if (c == '=' || c == ',' || c == '*' || c == ';') {
       ++pos_;
       current_ = {TokKind::kSymbol, std::string(1, c)};
       return;
@@ -106,21 +83,12 @@ Token expect_ident(Lexer& lex, const char* what) {
   return t;
 }
 
-CompareOp parse_op(Lexer& lex) {
-  Token t = lex.take();
-  if (t.kind != TokKind::kSymbol) throw ParseError("expected comparison operator");
-  if (t.text == "=") return CompareOp::kEq;
-  if (t.text == "!=") return CompareOp::kNe;
-  if (t.text == "<") return CompareOp::kLt;
-  if (t.text == "<=") return CompareOp::kLe;
-  if (t.text == ">") return CompareOp::kGt;
-  if (t.text == ">=") return CompareOp::kGe;
-  throw ParseError("unknown operator '" + t.text + "'");
+bool is_symbol(const Token& t, std::string_view sym) {
+  return t.kind == TokKind::kSymbol && t.text == sym;
 }
 
 Value parse_literal(Lexer& lex) {
   Token t = lex.take();
-  if (t.kind == TokKind::kString) return Value(std::move(t.text));
   if (t.kind == TokKind::kNumber) {
     if (t.text.find('.') != std::string::npos) {
       auto d = util::parse_double(t.text);
@@ -131,17 +99,14 @@ Value parse_literal(Lexer& lex) {
     if (!i) throw ParseError("bad integer literal '" + t.text + "'");
     return Value(*i);
   }
-  if (is_keyword(t, "null")) return Value();
   throw ParseError("expected literal, got '" + t.text + "'");
 }
 
-uint64_t parse_uint(Lexer& lex, const char* what) {
+uint64_t parse_limit(Lexer& lex) {
   Token t = lex.take();
-  if (t.kind != TokKind::kNumber) {
-    throw ParseError(std::string("expected number after ") + what);
-  }
+  if (t.kind != TokKind::kNumber) throw ParseError("expected number after LIMIT");
   auto v = util::parse_int(t.text);
-  if (!v || *v < 0) throw ParseError(std::string("bad count after ") + what);
+  if (!v) throw ParseError("bad count after LIMIT: '" + t.text + "'");
   return static_cast<uint64_t>(*v);
 }
 
@@ -155,27 +120,11 @@ SelectQuery parse_select(std::string_view sql) {
   lex.take();
 
   // Select list.
-  if (lex.peek().kind == TokKind::kSymbol && lex.peek().text == "*") {
+  if (is_symbol(lex.peek(), "*")) {
     lex.take();
-  } else if (is_keyword(lex.peek(), "count")) {
-    lex.take();
-    // COUNT(*) — the lexer folds "(*" handling into explicit symbol checks.
-    Token open = lex.take();
-    if (open.kind != TokKind::kSymbol || open.text != "(") {
-      throw ParseError("expected '(' after COUNT");
-    }
-    Token star = lex.take();
-    if (star.kind != TokKind::kSymbol || star.text != "*") {
-      throw ParseError("expected '*' in COUNT(*)");
-    }
-    Token close = lex.take();
-    if (close.kind != TokKind::kSymbol || close.text != ")") {
-      throw ParseError("expected ')' after COUNT(*");
-    }
-    q.count_only = true;
   } else {
     q.columns.push_back(expect_ident(lex, "column name").text);
-    while (lex.peek().kind == TokKind::kSymbol && lex.peek().text == ",") {
+    while (is_symbol(lex.peek(), ",")) {
       lex.take();
       q.columns.push_back(expect_ident(lex, "column name").text);
     }
@@ -187,47 +136,19 @@ SelectQuery parse_select(std::string_view sql) {
 
   if (is_keyword(lex.peek(), "where")) {
     lex.take();
-    while (true) {
-      Predicate p;
-      p.column = expect_ident(lex, "column name").text;
-      p.op = parse_op(lex);
-      p.literal = parse_literal(lex);
-      q.where.push_back(std::move(p));
-      if (is_keyword(lex.peek(), "and")) {
-        lex.take();
-        continue;
-      }
-      break;
-    }
-  }
-
-  if (is_keyword(lex.peek(), "order")) {
-    lex.take();
-    if (!is_keyword(lex.peek(), "by")) throw ParseError("expected BY after ORDER");
-    lex.take();
-    OrderBy order;
-    order.column = expect_ident(lex, "ORDER BY column").text;
-    if (is_keyword(lex.peek(), "asc")) {
-      lex.take();
-    } else if (is_keyword(lex.peek(), "desc")) {
-      lex.take();
-      order.descending = true;
-    }
-    q.order_by = order;
+    Predicate p;
+    p.column = expect_ident(lex, "column name").text;
+    if (!is_symbol(lex.take(), "=")) throw ParseError("expected '=' after WHERE column");
+    p.literal = parse_literal(lex);
+    q.where = std::move(p);
   }
 
   if (is_keyword(lex.peek(), "limit")) {
     lex.take();
-    q.limit = parse_uint(lex, "LIMIT");
+    q.limit = parse_limit(lex);
   }
 
-  if (is_keyword(lex.peek(), "repeat")) {
-    lex.take();
-    q.repeat = parse_uint(lex, "REPEAT");
-    if (q.repeat == 0) throw ParseError("REPEAT count must be >= 1");
-  }
-
-  if (lex.peek().kind == TokKind::kSymbol && lex.peek().text == ";") lex.take();
+  if (is_symbol(lex.peek(), ";")) lex.take();
   if (lex.peek().kind != TokKind::kEnd) {
     throw ParseError("trailing tokens after query: '" + lex.peek().text + "'");
   }

@@ -1,90 +1,38 @@
 #include "db/query.h"
 
+#include <charconv>
+
 namespace sbroker::db {
-
-const char* compare_op_name(CompareOp op) {
-  switch (op) {
-    case CompareOp::kEq:
-      return "=";
-    case CompareOp::kNe:
-      return "!=";
-    case CompareOp::kLt:
-      return "<";
-    case CompareOp::kLe:
-      return "<=";
-    case CompareOp::kGt:
-      return ">";
-    case CompareOp::kGe:
-      return ">=";
-  }
-  return "?";
-}
-
-bool eval_compare(CompareOp op, const Value& lhs, const Value& rhs) {
-  if (lhs.is_null() || rhs.is_null()) {
-    // SQL-lite semantics: NULL = NULL is true, NULL != x is true when x is
-    // non-NULL; ordering comparisons against NULL are false.
-    bool both = lhs.is_null() && rhs.is_null();
-    if (op == CompareOp::kEq) return both;
-    if (op == CompareOp::kNe) return !both;
-    return false;
-  }
-  int c = lhs.compare(rhs);
-  switch (op) {
-    case CompareOp::kEq:
-      return c == 0;
-    case CompareOp::kNe:
-      return c != 0;
-    case CompareOp::kLt:
-      return c < 0;
-    case CompareOp::kLe:
-      return c <= 0;
-    case CompareOp::kGt:
-      return c > 0;
-    case CompareOp::kGe:
-      return c >= 0;
-  }
-  return false;
-}
-
 namespace {
 
-std::string render(const SelectQuery& q, bool with_repeat) {
-  std::string out = "SELECT ";
-  if (q.count_only) {
-    out += "COUNT(*)";
-  } else if (q.columns.empty()) {
-    out += "*";
-  } else {
-    for (size_t i = 0; i < q.columns.size(); ++i) {
-      if (i) out += ", ";
-      out += q.columns[i];
-    }
-  }
-  out += " FROM " + q.table;
-  if (!q.where.empty()) {
-    out += " WHERE ";
-    for (size_t i = 0; i < q.where.size(); ++i) {
-      if (i) out += " AND ";
-      out += q.where[i].column;
-      out += " ";
-      out += compare_op_name(q.where[i].op);
-      out += " ";
-      out += q.where[i].literal.to_string();
-    }
-  }
-  if (q.order_by) {
-    out += " ORDER BY " + q.order_by->column + (q.order_by->descending ? " DESC" : " ASC");
-  }
-  if (q.limit) out += " LIMIT " + std::to_string(*q.limit);
-  if (with_repeat && q.repeat > 1) out += " REPEAT " + std::to_string(q.repeat);
+/// A literal as query text. A REAL renders in the shortest form that reads
+/// back as the same double, with a '.' so it lexes as REAL again (Value's
+/// own six-decimal rendering is for result sets).
+std::string literal_text(const Value& v) {
+  if (v.type() != Type::kReal) return v.to_string();
+  char buf[400];
+  auto end = std::to_chars(buf, buf + sizeof buf, v.as_real(), std::chars_format::fixed).ptr;
+  std::string out(buf, end);
+  if (out.find('.') == std::string::npos) out += ".0";
   return out;
 }
 
 }  // namespace
 
-std::string SelectQuery::to_string() const { return render(*this, /*with_repeat=*/true); }
-
-std::string SelectQuery::cache_key() const { return render(*this, /*with_repeat=*/false); }
+std::string SelectQuery::to_string() const {
+  std::string out = "SELECT ";
+  if (columns.empty()) {
+    out += "*";
+  } else {
+    for (size_t i = 0; i < columns.size(); ++i) {
+      if (i) out += ", ";
+      out += columns[i];
+    }
+  }
+  out += " FROM " + table;
+  if (where) out += " WHERE " + where->column + " = " + literal_text(where->literal);
+  if (limit) out += " LIMIT " + std::to_string(*limit);
+  return out;
+}
 
 }  // namespace sbroker::db

@@ -2,18 +2,15 @@
 //
 // Grammar (case-insensitive keywords):
 //
-//   query     := SELECT select_list FROM ident [WHERE conjunct]
-//                [ORDER BY ident [ASC|DESC]] [LIMIT int] [REPEAT int]
-//   select_list := '*' | COUNT '(' '*' ')' | ident (',' ident)*
-//   conjunct  := predicate (AND predicate)*
-//   predicate := ident op literal
-//   op        := '=' | '!=' | '<' | '<=' | '>' | '>='
-//   literal   := int | real | 'text'
+//   query       := SELECT select_list FROM ident [WHERE ident '=' number]
+//                  [LIMIT int] [';']
+//   select_list := '*' | ident (',' ident)*
+//   number      := unsigned int or real: digits with at most one '.'
 //
-// REPEAT is this repo's clustering extension (Section V-A of the paper): the
-// backend script "repeats the same workload multiple times" when the broker
-// rewrites a clustered batch. REPEAT k executes the query k times and
-// concatenates the result sets.
+// That is the whole of what the workload generators, the examples and the
+// simulator harnesses send: point lookups by id, category listings under a
+// LIMIT (which the broker's fidelity rewriter caps), and movie-schedule
+// lookups. Everything else is a ParseError.
 #pragma once
 
 #include <cstdint>
@@ -25,40 +22,20 @@
 
 namespace sbroker::db {
 
-enum class CompareOp { kEq, kNe, kLt, kLe, kGt, kGe };
-
-const char* compare_op_name(CompareOp op);
-
-/// Evaluates `lhs op rhs` with SQL NULL semantics (NULL matches nothing
-/// except via kEq/kNe against NULL itself — sufficient for this engine).
-bool eval_compare(CompareOp op, const Value& lhs, const Value& rhs);
-
+/// `column = literal`, the one predicate form.
 struct Predicate {
   std::string column;
-  CompareOp op = CompareOp::kEq;
   Value literal;
 };
 
-struct OrderBy {
-  std::string column;
-  bool descending = false;
-};
-
 struct SelectQuery {
-  std::vector<std::string> columns;  ///< empty means '*' (or COUNT(*))
-  bool count_only = false;           ///< SELECT COUNT(*): one row, one cell
+  std::vector<std::string> columns;  ///< empty means '*'
   std::string table;
-  std::vector<Predicate> where;      ///< conjunction
-  std::optional<OrderBy> order_by;
+  std::optional<Predicate> where;
   std::optional<uint64_t> limit;
-  uint64_t repeat = 1;               ///< clustering degree; >= 1
 
-  /// Canonical text form; parse(to_string()) round-trips.
+  /// Canonical text form; parse_select(to_string()) yields this query again.
   std::string to_string() const;
-
-  /// Cache key: canonical text without the REPEAT clause, so a clustered
-  /// batch and a single query that compute the same rows share cache entries.
-  std::string cache_key() const;
 };
 
 }  // namespace sbroker::db

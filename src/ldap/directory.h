@@ -6,10 +6,8 @@
 // front. The model follows LDAP's essentials without the ASN.1: entries are
 // named by distinguished names ("cn=joe,ou=eng,o=acme"), live in a tree
 // derived from DN suffixes, carry multi-valued attributes, and are found by
-// (base, scope, filter) searches.
-//
-// Filters support the common cases: equality "(cn=joe)", presence
-// "(mail=*)", and prefix match "(cn=jo*)".
+// one-level searches (the direct children of a base) under an equality
+// filter "(attr=value)" — the roster lookup the intranet portal sends.
 #pragma once
 
 #include <cstdint>
@@ -25,38 +23,24 @@ namespace sbroker::ldap {
 struct Entry {
   std::string dn;
   std::multimap<std::string, std::string> attributes;
-
-  /// First value of `name`, or nullopt.
-  std::optional<std::string> attribute(const std::string& name) const;
 };
 
-enum class Scope {
-  kBase,     ///< only the base entry itself
-  kOneLevel, ///< direct children of the base
-  kSubtree,  ///< the base and every descendant
-};
-
-/// Parsed search filter.
+/// Equality filter "(attr=value)".
 struct Filter {
-  enum class Kind { kEquality, kPresence, kPrefix };
-  Kind kind = Kind::kPresence;
   std::string attribute;
-  std::string value;  ///< empty for presence; prefix text for kPrefix
+  std::string value;
 
+  /// True when any value of `attribute` equals `value`.
   bool matches(const Entry& entry) const;
 
-  /// Parses "(attr=value)", "(attr=*)", "(attr=pre*)". Returns nullopt on
-  /// malformed input (missing parens, empty attribute, ...).
+  /// Parses "(attr=value)". Returns nullopt on malformed input (missing
+  /// parens, empty attribute, a '*' wildcard in the value, ...).
   static std::optional<Filter> parse(std::string_view text);
 };
 
-/// DN helpers: DNs are comma-separated RDNs, leaf first.
-/// parent("cn=a,o=b") == "o=b"; parent("o=b") == "".
+/// DNs are comma-separated RDNs, leaf first.
+/// parent_dn("cn=a,o=b") == "o=b"; parent_dn("o=b") == "".
 std::string parent_dn(std::string_view dn);
-/// Depth in RDN components; "" has depth 0.
-size_t dn_depth(std::string_view dn);
-/// True when `descendant` is below (or equal to) `ancestor`.
-bool dn_under(std::string_view descendant, std::string_view ancestor);
 
 class Directory {
  public:
@@ -72,15 +56,13 @@ class Directory {
     uint64_t entries_matched = 0;
   };
 
-  /// (base, scope, filter) search. An unknown base yields an empty result.
-  /// `stats` (optional) receives work accounting for the cost model.
-  std::vector<const Entry*> search(const std::string& base, Scope scope,
-                                   const Filter& filter,
+  /// The direct children of `base` that match `filter`. An unknown base
+  /// yields an empty result. `stats` (optional) receives work accounting
+  /// for the cost model.
+  std::vector<const Entry*> search(const std::string& base, const Filter& filter,
                                    SearchStats* stats = nullptr) const;
 
  private:
-  void collect_subtree(const std::string& dn, std::vector<const Entry*>& out) const;
-
   std::map<std::string, Entry> entries_;
   std::multimap<std::string, std::string> children_;  // parent dn -> child dn
 };

@@ -24,16 +24,7 @@ std::optional<SearchCommand> parse_search(const std::string& payload,
       cmd.base = std::string(token.substr(5));
       have_base = true;
     } else if (util::starts_with(token, "scope=")) {
-      std::string_view scope = token.substr(6);
-      if (util::iequals(scope, "base")) {
-        cmd.scope = Scope::kBase;
-      } else if (util::iequals(scope, "one")) {
-        cmd.scope = Scope::kOneLevel;
-      } else if (util::iequals(scope, "sub")) {
-        cmd.scope = Scope::kSubtree;
-      } else {
-        return fail("bad scope (expected base|one|sub)");
-      }
+      if (!util::iequals(token.substr(6), "one")) return fail("bad scope (expected one)");
     } else if (util::starts_with(token, "filter=")) {
       auto filter = Filter::parse(token.substr(7));
       if (!filter) return fail("malformed filter");
@@ -86,7 +77,7 @@ SimLdapBackend::Execution SimLdapBackend::execute(const std::string& payload) {
       exec.reply += "search error: " + error;
     } else {
       Directory::SearchStats stats;
-      exec.reply += render_entries(dir_.search(cmd->base, cmd->scope, cmd->filter, &stats));
+      exec.reply += render_entries(dir_.search(cmd->base, cmd->filter, &stats));
       examined += stats.entries_examined;
     }
   }

@@ -2,9 +2,10 @@
 //
 // Speaks a textual search protocol over the broker's payload channel:
 //
-//   SEARCH base=<dn> scope=<base|one|sub> filter=(attr=value)
+//   SEARCH base=<dn> [scope=one] filter=(attr=value)
 //
-// and answers one line per matched entry: "<dn>\t<attr>=<value>;...".
+// (a one-level search: scope=one is the only scope, and the default) and
+// answers one line per matched entry: "<dn>\t<attr>=<value>;...".
 // Record-separated batch payloads execute each search and join the results
 // with the cluster record separator, like the other Sim backends. The
 // server is the srv::SimServer skeleton; service time is fixed overhead +
@@ -33,7 +34,6 @@ struct LdapBackendConfig {
 /// malformed input. Exposed for tests.
 struct SearchCommand {
   std::string base;
-  Scope scope = Scope::kSubtree;
   Filter filter;
 };
 std::optional<SearchCommand> parse_search(const std::string& payload,

@@ -24,23 +24,6 @@ std::pair<bool, std::string> execute_command(MailStore& store,
     }
     return {true, out};
   }
-  if (util::iequals(op, "FETCH")) {
-    if (fields.size() != 3) return {false, "FETCH needs user|id"};
-    auto id = util::parse_int(fields[2]);
-    if (!id || *id < 1) return {false, "bad message id"};
-    const Message* msg = store.fetch(std::string(fields[1]), static_cast<uint64_t>(*id));
-    if (!msg) return {false, "no such message"};
-    return {true, msg->body};
-  }
-  if (util::iequals(op, "DELETE")) {
-    if (fields.size() != 3) return {false, "DELETE needs user|id"};
-    auto id = util::parse_int(fields[2]);
-    if (!id || *id < 1) return {false, "bad message id"};
-    if (!store.erase(std::string(fields[1]), static_cast<uint64_t>(*id))) {
-      return {false, "no such message"};
-    }
-    return {true, "deleted"};
-  }
   return {false, "unknown command"};
 }
 

@@ -5,12 +5,11 @@
 //
 //   SEND|<to>|<from>|<subject>|<body>      -> "sent <id>"
 //   LIST|<user>                            -> "<id>\t<from>\t<subject>" lines
-//   FETCH|<user>|<id>                      -> the message body
-//   DELETE|<user>|<id>                     -> "deleted"
 //
-// Unknown commands or missing messages fail the record; a failed record
-// fails the whole call, matching the other Sim backends. The server is the
-// srv::SimServer skeleton, so a command refused by a full queue never runs.
+// LIST is the inbox listing the intranet portal sends; SEND delivers. Any
+// other command fails the record; a failed record fails the whole call,
+// matching the other Sim backends. The server is the srv::SimServer
+// skeleton, so a command refused by a full queue never runs.
 #pragma once
 
 #include <string>

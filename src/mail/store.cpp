@@ -27,24 +27,4 @@ std::vector<Header> MailStore::list(const std::string& user) const {
   return out;
 }
 
-const Message* MailStore::fetch(const std::string& user, uint64_t id) {
-  auto box = boxes_.find(user);
-  if (box == boxes_.end()) return nullptr;
-  auto msg = box->second.messages.find(id);
-  if (msg == box->second.messages.end()) return nullptr;
-  msg->second.seen = true;
-  return &msg->second;
-}
-
-bool MailStore::erase(const std::string& user, uint64_t id) {
-  auto box = boxes_.find(user);
-  if (box == boxes_.end()) return false;
-  return box->second.messages.erase(id) > 0;
-}
-
-size_t MailStore::mailbox_size(const std::string& user) const {
-  auto it = boxes_.find(user);
-  return it == boxes_.end() ? 0 : it->second.messages.size();
-}
-
 }  // namespace sbroker::mail

@@ -1,13 +1,12 @@
 // Mini mail store.
 //
 // The third backend service of the paper's Figure 1. Mailboxes are keyed by
-// user; messages get per-mailbox sequence ids; the operations mirror what a
-// webmail front end needs: deliver, list headers, fetch a body, delete.
+// user; messages get per-mailbox sequence ids; the operations are the two a
+// webmail front end's inbox page needs: deliver and list headers.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -19,7 +18,6 @@ struct Message {
   std::string to;
   std::string subject;
   std::string body;
-  bool seen = false;
 };
 
 /// Header line used by LIST: "<id>\t<from>\t<subject>".
@@ -38,13 +36,6 @@ class MailStore {
   /// Headers in ascending id order; empty for unknown users.
   std::vector<Header> list(const std::string& user) const;
 
-  /// Fetches a message and marks it seen; nullptr when absent.
-  const Message* fetch(const std::string& user, uint64_t id);
-
-  /// Deletes one message; false when absent.
-  bool erase(const std::string& user, uint64_t id);
-
-  size_t mailbox_size(const std::string& user) const;
   uint64_t total_delivered() const { return delivered_; }
 
  private:

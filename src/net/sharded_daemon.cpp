@@ -64,7 +64,7 @@ ShardedBrokerDaemon::ShardedBrokerDaemon(std::string name,
       cfg.reuse_port = true;
       cfg.listen_port = i == 0 ? config_.listen_port : port_;
       cfg.enable_udp = config_.enable_udp;
-      cfg.udp_port = i == 0 ? config_.udp_port : udp_port_;
+      cfg.udp_port = udp_port_;  // 0 (ephemeral) for shard 0; the rest join its port
     } else {
       // Private ephemeral listener (unused); the shared acceptor feeds fds
       // in via adopt_client. UDP cannot be shared without SO_REUSEPORT, so
@@ -72,7 +72,6 @@ ShardedBrokerDaemon::ShardedBrokerDaemon(std::string name,
       cfg.reuse_port = false;
       cfg.listen_port = 0;
       cfg.enable_udp = config_.enable_udp && i == 0;
-      cfg.udp_port = config_.udp_port;
     }
 
     shard->daemon = std::make_unique<BrokerDaemon>(

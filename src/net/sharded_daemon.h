@@ -48,8 +48,8 @@ struct ShardedBrokerDaemonConfig {
   core::BrokerConfig broker;     ///< per-shard broker configuration
   size_t shards = 1;             ///< reactor threads; clamped to >= 1
   uint16_t listen_port = 0;      ///< shared TCP port; 0 = ephemeral
-  bool enable_udp = true;        ///< shared UDP port (shard 0 only in fallback)
-  uint16_t udp_port = 0;         ///< 0 = ephemeral
+  bool enable_udp = true;        ///< shared ephemeral UDP port (shard 0 only
+                                 ///< in fallback); see udp_port()
   double tick_interval = 0.02;   ///< per-shard housekeeping tick, seconds
   /// Skip SO_REUSEPORT and use the single-acceptor round-robin path even
   /// when the kernel supports accept sharding (used by tests).

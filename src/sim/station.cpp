@@ -11,7 +11,7 @@ BoundedStation::BoundedStation(Simulation& sim, size_t capacity, size_t queue_li
 }
 
 bool BoundedStation::submit(Duration service_time, Completion on_complete) {
-  Pending job{service_time, std::move(on_complete), sim_.now()};
+  Pending job{service_time, std::move(on_complete)};
   if (busy_ < capacity_) {
     start(std::move(job));
     return true;
@@ -26,7 +26,6 @@ bool BoundedStation::submit(Duration service_time, Completion on_complete) {
 
 void BoundedStation::start(Pending job) {
   ++busy_;
-  queue_wait_.add(sim_.now() - job.enqueued_at);
   Completion on_complete = std::move(job.on_complete);
   sim_.after(job.service_time, [this, cb = std::move(on_complete)]() mutable {
     finish();

@@ -13,7 +13,6 @@
 #include <limits>
 
 #include "sim/simulation.h"
-#include "util/stats.h"
 
 namespace sbroker::sim {
 
@@ -43,14 +42,10 @@ class BoundedStation {
   uint64_t completions() const { return completions_; }
   uint64_t rejections() const { return rejections_; }
 
-  /// Time each completed job spent waiting in the queue (not in service).
-  const util::Summary& queue_wait() const { return queue_wait_; }
-
  private:
   struct Pending {
     Duration service_time;
     Completion on_complete;
-    Time enqueued_at;
   };
 
   void start(Pending job);
@@ -63,7 +58,6 @@ class BoundedStation {
   std::deque<Pending> queue_;
   uint64_t completions_ = 0;
   uint64_t rejections_ = 0;
-  util::Summary queue_wait_;
 };
 
 }  // namespace sbroker::sim

@@ -2,7 +2,6 @@
 
 #include "core/cluster.h"
 #include "db/executor.h"
-#include "db/parser.h"
 #include "util/rng.h"
 
 namespace sbroker::srv {
@@ -18,28 +17,17 @@ SimDbBackend::SimDbBackend(sim::Simulation& sim, db::Database& db,
 SimDbBackend::Execution SimDbBackend::execute(const std::string& payload) {
   Execution result;
   db::ExecStats total;
-  total.repeats = 0;
+  total.statements = 0;
   std::string reply;
-  bool first_chunk = true;
-
-  auto append_chunk = [&](std::string chunk) {
-    if (!first_chunk) reply += core::kRecordSep;
-    reply += chunk;
-    first_chunk = false;
-  };
 
   try {
     for (const std::string& record : core::ClusterEngine::split_records(payload)) {
-      db::SelectQuery query = db::parse_select(record);
-      uint64_t repeats = query.repeat;
-      query.repeat = 1;
-      for (uint64_t i = 0; i < repeats; ++i) {
-        db::ResultSet rs = db::execute(db_, query);
-        total.rows_examined += rs.stats.rows_examined;
-        total.rows_returned += rs.stats.rows_returned;
-        total.repeats += 1;
-        append_chunk(rs.to_text());
-      }
+      db::ResultSet rs = db::execute_sql(db_, record);
+      total.rows_examined += rs.stats.rows_examined;
+      total.rows_returned += rs.stats.rows_returned;
+      total.statements += 1;
+      if (total.statements > 1) reply += core::kRecordSep;
+      reply += rs.to_text();
     }
     result.ok = true;
     result.reply = std::move(reply);

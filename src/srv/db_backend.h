@@ -6,11 +6,11 @@
 // engine; the service time comes from the cost model, shaped by the
 // replica's ServiceProfile.
 //
-// Payload format: one or more SQL statements joined by the cluster record
-// separator (core::kRecordSep). A `... REPEAT n` statement is executed as n
-// single-shot runs whose result texts are joined with the record separator,
-// so the broker can split per-member results exactly. Parse/execution errors
-// fail the whole call (ok=false) with a diagnostic payload.
+// Payload format: one or more SQL statements (the db/query.h subset) joined
+// by the cluster record separator (core::kRecordSep). Each statement runs
+// once and the result texts are joined with the record separator, so the
+// broker can split per-member results exactly. Parse/execution errors fail
+// the whole call (ok=false) with a diagnostic payload.
 #pragma once
 
 #include <memory>

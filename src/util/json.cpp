@@ -154,15 +154,6 @@ JsonWriter& JsonWriter::value(uint64_t v) {
   return *this;
 }
 
-bool JsonWriter::write_file(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) return false;
-  bool ok = std::fwrite(out_.data(), 1, out_.size(), f) == out_.size();
-  ok = std::fputc('\n', f) != EOF && ok;
-  ok = std::fclose(f) == 0 && ok;
-  return ok;
-}
-
 struct JsonValue::Parser {
   std::string_view text;
   size_t pos = 0;

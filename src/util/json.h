@@ -51,10 +51,6 @@ class JsonWriter {
   /// The document accumulated so far.
   const std::string& str() const { return out_; }
 
-  /// Writes str() to `path` (truncating) with a trailing newline; returns
-  /// false on IO failure.
-  bool write_file(const std::string& path) const;
-
   static std::string escape(std::string_view raw);
 
  private:

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "db/parser.h"
-
 namespace sbroker::core {
 namespace {
 
@@ -68,10 +66,9 @@ TEST(Cluster, FlushOnEmptyIsNullopt) {
   EXPECT_FALSE(engine.flush(100.0, true).has_value());
 }
 
-// A batch is always record-separated, SQL or not: single-flight keeps
-// identical misses out of one batch, so the paper's `... REPEAT n` rewrite
-// has nothing to collapse. Each member's own query text, a REPEAT clause
-// included, reaches the backend unchanged.
+// A batch is always record-separated, SQL or not: each member's own query
+// text reaches the backend unchanged, and the backend runs one statement per
+// member.
 TEST(Cluster, IdenticalQueriesAreRecordSeparated) {
   ClusterEngine engine(ClusterConfig{3, 1.0});
   engine.add(1, "SELECT * FROM t WHERE id = 5", 0.0);
@@ -98,18 +95,6 @@ TEST(Cluster, NonSqlPayloadsAreRecordSeparated) {
   ASSERT_TRUE(batch.has_value());
   EXPECT_EQ(batch->combined_payload,
             std::string("/page1.html") + kRecordSep + "/page1.html");
-}
-
-TEST(Cluster, MemberRepeatClauseIsKept) {
-  ClusterEngine engine(ClusterConfig{2, 1.0});
-  engine.add(1, "SELECT * FROM t REPEAT 2", 0.0);
-  auto batch = engine.add(2, "SELECT * FROM t REPEAT 2", 0.0);
-  ASSERT_TRUE(batch.has_value());
-  auto records = ClusterEngine::split_records(batch->combined_payload);
-  ASSERT_EQ(records.size(), 2u);
-  for (const auto& record : records) {
-    EXPECT_EQ(db::parse_select(record).repeat, 2u);
-  }
 }
 
 TEST(Cluster, SplitReplyExact) {

@@ -158,13 +158,12 @@ TEST(Rewrite, NonSqlPayloadUntouched) {
 
 TEST(Rewrite, PreservesPredicates) {
   QueryRewriter rw(rw_config(), QosRules{3, 20});
-  auto out = rw.apply("SELECT id FROM t WHERE category = 3 AND score > 0.5", 1,
-                      LoadState::kWarm);
+  auto out = rw.apply("SELECT id FROM t WHERE category = 3", 1, LoadState::kWarm);
   ASSERT_TRUE(out.degraded);
   db::SelectQuery q = db::parse_select(out.payload);
-  ASSERT_EQ(q.where.size(), 2u);
-  EXPECT_EQ(q.where[0].column, "category");
-  EXPECT_EQ(q.where[1].column, "score");
+  ASSERT_TRUE(q.where.has_value());
+  EXPECT_EQ(q.where->column, "category");
+  EXPECT_EQ(q.where->literal.as_int(), 3);
 }
 
 // --------------------------------------------------------------------------

@@ -4,7 +4,10 @@
 // requests whose backends are over the requester's QoS bound.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/centralized.h"
+#include "core/cluster.h"
 #include "db/dataset.h"
 #include "srv/broker_host.h"
 #include "srv/db_backend.h"
@@ -66,10 +69,12 @@ class CentralizedModelTest : public ::testing::Test {
                    std::move(done));
   }
 
-  /// A deliberately slow request (~0.3 s of backend work) to hold load up
-  /// long enough for listener reports to observe it.
+  /// A deliberately slow request (~0.3 s of backend work: a 600-statement
+  /// batch) to hold load up long enough for listener reports to observe it.
   void handle_slow(uint64_t id, int level) {
-    handle_payload(id, level, "SELECT id FROM records WHERE id = 1 REPEAT 600",
+    handle_payload(id, level,
+                   core::ClusterEngine::join_payloads(std::vector<std::string>(
+                       600, "SELECT id FROM records WHERE id = 1")),
                    [](bool) {});
   }
 

@@ -176,10 +176,13 @@ TEST(SimEndToEnd, DeterministicBySeed) {
                           http::BrokerRequest req;
                           req.request_id = next_id++;
                           req.qos_level = static_cast<uint8_t>(1 + next_id % 3);
-                          // Scan whose result-set size (and therefore service
-                          // time) depends on the seeded random threshold.
-                          req.payload = "SELECT id FROM records WHERE score < " +
-                                        std::to_string(query_rng.next_double());
+                          // Category listing whose result-set size (and
+                          // therefore service time) depends on the seeded
+                          // random category and LIMIT.
+                          req.payload =
+                              "SELECT id FROM records WHERE category = " +
+                              std::to_string(query_rng.uniform_int(0, 9)) + " LIMIT " +
+                              std::to_string(query_rng.uniform_int(1, 60));
                           host.submit(req, [done](const http::BrokerReply&) { done(); });
                         });
     client.start();

@@ -24,37 +24,45 @@ Directory small_org() {
 }
 
 TEST(ParseSearch, FullCommand) {
-  auto cmd = parse_search("SEARCH base=o=acme scope=sub filter=(cn=joe)");
+  auto cmd = parse_search("SEARCH base=o=acme scope=one filter=(cn=joe)");
   ASSERT_TRUE(cmd.has_value());
   EXPECT_EQ(cmd->base, "o=acme");
-  EXPECT_EQ(cmd->scope, Scope::kSubtree);
   EXPECT_EQ(cmd->filter.attribute, "cn");
+  EXPECT_EQ(cmd->filter.value, "joe");
 }
 
+// One-level is the only scope: scope=one (any case) or no scope at all.
 TEST(ParseSearch, ScopeVariants) {
-  EXPECT_EQ(parse_search("SEARCH base=o=a scope=base filter=(x=*)")->scope, Scope::kBase);
-  EXPECT_EQ(parse_search("SEARCH base=o=a scope=one filter=(x=*)")->scope,
-            Scope::kOneLevel);
-  EXPECT_EQ(parse_search("SEARCH base=o=a scope=sub filter=(x=*)")->scope,
-            Scope::kSubtree);
+  EXPECT_TRUE(parse_search("SEARCH base=o=a scope=one filter=(x=1)").has_value());
+  EXPECT_TRUE(parse_search("SEARCH base=o=a scope=ONE filter=(x=1)").has_value());
+  std::string error;
+  EXPECT_FALSE(parse_search("SEARCH base=o=a scope=base filter=(x=1)", &error));
+  EXPECT_EQ(error, "bad scope (expected one)");
+  EXPECT_FALSE(parse_search("SEARCH base=o=a scope=sub filter=(x=1)", &error));
 }
 
-TEST(ParseSearch, DefaultsToSubtree) {
-  auto cmd = parse_search("SEARCH base=o=a filter=(x=*)");
+TEST(ParseSearch, DefaultsToOneLevel) {
+  Directory dir = small_org();
+  auto cmd = parse_search("SEARCH base=ou=eng,o=acme filter=(cn=joe)");
   ASSERT_TRUE(cmd.has_value());
-  EXPECT_EQ(cmd->scope, Scope::kSubtree);
+  EXPECT_EQ(dir.search(cmd->base, cmd->filter).size(), 1u);
+  auto from_root = parse_search("SEARCH base=o=acme filter=(cn=joe)");
+  ASSERT_TRUE(from_root.has_value());
+  EXPECT_TRUE(dir.search(from_root->base, from_root->filter).empty());
 }
 
 TEST(ParseSearch, Errors) {
   std::string error;
-  EXPECT_FALSE(parse_search("FIND base=o=a filter=(x=*)", &error).has_value());
-  EXPECT_FALSE(parse_search("SEARCH filter=(x=*)", &error).has_value());
+  EXPECT_FALSE(parse_search("FIND base=o=a filter=(x=1)", &error).has_value());
+  EXPECT_FALSE(parse_search("SEARCH filter=(x=1)", &error).has_value());
   EXPECT_EQ(error, "missing base=");
   EXPECT_FALSE(parse_search("SEARCH base=o=a", &error).has_value());
   EXPECT_EQ(error, "missing filter=");
-  EXPECT_FALSE(parse_search("SEARCH base=o=a scope=galaxy filter=(x=*)", &error));
+  EXPECT_FALSE(parse_search("SEARCH base=o=a scope=galaxy filter=(x=1)", &error));
   EXPECT_FALSE(parse_search("SEARCH base=o=a filter=(broken", &error).has_value());
-  EXPECT_FALSE(parse_search("SEARCH base=o=a bogus=1 filter=(x=*)", &error));
+  EXPECT_FALSE(parse_search("SEARCH base=o=a filter=(x=*)", &error).has_value());
+  EXPECT_EQ(error, "malformed filter");
+  EXPECT_FALSE(parse_search("SEARCH base=o=a bogus=1 filter=(x=1)", &error));
 }
 
 struct Reply {
@@ -76,7 +84,8 @@ TEST(SimLdapBackend, AnswersSearch) {
   Directory dir = small_org();
   SimLdapBackend backend(sim, dir, LdapBackendConfig{});
   Reply r;
-  backend.invoke({"SEARCH base=o=acme scope=sub filter=(mail=*)", false}, capture(r));
+  backend.invoke({"SEARCH base=ou=eng,o=acme scope=one filter=(cn=joe)", false},
+                 capture(r));
   sim.run();
   ASSERT_TRUE(r.fired);
   EXPECT_TRUE(r.ok);
@@ -89,7 +98,8 @@ TEST(SimLdapBackend, EmptyResultIsOk) {
   Directory dir = small_org();
   SimLdapBackend backend(sim, dir, LdapBackendConfig{});
   Reply r;
-  backend.invoke({"SEARCH base=o=acme scope=sub filter=(cn=nobody)", false}, capture(r));
+  backend.invoke({"SEARCH base=ou=eng,o=acme scope=one filter=(cn=nobody)", false},
+                 capture(r));
   sim.run();
   EXPECT_TRUE(r.ok);
   EXPECT_TRUE(r.payload.empty());
@@ -112,8 +122,8 @@ TEST(SimLdapBackend, BatchedSearchesSplitPerRecord) {
   Directory dir = small_org();
   SimLdapBackend backend(sim, dir, LdapBackendConfig{});
   std::string payload =
-      std::string("SEARCH base=o=acme scope=sub filter=(cn=joe)") + core::kRecordSep +
-      "SEARCH base=o=acme scope=sub filter=(cn=nobody)";
+      std::string("SEARCH base=ou=eng,o=acme scope=one filter=(cn=joe)") +
+      core::kRecordSep + "SEARCH base=ou=eng,o=acme scope=one filter=(cn=nobody)";
   Reply r;
   backend.invoke({payload, false}, capture(r));
   sim.run();
@@ -130,7 +140,7 @@ TEST(SimLdapBackend, LinkDownFailsFast) {
   SimLdapBackend backend(sim, dir, LdapBackendConfig{});
   backend.request_link().set_down(true);
   Reply r;
-  backend.invoke({"SEARCH base=o=acme filter=(cn=*)", false}, capture(r));
+  backend.invoke({"SEARCH base=ou=eng,o=acme filter=(cn=joe)", false}, capture(r));
   sim.run();
   ASSERT_TRUE(r.fired);
   EXPECT_FALSE(r.ok);

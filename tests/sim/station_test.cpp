@@ -51,17 +51,6 @@ TEST(BoundedStation, OutstandingTracksBusyPlusQueued) {
   EXPECT_EQ(station.outstanding(), 0u);
 }
 
-TEST(BoundedStation, QueueWaitRecorded) {
-  Simulation sim;
-  BoundedStation station(sim, 1);
-  station.submit(2.0, [] {});
-  station.submit(1.0, [] {});  // waits 2s
-  sim.run();
-  EXPECT_EQ(station.queue_wait().count(), 2u);
-  EXPECT_DOUBLE_EQ(station.queue_wait().max(), 2.0);
-  EXPECT_DOUBLE_EQ(station.queue_wait().min(), 0.0);
-}
-
 TEST(BoundedStation, FifoOrderWithinQueue) {
   Simulation sim;
   BoundedStation station(sim, 1);

@@ -70,17 +70,6 @@ TEST_F(DbBackendTest, RecordSeparatedBatchAnswersPerMember) {
   EXPECT_EQ(parts[1], "id\n2\n");
 }
 
-TEST_F(DbBackendTest, RepeatQueryYieldsChunkPerRepeat) {
-  SimDbBackend backend(sim_, db_, DbBackendConfig{});
-  Reply r;
-  backend.invoke({"SELECT id FROM records WHERE id = 3 REPEAT 4", false}, capture(r));
-  sim_.run();
-  ASSERT_TRUE(r.ok);
-  auto parts = core::ClusterEngine::split_records(r.payload);
-  ASSERT_EQ(parts.size(), 4u);
-  for (const auto& p : parts) EXPECT_EQ(p, "id\n3\n");
-}
-
 TEST_F(DbBackendTest, BadSqlFailsTheCall) {
   SimDbBackend backend(sim_, db_, DbBackendConfig{});
   Reply r;
