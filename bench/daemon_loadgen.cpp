@@ -44,10 +44,11 @@
 //   negttl    negative-cache TTL for backend errors, seconds (default 0)
 //   coalesce  1 = single-flight miss coalescing on      (default 1)
 //   check     1 = verify conservation (issued == completed, issued ==
-//             forwarded + dropped + cached + errors), zero client failures
-//             and that every full or cached reply carries its own target's
-//             body ("body of <target>"; a mis-paired pipelined reply fails)
-//             after every run; exit 1 on violation — this is the ctest
+//             forwarded + dropped + cached + errors), zero client failures,
+//             one request frame per reply (frames_in == requests) with live
+//             flush counters, and that every full or cached reply carries
+//             its own target's body ("body of <target>"; a mis-paired
+//             pipelined reply fails) after every run; exit 1 on violation — this is the ctest
 //             smoke mode that keeps the bench binary honest
 //   obs       1 = broker flight recorder on; 0 = the compiled-in-but-idle
 //             baseline the overhead experiment compares against (latency
@@ -59,11 +60,9 @@
 //             scrape must succeed and the broker-side total p50 must not
 //             exceed the client-side p50 (the broker measures a strict
 //             subset of what the client times)         (default 1)
-//   proto     comma list of client protocols to sweep, from:
-//               bin   compact binary frames (net/frame.h) — served by the
-//                     arena fast path + coalesced flushes
-//               http  HTTP/1.1 keep-alive, sniffed on the same main port
-//             (default "bin")
+//   burst     frames each client pipelines per send; with check=1 and
+//             burst>1 the replies must leave in fewer flushes than there
+//             are replies (write coalescing)             (default 1)
 //   policy    comma list of balancer policies swept per combination, from
 //             random, round-robin (rr), least-outstanding (least), weighted,
 //             ewma, p2c (see core/balance.h)   (default "least-outstanding",
@@ -208,8 +207,7 @@ struct RunResult {
   size_t shards = 0;
   bool pipelined = false;
   bool kernel_accept_sharding = false;
-  std::string proto;  // client protocol this run was driven with
-  net::WireStats wire;  // main-port protocol mix + flush coalescing
+  net::WireStats wire;  // main-port frame count + flush coalescing
   double dup = 0.0;  // hot-key fraction this run was driven with
   std::string policy;  // balancer policy this run was driven with
   double skew = 1.0;   // slow-replica service-time multiplier
@@ -434,7 +432,7 @@ RunResult run_one(size_t shards, bool pipelined, size_t clients, double seconds,
                   uint64_t keys, double threshold, bool cache, bool fallback,
                   uint32_t timeout_ms, uint64_t stallpct, int attempts,
                   bool obs_on, bool scrape, const CacheKnobs& knobs,
-                  const std::string& proto, size_t burst,
+                  size_t burst,
                   const ReplicaKnobs& rk, const OverloadKnobs& ok,
                   const ArrivalKnobs& ak, const LinkKnobs& lk) {
   BackendPool backends(rk);
@@ -524,15 +522,8 @@ RunResult run_one(size_t shards, bool pipelined, size_t clients, double seconds,
         }
         if (stop_flag.load(std::memory_order_relaxed)) return;
       }
-      // One persistent connection of the selected protocol per thread; both
-      // speak to the same sniffed main port.
-      std::unique_ptr<net::FrameClient> bin_client;
-      std::unique_ptr<net::HttpKeepAliveClient> http_client;
-      if (proto == "bin") {
-        bin_client = std::make_unique<net::FrameClient>(daemon.port());
-      } else {
-        http_client = std::make_unique<net::HttpKeepAliveClient>(daemon.port());
-      }
+      // One persistent frame connection per thread.
+      net::FrameClient client(daemon.port());
       // Per-thread LCG so every sweep runs the identical trace per thread.
       uint64_t rng = 0x9e3779b97f4a7c15ULL + c;
       uint64_t id = c << 32;
@@ -556,7 +547,7 @@ RunResult run_one(size_t shards, bool pipelined, size_t clients, double seconds,
         return (stalled ? "/stall-" : "/object-") + std::to_string(key);
       };
       // Useful = the reply carried a usable result (full/cached/degraded
-      // fidelity, or HTTP 200) — busy notices and errors are completed but
+      // fidelity) — busy notices and errors are completed but
       // not useful, the distinction goodput accounting rests on.
       // Mispaired = a full or cached reply whose body is not the one the
       // replica serves for this target: the backend channel matched a
@@ -576,32 +567,13 @@ RunResult run_one(size_t shards, bool pipelined, size_t clients, double seconds,
       auto call_once = [&](uint64_t rid, const std::string& payload,
                            uint8_t qos) {
         CallOutcome o;
-        if (bin_client) {
-          auto reply = bin_client->call(rid, payload, qos, timeout_ms);
-          o.got_reply = reply.has_value();
-          o.matched = reply && reply->request_id == rid;
-          o.useful = o.matched && reply->fidelity != http::Fidelity::kBusy &&
-                     reply->fidelity != http::Fidelity::kError;
-          o.mispaired =
-              o.matched && wrong_body(reply->fidelity, payload, reply->payload);
-        } else {
-          http::Request hreq;
-          hreq.target = payload;
-          hreq.set_qos_level(qos);
-          if (timeout_ms > 0) {
-            hreq.headers.set(std::string(http::kDeadlineHeader),
-                             std::to_string(timeout_ms));
-          }
-          auto resp = http_client->call(hreq);
-          o.got_reply = resp.has_value();
-          o.matched = o.got_reply;  // HTTP/1.1: responses arrive in order
-          o.useful = o.got_reply && resp->status == 200;
-          if (o.useful) {
-            auto fidelity = resp->headers.get(http::kFidelityHeader);
-            o.mispaired = (fidelity == "full" || fidelity == "cached") &&
-                          resp->body != "body of " + payload;
-          }
-        }
+        auto reply = client.call(rid, payload, qos, timeout_ms);
+        o.got_reply = reply.has_value();
+        o.matched = reply && reply->request_id == rid;
+        o.useful = o.matched && reply->fidelity != http::Fidelity::kBusy &&
+                   reply->fidelity != http::Fidelity::kError;
+        o.mispaired =
+            o.matched && wrong_body(reply->fidelity, payload, reply->payload);
         if (o.mispaired) ++mispaired[c];
         return o;
       };
@@ -658,7 +630,7 @@ RunResult run_one(size_t shards, bool pipelined, size_t clients, double seconds,
         return;
       }
 
-      std::vector<std::string> batch;  // proto=bin burst>1 only
+      std::vector<std::string> batch;  // burst>1 only
       // Closed loop. `start` stamps once per *logical* request: after a busy
       // reply with backoff the client sleeps and retries the same target
       // WITHOUT re-stamping, so the eventual useful reply reports first
@@ -674,13 +646,13 @@ RunResult run_one(size_t shards, bool pipelined, size_t clients, double seconds,
           start = monotonic_seconds();
         }
         retry_pending = false;
-        if (bin_client && burst > 1) {
+        if (burst > 1) {
           // Pipelined burst: `burst` frames in one send, replies collected
           // after — the shape that exercises the cycle-end write coalescing.
           batch.assign(burst, payload);
           uint64_t first_id = id + 1;
           id += burst;
-          auto replies = bin_client->call_burst(first_id, batch, qos, timeout_ms);
+          auto replies = client.call_burst(first_id, batch, qos, timeout_ms);
           double elapsed = monotonic_seconds() - start;
           counts[c] += replies.size();
           for (const net::FrameReply& reply : replies) {
@@ -762,7 +734,6 @@ RunResult run_one(size_t shards, bool pipelined, size_t clients, double seconds,
   r.shards = shards;
   r.pipelined = pipelined;
   r.kernel_accept_sharding = daemon.kernel_accept_sharding();
-  r.proto = proto;
   r.wire = daemon.aggregate_wire_stats();
   r.dup = knobs.dup;
   r.policy = core::balance_policy_name(rk.policy);
@@ -936,20 +907,6 @@ std::vector<core::BalancePolicy> parse_policy_list(const std::string& list) {
   return values;
 }
 
-/// Parses the proto= comma list; empty result means a parse error.
-std::vector<std::string> parse_proto_list(const std::string& list) {
-  std::vector<std::string> values;
-  for (size_t pos = 0; pos < list.size();) {
-    size_t comma = list.find(',', pos);
-    if (comma == std::string::npos) comma = list.size();
-    std::string token = list.substr(pos, comma - pos);
-    if (token != "bin" && token != "http") return {};
-    values.push_back(std::move(token));
-    pos = comma + 1;
-  }
-  return values;
-}
-
 /// Parses the overload= comma list into controller configs on top of the
 /// shared base; empty result means a parse error.
 std::vector<OverloadKnobs> parse_overload_list(
@@ -1099,7 +1056,6 @@ int main(int argc, char** argv) {
   knobs.jitter = cfg.get_double("jitter", 0.0);
   knobs.negttl = cfg.get_double("negttl", 0.0);
   knobs.coalesce = cfg.get_bool("coalesce", true);
-  std::string proto_list = cfg.get_string("proto", "bin");
   size_t burst = static_cast<size_t>(cfg.get_int("burst", 1));
   std::string policy_list = cfg.get_string("policy", "least-outstanding");
   std::string skew_list = cfg.get_string("skew", "1");
@@ -1170,20 +1126,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: need ttl>0, grace>=0, jitter>=0, negttl>=0\n");
     return 1;
   }
-  std::vector<std::string> protos = parse_proto_list(proto_list);
-  if (protos.empty()) {
-    std::fprintf(stderr,
-                 "error: proto=%s must be a comma list drawn from "
-                 "bin,http\n", proto_list.c_str());
-    return 1;
-  }
   if (burst < 1) {
     std::fprintf(stderr, "error: burst must be >= 1\n");
-    return 1;
-  }
-  if (burst > 1 &&
-      (protos.size() != 1 || protos[0] != "bin")) {
-    std::fprintf(stderr, "error: burst>1 requires proto=bin (frame pipelining)\n");
     return 1;
   }
   std::vector<core::BalancePolicy> policies = parse_policy_list(policy_list);
@@ -1307,20 +1251,20 @@ int main(int argc, char** argv) {
       "daemon_loadgen: %zu clients, %.1fs per run, %llu keys, cache=%d, "
       "timeout=%ums, stallpct=%llu, attempts=%d, obs=%d, scrape=%d, "
       "dup=%s, ttl=%.3g, grace=%.3g, jitter=%.3g, negttl=%.3g, "
-      "coalesce=%d, proto=%s, burst=%zu, policy=%s, "
+      "coalesce=%d, burst=%zu, policy=%s, "
       "replicas=%zu, svc=%.3gms, svcjitter=%.3g, skew=%s, degrade=%.3g, "
       "overload=%s, window=%zu, oeval=%.3g, crowd=%zu, ramp=%.3g, "
       "backoff=%.3g, arrivals=%s, rate=%.3g, seed=%llu, link=%s, %u cpus\n",
       clients, seconds, static_cast<unsigned long long>(keys), cache ? 1 : 0,
       timeout_ms, static_cast<unsigned long long>(stallpct), attempts,
       obs_on ? 1 : 0, scrape ? 1 : 0, dup_list.c_str(), knobs.ttl, knobs.grace,
-      knobs.jitter, knobs.negttl, knobs.coalesce ? 1 : 0, proto_list.c_str(),
-      burst, policy_list.c_str(), rk.replicas, rk.svc_ms,
-      rk.svc_jitter, skew_list.c_str(), rk.degrade, overload_list.c_str(),
-      window, oeval, crowd_mult, ramp, backoff, arrivals_list.c_str(), rate,
+      knobs.jitter, knobs.negttl, knobs.coalesce ? 1 : 0, burst,
+      policy_list.c_str(), rk.replicas, rk.svc_ms, rk.svc_jitter,
+      skew_list.c_str(), rk.degrade, overload_list.c_str(), window, oeval,
+      crowd_mult, ramp, backoff, arrivals_list.c_str(), rate,
       static_cast<unsigned long long>(run_seed), link_spec.c_str(), cpus);
-  std::printf("%-5s %-5s %-9s %-11s %-4s %-7s %-9s %-8s %10s %10s %9s %9s %9s %9s %10s %8s %8s %9s %9s %9s %7s\n",
-              "proto", "dup", "policy", "overload", "skew", "shards", "channel",
+  std::printf("%-5s %-9s %-11s %-4s %-7s %-9s %-8s %10s %10s %9s %9s %9s %9s %10s %8s %8s %9s %9s %9s %7s\n",
+              "dup", "policy", "overload", "skew", "shards", "channel",
               "accept", "requests", "req/s", "p50 ms", "p99 ms", "brk p50",
               "hit%", "dropped", "misses", "retries", "conns", "bkcalls",
               "coalesc", "slow%");
@@ -1328,7 +1272,6 @@ int main(int argc, char** argv) {
   bool conservation_ok = true;
   std::vector<RunResult> results;
   for (const ArrivalKnobs& ak : arrival_sweep) {
-  for (const std::string& proto : protos) {
   for (double dup : dups) {
   knobs.dup = dup;
   for (core::BalancePolicy policy : policies) {
@@ -1340,12 +1283,12 @@ int main(int argc, char** argv) {
     for (size_t mode : modes) {
       RunResult r = run_one(shards, mode != 0, clients, seconds, keys,
                             threshold, cache, fallback, timeout_ms, stallpct,
-                            attempts, obs_on, scrape, knobs, proto, burst, rk,
+                            attempts, obs_on, scrape, knobs, burst, rk,
                             ok, ak, lk_knobs);
       core::BrokerMetrics::ClassCounters total = r.metrics.total();
-      std::printf("%-5s %-5.2f %-9.9s %-11.11s %-4.3g %-7zu %-9s %-8s %10llu %10.0f %9.3f %9.3f %9.3f %8.1f%% "
+      std::printf("%-5.2f %-9.9s %-11.11s %-4.3g %-7zu %-9s %-8s %10llu %10.0f %9.3f %9.3f %9.3f %8.1f%% "
                   "%10llu %8llu %8llu %9llu %9llu %9llu %6.1f%%\n",
-                  r.proto.c_str(), r.dup, r.policy.c_str(), r.overload.c_str(),
+                  r.dup, r.policy.c_str(), r.overload.c_str(),
                   r.skew, r.shards,
                   r.pipelined ? "pipeline" : "stopwait",
                   r.kernel_accept_sharding ? "kernel" : "rrobin",
@@ -1430,10 +1373,10 @@ int main(int argc, char** argv) {
                      shards, mode);
         conservation_ok = false;
       }
-      if (check && proto == "bin") {
-        // The binary-ingress smoke gates: every client request arrived as a
-        // frame, every reply left through the coalesced-flush path, and the
-        // flush counters are live (flushed_responses > flushes is only
+      if (check) {
+        // The frame gates: every client request arrived as a frame, every
+        // reply left through the coalesced-flush path, and the flush
+        // counters are live (flushed_responses > flushes is only
         // guaranteed with burst>1 pipelining, so gate on >= here).
         if (r.wire.frames_in != r.requests ||
             r.wire.flushed_responses < r.wire.frames_in ||
@@ -1514,7 +1457,6 @@ int main(int argc, char** argv) {
   }
   }
   }
-  }
 
   if (check && max_skew >= 4.0 && rk.replicas >= 2) {
     // The point of the policy dimension: at heavy skew the latency-aware
@@ -1524,8 +1466,8 @@ int main(int argc, char** argv) {
       if (rr_run.policy != "round-robin" || rr_run.skew < 4.0) continue;
       for (const RunResult& r : results) {
         if ((r.policy != "ewma" && r.policy != "p2c") ||
-            r.arrivals != rr_run.arrivals || r.proto != rr_run.proto ||
-            r.dup != rr_run.dup || r.skew != rr_run.skew ||
+            r.arrivals != rr_run.arrivals || r.dup != rr_run.dup ||
+            r.skew != rr_run.skew ||
             r.shards != rr_run.shards || r.pipelined != rr_run.pipelined) {
           continue;
         }
@@ -1551,8 +1493,7 @@ int main(int argc, char** argv) {
       if (base.overload != "static") continue;
       for (const RunResult& r : results) {
         if (r.overload == "static" || r.arrivals != base.arrivals ||
-            r.proto != base.proto || r.dup != base.dup ||
-            r.policy != base.policy || r.skew != base.skew ||
+            r.dup != base.dup || r.policy != base.policy || r.skew != base.skew ||
             r.shards != base.shards || r.pipelined != base.pipelined) {
           continue;
         }
@@ -1610,7 +1551,6 @@ int main(int argc, char** argv) {
   for (const RunResult& r : results) {
     core::BrokerMetrics::ClassCounters total = r.metrics.total();
     json.begin_object()
-        .field("proto", r.proto)
         .field("dup", r.dup)
         .field("policy", r.policy)
         .field("overload", r.overload)
@@ -1664,7 +1604,6 @@ int main(int argc, char** argv) {
         .field("channel_cancels", r.metrics.transport.cancels)
         .field("peak_pipeline_depth", r.metrics.transport.peak_in_flight)
         .field("frames_in", r.wire.frames_in)
-        .field("http_in", r.wire.http_in)
         .field("fast_hits", r.wire.fast_hits)
         .field("wire_flushes", r.wire.flushes)
         .field("wire_flushed_responses", r.wire.flushed_responses)

@@ -44,12 +44,7 @@
 #                  each run) so broker-side p50/p95/p99 per QoS class land
 #                  in BENCH_daemon.json next to the client-side numbers
 #                  (default 1)
-#   BENCH_PROTO    comma list of client protocols swept per combination:
-#                  bin (binary frames + arena fast path), http (HTTP/1.1
-#                  keep-alive on the same sniffed port). Comparing proto=bin
-#                  against proto=http at dup=0 is the wire-framing speedup
-#                  headline (default "http,bin")
-#   BENCH_BURST    frames pipelined per send, proto=bin only (default 1)
+#   BENCH_BURST    frames pipelined per send      (default 1)
 #
 # Replica-selection sweep knobs (the second loadgen invocation below; its
 # runs land in BENCH_daemon.json under "policy_runs"):
@@ -148,7 +143,6 @@ echo "== daemon loadgen (channel/cache sweep)"
   "jitter=${BENCH_JITTER:-0.1}" \
   "negttl=${BENCH_NEGTTL:-0}" \
   "coalesce=${BENCH_COALESCE:-1}" \
-  "proto=${BENCH_PROTO:-http,bin}" \
   "burst=${BENCH_BURST:-1}" \
   "out=$tmp_main"
 
@@ -166,7 +160,6 @@ if [ "${BENCH_POLICY_SWEEP:-1}" = "1" ]; then
     cache=0 \
     "obs=${BENCH_OBS:-1}" \
     "scrape=${BENCH_SCRAPE:-1}" \
-    "proto=${BENCH_PROTO_POLICY:-bin}" \
     "policy=${BENCH_POLICY:-round-robin,least-outstanding,ewma,p2c}" \
     "replicas=${BENCH_REPLICAS:-3}" \
     "svc=${BENCH_SVC:-2}" \

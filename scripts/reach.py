@@ -3,7 +3,8 @@
 
   reach.py collect OUT TREE...   runs `gcov -j -p` over every object of the
                                  coverage-built TREEs and writes the src/ line
-                                 and function counts to OUT (JSON)
+                                 and function counts to OUT (JSON); the notes
+                                 of deleted sources are skipped
   reach.py report SHIPPED ALL    prints, per src/ file, the executable lines
                                  and how many the shipping programs ran
                                  (SHIPPED), how many only the tests ran (ALL,
@@ -46,9 +47,15 @@ def collect(out, trees):
         for name in os.listdir(tmp):
             with gzip.open(os.path.join(tmp, name)) as f:
                 doc = json.load(f)
-            for entry in doc["files"]:
-                path = os.path.realpath(os.path.join(doc["current_working_directory"],
-                                                     entry["file"]))
+            paths = [os.path.realpath(os.path.join(doc["current_working_directory"],
+                                                   entry["file"]))
+                     for entry in doc["files"]]
+            # A reused tree keeps the note of a deleted source, and a fresh
+            # note names only files that exist: a note naming a missing file
+            # is stale, so none of its counts are taken.
+            if not all(os.path.exists(path) for path in paths):
+                continue
+            for path, entry in zip(paths, doc["files"]):
                 if not path.startswith(SRC):
                     continue
                 rel = os.path.relpath(path, ROOT)

@@ -32,9 +32,8 @@ namespace sbroker::core {
 /// Sentinel for "no deadline": comparisons against it never expire.
 inline constexpr double kNoDeadline = std::numeric_limits<double>::infinity();
 
-/// Diagnostic payload of a deadline-shed reply. The HTTP gateway maps busy
-/// replies carrying this marker to 504 Gateway Timeout (vs. 503 for
-/// admission drops).
+/// Diagnostic payload of a deadline-shed reply: it tells a busy reply that
+/// missed its deadline from an admission drop.
 inline constexpr std::string_view kDeadlineExceeded = "deadline exceeded";
 
 /// Reply delivery callback; fires exactly once per submitted request.

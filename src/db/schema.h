@@ -31,12 +31,11 @@ class Schema {
     return std::nullopt;
   }
 
-  /// True when `row` has the right arity and each non-NULL cell matches the
-  /// declared column type.
+  /// True when `row` has the right arity and each cell matches the declared
+  /// column type.
   bool matches(const Row& row) const {
     if (row.size() != columns_.size()) return false;
     for (size_t i = 0; i < row.size(); ++i) {
-      if (row[i].is_null()) continue;
       if (row[i].type() != columns_[i].type) return false;
     }
     return true;

@@ -9,10 +9,8 @@ namespace sbroker::db {
 Type Value::type() const {
   switch (v_.index()) {
     case 0:
-      return Type::kNull;
-    case 1:
       return Type::kInt;
-    case 2:
+    case 1:
       return Type::kReal;
     default:
       return Type::kText;
@@ -26,12 +24,6 @@ double Value::numeric() const {
 }
 
 int Value::compare(const Value& other) const {
-  bool lnull = is_null();
-  bool rnull = other.is_null();
-  if (lnull || rnull) {
-    if (lnull && rnull) return 0;
-    return lnull ? -1 : 1;
-  }
   bool ltext = type() == Type::kText;
   bool rtext = other.type() == Type::kText;
   if (ltext != rtext) {
@@ -53,8 +45,6 @@ int Value::compare(const Value& other) const {
 
 std::string Value::to_string() const {
   switch (type()) {
-    case Type::kNull:
-      return "NULL";
     case Type::kInt:
       return std::to_string(as_int());
     case Type::kReal: {
@@ -69,8 +59,6 @@ std::string Value::to_string() const {
 
 size_t Value::hash() const {
   switch (type()) {
-    case Type::kNull:
-      return 0x9ddfea08eb382d69ULL;
     case Type::kInt:
       return std::hash<double>{}(static_cast<double>(as_int()));
     case Type::kReal:
@@ -83,8 +71,6 @@ size_t Value::hash() const {
 
 const char* type_name(Type t) {
   switch (t) {
-    case Type::kNull:
-      return "NULL";
     case Type::kInt:
       return "INT";
     case Type::kReal:

@@ -1,7 +1,8 @@
 // Typed values and rows for the mini relational engine.
 //
-// The engine supports three scalar types (INT, REAL, TEXT) plus NULL. This
-// is all the paper's workloads need: a 42,000-record lookup table for the
+// The engine supports three scalar types (INT, REAL, TEXT) and no NULL: no
+// dataset stores one and the SQL subset has no NULL literal. This is all the
+// paper's workloads need: a 42,000-record lookup table for the
 // clustering experiment and a movie-schedule table for the caching example.
 #pragma once
 
@@ -12,9 +13,9 @@
 
 namespace sbroker::db {
 
-enum class Type { kNull, kInt, kReal, kText };
+enum class Type { kInt, kReal, kText };
 
-/// A single cell. NULL is modeled as std::monostate.
+/// A single cell. A default-constructed Value is INT 0.
 class Value {
  public:
   Value() = default;
@@ -25,7 +26,6 @@ class Value {
   Value(const char* v) : v_(std::string(v)) {}  // NOLINT(google-explicit-constructor)
 
   Type type() const;
-  bool is_null() const { return std::holds_alternative<std::monostate>(v_); }
 
   /// Accessors require the matching type (checked with std::get).
   int64_t as_int() const { return std::get<int64_t>(v_); }
@@ -36,21 +36,21 @@ class Value {
   double numeric() const;
 
   /// SQL-style three-way comparison used by predicates and ordered indexes.
-  /// NULL compares less than everything; INT/REAL compare numerically;
-  /// comparing TEXT with a numeric type throws std::invalid_argument.
+  /// INT/REAL compare numerically, TEXT lexicographically; comparing TEXT
+  /// with a numeric type throws std::invalid_argument.
   int compare(const Value& other) const;
 
   bool operator==(const Value& other) const { return compare(other) == 0; }
   bool operator<(const Value& other) const { return compare(other) < 0; }
 
-  /// Rendering for result sets and logs: NULL, 42, 3.14, 'text'.
+  /// Rendering for result sets and logs: 42, 3.14, 'text'.
   std::string to_string() const;
 
   /// Stable hash for hash indexes; numerically equal INT/REAL hash alike.
   size_t hash() const;
 
  private:
-  std::variant<std::monostate, int64_t, double, std::string> v_;
+  std::variant<int64_t, double, std::string> v_;
 };
 
 using Row = std::vector<Value>;

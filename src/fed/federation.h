@@ -30,7 +30,7 @@
 //
 // Deployment shape: every node is a FederatedDaemon wrapping one
 // ShardedBrokerDaemon. All federation traffic rides the node's ordinary
-// sniffed port as binary frames; there is no separate control port.
+// frame port; there is no separate control port.
 #pragma once
 
 #include <atomic>

@@ -1,7 +1,7 @@
 // Persistent broker-to-broker channel, one per (shard, peer).
 //
 // Speaks the binary frame protocol against the peer daemon's ordinary
-// sniffed port: kPeerFetch out / kPeerReply in for miss forwarding, plus
+// frame port: kPeerFetch out / kPeerReply in for miss forwarding, plus
 // fire-and-forget kPeerPush (hot-key replication) and kGossip (load
 // reports). Unlike the HTTP backend channel, replies are matched by
 // correlation id, not arrival order, so one connection carries any number

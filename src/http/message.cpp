@@ -71,17 +71,6 @@ std::string Request::serialize() const {
   return out;
 }
 
-int Request::qos_level(int def) const {
-  auto v = headers.get_view(kQosHeader);
-  if (!v) return def;
-  auto parsed = util::parse_int(*v);
-  return parsed ? static_cast<int>(*parsed) : def;
-}
-
-void Request::set_qos_level(int level) {
-  headers.set(std::string(kQosHeader), std::to_string(level));
-}
-
 void Response::serialize_into(std::string& out) const {
   out += version;
   out += ' ';

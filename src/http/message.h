@@ -51,13 +51,8 @@ struct Request {
   /// Serializes with a correct Content-Length (set iff body non-empty or a
   /// length header was already present).
   std::string serialize() const;
-  /// Appends the serialized form to `out` (no temporary string; both the
-  /// HTTP and binary-frame encoders share connection-buffer appends).
+  /// Appends the serialized form to `out` (no temporary string).
   void serialize_into(std::string& out) const;
-
-  /// QoS class from X-QoS-Level; `def` when missing or malformed.
-  int qos_level(int def = 1) const;
-  void set_qos_level(int level);
 };
 
 struct Response {
@@ -79,11 +74,9 @@ std::string_view reason_phrase(int status);
 Response make_response(int status, std::string body);
 
 /// Header name constants.
-inline constexpr std::string_view kQosHeader = "X-QoS-Level";
-inline constexpr std::string_view kFidelityHeader = "X-Fidelity";
 inline constexpr std::string_view kMgetHeader = "X-MGET-URIs";
-/// Answer-by budget in milliseconds; carried by gateway clients into the
-/// broker and forwarded by backend channels downstream.
+/// Answer-by budget in milliseconds; backend channels forward a request's
+/// remaining budget to the backend in it.
 inline constexpr std::string_view kDeadlineHeader = "X-Deadline-Ms";
 
 }  // namespace sbroker::http

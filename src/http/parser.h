@@ -29,7 +29,7 @@ enum class ParseResult { kNeedMore, kMessage, kError };
 
 /// Longest accepted head: start line, headers and the blank line.
 inline constexpr size_t kMaxHeadBytes = 64 * 1024;
-/// Largest accepted Content-Length; matches the binary frame section cap.
+/// Largest accepted Content-Length.
 inline constexpr size_t kMaxBodyBytes = 64 * 1024 * 1024;
 
 /// Parses a stream of HTTP messages: requests on the server side

@@ -5,7 +5,7 @@
 // answers each with a reply of some fidelity. These are the in-process
 // forms of that message pair, shared by the broker core and every ingress.
 // The bytes on the wire are net/frame.h frames (TCP, UDP, federation
-// peers) or HTTP/1.1 sniffed on the same port.
+// peers).
 #pragma once
 
 #include <cstdint>

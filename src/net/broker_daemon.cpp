@@ -1,30 +1,12 @@
 #include "net/broker_daemon.h"
 
 #include <algorithm>
-#include <cstdlib>
 
-#include "http/parser.h"
 #include "net/frame.h"
 #include "util/log.h"
 
 namespace sbroker::net {
 namespace {
-
-/// Request/response mapping for HTTP sniffed on the main port: clients GET
-/// targets directly (X-QoS-Level and X-Deadline-Ms honored) and fidelity
-/// maps onto status codes — 200 for full/cached/degraded, 503 for admission
-/// busy, 504 Gateway Timeout for deadline sheds, 502 for backend errors.
-http::BrokerRequest map_http_request(const http::Request& req, uint64_t id) {
-  http::BrokerRequest breq;
-  breq.request_id = id;
-  breq.qos_level = static_cast<uint32_t>(req.qos_level(1));
-  breq.payload = req.target;
-  if (auto hdr = req.headers.get_view(http::kDeadlineHeader)) {
-    breq.deadline_ms =
-        static_cast<uint32_t>(std::strtoul(std::string(*hdr).c_str(), nullptr, 10));
-  }
-  return breq;
-}
 
 /// Copies a decoded request frame into the broker's request form, reusing
 /// `out`'s payload capacity in steady state.
@@ -37,37 +19,11 @@ void fill_request(const frame::Request& freq, http::BrokerRequest& out) {
   out.payload.assign(freq.query);
 }
 
-http::Response map_broker_reply(http::Fidelity fidelity, std::string_view payload) {
-  int status = 200;
-  switch (fidelity) {
-    case http::Fidelity::kFull:
-    case http::Fidelity::kCached:
-    case http::Fidelity::kDegraded:
-      status = 200;
-      break;
-    case http::Fidelity::kBusy:
-      status = payload == core::kDeadlineExceeded ? 504 : 503;
-      break;
-    case http::Fidelity::kError:
-      status = 502;
-      break;
-  }
-  auto resp = http::make_response(status, std::string(payload));
-  resp.headers.set(std::string(http::kFidelityHeader),
-                   std::string(http::fidelity_name(fidelity)));
-  return resp;
-}
-
 }  // namespace
 
 struct BrokerDaemon::Conn {
-  /// Wire protocol the first byte of the connection selected.
-  enum class Mode { kSniff, kFrame, kHttp };
-
   std::shared_ptr<TcpConn> tcp;
-  std::string inbox;            ///< frame reassembly buffer
-  Mode mode = Mode::kSniff;
-  http::RequestParser parser;   ///< kHttp only
+  std::string inbox;  ///< frame reassembly buffer
   /// Reused across requests so the steady state re-uses their capacity
   /// instead of allocating per request.
   http::BrokerRequest req_scratch;
@@ -105,36 +61,8 @@ void BrokerDaemon::adopt_client(int fd) {
 
 void BrokerDaemon::on_client_bytes(const std::shared_ptr<Conn>& conn,
                                    std::string_view bytes) {
-  if (conn->mode == Conn::Mode::kSniff && !bytes.empty()) {
-    // One listen port, two protocols, distinguished by the first byte:
-    // 0xB7 is the frame magic and an ASCII letter starts an HTTP/1.1
-    // method. The byte values are disjoint by construction (frame_test
-    // pins this).
-    unsigned char first = static_cast<unsigned char>(bytes.front());
-    if (first == frame::kMagic) {
-      conn->mode = Conn::Mode::kFrame;
-    } else if ((first >= 'A' && first <= 'Z') || (first >= 'a' && first <= 'z')) {
-      conn->mode = Conn::Mode::kHttp;
-    } else {
-      SBROKER_WARN("broker-daemon") << "unknown protocol magic; closing";
-      conn->tcp->abort();
-      return;
-    }
-  }
-  bool ok = true;
-  switch (conn->mode) {
-    case Conn::Mode::kSniff:
-      return;  // zero-byte read; keep sniffing
-    case Conn::Mode::kFrame:
-      conn->inbox.append(bytes);
-      ok = drain_frames(conn);
-      break;
-    case Conn::Mode::kHttp:
-      conn->parser.feed(bytes);
-      ok = drain_http(conn);
-      break;
-  }
-  if (!ok) {
+  conn->inbox.append(bytes);
+  if (!drain_frames(conn)) {
     SBROKER_WARN("broker-daemon") << "malformed request; closing";
     conn->tcp->abort();
     return;
@@ -148,6 +76,10 @@ bool BrokerDaemon::drain_frames(const std::shared_ptr<Conn>& conn) {
   size_t off = 0;
   while (off < conn->inbox.size()) {
     std::string_view rest = std::string_view(conn->inbox).substr(off);
+    // Frames are the one protocol on this port: any other first byte (an
+    // HTTP method letter, say) is a protocol error, even before a whole
+    // header has arrived.
+    if (static_cast<unsigned char>(rest.front()) != frame::kMagic) return false;
     uint8_t kind = frame::peek_kind(rest);
     if (kind == 0 && rest.size() < frame::kHeaderSize) break;  // header pending
     size_t consumed = 0;
@@ -281,20 +213,6 @@ void BrokerDaemon::handle_peer_fetch(const std::shared_ptr<Conn>& conn,
   if (serve(conn->req_scratch, sink)) wire_.fast_hits += 1;
 }
 
-bool BrokerDaemon::drain_http(const std::shared_ptr<Conn>& conn) {
-  auto sink = [this, conn](std::string_view, const core::ReplyView& r) {
-    if (!conn->tcp->closed()) queue_http_reply(conn, r.fidelity, r.payload);
-  };
-  while (true) {
-    http::Request req;
-    auto result = conn->parser.next(req);
-    if (result == http::ParseResult::kNeedMore) return true;
-    if (result == http::ParseResult::kError) return false;
-    wire_.http_in += 1;
-    serve(map_http_request(req, ++http_seq_), sink);
-  }
-}
-
 void BrokerDaemon::queue_frame_reply(const std::shared_ptr<Conn>& conn,
                                      uint64_t request_id, http::Fidelity fidelity,
                                      std::string_view payload) {
@@ -314,16 +232,6 @@ void BrokerDaemon::queue_reply_frame(const std::shared_ptr<Conn>& conn,
     frame::encode_reply(request_id, fidelity, flags, payload,
                         conn->encode_scratch);
   }
-  wire_.flushed_responses += 1;
-  if (conn->tcp->queue(conn->encode_scratch)) wire_.flushes += 1;
-}
-
-void BrokerDaemon::queue_http_reply(const std::shared_ptr<Conn>& conn,
-                                    http::Fidelity fidelity,
-                                    std::string_view payload) {
-  auto resp = map_broker_reply(fidelity, payload);
-  conn->encode_scratch.clear();
-  resp.serialize_into(conn->encode_scratch);
   wire_.flushed_responses += 1;
   if (conn->tcp->queue(conn->encode_scratch)) wire_.flushes += 1;
 }

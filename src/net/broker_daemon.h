@@ -5,10 +5,11 @@
 // binary frames (net/frame.h), and the broker forwards to real HTTP
 // backend servers. This is the deployment shape of the paper's distributed
 // model (Figure 5) — admission, clustering, caching and differentiation all
-// happen in this process, in front of QoS-unaware backends. Every ingress
-// (frames, peer fetches, HTTP sniffed on the main port, UDP) reaches the
-// broker through one helper, serve(): the cache fast path first, the miss
-// path after it, exactly as the simulator's ServiceBroker::submit().
+// happen in this process, in front of QoS-unaware backends. The main TCP
+// port speaks frames only; any other bytes close the connection without a
+// reply. Every ingress (client frames, peer fetches, UDP datagrams) reaches
+// the broker through one helper, serve(): the cache fast path first, the
+// miss path after it, exactly as the simulator's ServiceBroker::submit().
 //
 // Everything runs on one Reactor thread; a periodic timer drives
 // broker.tick() for cluster-deadline flushes and prefetch.
@@ -35,23 +36,20 @@ struct BrokerDaemonConfig {
   bool reuse_port = false;
 };
 
-/// Ingress/egress accounting for the daemon's main listen port. The two
-/// `_in` counters classify requests by the protocol the first-byte sniff
-/// picked; `flushes`/`flushed_responses` measure reactor-cycle write
-/// coalescing (flushed_responses > flushes means batching happened).
+/// Ingress/egress accounting for the daemon's main listen port.
+/// `flushes`/`flushed_responses` measure reactor-cycle write coalescing
+/// (flushed_responses > flushes means batching happened).
 struct WireStats {
-  uint64_t frames_in = 0;    ///< binary-frame requests (net/frame.h)
-  uint64_t http_in = 0;      ///< sniffed HTTP/1.1 requests on the main port
-  /// Frame requests (client and peer fetch) the cache answered. HTTP and
-  /// UDP hits take the same path but are not counted here, so
-  /// fast_hits / frames_in stays a frame-only share.
+  uint64_t frames_in = 0;    ///< request frames, client and peer fetch
+  /// Frame requests (client and peer fetch) the cache answered. UDP hits
+  /// take the same path but are not counted here, so fast_hits / frames_in
+  /// stays a TCP-frame share.
   uint64_t fast_hits = 0;
-  uint64_t flushes = 0;      ///< cycle-end gather writes on frame/http conns
+  uint64_t flushes = 0;      ///< cycle-end gather writes on client conns
   uint64_t flushed_responses = 0;  ///< responses those writes carried
 
   void merge(const WireStats& o) {
     frames_in += o.frames_in;
-    http_in += o.http_in;
     fast_hits += o.fast_hits;
     flushes += o.flushes;
     flushed_responses += o.flushed_responses;
@@ -83,7 +81,7 @@ class BrokerDaemon {
   uint16_t udp_port() const { return udp_ ? udp_->port() : 0; }
   core::ServiceBroker& broker() { return broker_; }
   const core::ServiceBroker& broker() const { return broker_; }
-  /// Main-port protocol mix and write-coalescing counters. Same threading
+  /// Main-port request and write-coalescing counters. Same threading
   /// contract as broker(): touch only from this daemon's reactor thread (or
   /// while stopped).
   WireStats wire_stats() const { return wire_; }
@@ -93,10 +91,9 @@ class BrokerDaemon {
   /// a hook installed the frame path gains the federation behaviours:
   /// cache-missed client frames are offered to try_forward() before
   /// fetching locally, and the peer kinds (kPeerFetch / kPeerPush /
-  /// kGossip) are accepted on the same sniffed port. Without one, peer
-  /// frames are a protocol error and the daemon behaves exactly as before.
-  /// Federation applies to frames on the main port only — the HTTP and UDP
-  /// ingresses always fetch locally.
+  /// kGossip) are accepted on the same port. Without one, peer frames are a
+  /// protocol error and the daemon behaves exactly as before. Federation
+  /// applies to frames on the main port only — UDP always fetches locally.
   void set_federation(FederationHook* federation) { fed_ = federation; }
 
  private:
@@ -107,9 +104,8 @@ class BrokerDaemon {
   void rearm_tick();
   void on_client_bytes(const std::shared_ptr<Conn>& conn, std::string_view bytes);
   bool drain_frames(const std::shared_ptr<Conn>& conn);
-  bool drain_http(const std::shared_ptr<Conn>& conn);
   /// The one route from every ingress (client frame, peer fetch, forward
-  /// fallback, sniffed HTTP, UDP) to the broker. The cache fast path
+  /// fallback, UDP) to the broker. The cache fast path
   /// answers through `sink` with the payload in scratch_, so a hit costs no
   /// std::function and no allocation in the broker. A miss is offered to
   /// the federation first when `forward_from` is set (client frames), then
@@ -146,8 +142,6 @@ class BrokerDaemon {
   void queue_reply_frame(const std::shared_ptr<Conn>& conn, uint8_t kind,
                          uint64_t request_id, http::Fidelity fidelity,
                          uint8_t flags, std::string_view payload);
-  void queue_http_reply(const std::shared_ptr<Conn>& conn,
-                        http::Fidelity fidelity, std::string_view payload);
   /// One datagram must hold exactly one request frame; anything else
   /// (truncated, trailing bytes, another kind) is dropped without a reply.
   void on_datagram(std::string_view payload, const sockaddr_in& from);
@@ -161,7 +155,6 @@ class BrokerDaemon {
   bool stopping_ = false;
   TcpListener listener_;
   std::unique_ptr<UdpSocket> udp_;
-  uint64_t http_seq_ = 0;  ///< synthesizes request ids for HTTP clients
   WireStats wire_;
   /// Scratch arena for the allocation-free cache fast path; reset per request.
   core::Arena scratch_;

@@ -9,7 +9,9 @@
 // internally.
 //
 // A daemon with no hook installed behaves exactly as before this layer
-// existed — the federation path costs one null check per frame-path miss.
+// existed — the federation path costs one null check per client-frame miss.
+// Federation rides the frames of the daemon's main port only; UDP
+// datagrams always fetch locally.
 #pragma once
 
 #include <cstdint>

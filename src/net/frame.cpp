@@ -3,12 +3,7 @@
 #include <cstring>
 #include <initializer_list>
 
-#include "http/parser.h"
-
 namespace sbroker::net::frame {
-
-// Both ingress codecs on the main port accept the same largest payload.
-static_assert(http::kMaxBodyBytes == kMaxSectionLength);
 
 namespace {
 

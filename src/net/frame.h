@@ -1,6 +1,9 @@
 // Length-prefixed compact binary framing: the broker's one binary wire
 // format, spoken by clients over TCP and UDP and by federation peers.
 //
+// It is the one protocol on the daemon's main TCP port: a connection whose
+// bytes do not start a frame is closed without a reply.
+//
 // A fixed 8-byte header carries the total section length up front, so a
 // receiver does O(1) work per arrival to tell "incomplete" from "complete"
 // and the parser hands out zero-copy views into the receive buffer. Over
@@ -10,8 +13,8 @@
 //
 //   offset  size  field
 //   ------  ----  --------------------------------------------------------
-//   0       u8    magic 0xB7 (never an ASCII HTTP method letter — the
-//                 daemon sniffs the protocol off this byte)
+//   0       u8    magic 0xB7 (never an ASCII HTTP method letter, so a
+//                 stray HTTP client fails on its first byte)
 //   1       u8    version (2)
 //   2       u8    kind: 1 = request, 2 = reply
 //   3       u8    request: QoS class | reply: status (http::Fidelity)
@@ -33,10 +36,9 @@
 // Reply section:    u64 request id, u8 flight flags, payload bytes (rest).
 //
 // Flags on a reply describe how the answer was produced (cache-served,
-// degraded rewrite, shed, error) so binary clients get the fidelity detail
-// the HTTP gateway spells as X-Fidelity + status code.
+// degraded rewrite, shed, error).
 //
-// Federation (src/fed/) rides the same framing on the same sniffed port,
+// Federation (src/fed/) rides the same framing on the same port,
 // with four broker-to-broker kinds:
 //
 //   kind 3 kPeerFetch — a non-owner forwarding a cache miss to the key's

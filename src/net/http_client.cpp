@@ -78,30 +78,6 @@ std::optional<http::Response> http_fetch(uint16_t port, const http::Request& req
   return std::nullopt;
 }
 
-HttpKeepAliveClient::HttpKeepAliveClient(uint16_t port, int timeout_ms) {
-  fd_ = blocking_connect(port, timeout_ms);
-  if (fd_ < 0) throw std::runtime_error("HttpKeepAliveClient: connect failed");
-}
-
-HttpKeepAliveClient::~HttpKeepAliveClient() {
-  if (fd_ >= 0) close(fd_);
-}
-
-std::optional<http::Response> HttpKeepAliveClient::call(const http::Request& request) {
-  if (fd_ < 0) return std::nullopt;
-  if (!send_all(fd_, request.serialize())) return std::nullopt;
-  http::Response resp;
-  char buf[16384];
-  while (true) {
-    auto result = parser_.next(resp);
-    if (result == http::ParseResult::kMessage) return resp;
-    if (result == http::ParseResult::kError) return std::nullopt;
-    ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-    if (n <= 0) return std::nullopt;
-    parser_.feed(std::string_view(buf, static_cast<size_t>(n)));
-  }
-}
-
 FrameClient::FrameClient(uint16_t port, int timeout_ms) : timeout_ms_(timeout_ms) {
   fd_ = blocking_connect(port, timeout_ms);
   if (fd_ < 0) throw std::runtime_error("FrameClient: connect failed");

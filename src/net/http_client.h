@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "http/message.h"
-#include "http/parser.h"
 #include "net/frame.h"
 #include "net/net_config.h"
 
@@ -21,28 +20,6 @@ namespace sbroker::net {
 /// after `timeout_ms`.
 std::optional<http::Response> http_fetch(uint16_t port, const http::Request& request,
                                          int timeout_ms = kDefaultClientTimeoutMs);
-
-/// Persistent blocking HTTP/1.1 keep-alive connection: many request/response
-/// exchanges on one socket. http_fetch opens a fresh connection per call —
-/// the wrong shape for a load generator, where connection setup would
-/// dominate the measurement.
-class HttpKeepAliveClient {
- public:
-  /// Connects immediately; throws std::runtime_error on failure.
-  explicit HttpKeepAliveClient(uint16_t port,
-                               int timeout_ms = kDefaultClientTimeoutMs);
-  ~HttpKeepAliveClient();
-  HttpKeepAliveClient(const HttpKeepAliveClient&) = delete;
-  HttpKeepAliveClient& operator=(const HttpKeepAliveClient&) = delete;
-
-  /// Sends one request and waits for its response. nullopt on IO error,
-  /// parse error, or timeout (the connection is unusable afterwards).
-  std::optional<http::Response> call(const http::Request& request);
-
- private:
-  int fd_;
-  http::ResponseParser parser_;
-};
 
 /// Reply from a FrameClient exchange; owns its payload (unlike frame::Reply,
 /// whose payload is a view into a receive buffer).

@@ -3,15 +3,14 @@
 // Every blocking client helper used by tests, examples and the load
 // generator bounds its wait with the same default, defined once here, so
 // "the client gave up" means the same thing on every transport. A client
-// that hits this bound observed a broker timeout; the HTTP gateway maps the
-// broker's own deadline sheds to 504 Gateway Timeout before the client ever
-// gets here.
+// that hits this bound observed a broker timeout; the broker's own deadline
+// sheds arrive before it as a busy reply carrying core::kDeadlineExceeded.
 #pragma once
 
 namespace sbroker::net {
 
 /// Default wait bound for the blocking client helpers (FrameClient,
-/// HttpKeepAliveClient, http_fetch, udp_exchange), milliseconds.
+/// http_fetch, udp_exchange), milliseconds.
 inline constexpr int kDefaultClientTimeoutMs = 5000;
 
 }  // namespace sbroker::net

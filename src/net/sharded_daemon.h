@@ -123,7 +123,7 @@ class ShardedBrokerDaemon {
   /// when stopped it reads directly.
   core::BrokerMetrics aggregate_metrics();
 
-  /// Main-port protocol mix / write-coalescing counters folded across all
+  /// Main-port request / write-coalescing counters folded across all
   /// shards. Same threading contract as aggregate_metrics().
   WireStats aggregate_wire_stats();
 

@@ -37,7 +37,6 @@ class WebStoneClients {
   void start();
 
   uint64_t completed() const { return completed_; }
-  int qos_level() const { return config_.qos_level; }
   const obs::LatencyHistogram& response_times() const { return response_times_; }
 
  private:

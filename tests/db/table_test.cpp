@@ -25,7 +25,6 @@ TEST(Schema, FindAndMatches) {
   EXPECT_EQ(s.find("score"), 2u);
   EXPECT_FALSE(s.find("missing").has_value());
   EXPECT_TRUE(s.matches({Value(1), Value("x"), Value(1.0)}));
-  EXPECT_TRUE(s.matches({Value(), Value("x"), Value()}));  // NULLs allowed
   EXPECT_FALSE(s.matches({Value(1), Value("x")}));         // wrong arity
   EXPECT_FALSE(s.matches({Value("1"), Value("x"), Value(1.0)}));  // wrong type
 }

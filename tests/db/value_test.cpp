@@ -6,8 +6,8 @@ namespace sbroker::db {
 namespace {
 
 TEST(Value, TypesAndAccessors) {
-  EXPECT_EQ(Value().type(), Type::kNull);
-  EXPECT_TRUE(Value().is_null());
+  EXPECT_EQ(Value().type(), Type::kInt);  // the default is INT 0
+  EXPECT_EQ(Value().as_int(), 0);
   EXPECT_EQ(Value(int64_t{7}).type(), Type::kInt);
   EXPECT_EQ(Value(7).as_int(), 7);  // int64_t implicit
   EXPECT_EQ(Value(1.5).type(), Type::kReal);
@@ -27,13 +27,6 @@ TEST(Value, TextCompare) {
   EXPECT_EQ(Value("x").compare(Value("x")), 0);
 }
 
-TEST(Value, NullComparesLowest) {
-  EXPECT_LT(Value().compare(Value(0)), 0);
-  EXPECT_LT(Value().compare(Value("")), 0);
-  EXPECT_EQ(Value().compare(Value()), 0);
-  EXPECT_GT(Value(0).compare(Value()), 0);
-}
-
 TEST(Value, TextVsNumericThrows) {
   EXPECT_THROW(Value("1").compare(Value(1)), std::invalid_argument);
   EXPECT_THROW(Value(1).compare(Value("1")), std::invalid_argument);
@@ -45,7 +38,6 @@ TEST(Value, NumericViewThrowsOnText) {
 }
 
 TEST(Value, ToString) {
-  EXPECT_EQ(Value().to_string(), "NULL");
   EXPECT_EQ(Value(42).to_string(), "42");
   EXPECT_EQ(Value("t").to_string(), "'t'");
 }
@@ -61,7 +53,6 @@ TEST(Value, OperatorsDelegateToCompare) {
 }
 
 TEST(TypeName, AllNames) {
-  EXPECT_STREQ(type_name(Type::kNull), "NULL");
   EXPECT_STREQ(type_name(Type::kInt), "INT");
   EXPECT_STREQ(type_name(Type::kReal), "REAL");
   EXPECT_STREQ(type_name(Type::kText), "TEXT");

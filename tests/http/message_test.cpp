@@ -38,15 +38,6 @@ TEST(Request, SerializeNoBodyNoLength) {
   EXPECT_EQ(wire.find("Content-Length"), std::string::npos);
 }
 
-TEST(Request, QosHeaderRoundTrip) {
-  Request req;
-  EXPECT_EQ(req.qos_level(2), 2);  // default when missing
-  req.set_qos_level(3);
-  EXPECT_EQ(req.qos_level(), 3);
-  req.headers.set(std::string(kQosHeader), "junk");
-  EXPECT_EQ(req.qos_level(1), 1);  // malformed falls back to default
-}
-
 TEST(Response, SerializeStatusLine) {
   Response resp = make_response(503, "busy");
   std::string wire = resp.serialize();

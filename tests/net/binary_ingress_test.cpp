@@ -1,6 +1,6 @@
-// Binary frame ingress on the daemon's main port: protocol sniffing, frame
-// reassembly, robustness against malformed bytes, coexistence with HTTP on
-// one port, and the write-coalescing counters.
+// Binary frame ingress on the daemon's main port: frame reassembly,
+// robustness against malformed bytes (HTTP included), and the
+// write-coalescing counters.
 #include <gtest/gtest.h>
 #include <poll.h>
 #include <sys/socket.h>
@@ -153,9 +153,8 @@ TEST_F(BinaryIngressTest, GarbageAfterValidFrameClosesConnection) {
   FrameClient client(daemon_->port());
   auto ok = client.call(1, "/before-garbage");
   ASSERT_TRUE(ok.has_value());
-  // Wrong magic mid-stream: the connection is already locked to frame mode,
-  // so this is a framing error, not a protocol re-sniff. Even this partial
-  // header is rejected immediately — a bad first byte can never recover.
+  // Wrong magic mid-stream is a framing error. Even this partial header is
+  // rejected immediately — a bad first byte can never recover.
   ASSERT_TRUE(client.send_raw(std::string("\xFF\x01\x01", 3)));
   EXPECT_FALSE(client.read_reply().has_value());
   // The daemon survives and keeps serving fresh connections.
@@ -180,8 +179,9 @@ TEST_F(BinaryIngressTest, TruncatedFrameThenDisconnectIsHarmless) {
 }
 
 TEST_F(BinaryIngressTest, FrameAndHttpInterleavedOnOnePort) {
-  // Binary frames and plain HTTP/1.1 on the daemon's single main port,
-  // interleaved from live connections.
+  // HTTP/1.1 requests interleaved with frames on the daemon's one main port:
+  // each HTTP request closes its own connection without an answer, while the
+  // frame connection beside it keeps being served.
   FrameClient framed(daemon_->port());
   for (int i = 0; i < 3; ++i) {
     std::string target = "/mixed-" + std::to_string(i);
@@ -192,15 +192,15 @@ TEST_F(BinaryIngressTest, FrameAndHttpInterleavedOnOnePort) {
 
     http::Request hreq;
     hreq.target = target;
-    auto h = http_fetch(daemon_->port(), hreq, 2000);
-    ASSERT_TRUE(h.has_value()) << i;
-    EXPECT_EQ(h->status, 200);
-    EXPECT_EQ(h->body, "content of " + target);
+    auto sent = std::chrono::steady_clock::now();
+    EXPECT_FALSE(http_fetch(daemon_->port(), hreq, 2000).has_value()) << i;
+    // Closed by the daemon, not given up on by the client.
+    EXPECT_LT(std::chrono::steady_clock::now() - sent, std::chrono::seconds(1)) << i;
   }
 
   WireStats stats = wire();
-  EXPECT_EQ(stats.frames_in, 3u);
-  EXPECT_EQ(stats.http_in, 3u);
+  EXPECT_EQ(stats.frames_in, 3u);  // the frames only
+  EXPECT_EQ(stats.flushed_responses, 3u);
 }
 
 TEST_F(BinaryIngressTest, PipelinedCacheHitsCoalesceIntoFewerFlushes) {
@@ -284,7 +284,6 @@ TEST(BinaryIngressSharded, ConservationAndAggregatedWireStats) {
 
   WireStats stats = daemon->aggregate_wire_stats();  // post() path
   EXPECT_EQ(stats.frames_in, static_cast<uint64_t>(kClients * kPerClient));
-  EXPECT_EQ(stats.http_in, 0u);
   EXPECT_EQ(stats.flushed_responses, stats.frames_in);
 
   daemon->stop();

@@ -8,12 +8,9 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <cerrno>
-#include <chrono>
 #include <future>
 #include <thread>
 
-#include "http/parser.h"
 #include "net/http_client.h"
 #include "net/http_server.h"
 #include "net/pipelined_backend.h"
@@ -92,6 +89,11 @@ TEST_F(BrokerDaemonTest, SecondIdenticalRequestServedFromCache) {
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(second->fidelity, http::Fidelity::kCached);
   EXPECT_EQ(second->payload, "content of /cached-page");
+  // The hit is counted once, at the cache probe both requests went through.
+  core::BrokerMetrics::ClassCounters total = totals();
+  EXPECT_EQ(total.cache_hits, 1u);
+  EXPECT_EQ(total.issued, 2u);
+  EXPECT_EQ(total.completed, 2u);
 }
 
 TEST_F(BrokerDaemonTest, SequentialRequestsOnOneConnection) {
@@ -177,12 +179,13 @@ bool closed_without_reply(uint16_t port, std::string_view bytes) {
 
 TEST_F(BrokerDaemonTest, MalformedBytesCloseConnection) {
   FrameClient good(daemon_->port());
-  // A first byte that is neither the frame magic nor an ASCII letter fails
-  // the protocol sniff; the daemon closes the connection without replying.
+  // The main port speaks frames only: bytes that do not start with the frame
+  // magic close the connection without a reply.
   EXPECT_TRUE(closed_without_reply(daemon_->port(), "\x01\x02garbage"));
-  // A client of the retired legacy codec opens with its magic 'S' 'B' 'R'
-  // 'K', an ASCII letter, so it is sniffed as HTTP; once a line ends, the
-  // request line is malformed and the connection is closed without a reply.
+  // A plain HTTP/1.1 request is no exception.
+  EXPECT_TRUE(closed_without_reply(daemon_->port(), "GET / HTTP/1.1\r\n\r\n"));
+  // Nor is a client of the retired legacy codec, which opens with its magic
+  // 'S' 'B' 'R' 'K'.
   const char legacy[] = "\x53\x42\x52\x4b\x01\x01\x07\x00\r\n";
   EXPECT_TRUE(closed_without_reply(daemon_->port(),
                                    std::string_view(legacy, sizeof(legacy) - 1)));
@@ -192,69 +195,9 @@ TEST_F(BrokerDaemonTest, MalformedBytesCloseConnection) {
   EXPECT_EQ(reply->payload, "content of /still-alive");
 }
 
-TEST_F(BrokerDaemonTest, HttpHeadWithoutLineEndIsClosed) {
-  // An HTTP client that never ends its request line must not grow the
-  // connection's buffer without bound: once the head passes
-  // http::kMaxHeadBytes the daemon closes the connection without replying.
-  int fd = connect_tcp(daemon_->port());
-  ASSERT_GE(fd, 0);
-  std::string bytes = "GET /" + std::string(16 * 1024, 'a');
-  size_t sent = 0;
-  bool closed = false;
-  bool replied = false;
-  auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (!closed && std::chrono::steady_clock::now() < give_up) {
-    pollfd pfd{fd, POLLIN | POLLOUT, 0};
-    if (::poll(&pfd, 1, 100) <= 0) continue;
-    if (pfd.revents & (POLLIN | POLLHUP | POLLERR)) {
-      char buf[64];
-      ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-      replied = replied || n > 0;
-      closed = n == 0 || (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK);
-    } else if (pfd.revents & POLLOUT) {
-      // Endless 'a's: the request line never ends.
-      ssize_t n = ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
-      if (n > 0) sent += static_cast<size_t>(n);
-      closed = n < 0 && errno != EAGAIN && errno != EWOULDBLOCK;
-      bytes.assign(bytes.size(), 'a');
-    }
-  }
-  ::close(fd);
-  EXPECT_TRUE(closed);
-  EXPECT_FALSE(replied);
-  EXPECT_GT(sent, http::kMaxHeadBytes);
-  // The daemon must still serve well-formed clients afterwards.
-  FrameClient good(daemon_->port());
-  auto reply = good.call(6, "/after-long-line", 3);
-  ASSERT_TRUE(reply.has_value());
-  EXPECT_EQ(reply->payload, "content of /after-long-line");
-}
-
-TEST_F(BrokerDaemonTest, HttpOnMainPortIsSniffedAndServed) {
-  // Plain HTTP/1.1 arriving on the wire-protocol port is recognized by the
-  // first-byte sniff and answered as the HTTP gateway would.
-  http::Request req;
-  req.target = "/sniffed-page";
-  auto resp = http_fetch(daemon_->port(), req, 2000);
-  ASSERT_TRUE(resp.has_value());
-  EXPECT_EQ(resp->status, 200);
-  EXPECT_EQ(resp->body, "content of /sniffed-page");
-  EXPECT_EQ(resp->headers.get_view(http::kFidelityHeader).value_or(""), "full");
-  // The repeat is a cache hit, served through the same probe as a frame's.
-  auto again = http_fetch(daemon_->port(), req, 2000);
-  ASSERT_TRUE(again.has_value());
-  EXPECT_EQ(again->status, 200);
-  EXPECT_EQ(again->body, "content of /sniffed-page");
-  EXPECT_EQ(again->headers.get_view(http::kFidelityHeader).value_or(""), "cached");
-  core::BrokerMetrics::ClassCounters total = totals();
-  EXPECT_EQ(total.cache_hits, 1u);
-  EXPECT_EQ(total.issued, 2u);
-  EXPECT_EQ(total.completed, 2u);
-}
-
-TEST(BrokerDaemonHttp, NegativeCacheHitMapsToBadGateway) {
+TEST(BrokerDaemonErrors, NegativeCacheHitAnswersError) {
   // A failed fetch is cached as a negative entry; the repeat is answered
-  // from it as an error, which HTTP maps to 502 like the failure itself.
+  // from it as an error, like the failure itself, without a backend call.
   struct Failing : core::Backend {
     Reactor* reactor = nullptr;
     int calls = 0;
@@ -274,18 +217,17 @@ TEST(BrokerDaemonHttp, NegativeCacheHitMapsToBadGateway) {
   BrokerDaemon daemon(reactor, "failing-broker", cfg);
   daemon.add_backend(backend);
   std::thread t([&] { reactor.run(); });
-  http::Request req;
-  req.target = "/broken";
-  auto first = http_fetch(daemon.port(), req, 2000);
-  auto again = http_fetch(daemon.port(), req, 2000);
+  FrameClient client(daemon.port(), 2000);
+  auto first = client.call(1, "/broken");
+  auto again = client.call(2, "/broken");
   reactor.stop();
   t.join();
   ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(first->status, 502);
+  EXPECT_EQ(first->fidelity, http::Fidelity::kError);
+  EXPECT_EQ(first->payload, "backend down");
   ASSERT_TRUE(again.has_value());
-  EXPECT_EQ(again->status, 502);
-  EXPECT_EQ(again->body, "backend down");
-  EXPECT_EQ(again->headers.get_view(http::kFidelityHeader).value_or(""), "error");
+  EXPECT_EQ(again->fidelity, http::Fidelity::kError);
+  EXPECT_EQ(again->payload, "backend down");
   EXPECT_EQ(backend->calls, 1);
   EXPECT_EQ(daemon.broker().metrics().flight.negative_hits, 1u);
 }

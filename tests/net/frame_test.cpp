@@ -184,8 +184,8 @@ TEST(FrameTest, BackToBackFramesParseSequentially) {
 }
 
 TEST(FrameTest, MagicDistinctFromOtherProtocols) {
-  // First-byte sniffing relies on the frame magic never starting an HTTP
-  // method.
+  // A stray HTTP client on the frame port fails on its first byte because
+  // the frame magic never starts an HTTP method.
   EXPECT_FALSE(kMagic >= 'A' && kMagic <= 'Z');
   EXPECT_FALSE(kMagic >= 'a' && kMagic <= 'z');
 }

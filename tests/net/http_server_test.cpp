@@ -29,7 +29,8 @@ class HttpServerTest : public ::testing::Test {
     });
     server_->route("/echo-qos", [](const http::Request& req,
                                    HttpServer::Responder respond) {
-      respond(http::make_response(200, std::to_string(req.qos_level(0))));
+      respond(http::make_response(
+          200, std::string(req.headers.get_view("X-QoS-Level").value_or("none"))));
     });
     thread_ = std::thread([this] { reactor_.run(); });
   }
@@ -66,7 +67,7 @@ TEST_F(HttpServerTest, FallbackHandles404) {
 
 TEST_F(HttpServerTest, QosHeaderVisibleToHandler) {
   http::Request req = get("/echo-qos");
-  req.set_qos_level(3);
+  req.headers.set("X-QoS-Level", "3");
   auto resp = http_fetch(server_->port(), req);
   ASSERT_TRUE(resp.has_value());
   EXPECT_EQ(resp->body, "3");

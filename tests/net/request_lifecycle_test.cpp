@@ -263,7 +263,7 @@ TEST_F(RequestLifecycleTest, PipelinedBackendFailsHalfStalledExchangeOnDeadline)
   EXPECT_EQ(mute_->swallowed(), 1u);
 }
 
-TEST_F(RequestLifecycleTest, HttpGatewayMapsDeadlineShedTo504) {
+TEST_F(RequestLifecycleTest, DeadlineShedArrivesBeforeTheTick) {
   on_backend_reactor([&] {
     mute_ = std::make_unique<MuteServer>(backend_reactor_);
     echo_ = std::make_unique<HttpServer>(
@@ -274,36 +274,36 @@ TEST_F(RequestLifecycleTest, HttpGatewayMapsDeadlineShedTo504) {
   });
 
   // Two daemons on their own reactor: one fronting the mute backend (every
-  // deadline request 504s) and one fronting the echo backend (200s). Plain
-  // HTTP reaches each through the first-byte sniff on its main port. Built
-  // before the reactor thread starts, like ShardedBrokerDaemon does.
+  // deadline request is shed) and one fronting the echo backend (served).
+  // Built before the reactor thread starts, like ShardedBrokerDaemon does.
   Reactor daemon_reactor;
   BrokerDaemonConfig dcfg;
   dcfg.broker.rules = core::QosRules{3, 100.0};
   dcfg.broker.enable_cache = false;
   dcfg.enable_udp = false;
-  dcfg.tick_interval = 0.5;  // coarse: the 504 must arrive at the deadline
+  dcfg.tick_interval = 0.5;  // coarse: the shed must arrive at the deadline
   auto stalled = std::make_unique<BrokerDaemon>(daemon_reactor, "stalled", dcfg);
   stalled->add_backend(std::make_shared<PipelinedBackend>(daemon_reactor, mute_->port()));
   auto healthy = std::make_unique<BrokerDaemon>(daemon_reactor, "healthy", dcfg);
   healthy->add_backend(std::make_shared<PipelinedBackend>(daemon_reactor, echo_->port()));
   std::thread daemon_thread([&] { daemon_reactor.run(); });
 
-  http::Request deadline_req;
-  deadline_req.target = "/page";
-  deadline_req.headers.set(std::string(http::kDeadlineHeader), "100");
-  auto shed = http_fetch(stalled->port(), deadline_req);
-  ASSERT_TRUE(shed.has_value());
-  EXPECT_EQ(shed->status, 504);
-  EXPECT_EQ(shed->headers.get(http::kFidelityHeader), std::optional<std::string>("busy"));
+  {  // the clients close before the daemons are torn down
+    FrameClient stalled_client(stalled->port());
+    auto sent = std::chrono::steady_clock::now();
+    auto shed = stalled_client.call(1, "/page", 1, /*deadline_ms=*/100);
+    auto waited = std::chrono::steady_clock::now() - sent;
+    ASSERT_TRUE(shed.has_value());
+    EXPECT_EQ(shed->fidelity, http::Fidelity::kBusy);
+    EXPECT_EQ(shed->payload, core::kDeadlineExceeded);
+    EXPECT_LT(waited, std::chrono::milliseconds(400));  // well before the tick
 
-  http::Request ok_req;
-  ok_req.target = "/page";
-  auto served = http_fetch(healthy->port(), ok_req);
-  ASSERT_TRUE(served.has_value());
-  EXPECT_EQ(served->status, 200);
-  EXPECT_EQ(served->body, "content of /page");
-  EXPECT_EQ(served->headers.get(http::kFidelityHeader), std::optional<std::string>("full"));
+    FrameClient healthy_client(healthy->port());
+    auto served = healthy_client.call(2, "/page");
+    ASSERT_TRUE(served.has_value());
+    EXPECT_EQ(served->fidelity, http::Fidelity::kFull);
+    EXPECT_EQ(served->payload, "content of /page");
+  }
 
   std::promise<void> torn_down;
   daemon_reactor.post([&]() {
