@@ -22,7 +22,6 @@
 //   threshold admission threshold (QoS rules)         (default 64)
 //   cache     1 = result cache on; 0 off, so every request rides the
 //             broker->backend channel under test       (default 1)
-//   fallback  1 = force the round-robin acceptor path (default 0)
 //   timeout   per-request deadline in ms; 0 = none    (default 0)
 //   stallpct  percent of the keyspace routed to a never-replying backend
 //             route (half-open stall injection). Requires timeout>0, or
@@ -206,7 +205,6 @@ struct PhaseStats {
 struct RunResult {
   size_t shards = 0;
   bool pipelined = false;
-  bool kernel_accept_sharding = false;
   net::WireStats wire;  // main-port frame count + flush coalescing
   double dup = 0.0;  // hot-key fraction this run was driven with
   std::string policy;  // balancer policy this run was driven with
@@ -429,7 +427,7 @@ bool parse_statusz(const std::string& body, RunResult& r) {
 }
 
 RunResult run_one(size_t shards, bool pipelined, size_t clients, double seconds,
-                  uint64_t keys, double threshold, bool cache, bool fallback,
+                  uint64_t keys, double threshold, bool cache,
                   uint32_t timeout_ms, uint64_t stallpct, int attempts,
                   bool obs_on, bool scrape, const CacheKnobs& knobs,
                   size_t burst,
@@ -464,7 +462,6 @@ RunResult run_one(size_t shards, bool pipelined, size_t clients, double seconds,
   cfg.broker.balance = rk.policy;
   cfg.shards = shards;
   cfg.enable_udp = false;
-  cfg.force_acceptor_fallback = fallback;
   size_t total_clients = clients * std::max<size_t>(1, ok.crowd);
   if (!pipelined) {
     // Stop-and-wait control: one exchange per connection, and a connection
@@ -733,7 +730,6 @@ RunResult run_one(size_t shards, bool pipelined, size_t clients, double seconds,
 
   r.shards = shards;
   r.pipelined = pipelined;
-  r.kernel_accept_sharding = daemon.kernel_accept_sharding();
   r.wire = daemon.aggregate_wire_stats();
   r.dup = knobs.dup;
   r.policy = core::balance_policy_name(rk.policy);
@@ -1042,7 +1038,6 @@ int main(int argc, char** argv) {
   uint64_t keys = static_cast<uint64_t>(cfg.get_int("keys", 512));
   double threshold = cfg.get_double("threshold", 64.0);
   bool cache = cfg.get_bool("cache", true);
-  bool fallback = cfg.get_bool("fallback", false);
   bool check = cfg.get_bool("check", false);
   uint32_t timeout_ms = static_cast<uint32_t>(cfg.get_int("timeout", 0));
   uint64_t stallpct = static_cast<uint64_t>(cfg.get_int("stallpct", 0));
@@ -1263,9 +1258,9 @@ int main(int argc, char** argv) {
       skew_list.c_str(), rk.degrade, overload_list.c_str(), window, oeval,
       crowd_mult, ramp, backoff, arrivals_list.c_str(), rate,
       static_cast<unsigned long long>(run_seed), link_spec.c_str(), cpus);
-  std::printf("%-5s %-9s %-11s %-4s %-7s %-9s %-8s %10s %10s %9s %9s %9s %9s %10s %8s %8s %9s %9s %9s %7s\n",
+  std::printf("%-5s %-9s %-11s %-4s %-7s %-9s %10s %10s %9s %9s %9s %9s %10s %8s %8s %9s %9s %9s %7s\n",
               "dup", "policy", "overload", "skew", "shards", "channel",
-              "accept", "requests", "req/s", "p50 ms", "p99 ms", "brk p50",
+              "requests", "req/s", "p50 ms", "p99 ms", "brk p50",
               "hit%", "dropped", "misses", "retries", "conns", "bkcalls",
               "coalesc", "slow%");
 
@@ -1282,16 +1277,15 @@ int main(int argc, char** argv) {
   for (size_t shards : sweep) {
     for (size_t mode : modes) {
       RunResult r = run_one(shards, mode != 0, clients, seconds, keys,
-                            threshold, cache, fallback, timeout_ms, stallpct,
+                            threshold, cache, timeout_ms, stallpct,
                             attempts, obs_on, scrape, knobs, burst, rk,
                             ok, ak, lk_knobs);
       core::BrokerMetrics::ClassCounters total = r.metrics.total();
-      std::printf("%-5.2f %-9.9s %-11.11s %-4.3g %-7zu %-9s %-8s %10llu %10.0f %9.3f %9.3f %9.3f %8.1f%% "
+      std::printf("%-5.2f %-9.9s %-11.11s %-4.3g %-7zu %-9s %10llu %10.0f %9.3f %9.3f %9.3f %8.1f%% "
                   "%10llu %8llu %8llu %9llu %9llu %9llu %6.1f%%\n",
                   r.dup, r.policy.c_str(), r.overload.c_str(),
                   r.skew, r.shards,
                   r.pipelined ? "pipeline" : "stopwait",
-                  r.kernel_accept_sharding ? "kernel" : "rrobin",
                   static_cast<unsigned long long>(r.requests), r.rps,
                   r.latency.p50() * 1e3, r.latency.p99() * 1e3,
                   r.broker_total.p50 * 1e3, r.hit_ratio * 100.0,
@@ -1560,7 +1554,6 @@ int main(int argc, char** argv) {
         .field("replicas", static_cast<uint64_t>(r.replicas))
         .field("shards", r.shards)
         .field("pipelined", r.pipelined)
-        .field("kernel_accept_sharding", r.kernel_accept_sharding)
         .field("requests", r.requests)
         .field("failures", r.failures)
         .field("mispaired", r.mispaired)

@@ -124,6 +124,8 @@ tmp_overload="$build_dir/bench_daemon_overload.json"
 tmp_fed="$build_dir/bench_daemon_federation.json"
 tmp_arrivals="$build_dir/bench_daemon_arrivals.json"
 
+# check=1 gates every run: conservation, one reply per request frame with its
+# own target's body, and live flush counters.
 echo "== daemon loadgen (channel/cache sweep)"
 "$build_dir/bench/daemon_loadgen" \
   "shards=${BENCH_SHARDS:-1,2,4}" \
@@ -144,6 +146,7 @@ echo "== daemon loadgen (channel/cache sweep)"
   "negttl=${BENCH_NEGTTL:-0}" \
   "coalesce=${BENCH_COALESCE:-1}" \
   "burst=${BENCH_BURST:-1}" \
+  check=1 \
   "out=$tmp_main"
 
 if [ "${BENCH_POLICY_SWEEP:-1}" = "1" ]; then

@@ -2,8 +2,8 @@
 //
 // Starts (in one process, on localhost): a mini HTTP backend server and a
 // ShardedBrokerDaemon — two reactor threads, each running the identical
-// single-threaded core::ServiceBroker the simulations use, both accepting on
-// one shared port. The shards share one striped result cache and one global
+// single-threaded core::ServiceBroker the simulations use, behind one port
+// whose acceptor hands connections to them in turn. The shards share one striped result cache and one global
 // outstanding-request counter, so a result fetched through one shard serves
 // a repeat arriving at the other, and the QoS thresholds apply to the
 // service's total load. Shows full/cached/busy fidelities over real sockets.
@@ -54,9 +54,8 @@ int main() {
   daemon.start();
 
   std::printf("backend on 127.0.0.1:%u, broker daemon on 127.0.0.1:%u "
-              "(%zu shards, %s accept sharding)\n",
-              backend.port(), daemon.port(), daemon.shards(),
-              daemon.kernel_accept_sharding() ? "kernel SO_REUSEPORT" : "round-robin");
+              "(%zu shards)\n",
+              backend.port(), daemon.port(), daemon.shards());
   std::printf("admin plane on http://127.0.0.1:%u "
               "(/healthz /metrics /statusz /tracez)\n\n",
               daemon.admin_port());

@@ -28,8 +28,8 @@ import os
 import re
 import sys
 
-ROOTS = ("BrokerConfig", "BrokerDaemonConfig", "ShardedBrokerDaemonConfig",
-         "FedNodeConfig", "PipelinedBackend::Config", "AdminConfig")
+ROOTS = ("BrokerConfig", "ShardedBrokerDaemonConfig", "FedNodeConfig",
+         "PipelinedBackend::Config", "AdminConfig")
 SHIPPING = ("bench", "examples", "perfbench")
 
 
@@ -166,7 +166,7 @@ def knobs(structs, name, prefix):
     for ftype, field in structs.get(name, []):
         path = prefix + "." + field
         yield path, name, field, ftype
-        # A nested root (BrokerDaemonConfig.broker) is listed on its own.
+        # A nested root (ShardedBrokerDaemonConfig.broker) is listed on its own.
         if ftype in structs and ftype != name and ftype not in ROOTS:
             yield from knobs(structs, ftype, path)
 

@@ -131,7 +131,7 @@ class ShardPeering : public net::FederationHook {
 /// peer channels, gossip loop, and tier-load admission input.
 class FederatedDaemon {
  public:
-  /// Binds the daemon's listeners on config.peer_ports[config.node_id]
+  /// Binds the daemon's listener on config.peer_ports[config.node_id]
   /// (overriding daemon_config.listen_port) and wires the federation into
   /// every shard. Call add_backend() then start(), as with the raw daemon.
   FederatedDaemon(std::string name, net::ShardedBrokerDaemonConfig daemon_config,

@@ -31,20 +31,10 @@ struct BrokerDaemon::Conn {
 };
 
 BrokerDaemon::BrokerDaemon(Reactor& reactor, std::string name,
-                           BrokerDaemonConfig config)
+                           core::BrokerConfig config, double tick_interval)
     : reactor_(reactor),
-      broker_(std::move(name), config.broker),
-      tick_interval_(config.tick_interval),
-      listener_(reactor, config.listen_port,
-                [this](int fd) { adopt_client(fd); }, config.reuse_port) {
-  if (config.enable_udp) {
-    udp_ = std::make_unique<UdpSocket>(
-        reactor_, config.udp_port,
-        [this](std::string_view payload, const sockaddr_in& from) {
-          on_datagram(payload, from);
-        },
-        config.reuse_port);
-  }
+      broker_(std::move(name), std::move(config)),
+      tick_interval_(tick_interval) {
   // Retries scheduled from inside a backend completion can move the next
   // due time earlier than the armed tick; the broker tells us to re-arm.
   broker_.set_wakeup([this]() { rearm_tick(); });
@@ -236,7 +226,8 @@ void BrokerDaemon::queue_reply_frame(const std::shared_ptr<Conn>& conn,
   if (conn->tcp->queue(conn->encode_scratch)) wire_.flushes += 1;
 }
 
-void BrokerDaemon::on_datagram(std::string_view payload, const sockaddr_in& from) {
+void BrokerDaemon::on_datagram(UdpSocket& socket, std::string_view payload,
+                               const sockaddr_in& from) {
   frame::Request freq;
   size_t consumed = 0;
   if (frame::parse_request(payload, freq, &consumed) != frame::ParseResult::kFrame ||
@@ -245,12 +236,12 @@ void BrokerDaemon::on_datagram(std::string_view payload, const sockaddr_in& from
     return;
   }
   fill_request(freq, udp_request_);
-  serve(udp_request_, [this, from](std::string_view, const core::ReplyView& r) {
-    if (!udp_) return;
+  serve(udp_request_, [this, &socket, from](std::string_view,
+                                            const core::ReplyView& r) {
     udp_reply_.clear();
     frame::encode_reply(r.request_id, r.fidelity, frame::flags_for(r.fidelity),
                         r.payload, udp_reply_);
-    udp_->send_to(from, udp_reply_);
+    socket.send_to(from, udp_reply_);
   });
   rearm_tick();
 }

@@ -5,11 +5,13 @@
 // binary frames (net/frame.h), and the broker forwards to real HTTP
 // backend servers. This is the deployment shape of the paper's distributed
 // model (Figure 5) — admission, clustering, caching and differentiation all
-// happen in this process, in front of QoS-unaware backends. The main TCP
-// port speaks frames only; any other bytes close the connection without a
-// reply. Every ingress (client frames, peer fetches, UDP datagrams) reaches
-// the broker through one helper, serve(): the cache fast path first, the
-// miss path after it, exactly as the simulator's ServiceBroker::submit().
+// happen in this process, in front of QoS-unaware backends. The daemon binds
+// no socket: its owner accepts client connections and hands each fd to
+// adopt_client(), and routes datagrams to on_datagram(). A client connection
+// speaks frames only; any other bytes close it without a reply. Every
+// ingress (client frames, peer fetches, UDP datagrams) reaches the broker
+// through one helper, serve(): the cache fast path first, the miss path
+// after it, exactly as the simulator's ServiceBroker::submit().
 //
 // Everything runs on one Reactor thread; a periodic timer drives
 // broker.tick() for cluster-deadline flushes and prefetch.
@@ -25,18 +27,7 @@
 
 namespace sbroker::net {
 
-struct BrokerDaemonConfig {
-  core::BrokerConfig broker;
-  uint16_t listen_port = 0;      ///< TCP port; 0 = ephemeral
-  bool enable_udp = true;        ///< the paper's "lightweight UDP" channel
-  uint16_t udp_port = 0;         ///< 0 = ephemeral
-  double tick_interval = 0.02;   ///< max seconds between housekeeping ticks
-  /// SO_REUSEPORT on both listeners, so several daemons (the shards of a
-  /// ShardedBrokerDaemon) can accept on one shared port.
-  bool reuse_port = false;
-};
-
-/// Ingress/egress accounting for the daemon's main listen port.
+/// Ingress/egress accounting for the daemon's client connections.
 /// `flushes`/`flushed_responses` measure reactor-cycle write coalescing
 /// (flushed_responses > flushes means batching happened).
 struct WireStats {
@@ -58,30 +49,36 @@ struct WireStats {
 
 class BrokerDaemon {
  public:
-  BrokerDaemon(Reactor& reactor, std::string name, BrokerDaemonConfig config);
+  /// `tick_interval`: max seconds between housekeeping ticks.
+  BrokerDaemon(Reactor& reactor, std::string name, core::BrokerConfig config,
+               double tick_interval);
   ~BrokerDaemon();
   BrokerDaemon(const BrokerDaemon&) = delete;
   BrokerDaemon& operator=(const BrokerDaemon&) = delete;
 
   void add_backend(std::shared_ptr<core::Backend> backend, double weight = 1.0);
 
-  /// Adopts an already-accepted client socket (non-blocking fd) as a
-  /// wire-protocol connection, exactly as if this daemon's own listener had
-  /// accepted it. Must be called on this daemon's reactor thread; the
-  /// sharded daemon's acceptor fallback posts fds here.
+  /// Adopts an accepted client socket (non-blocking fd) as a frame
+  /// connection. Must be called on this daemon's reactor thread; the sharded
+  /// daemon's acceptor posts fds here round-robin.
   void adopt_client(int fd);
+
+  /// Serves one datagram received on `socket`, which must be registered with
+  /// this daemon's reactor and outlive every reply the daemon can still send
+  /// through it. The datagram must hold exactly one request frame; anything
+  /// else (truncated, trailing bytes, another kind) is dropped without a
+  /// reply.
+  void on_datagram(UdpSocket& socket, std::string_view payload,
+                   const sockaddr_in& from);
 
   /// Runs a housekeeping tick now and re-arms the tick timer. Must be called
   /// on this daemon's reactor thread; the sharded daemon posts it when a
   /// single-flight resolution on another shard has waiters parked here.
   void poke();
 
-  uint16_t port() const { return listener_.port(); }
-  /// UDP datagram port; 0 when UDP is disabled.
-  uint16_t udp_port() const { return udp_ ? udp_->port() : 0; }
   core::ServiceBroker& broker() { return broker_; }
   const core::ServiceBroker& broker() const { return broker_; }
-  /// Main-port request and write-coalescing counters. Same threading
+  /// Client-connection request and write-coalescing counters. Same threading
   /// contract as broker(): touch only from this daemon's reactor thread (or
   /// while stopped).
   WireStats wire_stats() const { return wire_; }
@@ -91,9 +88,10 @@ class BrokerDaemon {
   /// a hook installed the frame path gains the federation behaviours:
   /// cache-missed client frames are offered to try_forward() before
   /// fetching locally, and the peer kinds (kPeerFetch / kPeerPush /
-  /// kGossip) are accepted on the same port. Without one, peer frames are a
-  /// protocol error and the daemon behaves exactly as before. Federation
-  /// applies to frames on the main port only — UDP always fetches locally.
+  /// kGossip) are accepted on the same connections. Without one, peer frames
+  /// are a protocol error and the daemon behaves exactly as before.
+  /// Federation applies to client connections only — UDP always fetches
+  /// locally.
   void set_federation(FederationHook* federation) { fed_ = federation; }
 
  private:
@@ -142,10 +140,6 @@ class BrokerDaemon {
   void queue_reply_frame(const std::shared_ptr<Conn>& conn, uint8_t kind,
                          uint64_t request_id, http::Fidelity fidelity,
                          uint8_t flags, std::string_view payload);
-  /// One datagram must hold exactly one request frame; anything else
-  /// (truncated, trailing bytes, another kind) is dropped without a reply.
-  void on_datagram(std::string_view payload, const sockaddr_in& from);
-
   Reactor& reactor_;
   core::ServiceBroker broker_;
   double tick_interval_;
@@ -153,8 +147,6 @@ class BrokerDaemon {
   bool tick_armed_ = false;
   double next_tick_at_ = 0.0;
   bool stopping_ = false;
-  TcpListener listener_;
-  std::unique_ptr<UdpSocket> udp_;
   WireStats wire_;
   /// Scratch arena for the allocation-free cache fast path; reset per request.
   core::Arena scratch_;

@@ -165,6 +165,9 @@ void PipelinedBackend::on_data(uint64_t channel_id, std::string_view bytes) {
     if (result == http::ParseResult::kNeedMore) return;
     if (result == http::ParseResult::kError) {
       // handle_close fails the head (parser in error) and re-issues the rest.
+      SBROKER_WARN("pipelined-backend")
+          << "malformed backend response (" << ch->parser.error_message()
+          << "); closing";
       ch->conn->abort();
       return;
     }

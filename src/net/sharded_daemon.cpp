@@ -1,32 +1,12 @@
 #include "net/sharded_daemon.h"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <future>
 #include <utility>
 
-#include "util/log.h"
 #include "util/rng.h"
 
 namespace sbroker::net {
-namespace {
-
-/// One-shot probe: can this kernel bind two sockets to one port?
-bool reuseport_supported() {
-  try {
-    auto [fd, port] = listen_tcp(0, /*reuse_port=*/true);
-    auto [fd2, port2] = listen_tcp(port, /*reuse_port=*/true);
-    close(fd2);
-    close(fd);
-    (void)port2;
-    return true;
-  } catch (const std::exception&) {
-    return false;
-  }
-}
-
-}  // namespace
 
 ShardedBrokerDaemon::ShardedBrokerDaemon(std::string name,
                                          ShardedBrokerDaemonConfig config)
@@ -42,40 +22,19 @@ ShardedBrokerDaemon::ShardedBrokerDaemon(std::string name,
   load_ = std::make_shared<core::LoadTracker>();
   flights_ = std::make_shared<core::FlightTable>(kCacheStripes);
 
-  bool kernel_sharding =
-      !config_.force_acceptor_fallback && reuseport_supported();
-  if (!kernel_sharding && !config_.force_acceptor_fallback) {
-    SBROKER_WARN(name_) << "SO_REUSEPORT unavailable; using acceptor fallback";
-  }
-
   shards_.reserve(config_.shards);
   for (size_t i = 0; i < config_.shards; ++i) {
     auto shard = std::make_unique<Shard>();
     shard->reactor = std::make_unique<Reactor>();
 
-    BrokerDaemonConfig cfg;
-    cfg.broker = config_.broker;
+    core::BrokerConfig broker = config_.broker;
     // De-correlate the shards' random balancer choices. derive_seed, not
     // seed+i: adjacent offsets collide across sibling instances (shard i's
     // seed+1 IS shard i+1's seed), replaying identical streams.
-    cfg.broker.rng_seed = util::derive_seed(config_.broker.rng_seed, i);
-    cfg.tick_interval = config_.tick_interval;
-    if (kernel_sharding) {
-      cfg.reuse_port = true;
-      cfg.listen_port = i == 0 ? config_.listen_port : port_;
-      cfg.enable_udp = config_.enable_udp;
-      cfg.udp_port = udp_port_;  // 0 (ephemeral) for shard 0; the rest join its port
-    } else {
-      // Private ephemeral listener (unused); the shared acceptor feeds fds
-      // in via adopt_client. UDP cannot be shared without SO_REUSEPORT, so
-      // shard 0 owns the datagram channel alone.
-      cfg.reuse_port = false;
-      cfg.listen_port = 0;
-      cfg.enable_udp = config_.enable_udp && i == 0;
-    }
-
+    broker.rng_seed = util::derive_seed(config_.broker.rng_seed, i);
     shard->daemon = std::make_unique<BrokerDaemon>(
-        *shard->reactor, name_ + "#" + std::to_string(i), cfg);
+        *shard->reactor, name_ + "#" + std::to_string(i), std::move(broker),
+        config_.tick_interval);
     shard->daemon->broker().share_cache(cache_);
     shard->daemon->broker().share_load(load_);
     shard->daemon->broker().share_flights(flights_);
@@ -86,19 +45,20 @@ ShardedBrokerDaemon::ShardedBrokerDaemon(std::string name,
         [reactor = shard->reactor.get(), daemon = shard->daemon.get()]() {
           reactor->post([daemon]() { daemon->poke(); });
         });
-
-    if (i == 0) {
-      if (kernel_sharding) port_ = shard->daemon->port();
-      udp_port_ = shard->daemon->udp_port();
-    }
     shards_.push_back(std::move(shard));
   }
 
-  if (!kernel_sharding) {
-    acceptor_ = std::make_unique<TcpListener>(
-        *shards_[0]->reactor, config_.listen_port,
-        [this](int fd) { dispatch_accepted(fd); });
-    port_ = acceptor_->port();
+  Shard& first = *shards_[0];
+  acceptor_ = std::make_unique<TcpListener>(
+      *first.reactor, config_.listen_port,
+      [this](int fd) { dispatch_accepted(fd); });
+  if (config_.enable_udp) {
+    udp_ = std::make_unique<UdpSocket>(
+        *first.reactor, 0,
+        [this, daemon = first.daemon.get()](std::string_view payload,
+                                            const sockaddr_in& from) {
+          daemon->on_datagram(*udp_, payload, from);
+        });
   }
 
   if (config_.admin.enabled) {
@@ -108,7 +68,14 @@ ShardedBrokerDaemon::ShardedBrokerDaemon(std::string name,
   }
 }
 
-ShardedBrokerDaemon::~ShardedBrokerDaemon() { stop(); }
+ShardedBrokerDaemon::~ShardedBrokerDaemon() {
+  stop();
+  // Shard 0's pending requests may hold reply sinks that send through the
+  // UDP socket, and the socket is registered with shard 0's reactor: drop
+  // the daemons first, then the socket, then (with shards_) the reactors.
+  for (auto& shard : shards_) shard->daemon.reset();
+  udp_.reset();
+}
 
 void ShardedBrokerDaemon::dispatch_accepted(int fd) {
   // Runs on shard 0's reactor thread; next_shard_ is only touched here.

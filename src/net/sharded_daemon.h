@@ -1,7 +1,7 @@
 // Multi-threaded sharded broker daemon.
 //
-// One BrokerDaemon per reactor thread ("shard"), all serving the same
-// TCP/UDP port. Each shard keeps the single-threaded core::ServiceBroker
+// One BrokerDaemon per reactor thread ("shard"), all serving one TCP port.
+// Each shard keeps the single-threaded core::ServiceBroker
 // invariant — no locks anywhere on a shard's data path — and two pieces of
 // state are deliberately global so the paper's semantics survive sharding:
 //
@@ -13,12 +13,12 @@
 //     shard's OverloadController enforces the QoS thresholds against the
 //     *global* load rather than 1/N of it.
 //
-// Connection distribution: every shard opens its own listening socket on
-// the shared port with SO_REUSEPORT and the kernel spreads incoming
-// connections across them (the HAProxy multi-worker pattern). Where
-// SO_REUSEPORT is unavailable — or when the config forces it — a fallback
-// acceptor on shard 0 accepts everything and hands fds round-robin to the
-// shard reactors via Reactor::post().
+// Connection distribution: one listener on shard 0 accepts every connection
+// and hands the fds round-robin to the shard reactors via Reactor::post(), so
+// N connections spread evenly over the shards whatever their source ports
+// (kernel accept sharding, which hashed them, left a shard of 4 without any
+// of 4 persistent connections in most runs). The optional UDP socket is
+// bound once and served by shard 0 in every configuration.
 #pragma once
 
 #include <atomic>
@@ -37,6 +37,7 @@
 #include "net/broker_daemon.h"
 #include "net/reactor.h"
 #include "net/tcp.h"
+#include "net/udp.h"
 
 namespace sbroker::net {
 
@@ -48,11 +49,12 @@ struct ShardedBrokerDaemonConfig {
   core::BrokerConfig broker;     ///< per-shard broker configuration
   size_t shards = 1;             ///< reactor threads; clamped to >= 1
   uint16_t listen_port = 0;      ///< shared TCP port; 0 = ephemeral
-  bool enable_udp = true;        ///< shared ephemeral UDP port (shard 0 only
-                                 ///< in fallback); see udp_port()
+  bool enable_udp = true;        ///< ephemeral UDP port served by shard 0;
+                                 ///< see udp_port()
   double tick_interval = 0.02;   ///< per-shard housekeeping tick, seconds
-  /// Skip SO_REUSEPORT and use the single-acceptor round-robin path even
-  /// when the kernel supports accept sharding (used by tests).
+  /// No effect: the round-robin acceptor is the only accept path. Kept
+  /// because perfbench's fixture still assigns it; it goes with the next
+  /// benchmark change.
   bool force_acceptor_fallback = false;
   /// Admin plane (/healthz /metrics /statusz /tracez) on its own reactor
   /// thread; enabled by default on an ephemeral port.
@@ -67,7 +69,8 @@ class ShardedBrokerDaemon {
   using BackendFactory =
       std::function<std::shared_ptr<core::Backend>(Reactor& reactor, size_t shard)>;
 
-  /// Binds all listeners; call add_backend() then start().
+  /// Binds the listener (and the UDP socket); call add_backend() then
+  /// start().
   ShardedBrokerDaemon(std::string name, ShardedBrokerDaemonConfig config);
   ~ShardedBrokerDaemon();  ///< stops and joins if still running
   ShardedBrokerDaemon(const ShardedBrokerDaemon&) = delete;
@@ -85,14 +88,11 @@ class ShardedBrokerDaemon {
 
   bool running() const { return running_; }
   size_t shards() const { return shards_.size(); }
-  uint16_t port() const { return port_; }
-  /// Shared UDP datagram port; 0 when UDP is disabled.
-  uint16_t udp_port() const { return udp_port_; }
+  uint16_t port() const { return acceptor_->port(); }
+  /// UDP datagram port (served by shard 0); 0 when UDP is disabled.
+  uint16_t udp_port() const { return udp_ ? udp_->port() : 0; }
   /// Admin-plane HTTP port; 0 when the admin plane is disabled.
   uint16_t admin_port() const { return admin_ ? admin_->port() : 0; }
-  /// True when kernel accept sharding (SO_REUSEPORT) is active, false when
-  /// the round-robin acceptor fallback is in use.
-  bool kernel_accept_sharding() const { return !acceptor_; }
 
   core::ResultCache& shared_cache() { return *cache_; }
   const core::ResultCache& shared_cache() const { return *cache_; }
@@ -154,11 +154,12 @@ class ShardedBrokerDaemon {
   std::shared_ptr<core::LoadTracker> load_;
   std::shared_ptr<core::FlightTable> flights_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::unique_ptr<TcpListener> acceptor_;  ///< fallback mode only
+  std::unique_ptr<TcpListener> acceptor_;  ///< on shard 0's reactor
+  /// On shard 0's reactor; shard 0 replies through it. Torn down after the
+  /// shard daemons and before the reactors (see the destructor).
+  std::unique_ptr<UdpSocket> udp_;
   std::unique_ptr<AdminServer> admin_;
-  size_t next_shard_ = 0;                  ///< fallback round-robin cursor
-  uint16_t port_ = 0;
-  uint16_t udp_port_ = 0;
+  size_t next_shard_ = 0;                  ///< round-robin cursor
   /// Read by the admin thread (snapshot path decision), written by
   /// start()/stop().
   std::atomic<bool> running_{false};

@@ -35,17 +35,11 @@ sockaddr_in loopback(uint16_t port) {
 
 }  // namespace
 
-std::pair<int, uint16_t> listen_tcp(uint16_t port, bool reuse_port) {
+std::pair<int, uint16_t> listen_tcp(uint16_t port) {
   int fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) throw std::runtime_error("socket failed");
   int one = 1;
   setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  if (reuse_port &&
-      setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) != 0) {
-    close(fd);
-    throw std::runtime_error(std::string("SO_REUSEPORT failed: ") +
-                             strerror(errno));
-  }
   sockaddr_in addr = loopback(port);
   if (bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
     close(fd);
@@ -314,10 +308,9 @@ void TcpConn::reactor_teardown() {
   on_close_ = nullptr;
 }
 
-TcpListener::TcpListener(Reactor& reactor, uint16_t port, AcceptFn on_accept,
-                         bool reuse_port)
+TcpListener::TcpListener(Reactor& reactor, uint16_t port, AcceptFn on_accept)
     : reactor_(reactor), on_accept_(std::move(on_accept)) {
-  auto [fd, actual_port] = listen_tcp(port, reuse_port);
+  auto [fd, actual_port] = listen_tcp(port);
   fd_ = fd;
   port_ = actual_port;
   reactor_.add_fd(fd_, EPOLLIN, [this](uint32_t) {

@@ -21,10 +21,7 @@ namespace sbroker::net {
 
 /// Creates a non-blocking listening socket on 127.0.0.1:`port` (0 picks a
 /// free port). Returns {fd, actual port}; throws std::runtime_error.
-/// With `reuse_port`, SO_REUSEPORT is set before bind so several sockets
-/// (one per broker shard) can listen on the same port and let the kernel
-/// spread incoming connections across them.
-std::pair<int, uint16_t> listen_tcp(uint16_t port, bool reuse_port = false);
+std::pair<int, uint16_t> listen_tcp(uint16_t port);
 
 /// Non-blocking connect to 127.0.0.1:`port`. Returns the fd (connection may
 /// still be in progress); throws std::runtime_error on immediate failure.
@@ -111,10 +108,8 @@ class TcpListener {
   /// Called with each accepted (already non-blocking) fd.
   using AcceptFn = std::function<void(int fd)>;
 
-  /// Listens on 127.0.0.1:`port` (0 = ephemeral). `reuse_port` enables
-  /// SO_REUSEPORT kernel accept-sharding (see listen_tcp).
-  TcpListener(Reactor& reactor, uint16_t port, AcceptFn on_accept,
-              bool reuse_port = false);
+  /// Listens on 127.0.0.1:`port` (0 = ephemeral).
+  TcpListener(Reactor& reactor, uint16_t port, AcceptFn on_accept);
   ~TcpListener();
   TcpListener(const TcpListener&) = delete;
   TcpListener& operator=(const TcpListener&) = delete;

@@ -26,19 +26,10 @@ constexpr size_t kMaxDatagram = 64 * 1024;
 
 }  // namespace
 
-UdpSocket::UdpSocket(Reactor& reactor, uint16_t port, DatagramFn on_datagram,
-                     bool reuse_port)
+UdpSocket::UdpSocket(Reactor& reactor, uint16_t port, DatagramFn on_datagram)
     : reactor_(reactor), on_datagram_(std::move(on_datagram)) {
   fd_ = socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd_ < 0) throw std::runtime_error("udp socket failed");
-  if (reuse_port) {
-    int one = 1;
-    if (setsockopt(fd_, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) != 0) {
-      close(fd_);
-      throw std::runtime_error(std::string("udp SO_REUSEPORT failed: ") +
-                               strerror(errno));
-    }
-  }
   sockaddr_in addr = loopback(port);
   if (bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
     close(fd_);

@@ -1,7 +1,7 @@
 // Non-blocking UDP on the reactor, plus a blocking client for tests.
 //
 // The paper's distributed-model prototype exchanges broker messages "through
-// lightweight UDP"; BrokerDaemon uses this socket for its datagram listener.
+// lightweight UDP"; BrokerDaemon answers the datagrams of such a socket.
 // One frame (net/frame.h) per datagram — the header announces the frame's
 // length, so a datagram either holds exactly one frame or is dropped.
 #pragma once
@@ -25,10 +25,7 @@ class UdpSocket {
   using DatagramFn = std::function<void(std::string_view, const sockaddr_in&)>;
 
   /// Binds 127.0.0.1:`port` (0 = ephemeral) and registers with the reactor.
-  /// `reuse_port` enables SO_REUSEPORT so the shards of a sharded daemon can
-  /// share one datagram port (the kernel picks a socket per sender).
-  UdpSocket(Reactor& reactor, uint16_t port, DatagramFn on_datagram,
-            bool reuse_port = false);
+  UdpSocket(Reactor& reactor, uint16_t port, DatagramFn on_datagram);
   ~UdpSocket();
   UdpSocket(const UdpSocket&) = delete;
   UdpSocket& operator=(const UdpSocket&) = delete;

@@ -31,14 +31,15 @@ class BinaryIngressTest : public ::testing::Test {
           respond(http::make_response(200, "content of " + req.target));
         });
 
-    BrokerDaemonConfig cfg;
-    cfg.broker.rules = core::QosRules{3, 20.0};
-    cfg.broker.enable_cache = true;
-    cfg.broker.cache_ttl = 30.0;
-    cfg.tick_interval = 0.005;
-    daemon_ = std::make_unique<BrokerDaemon>(reactor_, "bin-broker", cfg);
+    core::BrokerConfig cfg;
+    cfg.rules = core::QosRules{3, 20.0};
+    cfg.enable_cache = true;
+    cfg.cache_ttl = 30.0;
+    daemon_ = std::make_unique<BrokerDaemon>(reactor_, "bin-broker", cfg, 0.005);
     daemon_->add_backend(
         std::make_shared<PipelinedBackend>(reactor_, backend_server_->port()));
+    listener_ = std::make_unique<TcpListener>(
+        reactor_, 0, [this](int fd) { daemon_->adopt_client(fd); });
 
     thread_ = std::thread([this] { reactor_.run(); });
   }
@@ -60,11 +61,12 @@ class BinaryIngressTest : public ::testing::Test {
   Reactor reactor_;
   std::unique_ptr<HttpServer> backend_server_;
   std::unique_ptr<BrokerDaemon> daemon_;
+  std::unique_ptr<TcpListener> listener_;
   std::thread thread_;
 };
 
 TEST_F(BinaryIngressTest, FrameRoundTripAndCacheFlags) {
-  FrameClient client(daemon_->port());
+  FrameClient client(listener_->port());
   auto first = client.call(1, "/frame-page", /*qos_level=*/3);
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(first->request_id, 1u);
@@ -90,7 +92,7 @@ TEST_F(BinaryIngressTest, FrameRoundTripAndCacheFlags) {
 TEST_F(BinaryIngressTest, TaggedCacheHitAdvancesTransaction) {
   // A transaction step answered by the arena fast path still counts as
   // progress: a later step of the same transaction escalates from there.
-  FrameClient client(daemon_->port());
+  FrameClient client(listener_->port());
   ASSERT_TRUE(client.call(1, "/catalog").has_value());  // warm the cache
   auto hit = client.call(frame::Request{2, 1, 0, "/catalog", /*txn_id=*/9,
                                         /*txn_step=*/2});
@@ -106,7 +108,7 @@ TEST_F(BinaryIngressTest, TaggedCacheHitAdvancesTransaction) {
 }
 
 TEST_F(BinaryIngressTest, FrameSplitAcrossTcpReadsStillServed) {
-  FrameClient client(daemon_->port());
+  FrameClient client(listener_->port());
   std::string encoded;
   frame::encode_request(frame::Request{7, 2, 0, "/split-frame"}, encoded);
   // Feed the frame in three fragments with pauses so the daemon sees
@@ -123,7 +125,7 @@ TEST_F(BinaryIngressTest, FrameSplitAcrossTcpReadsStillServed) {
 }
 
 TEST_F(BinaryIngressTest, TwoFramesInOneSendBothServed) {
-  FrameClient client(daemon_->port());
+  FrameClient client(listener_->port());
   auto replies = client.call_burst(10, {"/burst-a", "/burst-b"});
   ASSERT_EQ(replies.size(), 2u);
   EXPECT_EQ(replies[0].request_id, 10u);
@@ -133,7 +135,7 @@ TEST_F(BinaryIngressTest, TwoFramesInOneSendBothServed) {
 }
 
 TEST_F(BinaryIngressTest, OversizedFrameClosesConnection) {
-  FrameClient client(daemon_->port());
+  FrameClient client(listener_->port());
   // Hand-rolled header announcing a section just past the 64 MiB cap: this
   // must be treated as a protocol error immediately, not a "wait for 64 MiB".
   uint32_t length = frame::kMaxSectionLength + 1;
@@ -150,7 +152,7 @@ TEST_F(BinaryIngressTest, OversizedFrameClosesConnection) {
 }
 
 TEST_F(BinaryIngressTest, GarbageAfterValidFrameClosesConnection) {
-  FrameClient client(daemon_->port());
+  FrameClient client(listener_->port());
   auto ok = client.call(1, "/before-garbage");
   ASSERT_TRUE(ok.has_value());
   // Wrong magic mid-stream is a framing error. Even this partial header is
@@ -158,7 +160,7 @@ TEST_F(BinaryIngressTest, GarbageAfterValidFrameClosesConnection) {
   ASSERT_TRUE(client.send_raw(std::string("\xFF\x01\x01", 3)));
   EXPECT_FALSE(client.read_reply().has_value());
   // The daemon survives and keeps serving fresh connections.
-  FrameClient again(daemon_->port());
+  FrameClient again(listener_->port());
   auto reply = again.call(2, "/after-garbage");
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->payload, "content of /after-garbage");
@@ -166,13 +168,13 @@ TEST_F(BinaryIngressTest, GarbageAfterValidFrameClosesConnection) {
 
 TEST_F(BinaryIngressTest, TruncatedFrameThenDisconnectIsHarmless) {
   {
-    FrameClient client(daemon_->port());
+    FrameClient client(listener_->port());
     std::string encoded;
     frame::encode_request(frame::Request{3, 1, 0, "/never-finished"}, encoded);
     ASSERT_TRUE(client.send_raw(encoded.substr(0, encoded.size() - 4)));
     // Destructor closes mid-frame; the daemon must just drop the buffer.
   }
-  FrameClient client(daemon_->port());
+  FrameClient client(listener_->port());
   auto reply = client.call(4, "/alive-after-truncation");
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->payload, "content of /alive-after-truncation");
@@ -182,7 +184,7 @@ TEST_F(BinaryIngressTest, FrameAndHttpInterleavedOnOnePort) {
   // HTTP/1.1 requests interleaved with frames on the daemon's one main port:
   // each HTTP request closes its own connection without an answer, while the
   // frame connection beside it keeps being served.
-  FrameClient framed(daemon_->port());
+  FrameClient framed(listener_->port());
   for (int i = 0; i < 3; ++i) {
     std::string target = "/mixed-" + std::to_string(i);
 
@@ -193,7 +195,7 @@ TEST_F(BinaryIngressTest, FrameAndHttpInterleavedOnOnePort) {
     http::Request hreq;
     hreq.target = target;
     auto sent = std::chrono::steady_clock::now();
-    EXPECT_FALSE(http_fetch(daemon_->port(), hreq, 2000).has_value()) << i;
+    EXPECT_FALSE(http_fetch(listener_->port(), hreq, 2000).has_value()) << i;
     // Closed by the daemon, not given up on by the client.
     EXPECT_LT(std::chrono::steady_clock::now() - sent, std::chrono::seconds(1)) << i;
   }
@@ -204,7 +206,7 @@ TEST_F(BinaryIngressTest, FrameAndHttpInterleavedOnOnePort) {
 }
 
 TEST_F(BinaryIngressTest, PipelinedCacheHitsCoalesceIntoFewerFlushes) {
-  FrameClient client(daemon_->port());
+  FrameClient client(listener_->port());
   // Prime the cache, then pipeline a burst of identical cached queries in
   // one send: the daemon answers them all within one reactor cycle, so the
   // replies ride a single coalesced writev rather than one syscall each.

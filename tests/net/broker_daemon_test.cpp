@@ -39,14 +39,15 @@ class BrokerDaemonTest : public ::testing::Test {
           held_.clear();
         });
 
-    BrokerDaemonConfig cfg;
-    cfg.broker.rules = core::QosRules{3, 20.0};
-    cfg.broker.enable_cache = true;
-    cfg.broker.cache_ttl = 30.0;
-    cfg.tick_interval = 0.005;
-    daemon_ = std::make_unique<BrokerDaemon>(reactor_, "web-broker", cfg);
+    core::BrokerConfig cfg;
+    cfg.rules = core::QosRules{3, 20.0};
+    cfg.enable_cache = true;
+    cfg.cache_ttl = 30.0;
+    daemon_ = std::make_unique<BrokerDaemon>(reactor_, "web-broker", cfg, 0.005);
     daemon_->add_backend(
         std::make_shared<PipelinedBackend>(reactor_, backend_server_->port()));
+    listener_ = std::make_unique<TcpListener>(
+        reactor_, 0, [this](int fd) { daemon_->adopt_client(fd); });
 
     thread_ = std::thread([this] { reactor_.run(); });
   }
@@ -68,11 +69,12 @@ class BrokerDaemonTest : public ::testing::Test {
   std::vector<std::pair<std::string, HttpServer::Responder>> held_;
   std::unique_ptr<HttpServer> backend_server_;
   std::unique_ptr<BrokerDaemon> daemon_;
+  std::unique_ptr<TcpListener> listener_;
   std::thread thread_;
 };
 
 TEST_F(BrokerDaemonTest, FullFidelityRoundTrip) {
-  FrameClient client(daemon_->port());
+  FrameClient client(listener_->port());
   auto reply = client.call(1, "/page-1", 3);
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->request_id, 1u);
@@ -81,7 +83,7 @@ TEST_F(BrokerDaemonTest, FullFidelityRoundTrip) {
 }
 
 TEST_F(BrokerDaemonTest, SecondIdenticalRequestServedFromCache) {
-  FrameClient client(daemon_->port());
+  FrameClient client(listener_->port());
   auto first = client.call(1, "/cached-page", 3);
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(first->fidelity, http::Fidelity::kFull);
@@ -97,7 +99,7 @@ TEST_F(BrokerDaemonTest, SecondIdenticalRequestServedFromCache) {
 }
 
 TEST_F(BrokerDaemonTest, SequentialRequestsOnOneConnection) {
-  FrameClient client(daemon_->port());
+  FrameClient client(listener_->port());
   for (uint64_t i = 0; i < 10; ++i) {
     auto reply = client.call(i, "/p" + std::to_string(i), 2);
     ASSERT_TRUE(reply.has_value()) << i;
@@ -111,7 +113,7 @@ TEST_F(BrokerDaemonTest, ConcurrentClients) {
   std::vector<std::thread> threads;
   for (int c = 0; c < 4; ++c) {
     threads.emplace_back([&, c] {
-      FrameClient client(daemon_->port());
+      FrameClient client(listener_->port());
       for (int i = 0; i < 5; ++i) {
         uint64_t id = static_cast<uint64_t>(c) * 100 + static_cast<uint64_t>(i);
         auto reply = client.call(id, "/t" + std::to_string(id), 2);
@@ -130,7 +132,7 @@ TEST_F(BrokerDaemonTest, ConnectionsReusingOneRequestIdEachGetTheirReply) {
   std::vector<std::thread> threads;
   for (int c = 0; c < 2; ++c) {
     threads.emplace_back([&, c] {
-      FrameClient client(daemon_->port(), /*timeout_ms=*/3000);
+      FrameClient client(listener_->port(), /*timeout_ms=*/3000);
       replies[c] = client.call(1, c == 0 ? "/held/a" : "/held/b", 3);
     });
   }
@@ -148,12 +150,13 @@ TEST_F(BrokerDaemonTest, ConnectionsReusingOneRequestIdEachGetTheirReply) {
 
 TEST_F(BrokerDaemonTest, UnreachableBackendYieldsError) {
   Reactor reactor2;
-  BrokerDaemonConfig cfg;
-  cfg.broker.enable_cache = false;
-  BrokerDaemon lonely(reactor2, "lonely", cfg);
+  core::BrokerConfig cfg;
+  cfg.enable_cache = false;
+  BrokerDaemon lonely(reactor2, "lonely", cfg, 0.02);
   lonely.add_backend(std::make_shared<PipelinedBackend>(reactor2, 1));  // port 1: closed
+  TcpListener listener(reactor2, 0, [&](int fd) { lonely.adopt_client(fd); });
   std::thread t([&] { reactor2.run(); });
-  FrameClient client(lonely.port());
+  FrameClient client(listener.port());
   auto reply = client.call(1, "/x", 3);
   reactor2.stop();
   t.join();
@@ -178,16 +181,16 @@ bool closed_without_reply(uint16_t port, std::string_view bytes) {
 }
 
 TEST_F(BrokerDaemonTest, MalformedBytesCloseConnection) {
-  FrameClient good(daemon_->port());
+  FrameClient good(listener_->port());
   // The main port speaks frames only: bytes that do not start with the frame
   // magic close the connection without a reply.
-  EXPECT_TRUE(closed_without_reply(daemon_->port(), "\x01\x02garbage"));
+  EXPECT_TRUE(closed_without_reply(listener_->port(), "\x01\x02garbage"));
   // A plain HTTP/1.1 request is no exception.
-  EXPECT_TRUE(closed_without_reply(daemon_->port(), "GET / HTTP/1.1\r\n\r\n"));
+  EXPECT_TRUE(closed_without_reply(listener_->port(), "GET / HTTP/1.1\r\n\r\n"));
   // Nor is a client of the retired legacy codec, which opens with its magic
   // 'S' 'B' 'R' 'K'.
   const char legacy[] = "\x53\x42\x52\x4b\x01\x01\x07\x00\r\n";
-  EXPECT_TRUE(closed_without_reply(daemon_->port(),
+  EXPECT_TRUE(closed_without_reply(listener_->port(),
                                    std::string_view(legacy, sizeof(legacy) - 1)));
   // The daemon must still serve well-formed clients afterwards.
   auto reply = good.call(5, "/still-alive", 3);
@@ -209,15 +212,16 @@ TEST(BrokerDaemonErrors, NegativeCacheHitAnswersError) {
   Reactor reactor;
   auto backend = std::make_shared<Failing>();
   backend->reactor = &reactor;
-  BrokerDaemonConfig cfg;
-  cfg.broker.enable_cache = true;
-  cfg.broker.cache_ttl = 30.0;
-  cfg.broker.cache_tuning.negative_ttl = 30.0;
-  cfg.broker.lifecycle.max_attempts = 1;
-  BrokerDaemon daemon(reactor, "failing-broker", cfg);
+  core::BrokerConfig cfg;
+  cfg.enable_cache = true;
+  cfg.cache_ttl = 30.0;
+  cfg.cache_tuning.negative_ttl = 30.0;
+  cfg.lifecycle.max_attempts = 1;
+  BrokerDaemon daemon(reactor, "failing-broker", cfg, 0.02);
   daemon.add_backend(backend);
+  TcpListener listener(reactor, 0, [&](int fd) { daemon.adopt_client(fd); });
   std::thread t([&] { reactor.run(); });
-  FrameClient client(daemon.port(), 2000);
+  FrameClient client(listener.port(), 2000);
   auto first = client.call(1, "/broken");
   auto again = client.call(2, "/broken");
   reactor.stop();

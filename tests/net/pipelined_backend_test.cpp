@@ -283,6 +283,39 @@ TEST_F(PipelinedBackendTest, SaturatedChannelRejectsWithBackpressure) {
   });
 }
 
+TEST_F(PipelinedBackendTest, MalformedResponseFailsTheHeadExchangeOnce) {
+  // A server that answers every request with bytes that are not HTTP: the
+  // channel logs the parser's message, closes, and fails the head exchange
+  // (it may have executed) instead of re-issuing it.
+  listener_ = std::make_unique<TcpListener>(reactor_, 0, [this](int fd) {
+    size_t index = conns_.size();
+    conns_.push_back(TcpConn::adopt(reactor_, fd));
+    conns_[index]->start(
+        [this, index](std::string_view) { conns_[index]->send("NOT-HTTP\r\n\r\n"); },
+        []() {});
+  });
+  backend_ = std::make_shared<PipelinedBackend>(reactor_, listener_->port());
+  run_reactor();
+
+  std::atomic<int> completions{0};
+  std::string reason;
+  on_reactor([&]() {
+    core::Backend::Call call;
+    call.payload = "/garbled";
+    backend_->invoke(call, [&](double, bool ok, const std::string& payload) {
+      EXPECT_FALSE(ok);
+      reason = payload;
+      ++completions;
+    });
+  });
+  ASSERT_TRUE(wait_for([&] { return completions.load() >= 1; }));
+  on_reactor([&]() {
+    EXPECT_EQ(completions.load(), 1);
+    EXPECT_EQ(reason, "backend sent malformed response");
+    EXPECT_EQ(backend_->channel_stats().retries, 0u);
+  });
+}
+
 TEST_F(PipelinedBackendTest, ConnectFailureFailsCallsAsynchronously) {
   backend_ = std::make_shared<PipelinedBackend>(reactor_, 1);  // closed port
   run_reactor();

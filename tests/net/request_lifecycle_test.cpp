@@ -277,19 +277,22 @@ TEST_F(RequestLifecycleTest, DeadlineShedArrivesBeforeTheTick) {
   // deadline request is shed) and one fronting the echo backend (served).
   // Built before the reactor thread starts, like ShardedBrokerDaemon does.
   Reactor daemon_reactor;
-  BrokerDaemonConfig dcfg;
-  dcfg.broker.rules = core::QosRules{3, 100.0};
-  dcfg.broker.enable_cache = false;
-  dcfg.enable_udp = false;
-  dcfg.tick_interval = 0.5;  // coarse: the shed must arrive at the deadline
-  auto stalled = std::make_unique<BrokerDaemon>(daemon_reactor, "stalled", dcfg);
+  core::BrokerConfig dcfg;
+  dcfg.rules = core::QosRules{3, 100.0};
+  dcfg.enable_cache = false;
+  constexpr double kTick = 0.5;  // coarse: the shed must arrive at the deadline
+  auto stalled = std::make_unique<BrokerDaemon>(daemon_reactor, "stalled", dcfg, kTick);
   stalled->add_backend(std::make_shared<PipelinedBackend>(daemon_reactor, mute_->port()));
-  auto healthy = std::make_unique<BrokerDaemon>(daemon_reactor, "healthy", dcfg);
+  auto healthy = std::make_unique<BrokerDaemon>(daemon_reactor, "healthy", dcfg, kTick);
   healthy->add_backend(std::make_shared<PipelinedBackend>(daemon_reactor, echo_->port()));
+  auto stalled_listener = std::make_unique<TcpListener>(
+      daemon_reactor, 0, [&](int fd) { stalled->adopt_client(fd); });
+  auto healthy_listener = std::make_unique<TcpListener>(
+      daemon_reactor, 0, [&](int fd) { healthy->adopt_client(fd); });
   std::thread daemon_thread([&] { daemon_reactor.run(); });
 
   {  // the clients close before the daemons are torn down
-    FrameClient stalled_client(stalled->port());
+    FrameClient stalled_client(stalled_listener->port());
     auto sent = std::chrono::steady_clock::now();
     auto shed = stalled_client.call(1, "/page", 1, /*deadline_ms=*/100);
     auto waited = std::chrono::steady_clock::now() - sent;
@@ -298,7 +301,7 @@ TEST_F(RequestLifecycleTest, DeadlineShedArrivesBeforeTheTick) {
     EXPECT_EQ(shed->payload, core::kDeadlineExceeded);
     EXPECT_LT(waited, std::chrono::milliseconds(400));  // well before the tick
 
-    FrameClient healthy_client(healthy->port());
+    FrameClient healthy_client(healthy_listener->port());
     auto served = healthy_client.call(2, "/page");
     ASSERT_TRUE(served.has_value());
     EXPECT_EQ(served->fidelity, http::Fidelity::kFull);
@@ -307,6 +310,8 @@ TEST_F(RequestLifecycleTest, DeadlineShedArrivesBeforeTheTick) {
 
   std::promise<void> torn_down;
   daemon_reactor.post([&]() {
+    stalled_listener.reset();
+    healthy_listener.reset();
     stalled.reset();
     healthy.reset();
     torn_down.set_value();

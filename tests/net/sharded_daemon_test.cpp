@@ -1,6 +1,6 @@
 // ShardedBrokerDaemon end-to-end over real sockets: N reactor shards behind
-// one port (SO_REUSEPORT or the acceptor fallback), shared striped cache,
-// shared admission load, clean shutdown under traffic.
+// one round-robin acceptor, UDP on shard 0, shared striped cache, shared
+// admission load, clean shutdown under traffic.
 #include "net/sharded_daemon.h"
 
 #include <gtest/gtest.h>
@@ -8,13 +8,17 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "net/frame.h"
 #include "net/http_client.h"
 #include "net/http_server.h"
 #include "net/pipelined_backend.h"
+#include "net/udp.h"
 
 namespace sbroker::net {
 namespace {
@@ -36,16 +40,15 @@ class ShardedDaemonTest : public ::testing::Test {
   }
 
   std::unique_ptr<ShardedBrokerDaemon> make_daemon(size_t shards,
-                                                   bool force_fallback,
-                                                   double threshold = 50.0) {
+                                                   double threshold = 50.0,
+                                                   bool udp = false) {
     ShardedBrokerDaemonConfig cfg;
     cfg.broker.rules = core::QosRules{3, threshold};
     cfg.broker.enable_cache = true;
     cfg.broker.cache_ttl = 30.0;
     cfg.shards = shards;
-    cfg.enable_udp = false;
+    cfg.enable_udp = udp;
     cfg.tick_interval = 0.005;
-    cfg.force_acceptor_fallback = force_fallback;
     auto daemon = std::make_unique<ShardedBrokerDaemon>("sharded", cfg);
     uint16_t port = backend_server_->port();
     daemon->add_backend([port](Reactor& reactor, size_t) {
@@ -61,7 +64,7 @@ class ShardedDaemonTest : public ::testing::Test {
 };
 
 TEST_F(ShardedDaemonTest, RepliesEqualRequestsAcrossConcurrentClients) {
-  auto daemon = make_daemon(2, /*force_fallback=*/false);
+  auto daemon = make_daemon(2);
   constexpr int kClients = 4;
   constexpr int kPerClient = 25;
   std::atomic<int> ok{0};
@@ -94,45 +97,69 @@ TEST_F(ShardedDaemonTest, RepliesEqualRequestsAcrossConcurrentClients) {
 }
 
 TEST_F(ShardedDaemonTest, SharedCacheServesRepeatArrivingAtAnotherShard) {
-  // Acceptor fallback distributes connections round-robin, so two
-  // sequential connections deterministically land on different shards: the
-  // repeat is a cache hit only because the striped cache is shared.
-  auto daemon = make_daemon(2, /*force_fallback=*/true);
-  ASSERT_FALSE(daemon->kernel_accept_sharding());
+  // The acceptor hands connections out round-robin, so 2N sequential
+  // connections land on the N shards in turn, two on each: every repeat after
+  // the first fetch is a cache hit only because the striped cache is shared,
+  // and every shard counts exactly two requests.
+  for (size_t shards : {2, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    auto daemon = make_daemon(shards);
+    std::vector<std::unique_ptr<FrameClient>> conns;
+    for (size_t c = 0; c < 2 * shards; ++c) {
+      conns.push_back(std::make_unique<FrameClient>(daemon->port()));  // -> shard c % N
+      auto reply = conns.back()->call(c + 1, "/hot-object", 3);
+      ASSERT_TRUE(reply.has_value()) << c;
+      EXPECT_EQ(reply->fidelity,
+                c == 0 ? http::Fidelity::kFull : http::Fidelity::kCached) << c;
+      EXPECT_EQ(reply->payload, "content of /hot-object");
+    }
+    EXPECT_EQ(daemon->shared_cache().hits(), 2 * shards - 1);
+    daemon->stop();
 
-  FrameClient first_conn(daemon->port());   // -> shard 0
-  auto first = first_conn.call(1, "/hot-object", 3);
-  ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(first->fidelity, http::Fidelity::kFull);
-
-  FrameClient second_conn(daemon->port());  // -> shard 1
-  auto second = second_conn.call(2, "/hot-object", 3);
-  ASSERT_TRUE(second.has_value());
-  EXPECT_EQ(second->fidelity, http::Fidelity::kCached);
-  EXPECT_EQ(second->payload, "content of /hot-object");
-
-  EXPECT_GE(daemon->shared_cache().hits(), 1u);
-  daemon->stop();
-
-  // Round-robin placement: both shards saw exactly one request.
-  EXPECT_EQ(daemon->shard(0).broker().metrics().total().issued, 1u);
-  EXPECT_EQ(daemon->shard(1).broker().metrics().total().issued, 1u);
+    for (size_t i = 0; i < shards; ++i) {
+      EXPECT_EQ(daemon->shard(i).broker().metrics().total().issued, 2u) << i;
+    }
+  }
 }
 
-TEST_F(ShardedDaemonTest, KernelShardingServesRepeatFromSharedCacheToo) {
-  auto daemon = make_daemon(2, /*force_fallback=*/false);
-  ASSERT_TRUE(daemon->kernel_accept_sharding());
-  // Wherever the kernel hashes these two connections, the shared cache makes
-  // placement irrelevant: the repeat must be a hit.
-  FrameClient a(daemon->port());
-  auto first = a.call(1, "/popular", 3);
+TEST_F(ShardedDaemonTest, DatagramIsServedByShardZero) {
+  auto daemon = make_daemon(2, /*threshold=*/50.0, /*udp=*/true);
+  ASSERT_NE(daemon->udp_port(), 0);
+  auto call = [&](uint64_t id) -> std::optional<FrameReply> {
+    std::string datagram;
+    frame::encode_request(frame::Request{id, 3, 0, "/udp-object"}, datagram);
+    auto raw = udp_exchange(daemon->udp_port(), datagram);
+    if (!raw) return std::nullopt;
+    frame::Reply reply;
+    size_t consumed = 0;
+    if (frame::parse_reply(*raw, reply, &consumed) != frame::ParseResult::kFrame ||
+        consumed != raw->size()) {
+      return std::nullopt;
+    }
+    return FrameReply{reply.request_id, reply.fidelity, reply.flags,
+                      std::string(reply.payload)};
+  };
+  auto first = call(1);
   ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->request_id, 1u);
   EXPECT_EQ(first->fidelity, http::Fidelity::kFull);
-  FrameClient b(daemon->port());
-  auto second = b.call(2, "/popular", 3);
+  EXPECT_EQ(first->payload, "content of /udp-object");
+  auto second = call(2);
   ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(second->request_id, 2u);
   EXPECT_EQ(second->fidelity, http::Fidelity::kCached);
+  EXPECT_EQ(second->payload, "content of /udp-object");
   daemon->stop();
+
+  // Shard 0 served both datagrams; shard 1 saw nothing.
+  EXPECT_EQ(daemon->shard(0).broker().metrics().total().issued, 2u);
+  EXPECT_EQ(daemon->shard(1).broker().metrics().total().issued, 0u);
+  core::BrokerMetrics::ClassCounters total = daemon->aggregate_metrics().total();
+  EXPECT_EQ(total.issued, 2u);
+  EXPECT_EQ(total.completed, total.issued);
+  EXPECT_EQ(total.forwarded + total.dropped + total.cache_hits + total.errors,
+            total.issued);
+  EXPECT_EQ(total.cache_hits, 1u);
 }
 
 TEST_F(ShardedDaemonTest, GlobalAdmissionCountsLoadOnOtherShards) {
@@ -151,9 +178,9 @@ TEST_F(ShardedDaemonTest, GlobalAdmissionCountsLoadOnOtherShards) {
   });
   installed.get_future().get();
 
-  // Threshold 4: class-3 admission bound = 4 outstanding. Fallback mode
-  // makes connection->shard placement deterministic round-robin.
-  auto daemon = make_daemon(2, /*force_fallback=*/true, /*threshold=*/4.0);
+  // Threshold 4: class-3 admission bound = 4 outstanding. The acceptor
+  // places connections on the shards round-robin.
+  auto daemon = make_daemon(2, /*threshold=*/4.0);
 
   std::vector<std::thread> occupiers;
   std::atomic<int> slow_done{0};
@@ -186,7 +213,7 @@ TEST_F(ShardedDaemonTest, GlobalAdmissionCountsLoadOnOtherShards) {
 }
 
 TEST_F(ShardedDaemonTest, ShutdownMidTrafficDoesNotCrashOrHang) {
-  auto daemon = make_daemon(2, /*force_fallback=*/false);
+  auto daemon = make_daemon(2);
   std::atomic<bool> stop{false};
   std::vector<std::thread> clients;
   for (int c = 0; c < 3; ++c) {
@@ -216,7 +243,7 @@ TEST_F(ShardedDaemonTest, ShutdownMidTrafficDoesNotCrashOrHang) {
 }
 
 TEST_F(ShardedDaemonTest, SingleShardBehavesLikePlainDaemon) {
-  auto daemon = make_daemon(1, /*force_fallback=*/false);
+  auto daemon = make_daemon(1);
   FrameClient client(daemon->port());
   auto reply = client.call(7, "/solo", 3);
   ASSERT_TRUE(reply.has_value());

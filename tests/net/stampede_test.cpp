@@ -57,12 +57,13 @@ TEST(DaemonStampede, ConcurrentIdenticalRequestsHitBackendOnce) {
         respond(http::make_response(200, "content of " + req.target));
       });
 
-  BrokerDaemonConfig cfg;
-  cfg.broker.rules = core::QosRules{3, 20.0};
-  cfg.broker.enable_cache = true;
-  cfg.broker.cache_ttl = 30.0;
-  BrokerDaemon daemon(reactor, "stampede", cfg);
+  core::BrokerConfig cfg;
+  cfg.rules = core::QosRules{3, 20.0};
+  cfg.enable_cache = true;
+  cfg.cache_ttl = 30.0;
+  BrokerDaemon daemon(reactor, "stampede", cfg, 0.02);
   daemon.add_backend(std::make_shared<PipelinedBackend>(reactor, backend_server.port()));
+  TcpListener listener(reactor, 0, [&](int fd) { daemon.adopt_client(fd); });
   std::thread reactor_thread([&] { reactor.run(); });
 
   // Four clients storm the same cold key while the one fetch is held open.
@@ -71,7 +72,7 @@ TEST(DaemonStampede, ConcurrentIdenticalRequestsHitBackendOnce) {
   std::vector<std::thread> clients;
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c]() {
-      FrameClient client(daemon.port());
+      FrameClient client(listener.port());
       replies[static_cast<size_t>(c)] =
           client.call(static_cast<uint64_t>(c) + 1, "/slow", 3);
     });
@@ -131,7 +132,6 @@ TEST(ShardedStampede, MissesOnDifferentShardsShareOneFetch) {
 
   ShardedBrokerDaemonConfig cfg;
   cfg.shards = 2;
-  cfg.force_acceptor_fallback = true;
   cfg.broker.rules = core::QosRules{3, 20.0};
   cfg.broker.enable_cache = true;
   cfg.broker.cache_ttl = 30.0;
@@ -200,19 +200,20 @@ TEST(DaemonStampede, OverduePrefetchDoesNotSpinTheTickTimerWhileBusy) {
         respond(http::make_response(200, "content of " + req.target));
       });
 
-  BrokerDaemonConfig cfg;
+  core::BrokerConfig cfg;
   // Class-1 bound 1, the prefetch gate: any outstanding request is busy.
-  cfg.broker.rules = core::QosRules{3, 3.0};
-  cfg.broker.enable_cache = true;
-  cfg.tick_interval = 5.0;  // only deadline/prefetch schedules arm the timer
-  BrokerDaemon daemon(reactor, "spin", cfg);
+  cfg.rules = core::QosRules{3, 3.0};
+  cfg.enable_cache = true;
+  // Tick interval 5 s: only deadline/prefetch schedules arm the timer.
+  BrokerDaemon daemon(reactor, "spin", cfg, 5.0);
   daemon.add_backend(std::make_shared<PipelinedBackend>(reactor, backend_server.port()));
+  TcpListener listener(reactor, 0, [&](int fd) { daemon.adopt_client(fd); });
   std::thread reactor_thread([&] { reactor.run(); });
 
   // Occupy the broker with a stalled request that sheds on its own deadline.
   std::optional<FrameReply> stalled;
   std::thread client([&]() {
-    FrameClient client_conn(daemon.port());
+    FrameClient client_conn(listener.port());
     stalled = client_conn.call(1, "/stall", 3, /*deadline_ms=*/700);
   });
   ASSERT_TRUE(eventually([&]() {

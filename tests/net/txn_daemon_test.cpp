@@ -100,15 +100,19 @@ class TxnDaemonTest : public ::testing::Test {
         });
     backend_thread_ = std::thread([this] { backend_reactor_.run(); });
 
-    BrokerDaemonConfig cfg;
-    cfg.broker.rules = core::QosRules{3, 6.0};
-    cfg.broker.enable_cache = false;
-    cfg.enable_udp = true;
-    cfg.tick_interval = 0.005;
-    daemon_ = std::make_unique<BrokerDaemon>(reactor_, "txn-broker", cfg);
+    core::BrokerConfig cfg;
+    cfg.rules = core::QosRules{3, 6.0};
+    cfg.enable_cache = false;
+    daemon_ = std::make_unique<BrokerDaemon>(reactor_, "txn-broker", cfg, 0.005);
     daemon_->add_backend(
         std::make_shared<PipelinedBackend>(reactor_, backend_server_->port()));
     daemon_->set_federation(&federation_);
+    listener_ = std::make_unique<TcpListener>(
+        reactor_, 0, [this](int fd) { daemon_->adopt_client(fd); });
+    udp_ = std::make_unique<UdpSocket>(
+        reactor_, 0, [this](std::string_view payload, const sockaddr_in& from) {
+          daemon_->on_datagram(*udp_, payload, from);
+        });
     thread_ = std::thread([this] { reactor_.run(); });
   }
 
@@ -130,7 +134,7 @@ class TxnDaemonTest : public ::testing::Test {
   /// Step 1 of the transaction while the window is idle: admitted, and the
   /// broker now knows the transaction.
   void open_transaction() {
-    FrameClient client(daemon_->port());
+    FrameClient client(listener_->port());
     auto reply = client.call(frame::Request{1, 1, 0, "/step-1", kTxn, 1});
     ASSERT_TRUE(reply.has_value());
     ASSERT_EQ(reply->fidelity, http::Fidelity::kFull);
@@ -140,7 +144,7 @@ class TxnDaemonTest : public ::testing::Test {
   void saturate() {
     for (int i = 0; i < kSlowFetches; ++i) {
       slow_.push_back(std::async(std::launch::async, [this, i]() {
-        FrameClient client(daemon_->port());
+        FrameClient client(listener_->port());
         auto reply = client.call(static_cast<uint64_t>(100 + i),
                                  "/slow-" + std::to_string(i), 3);
         return reply ? reply->fidelity : http::Fidelity::kError;
@@ -166,6 +170,8 @@ class TxnDaemonTest : public ::testing::Test {
   Reactor reactor_;
   LocalOnlyFederation federation_;
   std::unique_ptr<BrokerDaemon> daemon_;
+  std::unique_ptr<TcpListener> listener_;
+  std::unique_ptr<UdpSocket> udp_;
   std::thread thread_;
   std::vector<std::future<http::Fidelity>> slow_;
 };
@@ -173,7 +179,7 @@ class TxnDaemonTest : public ::testing::Test {
 TEST_F(TxnDaemonTest, TaggedStepEscalatesOverTcpFrames) {
   open_transaction();
   saturate();
-  FrameClient client(daemon_->port());
+  FrameClient client(listener_->port());
   auto plain = client.call(frame::Request{10, 1, 0, "/plain"});
   ASSERT_TRUE(plain.has_value());
   EXPECT_EQ(plain->fidelity, http::Fidelity::kBusy);
@@ -189,12 +195,12 @@ TEST_F(TxnDaemonTest, TaggedStepEscalatesOverTcpFrames) {
 TEST_F(TxnDaemonTest, TaggedStepEscalatesOverUdpFrames) {
   open_transaction();
   saturate();
-  auto plain = udp_call(daemon_->udp_port(), frame::Request{20, 1, 0, "/plain"});
+  auto plain = udp_call(udp_->port(), frame::Request{20, 1, 0, "/plain"});
   ASSERT_TRUE(plain.has_value());
   EXPECT_EQ(plain->fidelity, http::Fidelity::kBusy);
 
   auto tagged =
-      udp_call(daemon_->udp_port(), frame::Request{21, 1, 0, "/step-3", kTxn, 3});
+      udp_call(udp_->port(), frame::Request{21, 1, 0, "/step-3", kTxn, 3});
   ASSERT_TRUE(tagged.has_value());
   EXPECT_EQ(tagged->request_id, 21u);
   EXPECT_EQ(tagged->fidelity, http::Fidelity::kFull);
@@ -206,7 +212,7 @@ TEST_F(TxnDaemonTest, TaggedStepEscalatesOverPeerFetch) {
   saturate();
   // A federation peer forwarding misses: kPeerFetch frames on one
   // connection, answered with kPeerReply frames.
-  int fd = connect_tcp(daemon_->port());
+  int fd = connect_tcp(listener_->port());
   ASSERT_GE(fd, 0);
   std::string out;
   frame::encode_peer_fetch(frame::Request{30, 1, 0, "/plain"}, out);

@@ -59,14 +59,19 @@ class UdpDaemonTest : public ::testing::Test {
         reactor_, 0, [](const http::Request& req, HttpServer::Responder respond) {
           respond(http::make_response(200, "udp-served " + req.target));
         });
-    BrokerDaemonConfig cfg;
-    cfg.broker.rules = core::QosRules{3, 20.0};
-    cfg.broker.enable_cache = true;
-    cfg.broker.cache_ttl = 30.0;
-    cfg.enable_udp = true;
-    daemon_ = std::make_unique<BrokerDaemon>(reactor_, "udp-broker", cfg);
+    core::BrokerConfig cfg;
+    cfg.rules = core::QosRules{3, 20.0};
+    cfg.enable_cache = true;
+    cfg.cache_ttl = 30.0;
+    daemon_ = std::make_unique<BrokerDaemon>(reactor_, "udp-broker", cfg, 0.02);
     daemon_->add_backend(
         std::make_shared<PipelinedBackend>(reactor_, backend_server_->port()));
+    listener_ = std::make_unique<TcpListener>(
+        reactor_, 0, [this](int fd) { daemon_->adopt_client(fd); });
+    udp_ = std::make_unique<UdpSocket>(
+        reactor_, 0, [this](std::string_view payload, const sockaddr_in& from) {
+          daemon_->on_datagram(*udp_, payload, from);
+        });
     thread_ = std::thread([this] { reactor_.run(); });
   }
 
@@ -87,7 +92,7 @@ class UdpDaemonTest : public ::testing::Test {
   std::optional<FrameReply> call(uint64_t id, uint8_t qos, std::string_view target) {
     std::string datagram;
     frame::encode_request(frame::Request{id, qos, 0, target}, datagram);
-    auto raw = udp_exchange(daemon_->udp_port(), datagram);
+    auto raw = udp_exchange(udp_->port(), datagram);
     if (!raw) return std::nullopt;
     frame::Reply reply;
     size_t consumed = 0;
@@ -102,11 +107,13 @@ class UdpDaemonTest : public ::testing::Test {
   Reactor reactor_;
   std::unique_ptr<HttpServer> backend_server_;
   std::unique_ptr<BrokerDaemon> daemon_;
+  std::unique_ptr<TcpListener> listener_;
+  std::unique_ptr<UdpSocket> udp_;
   std::thread thread_;
 };
 
 TEST_F(UdpDaemonTest, DatagramRequestRoundTrip) {
-  ASSERT_NE(daemon_->udp_port(), 0);
+  ASSERT_NE(udp_->port(), 0);
   auto reply = call(1, 3, "/page");
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->request_id, 1u);
@@ -130,7 +137,7 @@ TEST_F(UdpDaemonTest, CacheWorksOverUdp) {
 }
 
 TEST_F(UdpDaemonTest, GarbageDatagramIsDroppedSilently) {
-  auto raw = udp_exchange(daemon_->udp_port(), "this is not a frame", 200);
+  auto raw = udp_exchange(udp_->port(), "this is not a frame", 200);
   EXPECT_FALSE(raw.has_value());  // no reply — UDP drop semantics
   // Daemon still healthy.
   auto reply = call(3, 3, "/after-garbage");
@@ -142,7 +149,7 @@ TEST_F(UdpDaemonTest, TruncatedFrameDatagramIsDropped) {
   std::string datagram;
   frame::encode_request(frame::Request{4, 3, 0, "/truncated"}, datagram);
   datagram.pop_back();  // the header announces one byte more than arrives
-  EXPECT_FALSE(udp_exchange(daemon_->udp_port(), datagram, 200).has_value());
+  EXPECT_FALSE(udp_exchange(udp_->port(), datagram, 200).has_value());
   auto reply = call(5, 3, "/after-truncated");
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->payload, "udp-served /after-truncated");
@@ -154,7 +161,7 @@ TEST_F(UdpDaemonTest, FrameWithTrailingBytesIsDropped) {
   std::string datagram;
   frame::encode_request(frame::Request{6, 3, 0, "/first"}, datagram);
   frame::encode_request(frame::Request{7, 3, 0, "/second"}, datagram);
-  EXPECT_FALSE(udp_exchange(daemon_->udp_port(), datagram, 200).has_value());
+  EXPECT_FALSE(udp_exchange(udp_->port(), datagram, 200).has_value());
   auto reply = call(8, 3, "/after-trailing");
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->request_id, 8u);
@@ -166,7 +173,7 @@ TEST_F(UdpDaemonTest, TcpAndUdpShareOneBroker) {
   ASSERT_TRUE(udp_reply.has_value());
   EXPECT_EQ(udp_reply->fidelity, http::Fidelity::kFull);
   // The same key over TCP hits the cache the UDP request populated.
-  FrameClient tcp(daemon_->port());
+  FrameClient tcp(listener_->port());
   auto tcp_reply = tcp.call(2, "/shared", 3);
   ASSERT_TRUE(tcp_reply.has_value());
   EXPECT_EQ(tcp_reply->fidelity, http::Fidelity::kCached);
