@@ -85,9 +85,8 @@ void ServiceBroker::submit(double now, const http::BrokerRequest& request,
   // The same probe as every other caller's. The scratch arena is this call's
   // own, so a submit made from inside the hit reply probes into another.
   std::unique_ptr<Arena> scratch = arena_pool_.acquire();
-  bool served = try_submit_fast(now, request, *scratch, [&reply](const ReplyView& r) {
-    reply(http::BrokerReply{r.request_id, r.fidelity, std::string(r.payload)});
-  });
+  bool served = try_submit_fast(now, request, *scratch,
+                                [&reply](const ReplyView& r) { reply(r.owned()); });
   arena_pool_.release(std::move(scratch));
   if (!served) submit_miss(now, request, std::move(reply));
 }
@@ -104,31 +103,22 @@ bool ServiceBroker::try_submit_fast(double now, const http::BrokerRequest& reque
   if (looked.outcome == LookupOutcome::kMiss) return false;
 
   QosLevel base_level = config_.rules.clamp_level(request.qos_level);
-  auto& c = metrics_.at(base_level);
-  c.issued += 1;
+  metrics_.at(base_level).issued += 1;
   // Side-effect parity with submit_miss(): transaction progress advances even
   // for cache-answered steps (escalation must see step N served from cache).
   txn_->effective_level(request.txn_id, request.txn_step, base_level, now);
-  c.completed += 1;
-  obs_.record(base_level, obs::Stage::kTotal, 0.0);
+  Terminal t(request, base_level, Outcome::kHit, http::Fidelity::kCached,
+             looked.value, now);
   if (looked.outcome == LookupOutcome::kNegative) {
-    c.errors += 1;
-    metrics_.flight.negative_hits += 1;
-    obs_.trace(now, request.request_id, obs::TraceEventKind::kCacheHit,
-               static_cast<uint8_t>(base_level), /*detail: negative=*/2);
-    reply(ReplyView{request.request_id, http::Fidelity::kError, looked.value});
-    return true;
-  }
-  c.cache_hits += 1;
-  if (looked.outcome != LookupOutcome::kHit) {
+    t.outcome = Outcome::kNegativeHit;
+    t.fidelity = http::Fidelity::kError;
+  } else if (looked.outcome != LookupOutcome::kHit) {
     metrics_.flight.swr_hits += 1;
     obs_.trace(now, request.request_id, obs::TraceEventKind::kSwr,
                static_cast<uint8_t>(base_level),
                looked.outcome == LookupOutcome::kStaleRefresh ? 1 : 0);
   }
-  obs_.trace(now, request.request_id, obs::TraceEventKind::kCacheHit,
-             static_cast<uint8_t>(base_level));
-  reply(ReplyView{request.request_id, http::Fidelity::kCached, looked.value});
+  finish(t, now, reply);
   if (looked.outcome == LookupOutcome::kStaleRefresh &&
       submit_background(request.payload, now)) {
     metrics_.flight.refreshes += 1;
@@ -145,21 +135,17 @@ void ServiceBroker::submit_miss(double now, const http::BrokerRequest& request,
 
   // 2. Admission, against the (possibly cross-shard) outstanding count —
   //    floored by the federation's gossiped tier pressure when installed.
+  auto sink = [&reply](const ReplyView& r) { reply(r.owned()); };
   if (!overload_.admit(effective, admission_load())) {
-    reply_drop(now, request, base_level, reply);
+    finish(Terminal(request, base_level, Outcome::kAdmissionDrop,
+                    http::Fidelity::kBusy, "system is busy", now),
+           now, sink);
     return;
   }
-
   if (backends_.empty()) {
-    auto& c = metrics_.at(base_level);
-    c.errors += 1;
-    c.completed += 1;
-    obs_.record(base_level, obs::Stage::kTotal, 0.0);
-    obs_.trace(now, request.request_id, obs::TraceEventKind::kComplete,
-               static_cast<uint8_t>(base_level),
-               static_cast<uint16_t>(http::Fidelity::kError));
-    reply(http::BrokerReply{request.request_id, http::Fidelity::kError,
-                            "no backend registered"});
+    finish(Terminal(request, base_level, Outcome::kNoBackend, http::Fidelity::kError,
+                    "no backend registered", now),
+           now, sink);
     return;
   }
 
@@ -207,7 +193,7 @@ void ServiceBroker::open_fetch(double now, RequestContext init, std::string payl
   hotspot_.observe(load_->load());
 
   // The context and its canonical payload bytes share one pooled arena,
-  // freed in a single step by the exactly-once terminal (destroy_context).
+  // freed in a single step by the exactly-once terminal (end_context).
   std::unique_ptr<Arena> arena = arena_pool_.acquire();
   RequestContext* ctx = arena->create<RequestContext>(std::move(init));
   ctx->arena = arena.release();
@@ -250,25 +236,6 @@ void ServiceBroker::open_fetch(double now, RequestContext init, std::string payl
     enqueue_batch(std::move(*batch), now);
   }
   pump(now);
-}
-
-void ServiceBroker::reply_drop(double now, const http::BrokerRequest& request,
-                               QosLevel base_level, ReplyFn& reply) {
-  auto& c = metrics_.at(base_level);
-  c.dropped += 1;
-  c.completed += 1;
-  obs_.record(base_level, obs::Stage::kTotal, 0.0);
-  obs_.trace(now, request.request_id, obs::TraceEventKind::kDrop,
-             static_cast<uint8_t>(base_level), /*detail=*/1);
-  if (config_.serve_stale_on_drop) {
-    if (auto stale = cache_->get_stale(request.payload)) {
-      reply(http::BrokerReply{request.request_id, http::Fidelity::kCached, *stale});
-      return;
-    }
-  }
-  reply(http::BrokerReply{request.request_id, http::Fidelity::kBusy,
-                          "system is busy"});
-  (void)now;
 }
 
 void ServiceBroker::enqueue_batch(Batch batch, double now) {
@@ -334,9 +301,8 @@ void ServiceBroker::dispatch(ReadyBatch ready, double now) {
       if (it == contexts_.end()) continue;
       RequestContext* ctx = it->second;
       contexts_.erase(it);
-      // Mirror the admission-drop bookkeeping: the request was admitted but
-      // cannot be carried, so it is shed with low fidelity.
-      shed_context(ctx, now, /*deadline_miss=*/false);
+      // Admitted but cannot be carried: shed with low fidelity.
+      end_context(ctx, now, Outcome::kPoolShed, http::Fidelity::kBusy, "system is busy");
       // A shed flight leader hands its key to a waiter (who re-enters the
       // dispatch queue and, while the pool stays saturated, is shed in turn
       // until the waiter list drains — the loop terminates).
@@ -432,8 +398,7 @@ void ServiceBroker::on_exchange_complete(uint64_t exchange_id, double now, bool 
         contexts_.erase(ctx_it);
         obs_.record(ctx->base_level, obs::Stage::kChannelRtt,
                     now - ctx->dispatched_at);
-        finish_context(ctx, now, http::Fidelity::kFull, parts[i],
-                       /*count_error=*/false);
+        end_context(ctx, now, Outcome::kComplete, http::Fidelity::kFull, parts[i]);
       }
       // Put, then resolve: parked shards woken by the FlightTable re-probe
       // the shared cache and must find the value. Resolving by key alone is
@@ -480,8 +445,7 @@ void ServiceBroker::on_exchange_complete(uint64_t exchange_id, double now, bool 
             resolve_flight(key, now, /*ok=*/false, payload);
           }
         }
-        finish_context(moved, now, http::Fidelity::kError, payload,
-                       /*count_error=*/true);
+        end_context(moved, now, Outcome::kError, http::Fidelity::kError, payload);
       }
     }
     if (scheduled_retry) {
@@ -498,74 +462,88 @@ void ServiceBroker::destroy_context(RequestContext* ctx) {
   arena_pool_.release(std::move(arena));
 }
 
-void ServiceBroker::finish_context(RequestContext* ctx, double now,
-                                   http::Fidelity fidelity,
-                                   std::string_view payload, bool count_error) {
-  assert(outstanding_ > 0);
-  --outstanding_;
-  load_->dec();
-  hotspot_.observe(load_->load());
-
-  if (ctx->degraded && fidelity == http::Fidelity::kFull) {
-    fidelity = http::Fidelity::kDegraded;
+void ServiceBroker::finish(const Terminal& t, double now, ReplyViewFn reply) {
+  ReplyView out{t.request_id, t.fidelity, t.payload};
+  if (t.degraded && out.fidelity == http::Fidelity::kFull) {
+    out.fidelity = http::Fidelity::kDegraded;
   }
-  obs_.trace(now, ctx->request_id, obs::TraceEventKind::kComplete,
-             static_cast<uint8_t>(ctx->base_level),
-             static_cast<uint16_t>(fidelity));
-  if (ctx->background) {
-    (count_error ? metrics_.background.failed : metrics_.background.completed) += 1;
-    destroy_context(ctx);
+  auto kind = obs::TraceEventKind::kComplete;
+  auto detail = static_cast<uint16_t>(out.fidelity);
+  switch (t.outcome) {
+    case Outcome::kHit:
+    case Outcome::kNegativeHit:
+      kind = obs::TraceEventKind::kCacheHit;
+      detail = t.outcome == Outcome::kHit ? 0 : 2;
+      break;
+    case Outcome::kAdmissionDrop:
+    case Outcome::kPoolShed:
+      kind = obs::TraceEventKind::kDrop;
+      detail = t.outcome == Outcome::kAdmissionDrop ? 1 : 2;
+      break;
+    case Outcome::kDeadlineShed:
+      kind = obs::TraceEventKind::kDeadline;
+      detail = t.attempts;
+      break;
+    case Outcome::kNoBackend:
+    case Outcome::kComplete:
+    case Outcome::kError:
+      break;
+  }
+  obs_.trace(now, t.request_id, kind, static_cast<uint8_t>(t.base_level), detail);
+  if (t.background) {
+    auto& bg = metrics_.background;
+    (t.outcome == Outcome::kComplete ? bg.completed
+     : t.outcome == Outcome::kError  ? bg.failed
+                                     : bg.dropped) += 1;
     return;
   }
-  auto& c = metrics_.at(ctx->base_level);
-  if (fidelity == http::Fidelity::kFull || fidelity == http::Fidelity::kCached ||
-      fidelity == http::Fidelity::kDegraded) {
-    c.forwarded += 1;
-  }
-  if (count_error) c.errors += 1;
+
+  auto& c = metrics_.at(t.base_level);
   c.completed += 1;
-  obs_.record(ctx->base_level, obs::Stage::kTotal, now - ctx->submitted_at);
-  ctx->reply(http::BrokerReply{ctx->request_id, fidelity, std::string(payload)});
-  destroy_context(ctx);
+  switch (t.outcome) {
+    case Outcome::kHit:
+      c.cache_hits += 1;
+      break;
+    case Outcome::kNegativeHit:
+      metrics_.flight.negative_hits += 1;
+      [[fallthrough]];
+    case Outcome::kNoBackend:
+    case Outcome::kError:
+      c.errors += 1;
+      break;
+    case Outcome::kComplete:
+      c.forwarded += 1;
+      break;
+    case Outcome::kDeadlineShed:
+      c.deadline_misses += 1;
+      // Under LIFO discipline the aged-out entries shed here *are* the queue
+      // tail the discipline sacrificed; count them so the win is observable.
+      if (overload_.lifo_active()) c.lifo_sheds += 1;
+      [[fallthrough]];
+    case Outcome::kAdmissionDrop:
+    case Outcome::kPoolShed:
+      c.dropped += 1;
+      break;
+  }
+  // A drop's low-fidelity reply: the stale copy when one is kept, else busy.
+  std::optional<std::string> stale;
+  if (out.fidelity == http::Fidelity::kBusy && config_.serve_stale_on_drop &&
+      (stale = cache_->get_stale(t.key))) {
+    out.fidelity = http::Fidelity::kCached;
+    out.payload = *stale;
+  }
+  obs_.record(t.base_level, obs::Stage::kTotal, now - t.submitted_at);
+  reply(out);
 }
 
-void ServiceBroker::shed_context(RequestContext* ctx, double now, bool deadline_miss) {
+void ServiceBroker::end_context(RequestContext* ctx, double now, Outcome outcome,
+                                http::Fidelity fidelity, std::string_view payload) {
   assert(outstanding_ > 0);
   --outstanding_;
   load_->dec();
   hotspot_.observe(load_->load());
-
-  obs_.trace(now, ctx->request_id,
-             deadline_miss ? obs::TraceEventKind::kDeadline
-                           : obs::TraceEventKind::kDrop,
-             static_cast<uint8_t>(ctx->base_level),
-             deadline_miss ? static_cast<uint16_t>(ctx->attempts)
-                           : /*pool saturated=*/static_cast<uint16_t>(2));
-  if (ctx->background) {
-    metrics_.background.dropped += 1;
-    destroy_context(ctx);
-    return;
-  }
-  auto& c = metrics_.at(ctx->base_level);
-  c.dropped += 1;
-  if (deadline_miss) {
-    c.deadline_misses += 1;
-    // Under LIFO discipline the aged-out entries shed here *are* the queue
-    // tail the discipline sacrificed; count them so the win is observable.
-    if (overload_.lifo_active()) c.lifo_sheds += 1;
-  }
-  c.completed += 1;
-  obs_.record(ctx->base_level, obs::Stage::kTotal, now - ctx->submitted_at);
-  if (config_.serve_stale_on_drop) {
-    if (auto stale = cache_->get_stale(ctx->payload)) {
-      ctx->reply(http::BrokerReply{ctx->request_id, http::Fidelity::kCached, *stale});
-      destroy_context(ctx);
-      return;
-    }
-  }
-  ctx->reply(http::BrokerReply{
-      ctx->request_id, http::Fidelity::kBusy,
-      deadline_miss ? std::string(kDeadlineExceeded) : "system is busy"});
+  finish(Terminal(*ctx, outcome, fidelity, payload), now,
+         [ctx](const ReplyView& r) { ctx->reply(r.owned()); });
   destroy_context(ctx);
 }
 
@@ -605,7 +583,8 @@ void ServiceBroker::expire_deadlines(double now) {
         }
       }
     }
-    shed_context(ctx, now, /*deadline_miss=*/true);
+    end_context(ctx, now, Outcome::kDeadlineShed, http::Fidelity::kBusy,
+                kDeadlineExceeded);
     if (exchange_id != 0) {
       auto ex_it = exchanges_.find(exchange_id);
       if (ex_it != exchanges_.end()) {
@@ -701,9 +680,9 @@ void ServiceBroker::evaluate_overload(double now) {
 
   obs::LatencyHistogram total = obs_.merged_histogram(obs::Stage::kTotal);
   obs::LatencyHistogram queue = obs_.merged_histogram(obs::Stage::kQueueWait);
-  // Sub-microsecond kTotal records are admission drops and cache hits; the
-  // controller must judge the requests that did real work, so exclude the
-  // [0,1us) bucket from the interval view.
+  // Hits, negative hits, no-backend errors and admission drops record a zero
+  // kTotal span; the controller must judge the requests that did real work,
+  // so exclude the [0,1us) bucket from the interval view.
   constexpr double kMinSignal = 1e-6;
   OverloadSignal signal;
   signal.samples = std::max(total.count_since(overload_total_base_, kMinSignal),
@@ -758,9 +737,8 @@ void ServiceBroker::resolve_flight(std::string_view key, double now, bool ok,
     if (it == contexts_.end()) continue;  // waiter already shed on deadline
     RequestContext* ctx = it->second;
     contexts_.erase(it);
-    finish_context(ctx, now,
-                   ok ? http::Fidelity::kCached : http::Fidelity::kError,
-                   payload, /*count_error=*/!ok);
+    end_context(ctx, now, ok ? Outcome::kComplete : Outcome::kError,
+                ok ? http::Fidelity::kCached : http::Fidelity::kError, payload);
   }
   // Release the cross-shard claim last: parked shards re-probe the cache on
   // wake-up, and the value (or negative entry) is already published.

@@ -3,12 +3,14 @@
 // One broker fronts one backend service ("It is per service based",
 // Section III). Web application processes pass it messages containing the
 // query and QoS specification; the broker answers every message exactly
-// once, with one of four fidelities:
+// once, with one of five fidelities:
 //
-//   kFull    — forwarded to a backend, fresh result
-//   kCached  — answered from the result cache (hit, or stale copy on drop)
-//   kBusy    — admission-dropped with a busy notice
-//   kError   — backend failure
+//   kFull     — forwarded to a backend, fresh result
+//   kDegraded — forwarded after a fidelity-reducing rewrite
+//   kCached   — from the cache: a hit, a waiter's shared fetch, or a drop's
+//               stale copy
+//   kBusy     — dropped (admission, saturated pool, deadline) with a notice
+//   kError    — backend failure (fresh or cached), or no backend registered
 //
 // Internally: TransactionTracker computes the effective QoS level; the
 // ResultCache short-circuits repeats; the OverloadController applies the
@@ -19,9 +21,10 @@
 // and stale refreshes are demand misses with no reply sink at the lowest
 // class: the same admission rule, load count, queues and dispatch().
 //
-// Every admitted request lives in a RequestContext from admission until its
-// single reply: it records the QoS classification, the absolute deadline and
-// the attempt budget. tick() owns a deadline queue that sheds expired
+// Every reply, of any fidelity, leaves through one private finish(). Every
+// admitted request lives in a RequestContext from admission until that
+// reply: it records the QoS classification, the absolute deadline and the
+// attempt budget. tick() owns a deadline queue that sheds expired
 // requests (stale-cache reply when available, else busy) and — once every
 // member of an in-flight exchange has expired — harvests the exchange:
 // releases its pool lease, balancer charge and dispatch-window slot, and
@@ -295,12 +298,52 @@ class ServiceBroker {
   void dispatch(ReadyBatch ready, double now);
   void on_exchange_complete(uint64_t exchange_id, double now, bool ok,
                             const std::string& payload);
+  /// How a request ended (the outcome table in obs/trace.h).
+  enum class Outcome : uint8_t {
+    kHit, kNegativeHit, kNoBackend, kAdmissionDrop,  // context-free
+    kComplete, kError, kPoolShed, kDeadlineShed,     // an admitted context
+  };
+
+  /// One request's end, on the stack. A kBusy reply is a drop: finish()
+  /// answers it from the stale copy under `key` when one is kept.
+  struct Terminal {
+    /// A request that ends with no context ends where it began, at `now`:
+    /// its kTotal span is exactly zero.
+    Terminal(const http::BrokerRequest& request, QosLevel level, Outcome o,
+             http::Fidelity f, std::string_view body, double now)
+        : request_id(request.request_id), base_level(level), outcome(o),
+          fidelity(f), payload(body), key(request.payload), submitted_at(now) {}
+    Terminal(const RequestContext& ctx, Outcome o, http::Fidelity f,
+             std::string_view body)
+        : request_id(ctx.request_id), base_level(ctx.base_level), outcome(o),
+          fidelity(f), payload(body), key(ctx.payload),
+          submitted_at(ctx.submitted_at), degraded(ctx.degraded),
+          background(ctx.background), attempts(static_cast<uint16_t>(ctx.attempts)) {}
+
+    uint64_t request_id;
+    QosLevel base_level;
+    Outcome outcome;
+    http::Fidelity fidelity;
+    std::string_view payload;
+    std::string_view key;
+    double submitted_at;
+    bool degraded = false;
+    bool background = false;
+    uint16_t attempts = 0;
+  };
+
+  /// The one terminal: the class counters (completed included), the
+  /// kDegraded mapping, the stale copy for a drop, the kTotal record, the
+  /// terminal trace event and the reply, each once. A background fetch
+  /// (no reply, no kTotal) counts in BrokerMetrics::background instead.
+  void finish(const Terminal& t, double now, ReplyViewFn reply);
+  /// finish() for a context already erased from contexts_; releases its
+  /// load charge and frees its arena.
+  void end_context(RequestContext* ctx, double now, Outcome outcome,
+                   http::Fidelity fidelity, std::string_view payload);
   /// Runs ~RequestContext and returns its arena (context + payload bytes)
-  /// to the pool — the exactly-once terminal's single free.
+  /// to the pool — end_context()'s single free.
   void destroy_context(RequestContext* ctx);
-  void finish_context(RequestContext* ctx, double now, http::Fidelity fidelity,
-                      std::string_view payload, bool count_error);
-  void shed_context(RequestContext* ctx, double now, bool deadline_miss);
   bool may_retry(const RequestContext& ctx, double now) const;
   /// Feedback-control evaluation on the tick path: snapshots the observer's
   /// total/queue-wait histograms, feeds the interval's p95 + deadline budget
@@ -318,8 +361,6 @@ class ServiceBroker {
   void harvest_exchange(uint64_t exchange_id, double now);
   void report_health(size_t backend, bool ok, double now,
                      double latency = -1.0);
-  void reply_drop(double now, const http::BrokerRequest& request, QosLevel base_level,
-                  ReplyFn& reply);
 
   bool single_flight_enabled() const {
     return config_.enable_cache && config_.single_flight;

@@ -46,6 +46,9 @@ struct ReplyView {
   uint64_t request_id = 0;
   http::Fidelity fidelity = http::Fidelity::kCached;
   std::string_view payload;
+
+  /// The owning copy, for a ReplyFn sink.
+  http::BrokerReply owned() const { return {request_id, fidelity, std::string(payload)}; }
 };
 
 /// Non-owning callable reference for ReplyView delivery. A std::function
@@ -91,7 +94,7 @@ struct LifecycleConfig {
 ///
 /// Contexts are placement-new'd into a per-request Arena that also holds the
 /// canonical (post-rewrite) payload bytes; `arena` points back at it so the
-/// exactly-once terminal (finish/shed) can free everything in one step. The
+/// exactly-once terminal (end_context) can free everything in one step. The
 /// broker owns construction and destruction — see destroy_context().
 struct RequestContext {
   /// Broker-assigned and unique for the broker's lifetime: it keys contexts,

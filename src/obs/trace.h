@@ -8,6 +8,21 @@
 // older ones are overwritten (flight-recorder semantics: on failure, dump
 // the tail). Like the histograms, a recorder has a single writer (its shard)
 // and is dumped from that same thread (Reactor::post for the admin plane).
+//
+// core::ServiceBroker::finish emits each request's one terminal event:
+//
+//   outcome                   kind       detail
+//   cache hit (kSwr first     kCacheHit  0
+//     if within grace)
+//   negative hit              kCacheHit  2
+//   no backend                kComplete  http::Fidelity::kError
+//   admission drop            kDrop      1 (also when a stale copy answers)
+//   pool-saturated shed       kDrop      2 (likewise)
+//   deadline shed             kDeadline  attempts consumed (likewise)
+//   completion                kComplete  kFull, kDegraded; kCached (waiter)
+//   backend error             kComplete  http::Fidelity::kError
+//
+// A background fetch's terminal carries request_id 0 and sends no reply.
 #pragma once
 
 #include <cstddef>

@@ -27,38 +27,57 @@ namespace {
 std::atomic<uint64_t> g_allocations{0};
 }  // namespace
 
-void* operator new(std::size_t size) {
+// Every replacement stays out of line, so GCC's -Wmismatched-new-delete never
+// sees an inlined malloc() or free() meet a not-inlined operator new/delete.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
 
-void* operator new[](std::size_t size) { return ::operator new(size); }
+[[gnu::noinline]] void* operator new[](std::size_t size) { return ::operator new(size); }
 
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+[[gnu::noinline]] void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   return std::malloc(size);
 }
 
-void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+[[gnu::noinline]] void* operator new[](std::size_t size,
+                                        const std::nothrow_t& tag) noexcept {
   return ::operator new(size, tag);
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace sbroker::core {
 namespace {
 
+/// Answers at once, stamped with its own `now`: "value for <key>", or a
+/// failure for a key ending in "-fail". With `hold` set it keeps the
+/// completion instead, so a stale refresh stays in flight.
 class PrimeBackend : public Backend {
  public:
   void invoke(const Call& call, Completion done) override {
-    done(0.0, true, "value for " + call.payload);
+    if (hold) {
+      held.push_back(std::move(done));
+      return;
+    }
+    bool ok = !call.payload.ends_with("-fail");
+    done(now, ok, "value for " + call.payload);
   }
+
+  double now = 0.0;
+  bool hold = false;
+  std::vector<Completion> held;
 };
 
 /// Key long enough to defeat SSO: a hidden std::string copy anywhere on the
@@ -72,28 +91,47 @@ TEST(AllocCount, CacheHitFastPathStaysAllocationFree) {
   BrokerConfig cfg;
   cfg.rules = QosRules{3, 20.0};
   cfg.enable_cache = true;
-  cfg.cache_ttl = 1e9;
+  cfg.cache_ttl = 10.0;
+  cfg.cache_tuning.swr_grace = 1e9;     // an expired value stays servable
+  cfg.cache_tuning.negative_ttl = 1e9;  // a failure stays cached
   // The flight recorder appends per-event records; the perf-critical
   // deployment shape keeps it off, and so does this regression bound.
   cfg.obs.trace = false;
   ServiceBroker broker("alloc", cfg);
-  broker.add_backend(std::make_shared<PrimeBackend>());
+  auto backend = std::make_shared<PrimeBackend>();
+  broker.add_backend(backend);
 
-  constexpr int kKeys = 8;
+  // Every context-free cache answer: kHits keys fresh, kNegatives cached
+  // failures, and kStale expired values whose refresh is in flight (served
+  // kStaleServe).
+  constexpr int kHits = 8;
+  constexpr int kNegatives = 4;
+  constexpr int kStale = 4;
+  constexpr int kKeys = kHits + kNegatives + kStale;
   constexpr int kRounds = 1000;
-
-  // Prime: one full-path submit per key fills the cache.
+  std::vector<std::string> keys;
   for (int i = 0; i < kKeys; ++i) {
+    keys.push_back(long_key(i) + (i >= kHits && i < kHits + kNegatives ? "-fail" : ""));
+  }
+
+  // Prime: one full-path submit per key fills the cache; the stale keys at
+  // 0.0 (expired from 10.0), the rest at 50.0.
+  for (int i = 0; i < kKeys; ++i) {
+    bool stale = i >= kHits + kNegatives;
+    backend->now = stale ? 0.0 : 50.0;
     http::BrokerRequest req;
     req.request_id = static_cast<uint64_t>(i + 1);
     req.qos_level = 3;
-    req.payload = long_key(i);
+    req.payload = keys[i];
+    http::Fidelity expected = i >= kHits && !stale ? http::Fidelity::kError
+                                                   : http::Fidelity::kFull;
     bool replied = false;
-    broker.submit(0.0, req, [&](const http::BrokerReply& r) {
-      replied = r.fidelity == http::Fidelity::kFull;
+    broker.submit(backend->now, req, [&](const http::BrokerReply& r) {
+      replied = r.fidelity == expected;
     });
     ASSERT_TRUE(replied) << i;
   }
+  backend->hold = true;
 
   // Pre-build the request objects so the measured loop exercises only the
   // broker, not the test's own string construction.
@@ -102,39 +140,51 @@ TEST(AllocCount, CacheHitFastPathStaysAllocationFree) {
     http::BrokerRequest req;
     req.request_id = 1000u + static_cast<uint64_t>(i);
     req.qos_level = static_cast<uint8_t>(1 + i % 3);
-    req.payload = long_key(i);
+    req.payload = keys[i];
     requests.push_back(std::move(req));
   }
 
   Arena scratch;
   size_t served = 0;
+  size_t errors = 0;
   size_t payload_bytes = 0;
   auto on_reply = [&](const ReplyView& r) {
     served += 1;
+    errors += r.fidelity == http::Fidelity::kError;
     payload_bytes += r.payload.size();
   };
 
   // Warm up: first touches may grow histograms buckets, arena blocks, hash
-  // tables — one-time costs the steady state is measured without.
+  // tables — one-time costs the steady state is measured without. Each stale
+  // key's first probe claims its refresh, which the backend holds.
   for (int i = 0; i < kKeys; ++i) {
     scratch.reset();
-    ASSERT_TRUE(broker.try_submit_fast(1.0, requests[i], scratch, on_reply));
+    ASSERT_TRUE(broker.try_submit_fast(51.0, requests[i], scratch, on_reply));
   }
+  ASSERT_EQ(backend->held.size(), static_cast<size_t>(kStale));
 
   served = 0;
+  errors = 0;
+  BrokerMetrics::FlightStats flight = broker.metrics().flight;
   uint64_t before = g_allocations.load(std::memory_order_relaxed);
   for (int round = 0; round < kRounds; ++round) {
     for (int i = 0; i < kKeys; ++i) {
       scratch.reset();
-      broker.try_submit_fast(2.0, requests[i], scratch, on_reply);
+      broker.try_submit_fast(52.0, requests[i], scratch, on_reply);
     }
   }
   uint64_t after = g_allocations.load(std::memory_order_relaxed);
 
   EXPECT_EQ(served, static_cast<size_t>(kKeys) * kRounds);
+  EXPECT_EQ(errors, static_cast<size_t>(kNegatives) * kRounds);
+  EXPECT_EQ(broker.metrics().flight.negative_hits - flight.negative_hits,
+            static_cast<uint64_t>(kNegatives) * kRounds);
+  EXPECT_EQ(broker.metrics().flight.swr_hits - flight.swr_hits,
+            static_cast<uint64_t>(kStale) * kRounds);
+  EXPECT_EQ(broker.metrics().flight.refreshes, flight.refreshes);
   EXPECT_GT(payload_bytes, 0u);
 
-  // The regression bound: the dup=0 cache-hit path must average well under
+  // The regression bound: every cache-served outcome must average well under
   // one heap allocation per request (steady state is fully arena-served; a
   // stray periodic allocation is tolerated, a per-request one is not).
   uint64_t total = after - before;

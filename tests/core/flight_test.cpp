@@ -11,14 +11,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/broker.h"
 #include "core/cache.h"
+#include "util/rng.h"
 
 namespace sbroker::core {
 namespace {
@@ -640,6 +644,232 @@ TEST(CrossShardFlight, OnlyOneShardWinsTheStaleRefreshClaim) {
   EXPECT_EQ(pair.a.metrics().flight.refreshes +
                 pair.b.metrics().flight.refreshes,
             1u);
+}
+
+// ---------------------------------------------------------------------------
+// Executable spec of the flight table. FlightModel is what single-flight
+// promises, written plainly: per key at most one live backend call, carried
+// by a leader with its waiters in arrival order; a completion answers them
+// all (kFull/kCached, or kError), an expired waiter leaves with a busy
+// reply, and an expired leader's call is cancelled and its first remaining
+// waiter leads a fresh call. A seeded stream of submits, completions and
+// ticks drives the model and a real broker side by side; after every step
+// the broker's live calls and replies must equal the model's.
+
+/// Keeps each call with its cancel token; the spec completes them.
+class SpecBackend : public Backend {
+ public:
+  struct Pending {
+    std::string key;
+    CancelTokenPtr token;
+    Completion done;  ///< empty once completed
+  };
+
+  void invoke(const Call& call, Completion done) override {
+    invoke(call, std::make_shared<CancelToken>(), std::move(done));
+  }
+  void invoke(const Call& call, const CancelTokenPtr& token, Completion done) override {
+    calls.push_back({call.payload, token, std::move(done)});
+  }
+  bool live(size_t i) const { return calls[i].done && !calls[i].token->cancelled(); }
+
+  std::vector<Pending> calls;
+};
+
+struct FlightModel {
+  struct Flight {
+    size_t call = 0;  ///< backend call index
+    uint64_t leader = 0;
+    std::vector<uint64_t> waiters;
+  };
+  struct Request {
+    std::string key;
+    double deadline = kNoDeadline;
+  };
+
+  double ttl = 0.0;
+  double now = 0.0;
+  std::map<std::string, double> fresh_until;
+  std::map<std::string, Flight> flights;
+  std::map<uint64_t, Request> pending;
+  std::map<uint64_t, http::Fidelity> replies;
+  std::set<std::string> to_dispatch;  ///< promoted leaders awaiting a call
+
+  /// True when the submit must start a backend call for `key`.
+  bool submit(uint64_t id, const std::string& key, uint32_t deadline_ms) {
+    auto fresh = fresh_until.find(key);
+    if (fresh != fresh_until.end() && now <= fresh->second) {
+      replies[id] = http::Fidelity::kCached;
+      return false;
+    }
+    pending[id] = {key, deadline_ms > 0 ? now + deadline_ms / 1000.0 : kNoDeadline};
+    auto it = flights.find(key);
+    if (it != flights.end()) {
+      it->second.waiters.push_back(id);
+      return false;
+    }
+    flights[key].leader = id;
+    return true;
+  }
+
+  void complete(const std::string& key, bool ok) {
+    Flight f = flights.at(key);
+    flights.erase(key);
+    answer(f.leader, ok ? http::Fidelity::kFull : http::Fidelity::kError);
+    for (uint64_t w : f.waiters) {
+      answer(w, ok ? http::Fidelity::kCached : http::Fidelity::kError);
+    }
+    if (ok) fresh_until[key] = now + ttl;
+  }
+
+  void tick(double t) {
+    now = t;
+    std::vector<std::pair<double, uint64_t>> due;  // the broker's heap order
+    for (const auto& [id, r] : pending) {
+      if (r.deadline <= t) due.emplace_back(r.deadline, id);
+    }
+    std::sort(due.begin(), due.end());
+    for (const auto& [deadline, id] : due) {
+      std::string key = pending.at(id).key;
+      answer(id, http::Fidelity::kBusy);
+      Flight& f = flights.at(key);
+      if (f.leader != id) {
+        std::erase(f.waiters, id);
+        continue;
+      }
+      to_dispatch.erase(key);
+      if (f.waiters.empty()) {
+        flights.erase(key);
+        continue;
+      }
+      f.leader = f.waiters.front();
+      f.waiters.erase(f.waiters.begin());
+      to_dispatch.insert(key);
+    }
+  }
+
+  void answer(uint64_t id, http::Fidelity fidelity) {
+    pending.erase(id);
+    replies[id] = fidelity;
+  }
+};
+
+/// Runs one seeded stream; folds the broker's counters into `sum`.
+void run_flight_spec(uint64_t seed, BrokerMetrics& sum) {
+  BrokerConfig cfg = cache_config();
+  cfg.rules = QosRules{3, 1e9};  // admit everything: only flights decide
+  cfg.cache_ttl = 0.03;
+  ServiceBroker broker("spec", cfg);
+  auto backend = std::make_shared<SpecBackend>();
+  broker.add_backend(backend);
+  FlightModel model;
+  model.ttl = cfg.cache_ttl;
+  std::map<uint64_t, std::vector<http::Fidelity>> got;
+  util::Rng rng(seed);
+  uint64_t next_id = 1;
+
+  // The broker's new calls since `seen` must be exactly one per key the
+  // model expects to start, and every live call must be its key's flight.
+  size_t seen = 0;
+  auto check = [&](std::multiset<std::string> started) {
+    for (; seen < backend->calls.size(); ++seen) {
+      const std::string& key = backend->calls[seen].key;
+      ASSERT_EQ(started.count(key), 1u) << "unexpected call for " << key;
+      started.erase(key);
+      model.flights.at(key).call = seen;
+    }
+    ASSERT_TRUE(started.empty()) << started.size() << " calls missing";
+    size_t live = 0;
+    for (size_t i = 0; i < backend->calls.size(); ++i) {
+      if (!backend->live(i)) continue;
+      ++live;
+      auto f = model.flights.find(backend->calls[i].key);
+      ASSERT_TRUE(f != model.flights.end() && f->second.call == i)
+          << "call " << i << " for " << backend->calls[i].key << " has no flight";
+    }
+    ASSERT_EQ(live, model.flights.size());
+    ASSERT_EQ(broker.waiting_flights(), model.flights.size());
+    for (const auto& [id, fidelities] : got) {
+      ASSERT_EQ(fidelities.size(), 1u) << "request " << id;
+      ASSERT_TRUE(model.replies.count(id)) << "request " << id << " answered early";
+      ASSERT_EQ(fidelities[0], model.replies.at(id)) << "request " << id;
+    }
+    ASSERT_EQ(got.size(), model.replies.size());
+  };
+  auto complete = [&](size_t i, bool ok) {
+    Backend::Completion done = std::move(backend->calls[i].done);
+    backend->calls[i].done = nullptr;
+    if (!backend->calls[i].token->cancelled()) model.complete(backend->calls[i].key, ok);
+    done(model.now, ok, ok ? "v" : "boom");
+    check({});
+  };
+  auto tick = [&](double t) {
+    model.tick(t);
+    broker.tick(t);
+    std::multiset<std::string> started(model.to_dispatch.begin(),
+                                       model.to_dispatch.end());
+    model.to_dispatch.clear();
+    check(std::move(started));
+  };
+
+  for (int step = 0; step < 300 && !::testing::Test::HasFatalFailure(); ++step) {
+    double roll = rng.next_double();
+    if (roll < 0.5) {
+      uint64_t id = next_id++;
+      std::string key(1, static_cast<char>('a' + rng.uniform_int(0, 2)));
+      auto deadline_ms = static_cast<uint32_t>(
+          rng.next_double() < 0.5 ? 0 : rng.uniform_int(10, 100));
+      bool starts = model.submit(id, key, deadline_ms);
+      broker.submit(model.now,
+                    make_request(id, static_cast<int>(rng.uniform_int(1, 3)), key,
+                                 deadline_ms),
+                    [&got](const http::BrokerReply& r) {
+                      got[r.request_id].push_back(r.fidelity);
+                    });
+      check(starts ? std::multiset<std::string>{key} : std::multiset<std::string>{});
+    } else if (roll < 0.75) {
+      std::vector<size_t> open;  // cancelled calls included: a late answer
+      for (size_t i = 0; i < backend->calls.size(); ++i) {
+        if (backend->calls[i].done) open.push_back(i);
+      }
+      if (open.empty()) continue;
+      size_t pick = open[static_cast<size_t>(
+          rng.uniform_int(0, static_cast<int64_t>(open.size()) - 1))];
+      complete(pick, rng.next_double() < 0.7);
+    } else {
+      tick(model.now + rng.uniform_real(0.0, 0.05));
+    }
+  }
+  // Quiesce: expire every deadline, then answer every live call.
+  while (!model.pending.empty() && !::testing::Test::HasFatalFailure()) {
+    tick(model.now + 1.0);
+    for (size_t i = 0; i < backend->calls.size(); ++i) {
+      if (backend->live(i)) complete(i, true);
+    }
+  }
+  ASSERT_EQ(got.size(), next_id - 1);  // every request answered, once
+  EXPECT_EQ(broker.outstanding(), 0u);
+  EXPECT_EQ(broker.flight_table().in_flight(), 0u);
+  expect_conserved(broker);
+  sum.merge(broker.metrics());
+}
+
+TEST(SingleFlightSpec, SeededStreamMatchesTheModel) {
+  BrokerMetrics sum;
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    run_flight_spec(seed, sum);
+    if (HasFatalFailure()) return;
+  }
+  // The streams reach every path the spec speaks about.
+  BrokerMetrics::ClassCounters total = sum.total();
+  EXPECT_GT(sum.flight.coalesced_waiters, 0u);
+  EXPECT_GT(sum.flight.promotions, 0u);
+  EXPECT_GT(sum.lifecycle.cancellations, 0u);
+  EXPECT_GT(sum.lifecycle.late_completions, 0u);
+  EXPECT_GT(total.errors, 0u);
+  EXPECT_GT(total.deadline_misses, 0u);
+  EXPECT_GT(total.cache_hits, 0u);
 }
 
 }  // namespace

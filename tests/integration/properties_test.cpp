@@ -10,6 +10,8 @@
 
 #include "core/broker.h"
 #include "core/cache.h"
+#include "obs/observer.h"
+#include "obs/trace.h"
 #include "sim/simulation.h"
 #include "util/rng.h"
 
@@ -270,6 +272,27 @@ TEST_P(ConservationSweep, EveryRequestAnsweredExactlyOnce) {
   EXPECT_EQ(total.completed, kRequests);
   EXPECT_EQ(total.forwarded + total.dropped + total.cache_hits + total.errors,
             total.issued);
+
+  // The one terminal's oracle: one kTotal sample per reply in its class, and
+  // one terminal trace event per request (background fetches end with
+  // request id 0 and no reply), read from a ring that did not wrap.
+  const obs::BrokerObserver& obs = broker.observer();
+  for (int level = 1; level <= 3; ++level) {
+    EXPECT_EQ(obs.histogram(level, obs::Stage::kTotal).count(),
+              broker.metrics().at(level).completed)
+        << "class " << level;
+  }
+  ASSERT_EQ(obs.recorder().dropped(), 0u);
+  std::map<uint64_t, int> terminals;
+  for (const obs::TraceEvent& e : obs.recorder().dump()) {
+    if (e.request_id != 0 && obs::trace_event_terminal(e.kind)) {
+      ++terminals[e.request_id];
+    }
+  }
+  EXPECT_EQ(terminals.size(), kRequests);
+  for (uint64_t i = 1; i <= kRequests; ++i) {
+    EXPECT_EQ(terminals[i], 1) << "request " << i;
+  }
 
   // Background fetches settle too, and every resource they held is back.
   const auto& bg = broker.metrics().background;
